@@ -22,7 +22,7 @@ from pathlib import Path
 from repro.campaign.aggregate import render_report_json
 from repro.api import CampaignRunner, CampaignSpec
 
-from benchmarks.common import BenchReport, small_monitored_config
+from benchmarks.common import BenchReport, check_gates, small_monitored_config
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 OUTPUT_PATH = REPO_ROOT / "BENCH_campaign.json"
@@ -95,19 +95,26 @@ def _report(results) -> BenchReport:
     )
 
 
+def check(results) -> None:
+    """The C1 gates, run before the artifact is written."""
+    check_gates("C1", {
+        # Determinism: all three executions produced the same report bytes.
+        "worker_invariant": bool(results["worker_invariant"]),
+        # Resume recomputed nothing against the warm cache.
+        "replay_runs_computed == 0": results["replay_runs_computed"] == 0,
+        # Cache-hit replay must crush recomputation on any host.
+        "speedup_replay_vs_serial >= 5.0": results["speedup_replay_vs_serial"] >= 5.0,
+        # Pool scaling needs cores to scale onto.
+        "speedup_4_workers_vs_serial >= 2.5 (>= 4 cores)": (
+            (os.cpu_count() or 1) < 4 or results["speedup_4_workers_vs_serial"] >= 2.5
+        ),
+    })
+
+
 def test_c1_campaign_scaling(benchmark):
     results = run_scaling()
+    check(results)
     _report(results).write(OUTPUT_PATH)
-
-    # Determinism: all three executions produced the same report bytes.
-    assert results["worker_invariant"]
-    # Resume recomputed nothing against the warm cache.
-    assert results["replay_runs_computed"] == 0
-    # Cache-hit replay must crush recomputation on any host.
-    assert results["speedup_replay_vs_serial"] >= 5.0
-    # Pool scaling needs cores to scale onto.
-    if (os.cpu_count() or 1) >= 4:
-        assert results["speedup_4_workers_vs_serial"] >= 2.5
 
     # Benchmark unit: one warm-cache replay + aggregation of the grid.
     cache_dir = tempfile.mkdtemp(prefix="repro-bench-c1-unit-")
@@ -121,5 +128,7 @@ def test_c1_campaign_scaling(benchmark):
 
 
 if __name__ == "__main__":
-    payload = _report(run_scaling()).write(OUTPUT_PATH)
+    results = run_scaling()
+    check(results)
+    payload = _report(results).write(OUTPUT_PATH)
     print(json.dumps(payload, indent=2, sort_keys=True))

@@ -41,7 +41,7 @@ from repro.api import (
     fleet_overview,
 )
 
-from benchmarks.common import BenchReport, emit
+from benchmarks.common import BenchReport, check_gates, emit
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 OUTPUT_PATH = REPO_ROOT / "BENCH_stream.json"
@@ -243,17 +243,25 @@ def _report(results) -> BenchReport:
     )
 
 
+def check(results) -> None:
+    """The F13 gates, run before the artifact is written."""
+    warm = results["overview"]["per_fleet_size"]
+    check_gates("F13", {
+        f"warm read at 512 <= max({MAX_WARM_RATIO}x at 8, {WARM_NOISE_FLOOR_US} us)": (
+            warm["512"]["warm_us"]
+            <= max(MAX_WARM_RATIO * warm["8"]["warm_us"], WARM_NOISE_FLOOR_US)
+        ),
+        f"e2e rounds == {E2E_ROUNDS}": results["e2e"]["rounds"] == E2E_ROUNDS,
+        f"e2e median_ms < {MAX_E2E_MEDIAN_MS}":
+            results["e2e"]["median_ms"] < MAX_E2E_MEDIAN_MS,
+    })
+
+
 def test_f13_stream(benchmark):
     results = collect()
     emit(build_report(results))
+    check(results)
     _report(results).write(OUTPUT_PATH)
-
-    warm = results["overview"]["per_fleet_size"]
-    assert warm["512"]["warm_us"] <= max(
-        MAX_WARM_RATIO * warm["8"]["warm_us"], WARM_NOISE_FLOOR_US
-    )
-    assert results["e2e"]["rounds"] == E2E_ROUNDS
-    assert results["e2e"]["median_ms"] < MAX_E2E_MEDIAN_MS
 
     # Benchmark unit: one publish into a 16-subscriber hub (the per-event
     # cost ingest pays while a fleet dashboard is open in 16 tabs).
@@ -271,5 +279,7 @@ def test_f13_stream(benchmark):
 
 
 if __name__ == "__main__":
-    payload = _report(collect()).write(OUTPUT_PATH)
+    results = collect()
+    check(results)
+    payload = _report(results).write(OUTPUT_PATH)
     print(json.dumps(payload, indent=2, sort_keys=True))

@@ -27,7 +27,7 @@ from pathlib import Path
 from repro.api import Simulator, SpanProfiler
 from repro.sim.trace import TraceLog
 
-from benchmarks.common import BenchReport
+from benchmarks.common import BenchReport, check_gates
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 OUTPUT_PATH = REPO_ROOT / "BENCH_obs.json"
@@ -145,20 +145,31 @@ def _report(results) -> BenchReport:
     )
 
 
+def check(results) -> None:
+    """The O1 gates, run before the artifact is written."""
+    check_gates("O1", {
+        # The disabled-profiler contract: within 3 % of no profiler at all.
+        f"disabled_overhead <= {MAX_DISABLED_OVERHEAD}":
+            results["engine"]["disabled_overhead"] <= MAX_DISABLED_OVERHEAD,
+        # Eviction at capacity is O(1): same order as appending below
+        # capacity.  (3x is a generous bound; the old list compaction was
+        # ~1000x here.)
+        "at_capacity_overhead <= 3.0":
+            results["trace_eviction"]["at_capacity_overhead"] <= 3.0,
+    })
+
+
 def test_o1_trace_overhead(benchmark):
     results = run_overhead()
+    check(results)
     _report(results).write(OUTPUT_PATH)
-
-    # The disabled-profiler contract: within 3 % of no profiler at all.
-    assert results["engine"]["disabled_overhead"] <= MAX_DISABLED_OVERHEAD
-    # Eviction at capacity is O(1): same order as appending below capacity.
-    # (3x is a generous bound; the old list compaction was ~1000x here.)
-    assert results["trace_eviction"]["at_capacity_overhead"] <= 3.0
 
     # Benchmark unit: one disabled-profiler engine chain.
     benchmark(lambda: _drive_chain(SpanProfiler(enabled=False)))
 
 
 if __name__ == "__main__":
-    payload = _report(run_overhead()).write(OUTPUT_PATH)
+    results = run_overhead()
+    check(results)
+    payload = _report(results).write(OUTPUT_PATH)
     print(json.dumps(payload, indent=2, sort_keys=True))

@@ -50,7 +50,7 @@ from repro.api import (
 )
 from repro.sim.rng import RngRegistry
 
-from benchmarks.common import BenchReport
+from benchmarks.common import BenchReport, check_gates
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 OUTPUT_PATH = REPO_ROOT / "BENCH_scale.json"
@@ -247,23 +247,34 @@ def _report(results) -> BenchReport:
     )
 
 
+def check(results) -> None:
+    """The S1 gates, run before the artifact is written."""
+    check_gates("S1", {
+        # The headline contract: a 1000-node mesh is interactive.
+        f"1000-node wall_s < {MAX_WALL_1000_S}":
+            results["scaling"]["1000"]["wall_s"] < MAX_WALL_1000_S,
+        # The index must beat exhaustive evaluation decisively at 400 nodes.
+        f"speedup at 400 >= {MIN_SPEEDUP_400}":
+            results["speedup_vs_brute"]["speedup"] >= MIN_SPEEDUP_400,
+        # Culling must not change physics: grid == brute, event for event.
+        "traces_identical_100": bool(results["traces_identical_100"]),
+        # The fleet server held its LRU bound while serving every tenant.
+        f"resident_after == {FLEET_RESIDENT}":
+            results["fleet"]["resident_after"] == FLEET_RESIDENT,
+    })
+
+
 def test_s1_scale(benchmark):
     results = collect()
+    check(results)
     _report(results).write(OUTPUT_PATH)
-
-    # The headline contract: a 1000-node mesh is interactive.
-    assert results["scaling"]["1000"]["wall_s"] < MAX_WALL_1000_S
-    # The index must beat exhaustive evaluation decisively at 400 nodes.
-    assert results["speedup_vs_brute"]["speedup"] >= MIN_SPEEDUP_400
-    # Culling must not change physics: grid == brute, event for event.
-    assert results["traces_identical_100"]
-    # The fleet server held its LRU bound while serving every tenant.
-    assert results["fleet"]["resident_after"] == FLEET_RESIDENT
 
     # Benchmark unit: one 100-node mesh run on the grid index.
     benchmark(lambda: drive_mesh(100, GridReachabilityIndex()))
 
 
 if __name__ == "__main__":
-    payload = _report(collect()).write(OUTPUT_PATH)
+    results = collect()
+    check(results)
+    payload = _report(results).write(OUTPUT_PATH)
     print(json.dumps(payload, indent=2, sort_keys=True))

@@ -157,6 +157,17 @@ class BenchReport:
         return payload
 
 
+def check_gates(bench: str, gates: Mapping[str, bool]) -> None:
+    """Raise ``AssertionError`` naming every gate that failed.
+
+    A bench calls this before :meth:`BenchReport.write`, so a committed
+    artifact never records a number that breaks its own gate.
+    """
+    failed = [name for name, passed in gates.items() if not passed]
+    if failed:
+        raise AssertionError(f"{bench} gates failed: {'; '.join(failed)}")
+
+
 #: keys every repro.bench/1 envelope must carry, with their types.
 _ENVELOPE_FIELDS = {
     "schema": str,

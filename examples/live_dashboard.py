@@ -3,8 +3,9 @@
 
 Runs a monitored scenario, then exposes the server's data through the
 HTTP JSON API — the wire path a web dashboard (or curl) would use — and
-demonstrates a client POSTing a telemetry batch to /api/ingest, exactly
-like the ESP32 client in the paper.
+demonstrates a client POSTing a telemetry batch to
+/api/v1/networks/default/ingest, exactly like the ESP32 client in the
+paper.
 
 Run:
     python examples/live_dashboard.py            # demo mode: serve, probe, exit
@@ -26,6 +27,9 @@ from repro.api import (
     WorkloadSpec,
     run_scenario,
 )
+
+#: Routes of the single network this demo monitors.
+V1 = "/api/v1/networks/default"
 
 
 def fetch(url: str):
@@ -54,14 +58,14 @@ def main() -> None:
     print(f"dashboard serving at {http_server.url}")
 
     try:
-        summary = fetch(f"{http_server.url}/api/summary")
-        print(f"\nGET /api/summary -> network health "
+        summary = fetch(f"{http_server.url}{V1}/summary")
+        print(f"\nGET {V1}/summary -> network health "
               f"{summary['network_health']:.0f}/100, "
               f"PDR {summary['network_pdr']:.1%}, "
               f"{len(summary['nodes'])} nodes, {len(summary['links'])} links")
 
-        nodes = fetch(f"{http_server.url}/api/nodes")
-        print("GET /api/nodes   -> first row:", json.dumps(nodes[0]))
+        nodes = fetch(f"{http_server.url}{V1}/nodes")
+        print(f"GET {V1}/nodes -> first row:", json.dumps(nodes[0]))
 
         # A "real" client POSTing one batch, like the paper's ESP32 node.
         record = PacketRecord(
@@ -73,14 +77,14 @@ def main() -> None:
             node=99, batch_seq=0, sent_at=frozen_now, packet_records=(record,)
         ).to_json_bytes()
         request = urllib.request.Request(
-            f"{http_server.url}/api/ingest", data=batch, method="POST",
+            f"{http_server.url}{V1}/ingest", data=batch, method="POST",
             headers={"Content-Type": "application/json"},
         )
         with urllib.request.urlopen(request, timeout=10) as response:
             outcome = json.loads(response.read())
-        print("POST /api/ingest -> accepted:", outcome)
+        print(f"POST {V1}/ingest -> accepted:", outcome)
 
-        nodes = fetch(f"{http_server.url}/api/nodes")
+        nodes = fetch(f"{http_server.url}{V1}/nodes")
         print(f"node 99 now visible to the server: "
               f"{any(row['node'] == 99 for row in nodes)}")
 

@@ -9,19 +9,13 @@ argument parser (run any of them with ``--help`` for details)::
     repro campaign ...   deterministic parallel sweep runner
     repro trace ...      packet flight-recorder inspection
 
-Also runnable as ``python -m repro``.  The pre-1.x surfaces still work
-but print a one-line deprecation notice (on stderr, so piped output
-stays clean) and forward here: the per-tool console scripts
-(``repro-lora``, ``repro-lint``, ``repro-campaign``, ``repro-trace``)
-and the old top-level scenario subcommands (``python -m repro
-simulate`` and friends, now under ``repro sim``).  Both will be removed
-in a future major release.
+Also runnable as ``python -m repro``.
 """
 
 from __future__ import annotations
 
 import sys
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional
 
 _USAGE = """\
 usage: repro <command> [args...]
@@ -75,10 +69,6 @@ _COMMANDS: Dict[str, Callable[[List[str]], int]] = {
     "trace": _trace_main,
 }
 
-#: Pre-1.x top-level scenario subcommands (``python -m repro simulate``
-#: et al.) now live under ``repro sim``; keep them working with a notice.
-_LEGACY_SIM_COMMANDS = ("simulate", "airtime", "dot", "analyze", "export")
-
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = list(sys.argv[1:] if argv is None else argv)
@@ -87,48 +77,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 0 if args else 2
     command, rest = args[0], args[1:]
     handler = _COMMANDS.get(command)
-    if handler is None and command in _LEGACY_SIM_COMMANDS:
-        print(
-            f"repro {command}: deprecated, use `repro sim {command}` (forwarding)",
-            file=sys.stderr,
-        )
-        return _sim_main([command, *rest])
     if handler is None:
         print(f"repro: unknown command {command!r}\n", file=sys.stderr)
         print(_USAGE, end="", file=sys.stderr)
         return 2
     return handler(rest)
-
-
-# -- deprecated per-tool console scripts --------------------------------------
-#
-# Entry points for the pre-1.x scripts.  Each forwards to the unified CLI
-# after a one-line notice on stderr (never stdout: scripted consumers of
-# e.g. `repro-lora dot` output must keep parsing clean documents).
-
-def _deprecated(old: str, new: str, handler: Callable[[List[str]], int]) -> int:
-    print(f"{old}: deprecated, use `{new}` (forwarding)", file=sys.stderr)
-    return handler(sys.argv[1:])
-
-
-def legacy_lora() -> int:
-    """Console script ``repro-lora`` (deprecated alias of ``repro sim``)."""
-    return _deprecated("repro-lora", "repro sim", _sim_main)
-
-
-def legacy_lint() -> int:
-    """Console script ``repro-lint`` (deprecated alias of ``repro lint``)."""
-    return _deprecated("repro-lint", "repro lint", _lint_main)
-
-
-def legacy_campaign() -> int:
-    """Console script ``repro-campaign`` (deprecated alias of ``repro campaign``)."""
-    return _deprecated("repro-campaign", "repro campaign", _campaign_main)
-
-
-def legacy_trace() -> int:
-    """Console script ``repro-trace`` (deprecated alias of ``repro trace``)."""
-    return _deprecated("repro-trace", "repro trace", _trace_main)
 
 
 if __name__ == "__main__":

@@ -5,13 +5,12 @@ tooling — should import from here::
 
     from repro.api import ScenarioConfig, run_scenario, MonitorServer
 
-Everything in ``__all__`` below is covered by the compatibility promise:
-names stay importable from this module across minor versions, with
-deprecation shims (and a release-notes entry) before any removal.  The
+Everything in ``__all__`` below is the supported surface.  The
 implementation modules (``repro.monitor.server``, ``repro.scenario.runner``,
 ...) remain importable but are *internal*: their layout may change
-without notice, and :mod:`repro.lint` rule RL007 flags deep imports of
-facade names from tests and benchmarks.
+without notice, and no shim keeps a name importable from a module it
+has left.  :mod:`repro.lint` rule RL007 flags deep imports of facade
+names from tests and benchmarks.
 
 The facade is organised by layer:
 
@@ -83,7 +82,6 @@ from repro.monitor.storage import MetricsStore
 from repro.monitor.transport import (
     HttpIngestTransport,
     IngestTransport,
-    MultiProcessIngestFront,
     SequenceGapTracker,
     TelemetryGapAccountant,
     UdpIngestTransport,
@@ -194,7 +192,6 @@ __all__ = [
     "IngestTransport",
     "HttpIngestTransport",
     "UdpIngestTransport",
-    "MultiProcessIngestFront",
     "SequenceGapTracker",
     "TelemetryGapAccountant",
     # monitoring: server and multi-tenancy

@@ -32,7 +32,7 @@ Quickstart::
 
 or from the shell::
 
-    repro-campaign run spec.json --workers 4 --resume --out report.json
+    repro campaign run spec.json --workers 4 --resume --out report.json
 
 See ``docs/CAMPAIGN.md`` for the spec file format and cache layout.
 """

@@ -1,10 +1,10 @@
-"""``repro-campaign`` — run, inspect and report experiment campaigns.
+"""``repro campaign`` — run, inspect and report experiment campaigns.
 
 Subcommands::
 
-    repro-campaign run    SPEC.json [--workers N] [--resume] [--out FILE]
-    repro-campaign status SPEC.json
-    repro-campaign report SPEC.json [--allow-partial] [--out FILE]
+    repro campaign run    SPEC.json [--workers N] [--resume] [--out FILE]
+    repro campaign status SPEC.json
+    repro campaign report SPEC.json [--allow-partial] [--out FILE]
 
 ``run`` executes the campaign (optionally resuming from the cache) and
 emits the aggregate report; ``status`` says how much of the grid is
@@ -55,7 +55,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="repro-campaign",
+        prog="repro campaign",
         description="deterministic parallel experiment sweeps with resumable caching",
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -79,7 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--trace-dir",
         help="write per-run NDJSON flight-recorder captures here (only runs "
         "whose config sets capture_trace, e.g. via an axis, produce files; "
-        "inspect them with repro-trace)",
+        "inspect them with repro trace)",
     )
 
     status = sub.add_parser("status", help="show cached vs missing runs")
@@ -221,7 +221,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         return handlers[args.command](args)
     except ReproError as error:
-        print(f"repro-campaign: error: {error}", file=sys.stderr)
+        print(f"repro campaign: error: {error}", file=sys.stderr)
         return EXIT_ERROR
 
 

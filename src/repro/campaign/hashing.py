@@ -23,7 +23,7 @@ from typing import Any, Mapping, Union
 #: change in a way that invalidates previously cached metrics (a new
 #: PHY model, a changed MAC default, ...) — the whole cache then reads
 #: as cold instead of serving stale results.
-CODE_VERSION = "repro-campaign/1"
+CODE_VERSION = "repro.campaign/2"
 
 
 def canonical_json(value: Any) -> str:

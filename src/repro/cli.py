@@ -2,14 +2,14 @@
 
 Subcommands::
 
-    repro-lora simulate   run a scenario and print the dashboard
-    repro-lora serve      run a scenario, then serve the dashboard over HTTP
-    repro-lora airtime    print LoRa time-on-air for given settings
-    repro-lora dot        run a scenario and print the topology as DOT
-    repro-lora analyze    run a scenario and print the pathology report
-    repro-lora export     run a scenario and export telemetry (JSONL/CSV)
+    repro sim simulate   run a scenario and print the dashboard
+    repro sim serve      run a scenario, then serve the dashboard over HTTP
+    repro sim airtime    print LoRa time-on-air for given settings
+    repro sim dot        run a scenario and print the topology as DOT
+    repro sim analyze    run a scenario and print the pathology report
+    repro sim export     run a scenario and export telemetry (JSONL/CSV)
 
-(Installed as ``repro-lora``; also runnable as ``python -m repro.cli``.)
+(Also runnable as ``python -m repro.cli``.)
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ def _add_scenario_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--payload", type=int, default=24, help="application payload bytes")
     parser.add_argument(
         "--capture-trace", action="store_true",
-        help="enable the flight recorder + span profiler (see repro-trace)",
+        help="enable the flight recorder + span profiler (see repro trace)",
     )
 
 
@@ -237,7 +237,7 @@ def cmd_export(args: argparse.Namespace) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="repro-lora",
+        prog="repro sim",
         description="LoRa mesh network monitoring (ICDCS 2022 reproduction)",
     )
     subparsers = parser.add_subparsers(dest="command", required=True)

@@ -28,7 +28,7 @@ A violating line can be suppressed — with a mandatory rationale — via::
 
     something_flagged()  # reprolint: allow[RL003] -- exact sentinel compare
 
-Entry points: the ``repro-lint`` console script (:mod:`repro.lint.cli`)
+Entry points: the ``repro lint`` command (:mod:`repro.lint.cli`)
 and :func:`run_lint` for programmatic use (the test suite's meta-test
 runs it over the shipped tree).
 """

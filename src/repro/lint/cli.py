@@ -1,4 +1,4 @@
-"""``repro-lint`` — the linter's command-line front end.
+"""``repro lint`` — the linter's command-line front end.
 
 Exit codes follow lint convention: 0 clean, 1 violations found, 2 bad
 invocation.  ``--format json`` emits a machine-readable report for CI
@@ -23,7 +23,7 @@ EXIT_USAGE = 2
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="repro-lint",
+        prog="repro lint",
         description=(
             "AST-based determinism, resource-safety & concurrency linter "
             "for the repro tree (rules RL001-RL007 and the RL100-RL103 "
@@ -73,7 +73,7 @@ def explain_rule(rule_id: str) -> int:
     matches = [r for r in registry.all_rules() if r.rule_id == rule_id]
     if not matches:
         print(
-            f"repro-lint: error: unknown rule id {rule_id!r}; "
+            f"repro lint: error: unknown rule id {rule_id!r}; "
             f"known: {', '.join(sorted(registry.ids))}",
             file=sys.stderr,
         )
@@ -116,7 +116,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         report = run_lint(args.paths, registry=registry, select=select, ignore=ignore)
     except LintConfigError as exc:
-        print(f"repro-lint: error: {exc}", file=sys.stderr)
+        print(f"repro lint: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     if args.format == "json":
         print(
@@ -141,7 +141,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         for violation in report.sorted():
             print(violation.render())
     summary = (
-        f"repro-lint: {report.files_checked} files, "
+        f"repro lint: {report.files_checked} files, "
         f"{len(report.violations)} violation(s)"
     )
     print(summary, file=sys.stderr)

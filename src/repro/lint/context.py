@@ -39,7 +39,7 @@ CAMPAIGN_SIM_MODULES: Tuple[str, ...] = ("worker",)
 #: The recorder consumes trace events stamped with simulated time and the
 #: span core times *simulation* work (its deliberate ``perf_counter``
 #: reads carry per-line suppressions with rationale); the NDJSON writer
-#: and the ``repro-trace`` CLI are operator-side I/O and stay exempt.
+#: and the ``repro trace`` CLI are operator-side I/O and stay exempt.
 OBS_SIM_MODULES: Tuple[str, ...] = ("recorder", "spans")
 
 #: modules of ``repro.monitor`` whose classes are documented as shared
@@ -51,8 +51,8 @@ OBS_SIM_MODULES: Tuple[str, ...] = ("recorder", "spans")
 #: (``ThreadingHTTPServer``) but the mutations happen here.  Modules
 #: *not* listed (``uplink``, ``fleet``, ``alerts``, ``dashboard``,
 #: ``store``...) are owner-thread or per-request constructs;
-#: ``transport.http``/``transport.mpfront`` are covered by the
-#: entry-point trigger instead (they subclass ``IngestTransport``).
+#: ``transport.http`` is covered by the entry-point trigger instead (it
+#: subclasses ``IngestTransport``).
 MONITOR_SHARED_MODULES: Tuple[str, ...] = (
     "server",
     "registry",

@@ -94,7 +94,6 @@ _FACADE_NAMES: FrozenSet[str] = frozenset(
         "IngestTransport",
         "HttpIngestTransport",
         "UdpIngestTransport",
-        "MultiProcessIngestFront",
         "SequenceGapTracker",
         "TelemetryGapAccountant",
         "MonitorServer",

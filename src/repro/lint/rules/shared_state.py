@@ -1,9 +1,8 @@
 """RL100 — shared mutable attributes need a consistent lock.
 
 The monitor tier is multi-threaded by construction:
-``ThreadingHTTPServer`` runs each request on its own thread, the UDP
-transport owns a receiver thread, and the multi-process front drains
-from whatever thread calls ``collect()``.  Any ``self.<attr>`` that one
+``ThreadingHTTPServer`` runs each request on its own thread and the
+UDP transport owns a receiver thread.  Any ``self.<attr>`` that one
 of those threads *writes* and another thread touches is a data race
 unless every access happens under one common lock.
 

@@ -22,12 +22,11 @@ ingest progress, so steady-state reads are O(1) snapshot hits no matter
 how many networks are resident.
 
 Two documented deviations from the scan-based tiles: delivery counters
-are cumulative since shard creation rather than windowed over
-``pdr_window_s`` (the parameter is kept for signature compatibility),
-and a cached overview reflects the state as of the last ingest delta
-*or* the last elapsed ``report_interval_s`` time bucket, whichever is
-newer — so liveness-driven health keeps decaying while a fleet is
-silent instead of freezing at its last healthy snapshot.
+are cumulative since shard creation rather than windowed, and a cached
+overview reflects the state as of the last ingest delta *or* the last
+elapsed ``report_interval_s`` time bucket, whichever is newer — so
+liveness-driven health keeps decaying while a fleet is silent instead
+of freezing at its last healthy snapshot.
 
 The aggregates are mutated by the ingest path under the server lock;
 HTTP handler threads therefore read them through
@@ -41,12 +40,12 @@ from __future__ import annotations
 
 import math
 from collections import OrderedDict
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple
 
 from repro.mesh.addressing import BROADCAST
 from repro.mesh.packet import PacketType
+from repro.monitor import health as health_mod
 from repro.monitor.alerts import NodeDelta
-from repro.monitor.health import BATTERY_EMPTY_V, BATTERY_FULL_V
 from repro.monitor.records import Direction, PacketRecord, StatusRecord
 from repro.monitor.storage import MetricsStore
 
@@ -59,16 +58,6 @@ if TYPE_CHECKING:
 DEFAULT_PENDING_IDS = 4096
 
 _DATA_PTYPE = int(PacketType.DATA)
-
-#: Health component weights, mirroring :mod:`repro.monitor.health`.
-_W_LIVENESS = 0.40
-_W_DELIVERY = 0.30
-_W_SPECTRUM = 0.15
-_W_BATTERY = 0.15
-
-
-def _clamp01(value: float) -> float:
-    return max(0.0, min(1.0, value))
 
 
 def _remember(ring: "OrderedDict[int, None]", key: int, bound: int) -> None:
@@ -121,10 +110,14 @@ class _PairDelivery:
         self._out_matched: "OrderedDict[int, None]" = OrderedDict()
         self._in_pending: "OrderedDict[int, None]" = OrderedDict()
 
-    def observe_out(self, packet_id: int) -> bool:
-        """Origin reported the send; True when this completed a match."""
+    def observe_out(self, packet_id: int) -> Optional[bool]:
+        """Origin reported the send; True when this completed a match.
+
+        None when the origin already reported this packet id (a routing
+        loop can bring a packet back to its origin): nothing is counted.
+        """
         if packet_id in self._out_unmatched or packet_id in self._out_matched:
-            return False  # duplicate origin report
+            return None
         self.sent += 1
         if packet_id in self._in_pending:
             del self._in_pending[packet_id]
@@ -190,6 +183,8 @@ class TileAggregate:
         if record.direction is Direction.OUT:
             if record.node == record.src and record.attempt == 1:
                 matched = self._pair(record.src, record.dst).observe_out(record.packet_id)
+                if matched is None:
+                    return
                 telemetry = self._node(record.src)
                 telemetry.sent += 1
                 if matched:
@@ -259,48 +254,25 @@ class TileAggregate:
         return matched / sent
 
     def health(self, now: float, report_interval_s: float = 60.0) -> float:
-        """Network health score mirroring :mod:`repro.monitor.health` weights.
+        """Network health: the mean of the defined node scores (NaN if none).
 
-        Per node: liveness (40 %) from the last accepted batch, delivery
-        (30 %) from the incremental match counters, spectrum and battery
-        (15 % each) from the latest status snapshot.  Components without
-        data redistribute their weight; a network with no data at all
-        scores NaN.
+        Each node is scored by :func:`repro.monitor.health.node_score`
+        from its last accepted batch, its incremental match counters and
+        its latest status snapshot.
         """
-        scores: List[float] = []
+        total = 0.0
+        count = 0
         for telemetry in self._nodes.values():
-            components: List[Tuple[float, Optional[float]]] = []
-            liveness: Optional[float] = None
-            if telemetry.last_seen is not None:
-                silence = now - telemetry.last_seen
-                liveness = _clamp01(
-                    1.0 - (silence - report_interval_s) / (4.0 * report_interval_s)
-                )
-            components.append((_W_LIVENESS, liveness))
-            delivery: Optional[float] = None
-            if telemetry.sent > 0:
-                delivery = telemetry.matched / telemetry.sent
-            components.append((_W_DELIVERY, delivery))
-            spectrum: Optional[float] = None
-            if telemetry.duty_utilisation is not None:
-                spectrum = _clamp01(1.0 - telemetry.duty_utilisation)
-            components.append((_W_SPECTRUM, spectrum))
-            battery: Optional[float] = None
-            if telemetry.battery_v is not None:
-                battery = _clamp01(
-                    (telemetry.battery_v - BATTERY_EMPTY_V)
-                    / (BATTERY_FULL_V - BATTERY_EMPTY_V)
-                )
-            components.append((_W_BATTERY, battery))
-            total_weight = sum(weight for weight, value in components if value is not None)
-            if total_weight == 0:
-                continue
-            scores.append(
-                100.0
-                * sum(weight * value for weight, value in components if value is not None)
-                / total_weight
+            score = health_mod.node_score(
+                health_mod.liveness_component(telemetry.last_seen, now, report_interval_s),
+                telemetry.matched / telemetry.sent if telemetry.sent else None,
+                health_mod.spectrum_component(telemetry.duty_utilisation),
+                health_mod.battery_component(telemetry.battery_v),
             )
-        return sum(scores) / len(scores) if scores else math.nan
+            if not math.isnan(score):
+                total += score
+                count += 1
+        return total / count if count else math.nan
 
 
 def materialized_tile(
@@ -330,14 +302,8 @@ def network_tile(
     network_id: str,
     now: float,
     report_interval_s: float = 60.0,
-    pdr_window_s: float = 1800.0,
 ) -> Optional[Dict[str, Any]]:
-    """One network's fleet tile, or None for an unknown network.
-
-    ``pdr_window_s`` is kept for signature compatibility; the
-    incremental delivery counters are cumulative since shard creation.
-    """
-    del pdr_window_s
+    """One network's fleet tile, or None for an unknown network."""
     shard = server.shard_for(network_id)
     if shard is None:
         return None
@@ -350,7 +316,6 @@ def fleet_overview(
     server: "MonitorServer",
     now: float,
     report_interval_s: float = 60.0,
-    pdr_window_s: float = 1800.0,
     top_n_unhealthy: int = 5,
 ) -> Dict[str, Any]:
     """The ``GET /api/v1/fleet`` document — a snapshot read, not a scan.
@@ -372,7 +337,6 @@ def fleet_overview(
     decay instead of freezing.  Treat the returned document as
     immutable.
     """
-    del pdr_window_s
     key = server.fleet_version() + (
         report_interval_s,
         top_n_unhealthy,

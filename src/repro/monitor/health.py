@@ -16,13 +16,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional
 
 from repro.monitor import metrics
 from repro.monitor.storage import MetricsStore
 
 BATTERY_EMPTY_V = 3.0
 BATTERY_FULL_V = 4.2
+
+_W_LIVENESS = 0.40
+_W_DELIVERY = 0.30
+_W_SPECTRUM = 0.15
+_W_BATTERY = 0.15
 
 
 @dataclass(frozen=True)
@@ -41,6 +46,59 @@ def _clamp01(value: float) -> float:
     return max(0.0, min(1.0, value))
 
 
+def liveness_component(
+    last_seen: Optional[float], now: float, report_interval_s: float
+) -> Optional[float]:
+    """1.0 up to one interval of silence, linearly to 0.0 at five."""
+    if last_seen is None:
+        return None
+    silence = now - last_seen
+    return _clamp01(1.0 - (silence - report_interval_s) / (4.0 * report_interval_s))
+
+
+def spectrum_component(duty_utilisation: Optional[float]) -> Optional[float]:
+    """Headroom below the duty-cycle cap."""
+    return None if duty_utilisation is None else _clamp01(1.0 - duty_utilisation)
+
+
+def battery_component(battery_v: Optional[float]) -> Optional[float]:
+    """Charge between the cutoff and full voltage."""
+    if battery_v is None:
+        return None
+    return _clamp01((battery_v - BATTERY_EMPTY_V) / (BATTERY_FULL_V - BATTERY_EMPTY_V))
+
+
+def node_score(
+    liveness: Optional[float],
+    delivery: Optional[float],
+    spectrum: Optional[float],
+    battery: Optional[float],
+) -> float:
+    """A node's 0..100 score from its components (None = no data).
+
+    Missing components redistribute their weight over the others; a node
+    with no component at all scores NaN.  Called for every node on every
+    ingested batch (:class:`~repro.monitor.fleet.TileAggregate`), so it
+    takes plain values and builds nothing.
+    """
+    weight = total = 0.0
+    if liveness is not None:
+        weight += _W_LIVENESS
+        total += _W_LIVENESS * liveness
+    if delivery is not None:
+        weight += _W_DELIVERY
+        total += _W_DELIVERY * delivery
+    if spectrum is not None:
+        weight += _W_SPECTRUM
+        total += _W_SPECTRUM * spectrum
+    if battery is not None:
+        weight += _W_BATTERY
+        total += _W_BATTERY * battery
+    if weight == 0:
+        return math.nan
+    return 100.0 * total / weight
+
+
 def node_health(
     store: MetricsStore,
     node: int,
@@ -49,15 +107,7 @@ def node_health(
     pdr_window_s: float = 1800.0,
 ) -> HealthScore:
     """Compute the health score for one node."""
-    components: List[Tuple[float, Optional[float]]] = []
-
-    last = store.last_seen(node)
-    liveness: Optional[float] = None
-    if last is not None:
-        # 1.0 up to one interval of silence, linearly to 0.0 at five.
-        silence = now - last
-        liveness = _clamp01(1.0 - (silence - report_interval_s) / (4.0 * report_interval_s))
-    components.append((0.40, liveness))
+    liveness = liveness_component(store.last_seen(node), now, report_interval_s)
 
     delivery: Optional[float] = None
     pairs = metrics.pdr_matrix(store, since=now - pdr_window_s, until=now)
@@ -68,29 +118,13 @@ def node_health(
             delivered += pair.delivered
     if sent > 0:
         delivery = delivered / sent
-    components.append((0.30, delivery))
 
     status = store.latest_status(node)
-    spectrum: Optional[float] = None
-    battery: Optional[float] = None
-    if status is not None:
-        spectrum = _clamp01(1.0 - status.duty_utilisation)
-        battery = _clamp01(
-            (status.battery_v - BATTERY_EMPTY_V) / (BATTERY_FULL_V - BATTERY_EMPTY_V)
-        )
-    components.append((0.15, spectrum))
-    components.append((0.15, battery))
-
-    total_weight = sum(weight for weight, value in components if value is not None)
-    if total_weight == 0:
-        score = math.nan
-    else:
-        score = 100.0 * sum(
-            weight * value for weight, value in components if value is not None
-        ) / total_weight
+    spectrum = spectrum_component(None if status is None else status.duty_utilisation)
+    battery = battery_component(None if status is None else status.battery_v)
     return HealthScore(
         node=node,
-        score=score,
+        score=node_score(liveness, delivery, spectrum, battery),
         liveness=liveness,
         delivery=delivery,
         spectrum=spectrum,

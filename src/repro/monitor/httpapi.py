@@ -19,18 +19,15 @@ versioned, network-scoped ``/api/v1/...`` API:
 ``GET  /api/v1/networks/<id>/health``       Per-node health scores
 ``GET  /api/v1/networks/<id>/history``      Rolled-up time series
 ``GET  /api/v1/networks/<id>/dot``          Graphviz topology
-``POST /api/v1/networks/<id>/ingest``       Ingest one JSON record batch
-                                            (503 + ``Retry-After`` under
+``POST /api/v1/networks/<id>/ingest``       Ingest one record batch
+                                            (JSON or binary, by
+                                            ``Content-Type``; 503 +
+                                            ``Retry-After`` under
                                             backpressure)
 ==========================================  =================================
 
 plus the HTML pages ``/`` (default network), ``/fleet``,
 ``/networks/<id>`` and ``/text``.
-
-Every pre-v1 ``/api/*`` path still works as a **legacy alias** bound to
-the ``default`` network: it runs the same handler and returns a
-byte-identical body, adding ``Deprecation: true`` and a ``Link`` header
-that names the successor route.
 
 The server needs a *clock* callable so it works both against a live
 simulation (pass ``lambda: sim.now``) and in real time (default:
@@ -51,15 +48,7 @@ from repro.monitor import health as health_mod
 from repro.monitor.codec import codec_for_content_type
 from repro.monitor.dashboard import Dashboard
 from repro.monitor.ingest import DEFAULT_NETWORK_ID, is_valid_network_id
-from repro.monitor.routes import (
-    DEPRECATION_HEADER_VALUE,
-    LEGACY_ALIASES,
-    ROUTES,
-    Route,
-    route_by_name,
-    schema_document,
-    successor_path,
-)
+from repro.monitor.routes import ROUTES, schema_document
 from repro.monitor.server import MonitorServer
 from repro.monitor.stream.events import FLEET_TOPIC, network_topic
 from repro.monitor.stream.sse import DEFAULT_HEARTBEAT_S, DEFAULT_RETRY_MS, pump
@@ -70,8 +59,6 @@ _INDEX_HTML = """<!DOCTYPE html>
 <style>body{font-family:monospace;background:#111;color:#ddd;padding:1em}</style>
 </head><body><pre>%s</pre></body></html>
 """
-
-_Headers = Tuple[Tuple[str, str], ...]
 
 
 def _sanitize(value: Any) -> Any:
@@ -243,29 +230,16 @@ class MonitoringHttpServer:
 
             # -- plumbing -----------------------------------------------------
 
-            def _send(
-                self,
-                code: int,
-                body: bytes,
-                content_type: str,
-                extra_headers: _Headers = (),
-            ) -> None:
+            def _send(self, code: int, body: bytes, content_type: str) -> None:
                 self.send_response(code)
                 self.send_header("Content-Type", content_type)
                 self.send_header("Content-Length", str(len(body)))
-                for name, value in extra_headers:
-                    self.send_header(name, value)
                 self.end_headers()
                 self.wfile.write(body)
 
-            def _send_json(
-                self,
-                document: Any,
-                code: int = 200,
-                extra_headers: _Headers = (),
-            ) -> None:
+            def _send_json(self, document: Any, code: int = 200) -> None:
                 body = json.dumps(_sanitize(document), indent=1).encode("utf-8")
-                self._send(code, body, "application/json", extra_headers)
+                self._send(code, body, "application/json")
 
             def _query_params(self) -> Dict[str, str]:
                 from urllib.parse import parse_qs, urlsplit
@@ -282,19 +256,6 @@ class MonitoringHttpServer:
 
             def _dispatch(self, method: str) -> None:
                 path = self.path.split("?", 1)[0].rstrip("/") or "/"
-                legacy_route = LEGACY_ALIASES.get(path)
-                if legacy_route is not None:
-                    route = route_by_name(legacy_route)
-                    if route.method == method:
-                        headers: _Headers = (
-                            ("Deprecation", DEPRECATION_HEADER_VALUE),
-                            (
-                                "Link",
-                                f'<{successor_path(path)}>; rel="successor-version"',
-                            ),
-                        )
-                        self._run(route, DEFAULT_NETWORK_ID, headers, legacy=True)
-                        return
                 for route in ROUTES:
                     params = route.match(method, path)
                     if params is None:
@@ -305,54 +266,39 @@ class MonitoringHttpServer:
                             {"error": f"invalid network id {network!r}"}, code=400
                         )
                         return
-                    self._run(route, network, (), legacy=False)
+                    handler = getattr(self, "_h_" + route.name.replace("-", "_"))
+                    handler(network)
                     return
                 self._send_json({"error": "not found"}, code=404)
 
-            def _run(
-                self, route: Route, network: str, headers: _Headers, legacy: bool
-            ) -> None:
-                handler = getattr(self, "_h_" + route.name.replace("-", "_"))
-                handler(network, headers, legacy)
-
-            def _network_dashboard(
-                self, network: str, headers: _Headers
-            ) -> Optional[Dashboard]:
+            def _network_dashboard(self, network: str) -> Optional[Dashboard]:
                 dashboard = api.dashboard_for(network)
                 if dashboard is None:
-                    self._send_json(
-                        {"error": f"unknown network {network!r}"},
-                        code=404,
-                        extra_headers=headers,
-                    )
+                    self._send_json({"error": f"unknown network {network!r}"}, code=404)
                 return dashboard
 
             # -- fleet-level handlers ----------------------------------------
 
-            def _h_schema(self, network: str, headers: _Headers, legacy: bool) -> None:
-                self._send_json(schema_document(), extra_headers=headers)
+            def _h_schema(self, network: str) -> None:
+                self._send_json(schema_document())
 
-            def _h_fleet(self, network: str, headers: _Headers, legacy: bool) -> None:
+            def _h_fleet(self, network: str) -> None:
                 overview = fleet_mod.fleet_overview(
                     api.monitor_server,
                     api._clock(),
                     report_interval_s=api.dashboard.report_interval_s,
                 )
-                self._send_json(overview, extra_headers=headers)
+                self._send_json(overview)
 
-            def _h_networks(self, network: str, headers: _Headers, legacy: bool) -> None:
-                self._send_json(api.monitor_server.networks(), extra_headers=headers)
+            def _h_networks(self, network: str) -> None:
+                self._send_json(api.monitor_server.networks())
 
-            def _h_server_metrics(
-                self, network: str, headers: _Headers, legacy: bool
-            ) -> None:
-                self._send_json(
-                    api.monitor_server.self_metrics_document(), extra_headers=headers
-                )
+            def _h_server_metrics(self, network: str) -> None:
+                self._send_json(api.monitor_server.self_metrics_document())
 
             # -- stream handlers ---------------------------------------------
 
-            def _serve_stream(self, topic: str, headers: _Headers) -> None:
+            def _serve_stream(self, topic: str) -> None:
                 """Subscribe to ``topic`` and pump SSE frames until EOF.
 
                 The response is a long-lived ``text/event-stream`` body:
@@ -369,16 +315,12 @@ class MonitoringHttpServer:
                     limit = int(params["limit"]) if "limit" in params else None
                 except ValueError:
                     self._send_json(
-                        {"error": "heartbeat must be a float, limit an int"},
-                        code=400,
-                        extra_headers=headers,
+                        {"error": "heartbeat must be a float, limit an int"}, code=400
                     )
                     return
                 if heartbeat_s <= 0 or (limit is not None and limit < 1):
                     self._send_json(
-                        {"error": "heartbeat must be > 0 and limit >= 1"},
-                        code=400,
-                        extra_headers=headers,
+                        {"error": "heartbeat must be > 0 and limit >= 1"}, code=400
                     )
                     return
                 # The SSE resume cursor: the Last-Event-ID header a
@@ -401,8 +343,6 @@ class MonitoringHttpServer:
                     self.send_response(200)
                     self.send_header("Content-Type", "text/event-stream")
                     self.send_header("Cache-Control", "no-cache")
-                    for name, value in headers:
-                        self.send_header(name, value)
                     self.end_headers()
                     pump(
                         subscription,
@@ -414,81 +354,56 @@ class MonitoringHttpServer:
                 finally:
                     hub.unsubscribe(subscription)
 
-            def _h_stream(self, network: str, headers: _Headers, legacy: bool) -> None:
-                self._serve_stream(FLEET_TOPIC, headers)
+            def _h_stream(self, network: str) -> None:
+                self._serve_stream(FLEET_TOPIC)
 
-            def _h_network_stream(
-                self, network: str, headers: _Headers, legacy: bool
-            ) -> None:
+            def _h_network_stream(self, network: str) -> None:
                 # Unknown networks are legal: subscribing does not create
                 # a shard, the stream simply stays quiet until the
                 # network's first batch arrives (heartbeats still flow).
-                self._serve_stream(network_topic(network), headers)
+                self._serve_stream(network_topic(network))
 
             # -- network-scoped handlers -------------------------------------
 
-            def _h_network_detail(
-                self, network: str, headers: _Headers, legacy: bool
-            ) -> None:
+            def _h_network_detail(self, network: str) -> None:
                 document = api.monitor_server.network_document(network)
                 if document is None:
-                    self._send_json(
-                        {"error": f"unknown network {network!r}"},
-                        code=404,
-                        extra_headers=headers,
-                    )
+                    self._send_json({"error": f"unknown network {network!r}"}, code=404)
                     return
-                self._send_json(document, extra_headers=headers)
+                self._send_json(document)
 
-            def _h_network_summary(
-                self, network: str, headers: _Headers, legacy: bool
-            ) -> None:
-                dashboard = self._network_dashboard(network, headers)
+            def _h_network_summary(self, network: str) -> None:
+                dashboard = self._network_dashboard(network)
                 if dashboard is not None:
-                    self._send_json(
-                        dashboard.to_json_dict(api._clock()), extra_headers=headers
-                    )
+                    self._send_json(dashboard.to_json_dict(api._clock()))
 
-            def _h_network_nodes(
-                self, network: str, headers: _Headers, legacy: bool
-            ) -> None:
-                dashboard = self._network_dashboard(network, headers)
+            def _h_network_nodes(self, network: str) -> None:
+                dashboard = self._network_dashboard(network)
                 if dashboard is not None:
-                    self._send_json(
-                        dashboard.node_rows(api._clock()), extra_headers=headers
-                    )
+                    self._send_json(dashboard.node_rows(api._clock()))
 
-            def _h_network_links(
-                self, network: str, headers: _Headers, legacy: bool
-            ) -> None:
-                dashboard = self._network_dashboard(network, headers)
+            def _h_network_links(self, network: str) -> None:
+                dashboard = self._network_dashboard(network)
                 if dashboard is not None:
-                    self._send_json(dashboard.link_rows(), extra_headers=headers)
+                    self._send_json(dashboard.link_rows())
 
-            def _h_network_delivery(
-                self, network: str, headers: _Headers, legacy: bool
-            ) -> None:
-                dashboard = self._network_dashboard(network, headers)
+            def _h_network_delivery(self, network: str) -> None:
+                dashboard = self._network_dashboard(network)
                 if dashboard is not None:
-                    self._send_json(dashboard.pdr_rows(), extra_headers=headers)
+                    self._send_json(dashboard.pdr_rows())
 
-            def _h_network_alerts(
-                self, network: str, headers: _Headers, legacy: bool
-            ) -> None:
-                dashboard = self._network_dashboard(network, headers)
+            def _h_network_alerts(self, network: str) -> None:
+                dashboard = self._network_dashboard(network)
                 if dashboard is None:
                     return
                 now = api._clock()
                 dashboard.alerts.evaluate(now)
                 self._send_json(
-                    [alert.to_json_dict() for alert in dashboard.alerts.active()],
-                    extra_headers=headers,
+                    [alert.to_json_dict() for alert in dashboard.alerts.active()]
                 )
 
-            def _h_network_health(
-                self, network: str, headers: _Headers, legacy: bool
-            ) -> None:
-                dashboard = self._network_dashboard(network, headers)
+            def _h_network_health(self, network: str) -> None:
+                dashboard = self._network_dashboard(network)
                 if dashboard is None:
                     return
                 scores = health_mod.network_health(dashboard.store, api._clock())
@@ -502,20 +417,17 @@ class MonitoringHttpServer:
                             "battery": score.battery,
                         }
                         for node, score in scores.items()
-                    },
-                    extra_headers=headers,
+                    }
                 )
 
-            def _h_network_history(
-                self, network: str, headers: _Headers, legacy: bool
-            ) -> None:
+            def _h_network_history(self, network: str) -> None:
                 from repro.errors import StorageError
                 from repro.monitor.rollup import (
                     rollup_packet_rate,
                     rollup_status_field,
                 )
 
-                dashboard = self._network_dashboard(network, headers)
+                dashboard = self._network_dashboard(network)
                 if dashboard is None:
                     return
                 params = self._query_params()
@@ -526,7 +438,6 @@ class MonitoringHttpServer:
                     self._send_json(
                         {"error": "need ?node=<int>[&field=...][&interval=<s>]"},
                         code=400,
-                        extra_headers=headers,
                     )
                     return
                 field = params.get("field")
@@ -536,9 +447,7 @@ class MonitoringHttpServer:
                     valid = {f.name for f in dataclasses.fields(StatusRecord)}
                     if field not in valid:
                         self._send_json(
-                            {"error": f"unknown status field {field!r}"},
-                            code=400,
-                            extra_headers=headers,
+                            {"error": f"unknown status field {field!r}"}, code=400
                         )
                         return
                 try:
@@ -552,9 +461,7 @@ class MonitoringHttpServer:
                             interval_s=interval,
                         )
                 except StorageError as exc:
-                    self._send_json(
-                        {"error": str(exc)}, code=400, extra_headers=headers
-                    )
+                    self._send_json({"error": str(exc)}, code=400)
                     return
                 self._send_json(
                     [
@@ -566,39 +473,21 @@ class MonitoringHttpServer:
                             "max": bucket.maximum,
                         }
                         for bucket in series.buckets()
-                    ],
-                    extra_headers=headers,
+                    ]
                 )
 
-            def _h_network_dot(
-                self, network: str, headers: _Headers, legacy: bool
-            ) -> None:
-                dashboard = self._network_dashboard(network, headers)
+            def _h_network_dot(self, network: str) -> None:
+                dashboard = self._network_dashboard(network)
                 if dashboard is not None:
-                    self._send(
-                        200,
-                        dashboard.render_dot().encode("utf-8"),
-                        "text/plain",
-                        headers,
-                    )
+                    self._send(200, dashboard.render_dot().encode("utf-8"), "text/plain")
 
-            def _h_network_ingest(
-                self, network: str, headers: _Headers, legacy: bool
-            ) -> None:
+            def _h_network_ingest(self, network: str) -> None:
                 length = int(self.headers.get("Content-Length", "0"))
                 raw = self.rfile.read(length)
-                if legacy:
-                    # Pre-v1 behaviour: JSON only; the batch's own stamp
-                    # (or its absence, meaning ``default``) decides the
-                    # network.
-                    result = api.monitor_server.ingest_json(raw)
-                else:
-                    # v1 negotiates the codec via Content-Type; absent or
-                    # JSON types run the exact historical JSON path.
-                    codec = codec_for_content_type(self.headers.get("Content-Type"))
-                    result = api.monitor_server.ingest_encoded(
-                        raw, codec, network_id=network
-                    )
+                # The codec is negotiated via Content-Type; absent or JSON
+                # types run the JSON path.
+                codec = codec_for_content_type(self.headers.get("Content-Type"))
+                result = api.monitor_server.ingest_encoded(raw, codec, network_id=network)
                 if result.ok:
                     self._send_json(
                         {
@@ -607,8 +496,7 @@ class MonitoringHttpServer:
                             "accepted_packets": result.accepted_packets,
                             "accepted_status": result.accepted_status,
                             "duplicates": result.duplicates,
-                        },
-                        extra_headers=headers,
+                        }
                     )
                 elif result.retry_after_s is not None:
                     # Backpressure: tell the client when to retry.
@@ -623,27 +511,19 @@ class MonitoringHttpServer:
                         str(max(1, int(math.ceil(result.retry_after_s)))),
                     )
                     self.send_header("Content-Length", str(len(body)))
-                    for name, value in headers:
-                        self.send_header(name, value)
                     self.end_headers()
                     self.wfile.write(body)
                 else:
-                    self._send_json(
-                        {"ok": False, "error": result.error},
-                        code=400,
-                        extra_headers=headers,
-                    )
+                    self._send_json({"ok": False, "error": result.error}, code=400)
 
             # -- ui handlers --------------------------------------------------
 
-            def _h_index(self, network: str, headers: _Headers, legacy: bool) -> None:
+            def _h_index(self, network: str) -> None:
                 from repro.monitor.webview import render_html
                 page = render_html(api.dashboard, api._clock())
-                self._send(200, page.encode("utf-8"), "text/html", headers)
+                self._send(200, page.encode("utf-8"), "text/html")
 
-            def _h_fleet_page(
-                self, network: str, headers: _Headers, legacy: bool
-            ) -> None:
+            def _h_fleet_page(self, network: str) -> None:
                 from repro.monitor.webview import render_fleet_html
                 overview = fleet_mod.fleet_overview(
                     api.monitor_server,
@@ -651,19 +531,17 @@ class MonitoringHttpServer:
                     report_interval_s=api.dashboard.report_interval_s,
                 )
                 page = render_fleet_html(overview)
-                self._send(200, page.encode("utf-8"), "text/html", headers)
+                self._send(200, page.encode("utf-8"), "text/html")
 
-            def _h_network_page(
-                self, network: str, headers: _Headers, legacy: bool
-            ) -> None:
+            def _h_network_page(self, network: str) -> None:
                 from repro.monitor.webview import render_html
-                dashboard = self._network_dashboard(network, headers)
+                dashboard = self._network_dashboard(network)
                 if dashboard is not None:
                     page = render_html(dashboard, api._clock(), network_id=network)
-                    self._send(200, page.encode("utf-8"), "text/html", headers)
+                    self._send(200, page.encode("utf-8"), "text/html")
 
-            def _h_text(self, network: str, headers: _Headers, legacy: bool) -> None:
+            def _h_text(self, network: str) -> None:
                 text = api.dashboard.render_text(api._clock())
-                self._send(200, (_INDEX_HTML % text).encode("utf-8"), "text/html", headers)
+                self._send(200, (_INDEX_HTML % text).encode("utf-8"), "text/html")
 
         return Handler

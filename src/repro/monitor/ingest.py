@@ -4,10 +4,8 @@ Split out of :mod:`repro.monitor.server` when the server went
 multi-tenant (one server, many mesh networks): these are the wire-level
 building blocks — the backpressure policy, the per-batch result, the
 wire/self-metrics counters and the bounded dedup window — that every
-per-network shard reuses.  Importing them from
-``repro.monitor.server`` still works but emits a
-``DeprecationWarning``; the supported import paths are this module and
-the :mod:`repro.api` facade.
+per-network shard reuses.  Import them from this module or from the
+:mod:`repro.api` facade.
 """
 
 from __future__ import annotations
@@ -86,8 +84,7 @@ class ServerSelfMetrics:
     """Ingestion-pipeline self-metrics ("monitor the monitor").
 
     Everything needed to answer "is the monitoring server itself
-    healthy?" — exposed over ``GET /api/v1/server`` (and the legacy
-    ``GET /api/server`` alias) and on the dashboard.
+    healthy?" — exposed over ``GET /api/v1/server`` and on the dashboard.
     """
 
     batches_ingested: int = 0

@@ -147,9 +147,9 @@ class PacketRecord:
         """Compact fixed-size encoding for the in-band uplink.
 
         The clamps are spelled as branches (taken only for out-of-range
-        values) rather than ``_clamp`` calls: the multi-process front
-        transcodes every incoming batch through this method, so the
-        per-record cost is what the codec benchmark table measures.
+        values) rather than ``_clamp`` calls: every binary-encoded batch
+        goes through this method, so the per-record cost is what the
+        codec benchmark table measures.
         """
         rssi_tenths = round((self.rssi_dbm or 0.0) * 10)
         if rssi_tenths < -32768:

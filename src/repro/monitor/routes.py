@@ -12,10 +12,8 @@ Versioning
 
 The supported API lives under ``/api/v1/...`` and is network-scoped:
 ``/api/v1/networks/<network>/nodes`` and friends, plus the fleet-level
-``/api/v1/fleet`` and ``/api/v1/networks``.  Every pre-v1 ``/api/*``
-path remains as a **legacy alias** onto the same handler bound to the
-``default`` network; aliases return byte-identical bodies and add a
-``Deprecation`` header pointing at the v1 path.
+``/api/v1/fleet`` and ``/api/v1/networks``.  Single-network clients use
+the implicit ``default`` network.
 """
 
 from __future__ import annotations
@@ -24,10 +22,6 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 API_VERSION = "v1"
-
-#: Value of the ``Deprecation`` header on legacy-alias responses
-#: (draft-ietf-httpapi-deprecation-header boolean form).
-DEPRECATION_HEADER_VALUE = "true"
 
 
 @dataclass(frozen=True)
@@ -163,7 +157,7 @@ ROUTES: Tuple[Route, ...] = (
         method="GET",
         pattern="/api/v1/schema",
         summary="Machine-readable description of every API route.",
-        response="object: api_version, routes[], legacy_aliases{}",
+        response="object: api_version, routes[]",
     ),
     Route(
         name="fleet",
@@ -293,8 +287,7 @@ ROUTES: Tuple[Route, ...] = (
             "via Content-Type: application/json (default) or the compact "
             "binary telemetry format application/vnd.repro.telemetry+binary "
             "(see PROTOCOL.md). 503 + Retry-After under backpressure, 400 on "
-            "malformed or cross-network batches. The legacy /api/ingest alias "
-            "is JSON-only."
+            "malformed or cross-network batches."
         ),
         response="object: ok, queued, accepted_packets, accepted_status, duplicates",
     ),
@@ -333,36 +326,6 @@ ROUTES: Tuple[Route, ...] = (
     ),
 )
 
-_ROUTES_BY_NAME: Dict[str, Route] = {route.name: route for route in ROUTES}
-
-#: Legacy pre-v1 paths -> the v1 route each one aliases, always bound to
-#: the ``default`` network.  Bodies are byte-identical to the v1 route;
-#: responses add a ``Deprecation`` header and a ``Link`` to the
-#: successor.
-LEGACY_ALIASES: Dict[str, str] = {
-    "/api/summary": "network-summary",
-    "/api/nodes": "network-nodes",
-    "/api/links": "network-links",
-    "/api/delivery": "network-delivery",
-    "/api/alerts": "network-alerts",
-    "/api/health": "network-health",
-    "/api/history": "network-history",
-    "/api/dot": "network-dot",
-    "/api/server": "server-metrics",
-    "/api/ingest": "network-ingest",
-}
-
-
-def route_by_name(name: str) -> Route:
-    return _ROUTES_BY_NAME[name]
-
-
-def successor_path(legacy_path: str) -> str:
-    """The v1 path a legacy alias should point clients at."""
-    route = _ROUTES_BY_NAME[LEGACY_ALIASES[legacy_path]]
-    return route.pattern.replace("<network>", "default")
-
-
 def api_routes() -> List[Route]:
     """The JSON API routes (what the schema documents)."""
     return [route for route in ROUTES if route.kind == "api"]
@@ -373,14 +336,6 @@ def schema_document() -> Dict[str, Any]:
     return {
         "api_version": API_VERSION,
         "routes": [route.to_json_dict() for route in api_routes()],
-        "legacy_aliases": {
-            legacy: {
-                "successor": successor_path(legacy),
-                "route": name,
-                "deprecation": DEPRECATION_HEADER_VALUE,
-            }
-            for legacy, name in sorted(LEGACY_ALIASES.items())
-        },
     }
 
 
@@ -423,27 +378,7 @@ def render_api_markdown() -> str:
             lines.append("")
         lines.append(f"Response: {route.response}")
         lines.append("")
-    lines.extend(
-        [
-            "## Legacy aliases",
-            "",
-            "Every pre-v1 path keeps working, bound to the `default` network, with a",
-            "byte-identical body plus `Deprecation: true` and a `Link` header naming",
-            "the successor route:",
-            "",
-            "| Legacy path | Successor |",
-            "|---|---|",
-        ]
-    )
-    for legacy in sorted(LEGACY_ALIASES):
-        lines.append(f"| `{legacy}` | `{successor_path(legacy)}` |")
-    lines.extend(
-        [
-            "",
-            "## UI pages",
-            "",
-        ]
-    )
+    lines.extend(["## UI pages", ""])
     for route in ROUTES:
         if route.kind == "ui":
             lines.append(f"- `{route.method} {route.pattern}` — {route.summary}")
@@ -453,9 +388,8 @@ def render_api_markdown() -> str:
             "## Python facade",
             "",
             "The supported in-process surface is `repro.api`; everything below is",
-            "importable from there and covered by the compatibility promise",
-            "(lint rule RL007 flags deep imports of these names from tests,",
-            "benchmarks and examples):",
+            "importable from there (lint rule RL007 flags deep imports of these",
+            "names from tests, benchmarks and examples):",
             "",
         ]
     )

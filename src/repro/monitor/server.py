@@ -59,34 +59,19 @@ from __future__ import annotations
 import dataclasses
 import threading
 import time
-import warnings
 from collections import deque
 from typing import TYPE_CHECKING, Any, Callable, Deque, Dict, List, Optional, Union
 
 from repro.errors import ConfigurationError, DecodeError
-# The moved names are imported under private aliases so that plain
-# attribute access on this module goes through the deprecation shim in
-# __getattr__ below (a top-level public import would shadow it).
+from repro.monitor.fleet import materialized_tile
 from repro.monitor.ingest import (
     DEFAULT_NETWORK_ID,
-    BackpressurePolicy as _BackpressurePolicy,
-    IngestResult as _IngestResult,
+    BackpressurePolicy,
+    IngestResult,
     SeqWindow,
-    ServerSelfMetrics as _ServerSelfMetrics,
-    ServerStats as _ServerStats,
+    ServerSelfMetrics,
+    ServerStats,
 )
-
-if TYPE_CHECKING:  # public names, for annotations only
-    from repro.monitor.alerts import Alert
-    from repro.monitor.codec import Codec
-    from repro.monitor.ingest import (
-        BackpressurePolicy,
-        IngestResult,
-        ServerSelfMetrics,
-        ServerStats,
-    )
-    from repro.monitor.transport.base import IngestTransport
-from repro.monitor.fleet import materialized_tile
 from repro.monitor.records import RecordBatch
 from repro.monitor.registry import NetworkRegistry, NetworkShard, StoreFactory
 from repro.monitor.rollup import bucket_document
@@ -94,29 +79,10 @@ from repro.monitor.storage import MetricsStore
 from repro.monitor.stream.events import FLEET_TOPIC, network_topic
 from repro.monitor.stream.hub import StreamHub
 
-#: Kept under its historical (private) name for in-repo callers.
-_SeqWindow = SeqWindow
-
-#: Names that moved to :mod:`repro.monitor.ingest`; importing them from
-#: here still works via :func:`__getattr__` but warns.
-_MOVED_TO_INGEST = {
-    "BackpressurePolicy": _BackpressurePolicy,
-    "IngestResult": _IngestResult,
-    "ServerStats": _ServerStats,
-    "ServerSelfMetrics": _ServerSelfMetrics,
-}
-
-
-def __getattr__(name: str) -> Any:
-    if name in _MOVED_TO_INGEST:
-        warnings.warn(
-            f"repro.monitor.server.{name} moved to repro.monitor.ingest; "
-            f"import it from repro.monitor.ingest (or the repro.api facade)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return _MOVED_TO_INGEST[name]
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+if TYPE_CHECKING:
+    from repro.monitor.alerts import Alert
+    from repro.monitor.codec import Codec
+    from repro.monitor.transport.base import IngestTransport
 
 
 class MonitorServer:
@@ -127,7 +93,7 @@ class MonitorServer:
         store: Optional[MetricsStore] = None,
         clock: Optional[Callable[[], float]] = None,
         queue_capacity: Optional[int] = None,
-        backpressure: Union[BackpressurePolicy, str] = _BackpressurePolicy.REJECT,
+        backpressure: Union[BackpressurePolicy, str] = BackpressurePolicy.REJECT,
         autodrain: bool = True,
         retry_after_s: float = 1.0,
         store_factory: Optional[StoreFactory] = None,
@@ -183,7 +149,7 @@ class MonitorServer:
         if retry_after_s <= 0:
             raise ConfigurationError(f"retry_after_s must be > 0, got {retry_after_s}")
         if isinstance(backpressure, str):
-            backpressure = _BackpressurePolicy(backpressure)
+            backpressure = BackpressurePolicy(backpressure)
         self.registry = NetworkRegistry(
             store_factory=store_factory, max_networks=max_networks
         )
@@ -193,8 +159,8 @@ class MonitorServer:
         # Reentrant: flush() -> _sync_flush_stats() both take it, and the
         # admission helpers are callable with the lock already held.
         self._lock = threading.RLock()
-        self.stats = _ServerStats()  # guarded-by: _lock
-        self.self_metrics = _ServerSelfMetrics()  # guarded-by: _lock
+        self.stats = ServerStats()  # guarded-by: _lock
+        self.self_metrics = ServerSelfMetrics()  # guarded-by: _lock
         self.queue_capacity = queue_capacity
         self.backpressure = backpressure
         self.autodrain = autodrain
@@ -332,13 +298,13 @@ class MonitorServer:
             with self._lock:
                 self.stats.batches_rejected += 1
                 self.self_metrics.decode_failures += 1
-            return _IngestResult(ok=False, error=str(exc))
+            return IngestResult(ok=False, error=str(exc))
         if network_id is not None:
             if batch.network_id not in (DEFAULT_NETWORK_ID, network_id):
                 with self._lock:
                     self.stats.batches_rejected += 1
                     self.self_metrics.decode_failures += 1
-                return _IngestResult(
+                return IngestResult(
                     ok=False,
                     error=(
                         f"batch is stamped for network {batch.network_id!r} "
@@ -364,7 +330,7 @@ class MonitorServer:
             with self._lock:
                 self.stats.batches_rejected += 1
                 self.self_metrics.decode_failures += 1
-            return _IngestResult(ok=False, error=str(exc))
+            return IngestResult(ok=False, error=str(exc))
         if network_id is not None and batch.network_id != network_id:
             batch = dataclasses.replace(batch, network_id=network_id)
         return self.submit(batch)
@@ -377,8 +343,8 @@ class MonitorServer:
     ) -> IngestResult:
         """Ingest wire bytes in any registered codec.
 
-        The ``json`` codec delegates to :meth:`ingest_json`, so the
-        legacy HTTP+JSON path runs the exact historical code.  Other
+        The ``json`` codec delegates to :meth:`ingest_json`, so JSON over
+        HTTP runs the same code as in-process JSON ingest.  Other
         codecs share its stamping rules: an unstamped batch posted to a
         network-scoped route is stamped with that network, a batch
         stamped for a *different* network is refused.
@@ -396,13 +362,13 @@ class MonitorServer:
             with self._lock:
                 self.stats.batches_rejected += 1
                 self.self_metrics.decode_failures += 1
-            return _IngestResult(ok=False, error=str(exc))
+            return IngestResult(ok=False, error=str(exc))
         if network_id is not None:
             if batch.network_id not in (DEFAULT_NETWORK_ID, network_id):
                 with self._lock:
                     self.stats.batches_rejected += 1
                     self.self_metrics.decode_failures += 1
-                return _IngestResult(
+                return IngestResult(
                     ok=False,
                     error=(
                         f"batch is stamped for network {batch.network_id!r} "
@@ -462,14 +428,14 @@ class MonitorServer:
                 self.queue_capacity is not None
                 and len(self._queue) >= self.queue_capacity
             ):
-                if self.backpressure is _BackpressurePolicy.DROP_OLDEST:
+                if self.backpressure is BackpressurePolicy.DROP_OLDEST:
                     evicted = self._queue.popleft()
                     self._uncount_queued(evicted)
                     self.self_metrics.batches_dropped += 1
                 else:
                     self.stats.batches_rejected += 1
                     self.self_metrics.batches_rejected += 1
-                    return _IngestResult(
+                    return IngestResult(
                         ok=False,
                         error="ingest queue full",
                         retry_after_s=self.retry_after_s,
@@ -480,14 +446,14 @@ class MonitorServer:
             ):
                 # The global queue has room but this network used up its
                 # share: apply the policy to this network only.
-                if self.backpressure is _BackpressurePolicy.DROP_OLDEST:
+                if self.backpressure is BackpressurePolicy.DROP_OLDEST:
                     self._drop_oldest_of(batch.network_id)
                     self.self_metrics.batches_dropped += 1
                 else:
                     self.stats.batches_rejected += 1
                     self.self_metrics.batches_rejected += 1
                     self.self_metrics.quota_rejections += 1
-                    return _IngestResult(
+                    return IngestResult(
                         ok=False,
                         error=f"ingest queue quota exhausted for network {batch.network_id!r}",
                         retry_after_s=self.retry_after_s,
@@ -501,7 +467,7 @@ class MonitorServer:
             results = self.drain()
             if results:
                 return results[-1]
-        return _IngestResult(ok=True, queued=True)
+        return IngestResult(ok=True, queued=True)
 
     def _uncount_queued(self, batch: RecordBatch) -> None:
         """Caller holds ``self._lock``."""
@@ -703,7 +669,7 @@ class MonitorServer:
             )
             self.stream.publish(topic, "fleet-tile", tile, at=now)
             self.stream.publish(FLEET_TOPIC, "fleet-tile", tile, at=now)
-            result = _IngestResult(
+            result = IngestResult(
                 ok=True,
                 accepted_packets=len(accepted_packets),
                 accepted_status=len(accepted_status),

@@ -2,16 +2,13 @@
 
 A *codec* (:mod:`repro.monitor.codec`) decides how a record batch is
 encoded; a *transport* decides how encoded batches reach the server.
-Three transports ship:
+Two transports ship:
 
 * :class:`HttpIngestTransport` — the paper's path: the threaded HTTP
   server with per-request codec negotiation via ``Content-Type``.
 * :class:`UdpIngestTransport` — stateless, loss-tolerant telemetry
   datagrams with per-(network, node) sequence-gap accounting, so the
   record loss UDP permits is *measured*, not ignored.
-* :class:`MultiProcessIngestFront` — decode workers in separate
-  processes, so batch decoding scales with cores instead of serialising
-  on the GIL.
 
 Each transport implements :class:`IngestTransport` and can be attached
 to a :class:`~repro.monitor.server.MonitorServer` via
@@ -25,13 +22,11 @@ from repro.monitor.transport.base import (
     TelemetryGapAccountant,
 )
 from repro.monitor.transport.http import HttpIngestTransport
-from repro.monitor.transport.mpfront import MultiProcessIngestFront
 from repro.monitor.transport.udp import UdpIngestTransport
 
 __all__ = [
     "HttpIngestTransport",
     "IngestTransport",
-    "MultiProcessIngestFront",
     "SequenceGapTracker",
     "TelemetryGapAccountant",
     "UdpIngestTransport",

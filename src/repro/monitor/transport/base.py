@@ -23,7 +23,7 @@ from typing import Any, Dict, Set, Tuple
 class IngestTransport(ABC):
     """One way for encoded record batches to reach the server."""
 
-    #: Registry/display name (``udp``, ``http``, ``mpfront``).
+    #: Registry/display name (``udp``, ``http``).
     name: str = ""
 
     @abstractmethod
@@ -132,8 +132,8 @@ class TelemetryGapAccountant:
     def __init__(self, max_streams: int = 4096) -> None:
         self._max_streams = max_streams
         # Reentrant: note() -> tracker() nests.  One accountant may be
-        # shared by several transports (UDP + mpfront), so the LRU dict
-        # and every tracker's counters are mutated from many threads.
+        # shared by several transports, so the LRU dict and every
+        # tracker's counters are mutated from many threads.
         self._lock = threading.RLock()
         self._trackers: "OrderedDict[Tuple[str, int], SequenceGapTracker]" = OrderedDict()  # guarded-by: _lock
         self.evicted_streams = 0  # guarded-by: _lock

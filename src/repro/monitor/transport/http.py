@@ -2,7 +2,7 @@
 
 :class:`~repro.monitor.httpapi.MonitoringHttpServer` predates the
 transport seam and remains the canonical HTTP implementation (routes,
-legacy aliases, dashboards).  :class:`HttpIngestTransport` adapts it to
+dashboards).  :class:`HttpIngestTransport` adapts it to
 the :class:`~repro.monitor.transport.base.IngestTransport` interface so
 the serve CLI and the self-metrics document treat HTTP and UDP
 uniformly: one list of transports, each with ``start``/``stop`` and a

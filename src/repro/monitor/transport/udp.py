@@ -169,8 +169,8 @@ class UdpIngestTransport(IngestTransport):
         """Decode and submit one datagram; False when dropped.
 
         Exposed directly (not only via the socket thread) so tests and
-        the multi-process front can drive the same accounting without a
-        network round trip.
+        benchmarks can drive the same accounting without a network round
+        trip.
         """
         with self._lock:
             self.datagrams_received += 1

@@ -275,11 +275,7 @@ class HttpIngestClient:
     """POSTs record batches to a monitoring server over real HTTP.
 
     Targets the versioned network-scoped ingest route
-    (``POST /api/v1/networks/<id>/ingest``) and transparently falls back
-    to the legacy ``POST /api/ingest`` endpoint when talking to a
-    pre-v1 server (404 on the v1 path).  The fallback only applies for
-    the ``default`` network — a pre-v1 server cannot keep other
-    networks separate, so misrouting there would silently mix tenants.
+    (``POST /api/v1/networks/<id>/ingest``).
 
     Exposes the same ``ingest_json(raw)`` surface as
     :class:`~repro.monitor.server.MonitorServer`, so it can stand in
@@ -306,18 +302,12 @@ class HttpIngestClient:
         #: Default wire encoding for :meth:`send_batch`; negotiated on
         #: the v1 route via ``Content-Type``.
         self.codec = resolve_codec(codec)
-        #: True once a 404 on the v1 route demoted us to the legacy path.
-        self.legacy_mode = False
         self.posts_ok = 0
         self.posts_failed = 0
 
     @property
     def v1_url(self) -> str:
         return f"{self.base_url}/api/v1/networks/{self.network_id}/ingest"
-
-    @property
-    def legacy_url(self) -> str:
-        return f"{self.base_url}/api/ingest"
 
     def _post(self, url: str, raw: bytes, content_type: str) -> int:
         request = urllib.request.Request(
@@ -337,21 +327,9 @@ class HttpIngestClient:
     def ingest_encoded(self, raw: bytes, codec: Union[str, Codec]) -> IngestResult:
         """POST wire bytes in ``codec``'s encoding (``Content-Type`` negotiated)."""
         codec = resolve_codec(codec)
-        url = self.legacy_url if self.legacy_mode else self.v1_url
         try:
-            status = self._post(url, raw, codec.content_type)
+            status = self._post(self.v1_url, raw, codec.content_type)
         except urllib.error.HTTPError as exc:
-            if (
-                exc.code == 404
-                and not self.legacy_mode
-                and self.network_id == DEFAULT_NETWORK_ID
-                and codec.name == "json"
-            ):
-                # Pre-v1 server: remember and retry on the legacy route.
-                # The legacy endpoint is JSON-only, so other codecs
-                # surface the 404 instead of misrouting.
-                self.legacy_mode = True
-                return self.ingest_encoded(raw, codec)
             self.posts_failed += 1
             retry_after: Optional[float] = None
             if exc.code == 503:

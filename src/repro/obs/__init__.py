@@ -2,7 +2,7 @@
 
 Built *on top of* the simulation's ground-truth trace — nothing here
 perturbs a run.  See ``docs/OBSERVABILITY.md`` for the tour and the
-``repro-trace`` CLI for the operator interface.
+``repro trace`` CLI for the operator interface.
 """
 
 from repro.obs.recorder import (

@@ -1,12 +1,12 @@
-"""``repro-trace``: interrogate packet flight recordings.
+"""``repro trace``: interrogate packet flight recordings.
 
 Subcommands::
 
-    repro-trace export     run a scenario with tracing, write NDJSON captures
-    repro-trace why        causal timeline + terminal verdict per message
-    repro-trace drops      drop accounting by reason / link / node
-    repro-trace spans      engine span profile (where the wall-clock went)
-    repro-trace validate   structural check of a capture file
+    repro trace export     run a scenario with tracing, write NDJSON captures
+    repro trace why        causal timeline + terminal verdict per message
+    repro trace drops      drop accounting by reason / link / node
+    repro trace spans      engine span profile (where the wall-clock went)
+    repro trace validate   structural check of a capture file
 
 ``why``, ``drops`` and ``spans`` work in two modes: **offline** against a
 capture produced by ``export`` (or by a campaign run with a
@@ -15,12 +15,12 @@ running the scenario described by the CLI flags right now.
 
 Examples::
 
-    repro-trace export --nodes 20 --out trace.ndjson --spans-out spans.ndjson
-    repro-trace why undelivered --trace trace.ndjson
-    repro-trace why 3:17402 --trace trace.ndjson
-    repro-trace drops --by link --trace trace.ndjson --json
-    repro-trace spans --top 10 --spans-file spans.ndjson
-    repro-trace validate trace.ndjson
+    repro trace export --nodes 20 --out trace.ndjson --spans-out spans.ndjson
+    repro trace why undelivered --trace trace.ndjson
+    repro trace why 3:17402 --trace trace.ndjson
+    repro trace drops --by link --trace trace.ndjson --json
+    repro trace spans --top 10 --spans-file spans.ndjson
+    repro trace validate trace.ndjson
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from repro.scenario.config import Environment, WorkloadSpec
 
 
 def _add_lossy_args(parser: argparse.ArgumentParser) -> None:
-    """Extra scenario knobs beyond repro-lora's shared set."""
+    """Extra scenario knobs beyond ``repro sim``'s shared set."""
     parser.add_argument(
         "--environment", choices=[e.value for e in Environment], default="suburban",
         help="path-loss preset (urban is the lossy one)",
@@ -254,7 +254,7 @@ def _add_source_args(parser: argparse.ArgumentParser) -> None:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="repro-trace",
+        prog="repro trace",
         description="packet flight recorder: causal lifecycle tracing for LoRa mesh runs",
     )
     subparsers = parser.add_subparsers(dest="command", required=True)

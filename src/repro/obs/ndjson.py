@@ -9,7 +9,7 @@ the schema tag and free-form metadata, then one line per trace event::
 
 The format round-trips through :class:`~repro.sim.trace.TraceEvent`, so a
 file written by a campaign worker can be replayed into a
-:class:`~repro.obs.recorder.FlightRecorder` offline (``repro-trace why
+:class:`~repro.obs.recorder.FlightRecorder` offline (``repro trace why
 --trace capture.ndjson``).  Span exports are flat — one aggregate line
 per span name, each self-tagged with ``repro.obs.span/1`` (see
 :mod:`repro.obs.spans`).

@@ -387,7 +387,7 @@ class Channel:
         tx.rssi_epoch[node] = epoch
         return rssi
 
-    def _on_geometry_change(self, node: Optional[int]) -> None:
+    def _on_geometry_change(self, node: int) -> None:
         self._geometry_epoch += 1
 
     def _on_attenuation_change(self, a: int, b: int) -> None:

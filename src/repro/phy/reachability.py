@@ -170,12 +170,8 @@ class LinkBudgetCache:
         self._entries[key] = (epoch_a, epoch_b, loss)
         return loss
 
-    def _on_topology_change(self, node: Optional[int]) -> None:
-        if node is None:
-            self._entries.clear()
-            self._node_epoch.clear()
-        else:
-            self._node_epoch[node] = self._node_epoch.get(node, 0) + 1
+    def _on_topology_change(self, node: int) -> None:
+        self._node_epoch[node] = self._node_epoch.get(node, 0) + 1
 
     def _on_link_change(self, a: int, b: int) -> None:
         self._entries.pop((a, b) if a <= b else (b, a), None)
@@ -230,7 +226,7 @@ class _BoundIndex:
     def _on_invalidate(self, node: Optional[int]) -> None:  # hook
         pass
 
-    def _on_topology_change(self, node: Optional[int]) -> None:
+    def _on_topology_change(self, node: int) -> None:
         self.invalidate(node)
 
     def _on_link_change(self, a: int, b: int) -> None:
@@ -266,11 +262,8 @@ class BruteForceReachability(_BoundIndex):
         return all_nodes
 
     def _on_invalidate(self, node: Optional[int]) -> None:
-        # None is always structural, but a node-addressed notification can
-        # be structural too: the deprecated ``positions[new] = xy`` write
-        # path notifies with the *new* node's id.  Anything not already in
-        # the cached set means the set is stale.
-        if node is None or (self._all is not None and node not in self._all):
+        # A move keeps the node set; only a bulk invalidation drops it.
+        if node is None:
             self._all = None
 
 
@@ -334,18 +327,11 @@ class GridReachabilityIndex(_BoundIndex):
             self._grid_built = False
             return
         topology = self._require_bound()
-        position = topology.positions.get(node)
-        old = self._cell_of.get(node)
-        if position is None:  # node removed
-            if old is not None:
-                self._cells.get(old, []).remove(node)
-                del self._cell_of[node]
-            return
-        new = self._cell_index(position)
+        old = self._cell_of[node]
+        new = self._cell_index(topology.positions[node])
         if old == new:
             return
-        if old is not None:
-            self._cells.get(old, []).remove(node)
+        self._cells[old].remove(node)
         self._cells.setdefault(new, []).append(node)
         self._cell_of[node] = new
 

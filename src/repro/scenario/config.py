@@ -134,13 +134,6 @@ class ScenarioConfig:
             under.  Single-network runs keep the implicit ``default``;
             fleet experiments run N scenarios with distinct ids feeding
             one shared multi-tenant server.
-        phy_reachability: candidate-receiver index for the channel:
-            ``"grid"`` (spatial index), ``"brute"`` (exhaustive reference
-            oracle) or ``"auto"`` (grid — they are event-identical, so
-            auto simply picks the fast one).
-        phy_trace_detail: ``phy.below_sensitivity`` verbosity passed to
-            :class:`~repro.phy.channel.ChannelConfig`
-            (``"auto"``/``"per_node"``/``"aggregate"``).
     """
 
     seed: int = 1
@@ -165,8 +158,6 @@ class ScenarioConfig:
     mobility: Optional[MobilitySpec] = None
     capture_trace: bool = False
     network_id: str = DEFAULT_NETWORK_ID
-    phy_reachability: str = "auto"
-    phy_trace_detail: str = "auto"
 
     def __post_init__(self) -> None:
         try:
@@ -190,15 +181,6 @@ class ScenarioConfig:
         if not (0.0 <= self.packet_sample_rate <= 1.0):
             raise ConfigurationError(
                 f"packet_sample_rate must be 0..1, got {self.packet_sample_rate}"
-            )
-        if self.phy_reachability not in ("auto", "grid", "brute"):
-            raise ConfigurationError(
-                f"phy_reachability must be auto/grid/brute, got {self.phy_reachability!r}"
-            )
-        if self.phy_trace_detail not in ("auto", "per_node", "aggregate"):
-            raise ConfigurationError(
-                "phy_trace_detail must be auto/per_node/aggregate, "
-                f"got {self.phy_trace_detail!r}"
             )
 
     def with_overrides(self, **kwargs) -> "ScenarioConfig":

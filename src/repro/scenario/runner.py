@@ -29,14 +29,9 @@ from repro.monitor.uplink import (
 )
 from repro.obs.recorder import FlightRecorder
 from repro.obs.spans import SpanProfiler
-from repro.phy.channel import Channel, ChannelConfig
+from repro.phy.channel import Channel
 from repro.phy.link import LinkModel, PathLossParams
 from repro.phy.params import LoRaParams
-from repro.phy.reachability import (
-    BruteForceReachability,
-    GridReachabilityIndex,
-    ReachabilityIndex,
-)
 from repro.scenario.config import Environment, MonitorMode, ScenarioConfig, WorkloadSpec
 from repro.scenario.results import GroundTruth, ScenarioResult
 from repro.sim.engine import Simulator
@@ -126,19 +121,7 @@ class Scenario:
         )
         self.area_m = area
         self.topology = make_topology(config.placement, config.n_nodes, area, self.rng)
-        reachability: ReachabilityIndex
-        if config.phy_reachability == "brute":
-            reachability = BruteForceReachability()
-        else:  # "grid" and "auto" — event-identical, grid is the fast one
-            reachability = GridReachabilityIndex()
-        self.channel = Channel(
-            self.sim,
-            self.topology,
-            self.link_model,
-            trace=self.trace,
-            reachability=reachability,
-            config=ChannelConfig(sub_sensitivity_trace=config.phy_trace_detail),
-        )
+        self.channel = Channel(self.sim, self.topology, self.link_model, trace=self.trace)
         self.nodes: Dict[int, MeshNode] = {
             address: MeshNode(
                 self.sim,

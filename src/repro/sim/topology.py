@@ -9,10 +9,10 @@ line (road/river deployment).
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple
+from types import MappingProxyType
+from typing import Callable, Dict, Iterable, List, Mapping, Tuple
 
 from repro.errors import ConfigurationError
 from repro.sim.rng import RngRegistry
@@ -27,53 +27,8 @@ class Placement(str, Enum):
     LINE = "line"
 
 
-#: Callback fired when a node's position changes (``None`` = bulk change).
-TopologyListener = Callable[[Optional[int]], None]
-
-
-class _PositionMap(Dict[int, Tuple[float, float]]):
-    """Position dict that reports mutations back to its :class:`Topology`.
-
-    Spatial indexes (:mod:`repro.phy.reachability`) cache geometry derived
-    from these positions; a silent in-place write would leave them stale.
-    The supported mutation API is :meth:`Topology.move`; writing through
-    the mapping still works but carries a :class:`DeprecationWarning` and
-    notifies observers all the same, so legacy mobility code stays correct.
-    """
-
-    _owner: Optional["Topology"]
-
-    def _notify(self, node: Optional[int]) -> None:
-        owner = getattr(self, "_owner", None)
-        if owner is not None:
-            owner._on_position_change(node)
-
-    def __setitem__(self, node: int, position: Tuple[float, float]) -> None:
-        warnings.warn(
-            "assigning Topology.positions[node] directly is deprecated; "
-            "use Topology.move(node, position) so spatial indexes see the change",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        dict.__setitem__(self, node, position)
-        self._notify(node)
-
-    def __delitem__(self, node: int) -> None:
-        dict.__delitem__(self, node)
-        self._notify(None)
-
-    def update(self, *args: object, **kwargs: Tuple[float, float]) -> None:  # type: ignore[override]
-        dict.update(self, *args, **kwargs)  # type: ignore[arg-type]
-        self._notify(None)
-
-    def pop(self, *args: object) -> Tuple[float, float]:  # type: ignore[override]
-        value = dict.pop(self, *args)  # type: ignore[arg-type]
-        self._notify(None)
-        return value  # type: ignore[return-value]
-
-    def clear(self) -> None:
-        dict.clear(self)
-        self._notify(None)
+#: Callback fired with the address of the node that moved.
+TopologyListener = Callable[[int], None]
 
 
 @dataclass(frozen=True)
@@ -81,15 +36,18 @@ class Topology:
     """A set of node positions.
 
     Attributes:
-        positions: mapping from node address to (x, y) in metres.
+        positions: read-only mapping from node address to (x, y) in metres.
 
-    Positions may change over a run (mobility); consumers that cache
-    anything derived from geometry should :meth:`subscribe` for
-    invalidation or compare :attr:`version`.  The supported mutation API
-    is :meth:`move`.
+    Positions may change over a run (mobility), but only through
+    :meth:`move`; writing to :attr:`positions` raises ``TypeError``.
+    Consumers that cache anything derived from geometry should
+    :meth:`subscribe` for invalidation or compare :attr:`version`.
     """
 
-    positions: Dict[int, Tuple[float, float]]
+    positions: Mapping[int, Tuple[float, float]]
+    _positions: Dict[int, Tuple[float, float]] = field(
+        init=False, repr=False, compare=False
+    )
     _version: List[int] = field(
         default_factory=lambda: [0], repr=False, compare=False
     )
@@ -98,10 +56,10 @@ class Topology:
     )
 
     def __post_init__(self) -> None:
-        # Wrap the caller's dict so direct writes are still observed.
-        wrapped = _PositionMap(self.positions)
-        wrapped._owner = self
-        object.__setattr__(self, "positions", wrapped)
+        # A private copy that only move() writes; callers see it read-only.
+        positions = dict(self.positions)
+        object.__setattr__(self, "_positions", positions)
+        object.__setattr__(self, "positions", MappingProxyType(positions))
 
     @property
     def size(self) -> int:
@@ -113,8 +71,8 @@ class Topology:
         return self._version[0]
 
     def subscribe(self, listener: TopologyListener) -> None:
-        """Register a callback fired with the moved node's address (or
-        ``None`` for bulk/structural changes) after every mutation."""
+        """Register a callback fired with the moved node's address after
+        every :meth:`move`."""
         self._listeners.append(listener)
 
     def move(self, node: int, position: Tuple[float, float]) -> None:
@@ -123,12 +81,9 @@ class Topology:
         Raises:
             ConfigurationError: if the node is not in the topology.
         """
-        if node not in self.positions:
+        if node not in self._positions:
             raise ConfigurationError(f"node {node} is not in the topology")
-        dict.__setitem__(self.positions, node, position)
-        self._on_position_change(node)
-
-    def _on_position_change(self, node: Optional[int]) -> None:
+        self._positions[node] = position
         self._version[0] += 1
         for listener in self._listeners:
             listener(node)

@@ -45,24 +45,24 @@ def get_json(server, path):
 class TestServedDashboard:
     def test_nodes_endpoint_covers_network(self, served):
         server, result = served
-        nodes = get_json(server, "/api/nodes")
+        nodes = get_json(server, "/api/v1/networks/default/nodes")
         assert len(nodes) == 9
         assert all(row["health"] is not None for row in nodes)
 
     def test_summary_pdr_matches_truth(self, served):
         server, result = served
-        summary = get_json(server, "/api/summary")
+        summary = get_json(server, "/api/v1/networks/default/summary")
         assert summary["network_pdr"] == pytest.approx(result.truth.frag_pdr, abs=0.05)
 
     def test_delivery_endpoint_has_all_sources(self, served):
         server, result = served
-        delivery = get_json(server, "/api/delivery")
+        delivery = get_json(server, "/api/v1/networks/default/delivery")
         sources = {row["src"] for row in delivery}
         assert sources == set(range(2, 10))  # everyone except the sink
 
     def test_links_are_bidirectional_grid(self, served):
         server, _ = served
-        links = get_json(server, "/api/links")
+        links = get_json(server, "/api/v1/networks/default/links")
         pairs = {(row["tx"], row["rx"]) for row in links}
         assert all((rx, tx) in pairs for tx, rx in pairs)
 
@@ -74,7 +74,7 @@ class TestServedDashboard:
         def hammer():
             try:
                 for _ in range(5):
-                    get_json(server, "/api/summary")
+                    get_json(server, "/api/v1/networks/default/summary")
             except Exception as exc:  # pragma: no cover - failure reporting
                 errors.append(exc)
 

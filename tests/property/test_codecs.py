@@ -289,8 +289,8 @@ class TestDatagramCodec:
     @settings(max_examples=100)
     def test_re_encode_is_stable(self, batch):
         # Quantisation happens exactly once: encode(decode(encode(b)))
-        # is byte-identical to encode(b), so relays and the
-        # multi-process front can transcode without drift.
+        # is byte-identical to encode(b), so relays can transcode
+        # without drift.
         codec = self.codec()
         first = codec.encode(batch)
         assert codec.encode(codec.decode(first)) == first

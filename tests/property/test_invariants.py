@@ -10,7 +10,7 @@ from repro.mesh.flooding import DedupCache
 from repro.mesh.packet import RoutePayload, RouteVectorEntry
 from repro.mesh.routing import RouteTable
 from repro.mesh.transport import Reassembler, segment_message
-from repro.monitor.server import _SeqWindow
+from repro.monitor.ingest import SeqWindow
 from repro.phy.airtime import time_on_air
 from repro.phy.params import LoRaParams
 from repro.phy.regional import DutyCycleTracker, EU868_CHANNELS
@@ -108,13 +108,13 @@ class TestDedupProperties:
 class TestSeqWindowProperties:
     @given(st.lists(st.integers(0, 1000), max_size=300))
     def test_accepts_each_seq_at_most_once(self, seqs):
-        window = _SeqWindow(capacity=50)
+        window = SeqWindow(capacity=50)
         accepted = [seq for seq in seqs if window.check_and_add(seq)]
         assert len(accepted) == len(set(accepted))
 
     @given(st.sets(st.integers(0, 10_000), max_size=200))
     def test_all_distinct_seqs_accepted_in_increasing_order(self, seqs):
-        window = _SeqWindow(capacity=64)
+        window = SeqWindow(capacity=64)
         for seq in sorted(seqs):
             assert window.check_and_add(seq)
 

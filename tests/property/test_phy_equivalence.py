@@ -5,14 +5,12 @@ optimisation, not a model change — the trace stream (same events, same
 order, same payloads, bit-identical floats) must match what the
 exhaustive :class:`BruteForceReachability` oracle produces.  These tests
 replay randomized small scenarios — mixed spreading factors, overlapping
-frames, mid-run mobility (including the deprecated direct
-``positions[node] = xy`` write path and runtime link attenuation
-changes) — through both indexes and demand full equality, in both
+frames, mid-run mobility through ``Topology.move`` and runtime link
+attenuation changes — through both indexes and demand full equality, in both
 ``per_node`` and ``aggregate`` sub-sensitivity trace modes.
 """
 
 import random
-import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -51,13 +49,12 @@ transmissions = st.lists(
     max_size=12,
 )
 
-#: (time, node index, new position, use the deprecated direct-write path)
+#: (time, node index, new position)
 moves = st.lists(
     st.tuples(
         st.floats(0.0, 30.0, allow_nan=False, allow_infinity=False),
         st.integers(0, 99),
         coordinates,
-        st.booleans(),
     ),
     max_size=4,
 )
@@ -106,17 +103,9 @@ def run_flavour(reachability, mode, nodes, positions, seed, txs, move_list, atte
     for at, sender_index, payload_bytes, sf in txs:
         sender = nodes[sender_index % len(nodes)]
         sim.call_at(at, lambda s=sender, p=payload_bytes, f=sf: send(s, p, f))
-    for at, node_index, position, direct in move_list:
+    for at, node_index, position in move_list:
         node = nodes[node_index % len(nodes)]
-        if direct:
-            def legacy_move(n=node, xy=position):
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore", DeprecationWarning)
-                    topology.positions[n] = xy
-
-            sim.call_at(at, legacy_move)
-        else:
-            sim.call_at(at, lambda n=node, xy=position: topology.move(n, xy))
+        sim.call_at(at, lambda n=node, xy=position: topology.move(n, xy))
     for at, a_index, b_index, extra_db in atten_list:
         a = nodes[a_index % len(nodes)]
         b = nodes[b_index % len(nodes)]
@@ -214,7 +203,7 @@ def test_midflight_move_with_overlapping_frames_is_flavour_identical(seed):
     nodes = [1, 2, 3]
     positions = [(0.0, 0.0), (40.0, 0.0), (50_000.0, 0.0)]
     txs = [(0.0, 0, 255, 9), (0.2, 2, 8, 9)]
-    move_list = [(0.8, 2, (41.0, 0.0), False)]
+    move_list = [(0.8, 2, (41.0, 0.0))]
     grid_stream, grid_rx = run_flavour(
         GridReachabilityIndex(), "aggregate", nodes, positions, seed, txs, move_list, []
     )
@@ -232,26 +221,3 @@ def test_midflight_move_with_overlapping_frames_is_flavour_identical(seed):
         if node == 2 and kind in ("phy.rx", "phy.collision") and dict(data)["tx_id"] == 1
     ]
     assert verdicts == ["phy.collision"]
-
-
-def test_direct_position_write_warns_and_invalidates():
-    """The legacy mutation path still works — with a DeprecationWarning —
-    and the spatial index observes it."""
-    topology = Topology(positions={1: (0.0, 0.0), 2: (20.0, 0.0), 3: (400.0, 0.0)})
-    sim = Simulator()
-    link = LinkModel(PathLossParams(), random.Random(3))
-    channel = Channel(sim, topology, link, reachability=GridReachabilityIndex())
-    before = channel.reachability.candidates(1, LoRaParams())
-    assert isinstance(before, frozenset)
-    version = topology.version
-    epoch = channel.reachability.stats()["epoch"]
-    with pytest.warns(DeprecationWarning):
-        topology.positions[2] = (5000.0, 0.0)
-    assert topology.version == version + 1
-    # The index recomputes against the new geometry rather than serving
-    # the cached pre-move candidate set: the epoch advanced and node 2,
-    # now 5 km out, is no longer a plausible receiver of node 1.
-    assert channel.reachability.stats()["epoch"] > epoch
-    after = channel.reachability.candidates(1, LoRaParams())
-    assert 2 in before
-    assert 2 not in after

@@ -1,17 +1,15 @@
-"""API contract tests: the compatibility promises of the v1 redesign.
+"""API contract tests for the v1 surface.
 
 Four contracts are pinned here:
 
-1. **Legacy parity** — every pre-v1 ``/api/*`` path returns a
-   byte-identical body to its ``/api/v1/...`` successor, plus a
-   ``Deprecation`` header and a ``Link: <successor>; rel="successor-version"``.
+1. **Schema** — ``GET /api/v1/schema`` serves exactly the route table
+   the dispatcher runs on.
 2. **Tenant isolation** — records never leak between networks, even for
    identical node addresses and sequence numbers.
 3. **Facade** — every name in ``repro.api.__all__`` is importable, and
    importing the facade itself emits no deprecation warnings.
-4. **Deprecation shims** — moved names keep working from their old
-   module but emit ``DeprecationWarning``; ``docs/API.md`` matches the
-   route table it is generated from.
+4. **Docs** — ``docs/API.md`` matches the route table it is generated
+   from.
 """
 
 import json
@@ -31,12 +29,7 @@ from repro.api import (
     StatusRecord,
     schema_document,
 )
-from repro.monitor.routes import (
-    LEGACY_ALIASES,
-    ROUTES,
-    render_api_markdown,
-    successor_path,
-)
+from repro.monitor.routes import ROUTES, render_api_markdown
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -85,43 +78,14 @@ def fetch(http, path):
         return response.read(), response.headers
 
 
-class TestLegacyParity:
-    #: query string each legacy path needs (history requires a node)
-    QUERY = {"/api/history": "?node=1&field=battery_v"}
-
-    def test_every_alias_is_byte_identical(self, served):
-        http, _ = served
-        for legacy in sorted(LEGACY_ALIASES):
-            query = self.QUERY.get(legacy, "")
-            legacy_route = LEGACY_ALIASES[legacy]
-            if legacy_route == "network-ingest":
-                continue  # POST; covered separately below
-            legacy_body, legacy_headers = fetch(http, legacy + query)
-            v1_body, v1_headers = fetch(http, successor_path(legacy) + query)
-            assert legacy_body == v1_body, legacy
-            assert legacy_headers["Deprecation"] == "true", legacy
-            assert "successor-version" in legacy_headers.get("Link", ""), legacy
-            assert v1_headers.get("Deprecation") is None, legacy
-
-    def test_legacy_ingest_still_accepts(self, served):
-        http, server = served
-        raw = batch(node=3, batch_seq=7).to_json_bytes()
-        request = urllib.request.Request(
-            f"{http.url}/api/ingest", data=raw, method="POST"
-        )
-        with urllib.request.urlopen(request, timeout=10) as response:
-            document = json.loads(response.read())
-            assert document["ok"]
-            assert response.headers["Deprecation"] == "true"
-
-    def test_schema_lists_every_alias_and_route(self, served):
+class TestSchema:
+    def test_schema_lists_every_route(self, served):
         http, _ = served
         body, _ = fetch(http, "/api/v1/schema")
         schema = json.loads(body)
         assert schema == json.loads(json.dumps(schema_document()))
         served_routes = {route["name"] for route in schema["routes"]}
         assert served_routes == {route.name for route in ROUTES if route.kind == "api"}
-        assert set(schema["legacy_aliases"]) == set(LEGACY_ALIASES)
 
 
 class TestTenantIsolation:
@@ -169,22 +133,7 @@ class TestFacade:
         assert not missing, f"top-level exports absent from facade: {missing}"
 
 
-class TestDeprecationShims:
-    def test_moved_server_names_warn_but_work(self):
-        import repro.monitor.ingest
-        import repro.monitor.server
-
-        for name in ("BackpressurePolicy", "IngestResult", "ServerSelfMetrics"):
-            with pytest.warns(DeprecationWarning, match="moved to repro.monitor.ingest"):
-                shimmed = getattr(repro.monitor.server, name)
-            assert shimmed is getattr(repro.monitor.ingest, name)
-
-    def test_unknown_attribute_still_raises(self):
-        import repro.monitor.server
-
-        with pytest.raises(AttributeError):
-            repro.monitor.server.NoSuchThing
-
+class TestDocs:
     def test_api_docs_in_sync_with_route_table(self):
         generated = render_api_markdown()
         on_disk = (REPO_ROOT / "docs" / "API.md").read_text()

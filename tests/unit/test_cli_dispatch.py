@@ -1,17 +1,10 @@
-"""Unified ``repro`` CLI dispatch: routing, usage, and legacy aliases.
+"""Unified ``repro`` CLI dispatch: routing and usage.
 
-The redesign's CLI contract: one ``repro`` entry point with
-sim/serve/lint/campaign/trace subcommands; the pre-1.x surfaces — both
-the per-tool console scripts (``repro-lint`` …) and the old top-level
-scenario subcommands (``python -m repro simulate`` …) — keep working
-but announce their successor on stderr, never stdout.
+The CLI contract: one ``repro`` entry point with
+sim/serve/lint/campaign/trace subcommands.
 """
 
-import sys
-
-import pytest
-
-from repro.__main__ import _LEGACY_SIM_COMMANDS, _COMMANDS, legacy_lint, main
+from repro.__main__ import _COMMANDS, main
 
 
 class TestDispatch:
@@ -35,39 +28,10 @@ class TestDispatch:
         assert main(["lint", "--list-rules"]) == 0
         captured = capsys.readouterr()
         assert "RL007" in captured.out
-        assert "deprecated" not in captured.err
 
-
-class TestLegacySimCommands:
-    def test_every_legacy_name_forwards_with_notice(self, capsys):
-        # airtime is the one legacy command that is cheap and pure.
-        assert main(["airtime", "--sf", "7", "--payload", "20"]) == 0
+    def test_sim_subcommand_forwards(self, capsys):
+        # airtime is the one scenario command that is cheap and pure.
+        assert main(["sim", "airtime", "--sf", "7", "--payload", "20"]) == 0
         captured = capsys.readouterr()
         assert "ms" in captured.out
-        assert "use `repro sim airtime`" in captured.err
-        assert "deprecated" not in captured.out
-
-    def test_legacy_names_match_sim_parser(self):
-        # Every forwarded name must be a real `repro sim` subcommand,
-        # and none may shadow a first-class unified command.
-        from repro.cli import build_parser
-
-        parser = build_parser()
-        subparsers = next(
-            action
-            for action in parser._actions
-            if isinstance(action, type(parser._subparsers._group_actions[0]))
-        )
-        sim_commands = set(subparsers.choices)
-        assert set(_LEGACY_SIM_COMMANDS) <= sim_commands
-        assert not set(_LEGACY_SIM_COMMANDS) & set(_COMMANDS)
-
-
-class TestLegacyConsoleScripts:
-    def test_notice_goes_to_stderr_not_stdout(self, capsys, monkeypatch):
-        monkeypatch.setattr(sys, "argv", ["repro-lint", "--list-rules"])
-        assert legacy_lint() == 0
-        captured = capsys.readouterr()
-        assert "repro-lint: deprecated, use `repro lint`" in captured.err
-        assert "deprecated" not in captured.out
-        assert "RL001" in captured.out
+        assert captured.err == ""

@@ -2,7 +2,7 @@
 
 Each test builds a small real world (conftest ``WorldBuilder``), forces
 exactly one failure mode and asserts the flight recorder assigns that
-verdict to the message — the end-to-end contract behind ``repro-trace
+verdict to the message — the end-to-end contract behind ``repro trace
 why``.  The synthetic-event unit tests for the inference rules live in
 ``tests/unit/test_obs.py``; these go through the full stack instead.
 """
@@ -123,7 +123,8 @@ class TestDropTaxonomy:
         # transmissions overlap at 2.  Flooding means no per-hop retry can
         # repair it, leaving the PHY collision as the terminal evidence.
         world.build(n_nodes=3, area_m=100.0, protocol="flood")
-        world.topology.positions.update({1: (0.0, 0.0), 2: (100.0, 0.0), 3: (200.0, 0.0)})
+        for node, position in {1: (0.0, 0.0), 2: (100.0, 0.0), 3: (200.0, 0.0)}.items():
+            world.topology.move(node, position)
         world.link_model.set_link_attenuation(1, 3, 200.0)
         recorder = recorded(world)
         msg_a = world.nodes[1].send_message(2, b"from-a")

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from repro.api import MonitorServer, RecordBatch, network_tile
 from repro.monitor import health
 from repro.monitor.records import Direction, PacketRecord, StatusRecord
 from repro.monitor.storage import MetricsStore
@@ -99,3 +100,32 @@ class TestNetworkHealth:
 
     def test_empty_network_is_nan(self, store):
         assert math.isnan(health.network_health_score(store, now=0.0))
+
+
+class TestTileHealth:
+    def test_looped_packet_counts_once(self):
+        # A routing loop brings packet 7 back to its origin, so node 1
+        # reports it twice as a first-attempt OUT; node 2 receives it once.
+        def out(seq):
+            return PacketRecord(
+                node=1, seq=seq, timestamp=1.0, direction=Direction.OUT,
+                src=1, dst=2, next_hop=2, prev_hop=1, ptype=3, packet_id=7,
+                size_bytes=40, airtime_s=0.05,
+            )
+
+        delivered = PacketRecord(
+            node=2, seq=0, timestamp=2.0, direction=Direction.IN,
+            src=1, dst=2, next_hop=2, prev_hop=1, ptype=3, packet_id=7,
+            size_bytes=40, rssi_dbm=-100.0, snr_db=5.0,
+        )
+        server = MonitorServer(clock=lambda: 10.0)
+        assert server.ingest(
+            RecordBatch(node=1, batch_seq=0, sent_at=1.0, packet_records=(out(0), out(1)))
+        ).ok
+        assert server.ingest(
+            RecordBatch(node=2, batch_seq=0, sent_at=2.0, packet_records=(delivered,))
+        ).ok
+        tile = network_tile(server, "default", now=10.0)
+        recomputed = health.network_health_score(server.store, now=10.0)
+        assert recomputed == pytest.approx(100.0)
+        assert tile["health"] == round(recomputed, 1)

@@ -40,6 +40,10 @@ def post(server, path, body):
         return error.code, json.loads(error.read())
 
 
+#: The single-network deployment's v1 route prefix.
+V1 = "/api/v1/networks/default"
+
+
 def make_batch_bytes(node=1):
     record = PacketRecord(
         node=node, seq=0, timestamp=50.0, direction=Direction.IN,
@@ -53,44 +57,47 @@ def make_batch_bytes(node=1):
 
 class TestEndpoints:
     def test_ingest_then_query_nodes(self, http_server):
-        status, body = post(http_server, "/api/ingest", make_batch_bytes())
+        status, body = post(http_server, f"{V1}/ingest", make_batch_bytes())
         assert status == 200 and body["ok"] and body["accepted_packets"] == 1
-        status, nodes = get(http_server, "/api/nodes")
+        status, nodes = get(http_server, f"{V1}/nodes")
         assert status == 200
         assert [row["node"] for row in nodes] == [1]
 
     def test_ingest_duplicate_reported(self, http_server):
-        post(http_server, "/api/ingest", make_batch_bytes())
-        status, body = post(http_server, "/api/ingest", make_batch_bytes())
+        post(http_server, f"{V1}/ingest", make_batch_bytes())
+        status, body = post(http_server, f"{V1}/ingest", make_batch_bytes())
         assert body["duplicates"] == 1
 
     def test_bad_batch_is_400(self, http_server):
-        status, body = post(http_server, "/api/ingest", b"junk")
+        status, body = post(http_server, f"{V1}/ingest", b"junk")
         assert status == 400 and not body["ok"]
 
     def test_summary_document(self, http_server):
-        post(http_server, "/api/ingest", make_batch_bytes())
-        status, body = get(http_server, "/api/summary")
+        post(http_server, f"{V1}/ingest", make_batch_bytes())
+        status, body = get(http_server, f"{V1}/summary")
         assert status == 200
         assert "nodes" in body and "links" in body and "alerts" in body
 
     def test_links_endpoint(self, http_server):
-        post(http_server, "/api/ingest", make_batch_bytes())
-        status, links = get(http_server, "/api/links")
+        post(http_server, f"{V1}/ingest", make_batch_bytes())
+        status, links = get(http_server, f"{V1}/links")
         assert status == 200
         assert links[0]["tx"] == 2 and links[0]["rx"] == 1
 
     def test_health_endpoint(self, http_server):
-        post(http_server, "/api/ingest", make_batch_bytes())
-        status, body = get(http_server, "/api/health")
+        post(http_server, f"{V1}/ingest", make_batch_bytes())
+        status, body = get(http_server, f"{V1}/health")
         assert status == 200 and "1" in body
 
     def test_alerts_endpoint(self, http_server):
-        status, body = get(http_server, "/api/alerts")
+        status, body = get(http_server, f"{V1}/alerts")
         assert status == 200 and body == []
 
     def test_unknown_path_is_404(self, http_server):
         status, body = get_status_only(http_server, "/api/bogus")
+        assert status == 404
+        # The pre-v1 unversioned paths are gone too.
+        status, body = get_status_only(http_server, "/api/summary")
         assert status == 404
 
     def test_index_serves_rich_html(self, http_server):
@@ -106,7 +113,7 @@ class TestEndpoints:
         assert "<pre>" in html and "[nodes]" in html
 
     def test_dot_endpoint(self, http_server):
-        with urllib.request.urlopen(f"{http_server.url}/api/dot", timeout=5) as response:
+        with urllib.request.urlopen(f"{http_server.url}{V1}/dot", timeout=5) as response:
             body = response.read().decode()
         assert body.startswith("digraph")
 
@@ -121,8 +128,8 @@ def get_status_only(server, path):
 
 class TestHistoryEndpoint:
     def test_packet_rate_history(self, http_server):
-        post(http_server, "/api/ingest", make_batch_bytes())
-        status, body = get(http_server, "/api/history?node=1&interval=60")
+        post(http_server, f"{V1}/ingest", make_batch_bytes())
+        status, body = get(http_server, f"{V1}/history?node=1&interval=60")
         assert status == 200
         assert len(body) == 1
         assert body[0]["count"] == 1
@@ -139,20 +146,20 @@ class TestHistoryEndpoint:
         raw = RecordBatch(
             node=1, batch_seq=5, sent_at=50.0, status_records=(record,)
         ).to_json_bytes()
-        post(http_server, "/api/ingest", raw)
+        post(http_server, f"{V1}/ingest", raw)
         status, body = get(
-            http_server, "/api/history?node=1&field=queue_depth&interval=60"
+            http_server, f"{V1}/history?node=1&field=queue_depth&interval=60"
         )
         assert status == 200
         assert body[0]["mean"] == 4.0
 
     def test_missing_node_param_is_400(self, http_server):
-        status, body = get_status_only(http_server, "/api/history?interval=60")
+        status, body = get_status_only(http_server, f"{V1}/history?interval=60")
         assert status == 400
 
     def test_unknown_field_is_400(self, http_server):
-        post(http_server, "/api/ingest", make_batch_bytes())
-        status, body = get_status_only(http_server, "/api/history?node=1&field=bogus")
+        post(http_server, f"{V1}/ingest", make_batch_bytes())
+        status, body = get_status_only(http_server, f"{V1}/history?node=1&field=bogus")
         assert status == 400
 
 
@@ -168,15 +175,15 @@ class TestSanitize:
     def test_summary_is_strict_json_when_empty(self, http_server):
         # network_pdr is NaN on an empty store; the API must still emit
         # strict JSON (null, not NaN).
-        status, body = get(http_server, "/api/summary")
+        status, body = get(http_server, f"{V1}/summary")
         assert status == 200
         assert body["network_pdr"] is None
 
 
 class TestServerSelfMetricsEndpoint:
     def test_self_metrics_after_ingest(self, http_server):
-        post(http_server, "/api/ingest", make_batch_bytes())
-        status, body = get(http_server, "/api/server")
+        post(http_server, f"{V1}/ingest", make_batch_bytes())
+        status, body = get(http_server, "/api/v1/server")
         assert status == 200
         assert body["batches_ingested"] == 1
         assert body["records_ingested"] == 1
@@ -184,8 +191,8 @@ class TestServerSelfMetricsEndpoint:
         assert body["bytes_received"] > 0
 
     def test_decode_failures_visible(self, http_server):
-        post(http_server, "/api/ingest", b"junk")
-        status, body = get(http_server, "/api/server")
+        post(http_server, f"{V1}/ingest", b"junk")
+        status, body = get(http_server, "/api/v1/server")
         assert body["decode_failures"] == 1
 
 
@@ -206,11 +213,11 @@ class TestBackpressureOverHttp:
         server.stop()
 
     def test_queue_full_is_503_with_retry_after(self, saturated_server):
-        status, body = post(saturated_server, "/api/ingest", make_batch_bytes())
+        status, body = post(saturated_server, f"{V1}/ingest", make_batch_bytes())
         assert status == 200 and body["ok"] and body["queued"]
 
         request = urllib.request.Request(
-            f"{saturated_server.url}/api/ingest", data=make_batch_bytes(node=2),
+            f"{saturated_server.url}{V1}/ingest", data=make_batch_bytes(node=2),
             method="POST", headers={"Content-Type": "application/json"},
         )
         with pytest.raises(urllib.error.HTTPError) as excinfo:
@@ -223,11 +230,11 @@ class TestBackpressureOverHttp:
 
         # After a drain the same batch goes through.
         saturated_server.monitor_server.drain()
-        status, body = post(saturated_server, "/api/ingest", make_batch_bytes(node=2))
+        status, body = post(saturated_server, f"{V1}/ingest", make_batch_bytes(node=2))
         assert status == 200 and body["ok"]
 
     def test_summary_includes_server_panel(self, saturated_server):
-        status, body = get(saturated_server, "/api/summary")
+        status, body = get(saturated_server, f"{V1}/summary")
         assert status == 200
         assert body["server"]["queue_capacity"] == 1
         assert body["server"]["backpressure"] == "reject"
@@ -287,14 +294,6 @@ class TestCodecNegotiationOverHttp:
         assert status == 400
         assert "stamped for network" in body["error"]
 
-    def test_legacy_alias_stays_json_only(self, http_server):
-        # The pre-v1 alias never negotiates: a binary body is malformed JSON.
-        from repro.monitor.codec import BINARY_CONTENT_TYPE
-        status, body = post_with_type(
-            http_server, "/api/ingest", self.binary_body(), BINARY_CONTENT_TYPE,
-        )
-        assert status == 400 and not body["ok"]
-
     def test_http_client_send_batch_binary(self, http_server):
         from repro.monitor.uplink import HttpIngestClient
 
@@ -308,7 +307,6 @@ class TestCodecNegotiationOverHttp:
             RecordBatch(node=9, batch_seq=0, sent_at=50.0, packet_records=(record,))
         )
         assert result.ok and client.posts_ok == 1
-        assert not client.legacy_mode
         status, nodes = get(http_server, "/api/v1/networks/default/nodes")
         assert [row["node"] for row in nodes] == [9]
 
@@ -348,7 +346,7 @@ class TestServerLifecycle:
 
     def test_context_manager_serves_and_stops(self):
         with self.make() as server:
-            status, _ = get(server, "/api/summary")
+            status, _ = get(server, f"{V1}/summary")
             assert status == 200
         # The serve thread is joined on __exit__.
         assert server._thread is None

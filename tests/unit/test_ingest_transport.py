@@ -13,14 +13,13 @@ from repro.api import (
     MetricsStore,
     MonitoringHttpServer,
     MonitorServer,
-    MultiProcessIngestFront,
     SequenceGapTracker,
     TelemetryGapAccountant,
     UdpIngestClient,
     UdpIngestTransport,
 )
 from repro.errors import ConfigurationError
-from repro.monitor.codec import BinaryCodec, JsonCodec
+from repro.monitor.codec import BinaryCodec
 from repro.monitor.transport.base import MAX_TRACKED_MISSING, RESTART_THRESHOLD
 from tests.unit.test_server import batch, packet_record
 
@@ -247,53 +246,6 @@ class TestUdpIngestClient:
             assert client.bytes_sent == size
         finally:
             client.close()
-
-
-class TestMultiProcessIngestFront:
-    def test_submit_before_start_raises(self):
-        front = MultiProcessIngestFront(MonitorServer(), workers=1)
-        with pytest.raises(RuntimeError, match="not started"):
-            front.submit_encoded(b"{}")
-
-    def test_round_trip_json_batches(self):
-        server = MonitorServer()
-        front = MultiProcessIngestFront(server, workers=1, codec="json")
-        front.start()
-        try:
-            for seq in range(3):
-                front.submit_encoded(
-                    JsonCodec().encode(batch(batch_seq=seq, packets=[packet_record(seq=seq)]))
-                )
-            results = front.flush()
-            assert len(results) == 3 and all(r.ok for r in results)
-            assert front.batches_ingested == 3
-            assert front.pending == 0
-            assert server.store.packet_record_count() == 3
-        finally:
-            front.stop()
-
-    def test_decode_failures_counted(self):
-        server = MonitorServer()
-        front = MultiProcessIngestFront(server, workers=1, codec="json")
-        front.start()
-        try:
-            front.submit_encoded(b"this is not json")
-            results = front.flush()
-            assert len(results) == 1 and not results[0].ok
-            assert front.decode_failures == 1
-            assert server.store.packet_record_count() == 0
-        finally:
-            front.stop()
-
-    def test_stop_flushes_and_is_idempotent(self):
-        server = MonitorServer()
-        front = MultiProcessIngestFront(server, workers=1, codec="json")
-        front.start()
-        front.submit_encoded(JsonCodec().encode(batch(packets=[packet_record()])))
-        front.stop()
-        front.stop()
-        assert server.store.packet_record_count() == 1
-        assert front.stats_document()["running"] is False
 
 
 class TestHttpIngestTransport:

@@ -158,7 +158,7 @@ class TestRL001WallClock:
             assert rule_ids(violations) == ["RL001", "RL003"], module
 
     def test_obs_ndjson_and_cli_exempt(self, tmp_path):
-        # The NDJSON writer and repro-trace CLI are operator-side I/O.
+        # The NDJSON writer and repro trace CLI are operator-side I/O.
         for module in ("ndjson", "cli"):
             violations = lint_source(
                 tmp_path,
@@ -495,11 +495,11 @@ class TestRL007FacadeBypass:
     def test_only_facade_aliases_flagged_in_mixed_import(self, tmp_path):
         path = tmp_path / "test_something.py"
         path.write_text(
-            "from repro.monitor.server import MonitorServer, _SeqWindow\n"
+            "from repro.monitor.ingest import IngestResult, SeqWindow\n"
         )
         violations = lint_file(path)
         assert rule_ids(violations) == ["RL007"]
-        assert "MonitorServer" in violations[0].message
+        assert "IngestResult" in violations[0].message
 
     def test_hardcoded_names_match_facade_all(self):
         # The rule keeps a static copy of repro.api.__all__ so linting

@@ -1,4 +1,4 @@
-"""Unit tests for the ``repro-trace`` CLI.
+"""Unit tests for the ``repro trace`` CLI.
 
 One small traced scenario is exported once per module (captures on disk),
 then every offline subcommand is exercised against those files — the same

@@ -73,15 +73,6 @@ class TestLinkBudgetCache:
         budget.loss_db(1, 3)
         assert budget.hits == hits + 1
 
-    def test_bulk_change_clears_everything(self):
-        topology, link = make_world({1: (0.0, 0.0), 2: (100.0, 0.0)})
-        budget = LinkBudgetCache(topology, link)
-        budget.loss_db(1, 2)
-        topology.positions.update({1: (10.0, 0.0)})
-        misses = budget.misses
-        budget.loss_db(1, 2)
-        assert budget.misses == misses + 1
-
 
 class TestBruteForceReachability:
     def test_candidates_are_all_nodes_and_cached(self):
@@ -92,18 +83,6 @@ class TestBruteForceReachability:
         stats = index.stats()
         assert stats["rebuilds"] == 1
         assert stats["hits"] == 1
-
-    def test_new_node_via_deprecated_write_joins_candidates(self):
-        """Adding a brand-new node through the deprecated direct
-        ``positions[new] = xy`` shim notifies with that node's id, not
-        ``None``; the oracle must still drop its cached all-nodes set
-        (REVIEW: it previously only reset on ``None``)."""
-        index = BruteForceReachability()
-        topology, _, _ = bound_index(index, {1: (0.0, 0.0), 2: (100.0, 0.0)})
-        assert index.candidates(1, PARAMS) == {1, 2}
-        with pytest.warns(DeprecationWarning):
-            topology.positions[3] = (50.0, 0.0)
-        assert index.candidates(1, PARAMS) == {1, 2, 3}
 
     def test_known_node_move_keeps_cached_set(self):
         index = BruteForceReachability()

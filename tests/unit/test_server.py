@@ -2,8 +2,9 @@
 
 import pytest
 
+from repro.monitor.ingest import SeqWindow
 from repro.monitor.records import Direction, PacketRecord, RecordBatch, StatusRecord
-from repro.monitor.server import MonitorServer, _SeqWindow
+from repro.monitor.server import MonitorServer
 
 
 def packet_record(node=1, seq=0):
@@ -33,23 +34,23 @@ def batch(node=1, batch_seq=0, packets=(), status=(), dropped=0):
 
 class TestSeqWindow:
     def test_new_seqs_accepted(self):
-        window = _SeqWindow()
+        window = SeqWindow()
         assert window.check_and_add(0)
         assert window.check_and_add(1)
 
     def test_duplicates_rejected(self):
-        window = _SeqWindow()
+        window = SeqWindow()
         window.check_and_add(5)
         assert not window.check_and_add(5)
 
     def test_out_of_order_within_window_ok(self):
-        window = _SeqWindow()
+        window = SeqWindow()
         window.check_and_add(10)
         assert window.check_and_add(3)
         assert not window.check_and_add(3)
 
     def test_compaction_keeps_exactness_for_old_seqs(self):
-        window = _SeqWindow(capacity=10)
+        window = SeqWindow(capacity=10)
         for seq in range(25):
             assert window.check_and_add(seq)
         # Everything already seen stays rejected after compaction.

@@ -84,3 +84,15 @@ class TestTopologyGeometry:
     def test_centroid_empty_raises(self):
         with pytest.raises(ConfigurationError):
             Topology(positions={}).centroid()
+
+
+class TestTopologyMutation:
+    def test_direct_position_write_raises(self):
+        topo = Topology(positions={1: (0.0, 0.0), 2: (100.0, 0.0)})
+        with pytest.raises(TypeError):
+            topo.positions[2] = (5000.0, 0.0)
+        assert topo.positions[2] == (100.0, 0.0)
+        assert topo.version == 0
+        topo.move(2, (5000.0, 0.0))
+        assert topo.positions[2] == (5000.0, 0.0)
+        assert topo.version == 1
