@@ -158,7 +158,7 @@ def measure_sqlite_paths():
         for batch in batches:
             for record in batch.packet_records:
                 seed_store.add_packet_record(record)
-            seed_store.commit()
+            seed_store.flush()
         row_at_a_time = total / (time.perf_counter() - start)
         seed_store.close()
 

@@ -10,8 +10,7 @@ Run:
     python examples/quickstart.py
 """
 
-from repro import ScenarioConfig, WorkloadSpec, run_scenario
-from repro.api import Dashboard
+from repro.api import Dashboard, ScenarioConfig, WorkloadSpec, run_scenario
 
 
 def main() -> None:

@@ -9,8 +9,7 @@ server with a dashboard, alerting and an HTTP API.
 
 Quick start::
 
-    from repro import ScenarioConfig, run_scenario
-    from repro.monitor.dashboard import Dashboard
+    from repro.api import Dashboard, ScenarioConfig, run_scenario
 
     with run_scenario(ScenarioConfig(n_nodes=16, duration_s=1800)) as result:
         print(Dashboard(result.store).render_text(result.sim.now))
@@ -23,39 +22,4 @@ See README.md for the architecture overview and DESIGN.md for the
 experiment index.
 """
 
-from repro.errors import ReproError
-from repro.mesh import BROADCAST, MeshConfig, MeshNode, Packet, PacketType
-from repro.monitor import (
-    Dashboard,
-    MetricsStore,
-    MonitorClient,
-    MonitorClientConfig,
-    MonitorServer,
-)
-from repro.phy import LoRaParams, time_on_air
-from repro.scenario import MonitorMode, ScenarioConfig, WorkloadSpec, run_scenario
-from repro.sim import Simulator
-
 __version__ = "1.0.0"
-
-__all__ = [
-    "ReproError",
-    "BROADCAST",
-    "MeshConfig",
-    "MeshNode",
-    "Packet",
-    "PacketType",
-    "Dashboard",
-    "MetricsStore",
-    "MonitorClient",
-    "MonitorClientConfig",
-    "MonitorServer",
-    "LoRaParams",
-    "time_on_air",
-    "MonitorMode",
-    "ScenarioConfig",
-    "WorkloadSpec",
-    "run_scenario",
-    "Simulator",
-    "__version__",
-]

@@ -1,34 +1,2 @@
 """Offline analysis: topology reconstruction, ground-truth comparison,
 anomaly detection and report generation."""
-
-from repro.analysis.anomaly import detect_anomalies
-from repro.analysis.compare import (
-    link_rssi_error,
-    pdr_estimation_error,
-    topology_accuracy,
-)
-from repro.analysis.pathology import (
-    asymmetric_links,
-    congested_relays,
-    hidden_terminal_pairs,
-    starving_sources,
-)
-from repro.analysis.planning import best_gateway_candidates, sf_recommendations
-from repro.analysis.reconstruct import ReconstructedLink, reconstruct_topology
-from repro.analysis.report import ExperimentReport
-
-__all__ = [
-    "detect_anomalies",
-    "link_rssi_error",
-    "pdr_estimation_error",
-    "topology_accuracy",
-    "asymmetric_links",
-    "congested_relays",
-    "hidden_terminal_pairs",
-    "starving_sources",
-    "best_gateway_candidates",
-    "sf_recommendations",
-    "ReconstructedLink",
-    "reconstruct_topology",
-    "ExperimentReport",
-]

@@ -5,12 +5,14 @@ tooling — should import from here::
 
     from repro.api import ScenarioConfig, run_scenario, MonitorServer
 
-Everything in ``__all__`` below is the supported surface.  The
-implementation modules (``repro.monitor.server``, ``repro.scenario.runner``,
-...) remain importable but are *internal*: their layout may change
-without notice, and no shim keeps a name importable from a module it
-has left.  :mod:`repro.lint` rule RL007 flags deep imports of facade
-names from tests and benchmarks.
+Everything in ``__all__`` below is the supported surface, and this is
+the only module that re-exports: packages import nothing, so a name is
+importable from the module that defines it and, if public, from here.
+The implementation modules (``repro.monitor.server``,
+``repro.scenario.runner``, ...) remain importable but are *internal*:
+their layout may change without notice, and no shim keeps a name
+importable from a module it has left.  :mod:`repro.lint` rule RL007
+flags deep imports of facade names from tests and benchmarks.
 
 The facade is organised by layer:
 
@@ -45,7 +47,10 @@ from repro.campaign.aggregate import aggregate_report
 from repro.campaign.scheduler import CampaignPlan, CampaignRunner
 from repro.campaign.spec import CampaignSpec, RunSpec
 from repro.errors import ReproError
-from repro.mesh import BROADCAST, MeshConfig, MeshNode, Packet, PacketType
+from repro.mesh.addressing import BROADCAST
+from repro.mesh.config import MeshConfig
+from repro.mesh.node import MeshNode
+from repro.mesh.packet import Packet, PacketType
 from repro.monitor.alerts import Alert, AlertEngine, NodeDelta
 from repro.monitor.client import MonitorClient, MonitorClientConfig, SseStreamClient
 from repro.monitor.codec import (
@@ -69,23 +74,22 @@ from repro.monitor.registry import NetworkRegistry, NetworkShard
 from repro.monitor.rollup import IncrementalRollup
 from repro.monitor.routes import schema_document
 from repro.monitor.server import MonitorServer
-from repro.monitor.stream import (
+from repro.monitor.stream.events import (
     STREAM_SCHEMA,
     StreamEvent,
-    StreamHub,
-    StreamSubscription,
     decode_event,
     encode_event,
 )
+from repro.monitor.stream.hub import StreamHub, StreamSubscription
 from repro.monitor.sqlitestore import SqliteMetricsStore, sqlite_store_factory
 from repro.monitor.storage import MetricsStore
-from repro.monitor.transport import (
-    HttpIngestTransport,
+from repro.monitor.transport.base import (
     IngestTransport,
     SequenceGapTracker,
     TelemetryGapAccountant,
-    UdpIngestTransport,
 )
+from repro.monitor.transport.http import HttpIngestTransport
+from repro.monitor.transport.udp import UdpIngestTransport
 from repro.monitor.uplink import (
     GatewayBridge,
     HttpIngestClient,
@@ -97,10 +101,11 @@ from repro.monitor.uplink import (
 from repro.obs.ndjson import export_trace, read_trace, replay_into_recorder
 from repro.obs.recorder import FlightRecorder
 from repro.obs.spans import SpanProfiler
-from repro.phy import LoRaParams, time_on_air
+from repro.phy.airtime import time_on_air
 from repro.phy.channel import Channel, ChannelConfig, Reception
 from repro.phy.collision import CollisionModel, FrameOnAir
 from repro.phy.link import LinkModel, PathLossParams
+from repro.phy.params import LoRaParams
 from repro.phy.reachability import (
     BruteForceReachability,
     GridReachabilityIndex,
@@ -117,7 +122,7 @@ from repro.scenario.faults import (
 )
 from repro.scenario.results import GroundTruth, ScenarioResult
 from repro.scenario.runner import Scenario, run_scenario
-from repro.sim import Simulator
+from repro.sim.engine import Simulator
 from repro.sim.topology import Placement, Topology, make_topology
 
 __all__ = [

@@ -1,5 +1,1 @@
 """Baseline systems the mesh is compared against."""
-
-from repro.baselines.lorawan import LoRaWANGateway, LoRaWANNetwork, LoRaWANNode
-
-__all__ = ["LoRaWANGateway", "LoRaWANNetwork", "LoRaWANNode"]

@@ -19,7 +19,7 @@ Determinism is the contract:
 
 Quickstart::
 
-    from repro.campaign import CampaignSpec, CampaignRunner
+    from repro.api import CampaignRunner, CampaignSpec, ScenarioConfig
 
     spec = CampaignSpec(
         name="pdr_vs_size",
@@ -36,35 +36,3 @@ or from the shell::
 
 See ``docs/CAMPAIGN.md`` for the spec file format and cache layout.
 """
-
-from repro.campaign.aggregate import aggregate_report, ci95_halfwidth, mean, sample_stdev
-from repro.campaign.cache import ResultCache
-from repro.campaign.hashing import CODE_VERSION, canonical_json, config_digest, derive_seed
-from repro.campaign.scheduler import CampaignPlan, CampaignRunner
-from repro.campaign.spec import (
-    CampaignSpec,
-    RunSpec,
-    config_from_dict,
-    config_to_dict,
-)
-from repro.campaign.worker import execute_run, standard_metrics
-
-__all__ = [
-    "CODE_VERSION",
-    "CampaignPlan",
-    "CampaignRunner",
-    "CampaignSpec",
-    "ResultCache",
-    "RunSpec",
-    "aggregate_report",
-    "canonical_json",
-    "ci95_halfwidth",
-    "config_digest",
-    "config_from_dict",
-    "config_to_dict",
-    "derive_seed",
-    "execute_run",
-    "mean",
-    "sample_stdev",
-    "standard_metrics",
-]

@@ -104,7 +104,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_serve(args: argparse.Namespace) -> int:
     from repro.monitor.httpapi import MonitoringHttpServer
-    from repro.monitor.transport import HttpIngestTransport, UdpIngestTransport
+    from repro.monitor.transport.http import HttpIngestTransport
+    from repro.monitor.transport.udp import UdpIngestTransport
 
     config = _config_from_args(args)
     if config.monitor_mode is MonitorMode.NONE:

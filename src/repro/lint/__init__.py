@@ -29,25 +29,6 @@ A violating line can be suppressed — with a mandatory rationale — via::
     something_flagged()  # reprolint: allow[RL003] -- exact sentinel compare
 
 Entry points: the ``repro lint`` command (:mod:`repro.lint.cli`)
-and :func:`run_lint` for programmatic use (the test suite's meta-test
+and :func:`repro.lint.engine.run_lint` for programmatic use (the test suite's meta-test
 runs it over the shipped tree).
 """
-
-from repro.lint.context import FileContext
-from repro.lint.engine import LintReport, iter_python_files, lint_file, run_lint
-from repro.lint.registry import Rule, RuleRegistry, default_registry
-from repro.lint.suppress import Suppressions
-from repro.lint.violation import Violation
-
-__all__ = [
-    "FileContext",
-    "LintReport",
-    "Rule",
-    "RuleRegistry",
-    "Suppressions",
-    "Violation",
-    "default_registry",
-    "iter_python_files",
-    "lint_file",
-    "run_lint",
-]

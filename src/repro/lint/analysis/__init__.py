@@ -21,19 +21,3 @@ the code it checks): a lock acquired by a caller in another function —
 or another file — is invisible.  The ``# guarded-by:`` annotation is
 the escape hatch for exactly that case; see docs/STATIC_ANALYSIS.md.
 """
-
-from repro.lint.analysis.concurrency import class_models
-from repro.lint.analysis.model import (
-    Access,
-    ClassModel,
-    MethodModel,
-    ThreadCreation,
-)
-
-__all__ = [
-    "Access",
-    "ClassModel",
-    "MethodModel",
-    "ThreadCreation",
-    "class_models",
-]

@@ -18,17 +18,3 @@ from repro.lint.rules import (  # noqa: F401  - imported for registration
     thread_lifecycle,
     wallclock,
 )
-
-__all__ = [
-    "bare_acquire",
-    "blocking_under_lock",
-    "facade",
-    "floatcmp",
-    "lifecycle",
-    "mutable_defaults",
-    "print_calls",
-    "rng",
-    "shared_state",
-    "thread_lifecycle",
-    "wallclock",
-]

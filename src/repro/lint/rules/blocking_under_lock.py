@@ -29,7 +29,7 @@ from __future__ import annotations
 import re
 from typing import Iterator, Optional
 
-from repro.lint.analysis import class_models
+from repro.lint.analysis.concurrency import class_models
 from repro.lint.analysis.model import CallSite
 from repro.lint.context import FileContext
 from repro.lint.registry import register

@@ -14,124 +14,38 @@ Library modules under ``repro`` are exempt; the implementation has to
 import itself deeply, and making ``repro.api`` import-cycle-free
 requires it.
 
-``_FACADE_NAMES`` is a hardcoded copy of ``repro.api.__all__`` so the
-linter stays purely static (importing :mod:`repro.api` would drag the
-whole stack — SQLite, HTTP server — into every lint run).  A meta-test
-asserts the copy equals the real ``__all__``; update both together.
+The names are ``__all__`` of ``repro/api.py``, read from its source with
+:mod:`ast`: the linter stays purely static (importing :mod:`repro.api`
+would drag the whole stack — SQLite, HTTP server — into every lint run)
+and the facade list has exactly one copy.
 """
 
 from __future__ import annotations
 
 import ast
+import functools
+from pathlib import Path
 from typing import FrozenSet, Iterator
 
 from repro.lint.context import FileContext
 from repro.lint.registry import register
 from repro.lint.violation import Violation
 
-#: Mirror of ``repro.api.__all__`` (kept in sync by a meta-test).
-_FACADE_NAMES: FrozenSet[str] = frozenset(
-    {
-        "__version__",
-        "ReproError",
-        "Simulator",
-        "LoRaParams",
-        "time_on_air",
-        "Channel",
-        "ChannelConfig",
-        "Reception",
-        "CollisionModel",
-        "FrameOnAir",
-        "LinkModel",
-        "PathLossParams",
-        "PropagationModel",
-        "ReachabilityIndex",
-        "GridReachabilityIndex",
-        "BruteForceReachability",
-        "LinkBudgetCache",
-        "Topology",
-        "Placement",
-        "make_topology",
-        "MeshConfig",
-        "MeshNode",
-        "Packet",
-        "PacketType",
-        "BROADCAST",
-        "run_scenario",
-        "Scenario",
-        "ScenarioConfig",
-        "ScenarioResult",
-        "GroundTruth",
-        "MonitorMode",
-        "WorkloadSpec",
-        "MobilitySpec",
-        "FaultSchedule",
-        "NodeCrash",
-        "LinkDegradation",
-        "BatteryDepletion",
-        "CampaignSpec",
-        "RunSpec",
-        "CampaignPlan",
-        "CampaignRunner",
-        "aggregate_report",
-        "Direction",
-        "PacketRecord",
-        "StatusRecord",
-        "RecordBatch",
-        "MonitorClient",
-        "MonitorClientConfig",
-        "Codec",
-        "JsonCodec",
-        "BinaryCodec",
-        "resolve_codec",
-        "codec_for_content_type",
-        "OutOfBandUplink",
-        "InBandUplink",
-        "ReliableInBandUplink",
-        "GatewayBridge",
-        "HttpIngestClient",
-        "UdpIngestClient",
-        "IngestTransport",
-        "HttpIngestTransport",
-        "UdpIngestTransport",
-        "SequenceGapTracker",
-        "TelemetryGapAccountant",
-        "MonitorServer",
-        "BackpressurePolicy",
-        "IngestResult",
-        "ServerSelfMetrics",
-        "DEFAULT_NETWORK_ID",
-        "NetworkRegistry",
-        "NetworkShard",
-        "fleet_overview",
-        "network_tile",
-        "MetricsStore",
-        "SqliteMetricsStore",
-        "sqlite_store_factory",
-        "Dashboard",
-        "Alert",
-        "AlertEngine",
-        "NodeDelta",
-        "MonitoringHttpServer",
-        "schema_document",
-        "STREAM_SCHEMA",
-        "StreamEvent",
-        "encode_event",
-        "decode_event",
-        "StreamHub",
-        "StreamSubscription",
-        "SseStreamClient",
-        "IncrementalRollup",
-        "FlightRecorder",
-        "SpanProfiler",
-        "export_trace",
-        "read_trace",
-        "replay_into_recorder",
-    }
-)
+#: Source of the facade; its ``__all__`` is the supported surface.
+_FACADE_SOURCE = Path(__file__).resolve().parents[2] / "api.py"
 
-#: modules whose re-exports are part of the supported surface themselves
-_ALLOWED_MODULES = ("repro", "repro.api")
+
+@functools.lru_cache(maxsize=1)
+def facade_names() -> FrozenSet[str]:
+    """``repro.api.__all__``, read from the source without importing it."""
+    tree = ast.parse(_FACADE_SOURCE.read_text(encoding="utf-8"))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__"
+            for target in node.targets
+        ):
+            return frozenset(ast.literal_eval(node.value))
+    raise LookupError(f"{_FACADE_SOURCE} assigns no __all__")
 
 
 @register
@@ -150,10 +64,10 @@ class FacadeBypassRule:
             if node.level or node.module is None:  # relative import
                 continue
             module = node.module
-            if module in _ALLOWED_MODULES or not module.startswith("repro."):
+            if module == "repro.api" or not module.startswith("repro."):
                 continue
             for alias in node.names:
-                if alias.name in _FACADE_NAMES:
+                if alias.name in facade_names():
                     yield Violation(
                         path=str(context.path),
                         line=node.lineno,

@@ -31,7 +31,8 @@ from __future__ import annotations
 
 from typing import Iterator, List
 
-from repro.lint.analysis import Access, ClassModel, class_models
+from repro.lint.analysis.concurrency import class_models
+from repro.lint.analysis.model import Access, ClassModel
 from repro.lint.context import FileContext
 from repro.lint.registry import register
 from repro.lint.violation import Violation

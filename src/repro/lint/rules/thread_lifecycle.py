@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from repro.lint.analysis import class_models
+from repro.lint.analysis.concurrency import class_models
 from repro.lint.context import FileContext
 from repro.lint.registry import register
 from repro.lint.violation import Violation

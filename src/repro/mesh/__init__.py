@@ -13,20 +13,3 @@ Layers, bottom-up:
 * ``node``: the per-node runtime gluing everything together and exposing
   the packet in/out hooks the monitoring client attaches to.
 """
-
-from repro.mesh.addressing import BROADCAST, is_valid_address
-from repro.mesh.config import MeshConfig
-from repro.mesh.endtoend import ReliableMessenger
-from repro.mesh.node import DeliveredMessage, MeshNode
-from repro.mesh.packet import Packet, PacketType
-
-__all__ = [
-    "BROADCAST",
-    "is_valid_address",
-    "MeshConfig",
-    "ReliableMessenger",
-    "MeshNode",
-    "DeliveredMessage",
-    "Packet",
-    "PacketType",
-]

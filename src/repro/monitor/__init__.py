@@ -33,51 +33,3 @@ Server side:
 * :class:`~repro.monitor.alerts.AlertEngine` raises operational alerts,
 * :mod:`~repro.monitor.health` scores per-node and network health.
 """
-
-from repro.monitor.alerts import Alert, AlertEngine
-from repro.monitor.client import MonitorClient, MonitorClientConfig
-from repro.monitor.dashboard import Dashboard
-from repro.monitor.ingest import (
-    DEFAULT_NETWORK_ID,
-    BackpressurePolicy,
-    IngestResult,
-    ServerSelfMetrics,
-)
-from repro.monitor.records import Direction, PacketRecord, RecordBatch, StatusRecord
-from repro.monitor.registry import NetworkRegistry, NetworkShard
-from repro.monitor.server import MonitorServer
-from repro.monitor.sqlitestore import SqliteMetricsStore
-from repro.monitor.storage import MetricsStore
-from repro.monitor.uplink import (
-    GatewayBridge,
-    HttpIngestClient,
-    InBandUplink,
-    OutOfBandUplink,
-    ReliableInBandUplink,
-)
-
-__all__ = [
-    "Alert",
-    "AlertEngine",
-    "MonitorClient",
-    "MonitorClientConfig",
-    "Dashboard",
-    "Direction",
-    "PacketRecord",
-    "RecordBatch",
-    "StatusRecord",
-    "BackpressurePolicy",
-    "IngestResult",
-    "MonitorServer",
-    "ServerSelfMetrics",
-    "DEFAULT_NETWORK_ID",
-    "NetworkRegistry",
-    "NetworkShard",
-    "MetricsStore",
-    "SqliteMetricsStore",
-    "GatewayBridge",
-    "HttpIngestClient",
-    "InBandUplink",
-    "OutOfBandUplink",
-    "ReliableInBandUplink",
-]

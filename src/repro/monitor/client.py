@@ -134,7 +134,6 @@ class ClientStats:
     batches_acked: int = 0
     batches_failed: int = 0
     records_shipped: int = 0
-    uplink_bytes: int = 0
 
 
 class MonitorClient:
@@ -340,7 +339,6 @@ class MonitorClient:
                 # Records stay buffered; the next interval retries them
                 # under a new batch_seq with the same record seqs.
 
-        self.stats.uplink_bytes += self.uplink.wire_size(batch)
         self.uplink.send(batch, on_result)
 
 

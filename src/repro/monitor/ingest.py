@@ -68,9 +68,9 @@ class IngestResult:
     retry_after_s: Optional[float] = None
 
 
-@dataclass
+@dataclass(frozen=True)
 class ServerStats:
-    """Server-side counters (historical shape, kept for compatibility)."""
+    """Wire counters snapshot (see :attr:`~repro.monitor.server.MonitorServer.stats`)."""
 
     batches_ok: int = 0
     batches_rejected: int = 0
@@ -87,6 +87,7 @@ class ServerSelfMetrics:
     healthy?" — exposed over ``GET /api/v1/server`` and on the dashboard.
     """
 
+    bytes_received: int = 0
     batches_ingested: int = 0
     packet_records_ingested: int = 0
     status_records_ingested: int = 0
@@ -100,17 +101,11 @@ class ServerSelfMetrics:
     quota_rejections: int = 0
     queue_high_water: int = 0
     # The metrics object is owned by one MonitorServer, which serialises
-    # every mutation (note_flush included) under its ingest lock.
+    # every mutation under its ingest lock.
     store_flushes: int = 0  # guarded-by: MonitorServer._lock
     flush_latency_last_s: float = 0.0  # guarded-by: MonitorServer._lock
     flush_latency_max_s: float = 0.0  # guarded-by: MonitorServer._lock
     flush_latency_total_s: float = 0.0  # guarded-by: MonitorServer._lock
-
-    def note_flush(self, latency_s: float) -> None:
-        self.store_flushes += 1
-        self.flush_latency_last_s = latency_s
-        self.flush_latency_max_s = max(self.flush_latency_max_s, latency_s)
-        self.flush_latency_total_s += latency_s
 
     @property
     def records_ingested(self) -> int:
@@ -118,6 +113,7 @@ class ServerSelfMetrics:
 
     def to_json_dict(self) -> Dict[str, Any]:
         return {
+            "bytes_received": self.bytes_received,
             "batches_ingested": self.batches_ingested,
             "records_ingested": self.records_ingested,
             "packet_records_ingested": self.packet_records_ingested,

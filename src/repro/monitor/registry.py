@@ -199,12 +199,8 @@ class NetworkRegistry:
 
     @staticmethod
     def _close_shard(shard: NetworkShard) -> None:
-        flush = getattr(shard.store, "flush", None)
-        if flush is not None:
-            flush()
-        close = getattr(shard.store, "close", None)
-        if close is not None:
-            close()
+        shard.store.flush()
+        shard.store.close()
 
     def close(self) -> None:
         """Flush and close every shard's store (idempotent)."""

@@ -58,7 +58,6 @@ from __future__ import annotations
 
 import dataclasses
 import threading
-import time
 from collections import deque
 from typing import TYPE_CHECKING, Any, Callable, Deque, Dict, List, Optional, Union
 
@@ -75,7 +74,7 @@ from repro.monitor.ingest import (
 from repro.monitor.records import RecordBatch
 from repro.monitor.registry import NetworkRegistry, NetworkShard, StoreFactory
 from repro.monitor.rollup import bucket_document
-from repro.monitor.storage import MetricsStore
+from repro.monitor.storage import FlushStats, MetricsStore
 from repro.monitor.stream.events import FLEET_TOPIC, network_topic
 from repro.monitor.stream.hub import StreamHub
 
@@ -156,10 +155,9 @@ class MonitorServer:
         if store is not None:
             self.registry.adopt(DEFAULT_NETWORK_ID, store)
         self._clock = clock or (lambda: 0.0)
-        # Reentrant: flush() -> _sync_flush_stats() both take it, and the
-        # admission helpers are callable with the lock already held.
+        # Reentrant: the admission helpers are callable with the lock
+        # already held.
         self._lock = threading.RLock()
-        self.stats = ServerStats()  # guarded-by: _lock
         self.self_metrics = ServerSelfMetrics()  # guarded-by: _lock
         self.queue_capacity = queue_capacity
         self.backpressure = backpressure
@@ -279,41 +277,8 @@ class MonitorServer:
         return shard.queued_batches if shard is not None else 0
 
     def ingest_json(self, raw: bytes, network_id: Optional[str] = None) -> IngestResult:
-        """Ingest an out-of-band JSON batch.
-
-        Args:
-            raw: wire bytes.
-            network_id: when given (the network-scoped HTTP ingest
-                route), the batch must belong to this network: an
-                unstamped batch is stamped with it, a batch stamped with
-                a *different* network is refused.
-        """
-        with self._lock:
-            self.stats.bytes_received += len(raw)
-        try:
-            # Decode outside the lock: parsing is pure CPU work on
-            # thread-local bytes.
-            batch = RecordBatch.from_json_bytes(raw)
-        except DecodeError as exc:
-            with self._lock:
-                self.stats.batches_rejected += 1
-                self.self_metrics.decode_failures += 1
-            return IngestResult(ok=False, error=str(exc))
-        if network_id is not None:
-            if batch.network_id not in (DEFAULT_NETWORK_ID, network_id):
-                with self._lock:
-                    self.stats.batches_rejected += 1
-                    self.self_metrics.decode_failures += 1
-                return IngestResult(
-                    ok=False,
-                    error=(
-                        f"batch is stamped for network {batch.network_id!r} "
-                        f"but was posted to network {network_id!r}"
-                    ),
-                )
-            if batch.network_id != network_id:
-                batch = dataclasses.replace(batch, network_id=network_id)
-        return self.submit(batch)
+        """Ingest an out-of-band JSON batch (see :meth:`_ingest_wire`)."""
+        return self._ingest_wire(raw, RecordBatch.from_json_bytes, network_id)
 
     def ingest_binary(self, raw: bytes, network_id: Optional[str] = None) -> IngestResult:
         """Ingest an in-band binary batch (via the gateway bridge).
@@ -322,18 +287,7 @@ class MonitorServer:
         id; the bridge that decodes it knows which network its gateway
         belongs to and passes ``network_id`` here.
         """
-        with self._lock:
-            self.stats.bytes_received += len(raw)
-        try:
-            batch = RecordBatch.from_binary(raw)
-        except DecodeError as exc:
-            with self._lock:
-                self.stats.batches_rejected += 1
-                self.self_metrics.decode_failures += 1
-            return IngestResult(ok=False, error=str(exc))
-        if network_id is not None and batch.network_id != network_id:
-            batch = dataclasses.replace(batch, network_id=network_id)
-        return self.submit(batch)
+        return self._ingest_wire(raw, RecordBatch.from_binary, network_id)
 
     def ingest_encoded(
         self,
@@ -341,42 +295,45 @@ class MonitorServer:
         codec: Union["Codec", str],
         network_id: Optional[str] = None,
     ) -> IngestResult:
-        """Ingest wire bytes in any registered codec.
-
-        The ``json`` codec delegates to :meth:`ingest_json`, so JSON over
-        HTTP runs the same code as in-process JSON ingest.  Other
-        codecs share its stamping rules: an unstamped batch posted to a
-        network-scoped route is stamped with that network, a batch
-        stamped for a *different* network is refused.
-        """
+        """Ingest wire bytes in any registered codec (see :meth:`_ingest_wire`)."""
         from repro.monitor.codec import resolve_codec
 
-        resolved = resolve_codec(codec)
-        if resolved.name == "json":
-            return self.ingest_json(raw, network_id=network_id)
+        return self._ingest_wire(raw, resolve_codec(codec).decode, network_id)
+
+    def _ingest_wire(
+        self,
+        raw: bytes,
+        decode: Callable[[bytes], RecordBatch],
+        network_id: Optional[str],
+    ) -> IngestResult:
+        """Decode wire bytes and submit the batch.
+
+        Args:
+            raw: wire bytes.
+            decode: the codec's decoder.
+            network_id: when given (a network-scoped HTTP ingest route,
+                or the gateway bridge of one network), the batch must
+                belong to this network: an unstamped batch is stamped
+                with it, a batch stamped with a *different* network is
+                refused.
+        """
         with self._lock:
-            self.stats.bytes_received += len(raw)
+            self.self_metrics.bytes_received += len(raw)
         try:
-            batch = resolved.decode(raw)
-        except DecodeError as exc:
-            with self._lock:
-                self.stats.batches_rejected += 1
-                self.self_metrics.decode_failures += 1
-            return IngestResult(ok=False, error=str(exc))
-        if network_id is not None:
-            if batch.network_id not in (DEFAULT_NETWORK_ID, network_id):
-                with self._lock:
-                    self.stats.batches_rejected += 1
-                    self.self_metrics.decode_failures += 1
-                return IngestResult(
-                    ok=False,
-                    error=(
+            # Decode outside the lock: parsing is pure CPU work on
+            # thread-local bytes.
+            batch = decode(raw)
+            if network_id is not None and batch.network_id != network_id:
+                if batch.network_id != DEFAULT_NETWORK_ID:
+                    raise DecodeError(
                         f"batch is stamped for network {batch.network_id!r} "
                         f"but was posted to network {network_id!r}"
-                    ),
-                )
-            if batch.network_id != network_id:
+                    )
                 batch = dataclasses.replace(batch, network_id=network_id)
+        except DecodeError as exc:
+            with self._lock:
+                self.self_metrics.decode_failures += 1
+            return IngestResult(ok=False, error=str(exc))
         return self.submit(batch)
 
     def ingest(self, batch: RecordBatch) -> IngestResult:
@@ -433,7 +390,6 @@ class MonitorServer:
                     self._uncount_queued(evicted)
                     self.self_metrics.batches_dropped += 1
                 else:
-                    self.stats.batches_rejected += 1
                     self.self_metrics.batches_rejected += 1
                     return IngestResult(
                         ok=False,
@@ -450,7 +406,6 @@ class MonitorServer:
                     self._drop_oldest_of(batch.network_id)
                     self.self_metrics.batches_dropped += 1
                 else:
-                    self.stats.batches_rejected += 1
                     self.self_metrics.batches_rejected += 1
                     self.self_metrics.quota_rejections += 1
                     return IngestResult(
@@ -594,25 +549,12 @@ class MonitorServer:
                     duplicates += 1
             store = shard.store
             if accepted_packets:
-                add_packets = getattr(store, "add_packet_records", None)
-                if add_packets is not None:
-                    add_packets(accepted_packets)
-                else:  # stores predating the batch API
-                    for record in accepted_packets:
-                        store.add_packet_record(record)
+                store.add_packet_records(accepted_packets)
             if accepted_status:
-                add_status = getattr(store, "add_status_records", None)
-                if add_status is not None:
-                    add_status(accepted_status)
-                else:
-                    for record in accepted_status:
-                        store.add_status_record(record)
+                store.add_status_records(accepted_status)
             now = self._clock()
             store.note_batch(batch.node, now, batch.dropped_records)
             accepted = len(accepted_packets) + len(accepted_status)
-            self.stats.batches_ok += 1
-            self.stats.records_accepted += accepted
-            self.stats.duplicates += duplicates
             self.self_metrics.batches_ingested += 1
             self.self_metrics.packet_records_ingested += len(accepted_packets)
             self.self_metrics.status_records_ingested += len(accepted_status)
@@ -677,21 +619,31 @@ class MonitorServer:
             )
         # The store flush can hit sqlite; keep it outside the critical
         # section (RL101) — stores serialise their own writes.
-        self._flush_store(store)
+        store.maybe_flush()
+        if store.flush_stats is not None:
+            self._sync_flush_stats()
         return result
 
-    def _flush_store(self, store: MetricsStore) -> None:
-        """Let a durable store decide whether a flush is due."""
-        maybe_flush = getattr(store, "maybe_flush", None)
-        if maybe_flush is not None:
-            maybe_flush()
-            self._sync_flush_stats()
-            return
-        # Stores without batching semantics but with commit() (historical
-        # third-party drop-ins): flush once per batch as before.
-        commit = getattr(store, "commit", None)
-        if commit is not None:
-            commit()
+    def _flush_totals(self) -> Optional[FlushStats]:
+        """The resident stores' flush counters combined.
+
+        None when no store keeps them (in-memory stores).  Counts and
+        total latency sum, the worst latency is the maximum, and the
+        last latency is the last shard's.
+        """
+        totals: Optional[FlushStats] = None
+        for shard in self.registry:
+            stats = shard.store.flush_stats
+            if stats is None:
+                continue
+            if totals is None:
+                totals = FlushStats()
+            totals.flushes += stats.flushes
+            totals.records_flushed += stats.records_flushed
+            totals.last_latency_s = stats.last_latency_s
+            totals.max_latency_s = max(totals.max_latency_s, stats.max_latency_s)
+            totals.total_latency_s += stats.total_latency_s
+        return totals
 
     def _sync_flush_stats(self) -> None:
         """Mirror the stores' flush counters into the self-metrics.
@@ -699,44 +651,22 @@ class MonitorServer:
         The stores are the source of truth: their size/age thresholds
         can fire inside ``add_*_records`` calls, not only when the
         server asks, so the self-metrics aggregate rather than
-        re-measure.  With several durable shards the counters sum and
-        the latencies take the worst case.
+        re-measure.
         """
-        flushes = 0
-        last = 0.0
-        worst = 0.0
-        total = 0.0
-        seen = False
-        for shard in self.registry:
-            stats = getattr(shard.store, "flush_stats", None)
-            if stats is None:
-                continue
-            seen = True
-            flushes += stats.flushes
-            last = stats.last_latency_s
-            worst = max(worst, stats.max_latency_s)
-            total += stats.total_latency_s
-        if not seen:
+        totals = self._flush_totals()
+        if totals is None:
             return
         with self._lock:
-            self.self_metrics.store_flushes = flushes
-            self.self_metrics.flush_latency_last_s = last
-            self.self_metrics.flush_latency_max_s = worst
-            self.self_metrics.flush_latency_total_s = total
+            self.self_metrics.store_flushes = totals.flushes
+            self.self_metrics.flush_latency_last_s = totals.last_latency_s
+            self.self_metrics.flush_latency_max_s = totals.max_latency_s
+            self.self_metrics.flush_latency_total_s = totals.total_latency_s
 
     def flush(self) -> None:
         """Force any buffered store writes out (shutdown, test barriers)."""
         for shard in self.registry:
-            flush = getattr(shard.store, "flush", None)
-            if flush is None:
-                continue
-            started = time.perf_counter()
-            flushed = flush()
-            if getattr(shard.store, "flush_stats", None) is not None:
-                self._sync_flush_stats()
-            elif flushed:
-                with self._lock:
-                    self.self_metrics.note_flush(time.perf_counter() - started)
+            shard.store.flush()
+        self._sync_flush_stats()
 
     def close(self) -> None:
         """Orderly shutdown: drain queued batches, flush, close every shard.
@@ -767,6 +697,19 @@ class MonitorServer:
 
     # -- documents -----------------------------------------------------------
 
+    @property
+    def stats(self) -> ServerStats:
+        """Snapshot of the wire counters, derived from :attr:`self_metrics`."""
+        with self._lock:
+            metrics = self.self_metrics
+            return ServerStats(
+                batches_ok=metrics.batches_ingested,
+                batches_rejected=metrics.batches_rejected + metrics.decode_failures,
+                records_accepted=metrics.records_ingested,
+                duplicates=metrics.dedup_hits,
+                bytes_received=metrics.bytes_received,
+            )
+
     def self_metrics_document(self) -> Dict[str, Any]:
         """The ``GET /api/v1/server`` body: self-metrics + queue + wire stats."""
         with self._lock:
@@ -785,7 +728,6 @@ class MonitorServer:
                     "queue_capacity": self.queue_capacity,
                     "backpressure": self.backpressure.value,
                     "autodrain": self.autodrain,
-                    "bytes_received": self.stats.bytes_received,
                     "networks": len(self.registry),
                     "network_queue_quota": self.network_queue_quota,
                     "network_evictions": self.registry.evictions,
@@ -807,13 +749,13 @@ class MonitorServer:
         # stream document outside the server lock keeps the sanctioned
         # server -> hub order one-directional.
         document["stream"] = self.stream.stats_document()
-        store_stats = getattr(self.store, "flush_stats", None)
-        if store_stats is not None:
+        totals = self._flush_totals()
+        if totals is not None:
             document["store"] = {
-                "flushes": store_stats.flushes,
-                "records_flushed": store_stats.records_flushed,
-                "flush_latency_last_ms": store_stats.last_latency_s * 1000.0,
-                "flush_latency_max_ms": store_stats.max_latency_s * 1000.0,
+                "flushes": totals.flushes,
+                "records_flushed": totals.records_flushed,
+                "flush_latency_last_ms": totals.last_latency_s * 1000.0,
+                "flush_latency_max_ms": totals.max_latency_s * 1000.0,
             }
         return document
 

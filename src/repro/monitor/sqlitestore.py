@@ -23,7 +23,7 @@ stores run in WAL mode with ``synchronous=NORMAL`` so a flush is one
 cheap WAL append instead of two fsyncs.  ``flush()`` forces the buffer
 out; ``close()`` flushes and then closes the connection.  Pass
 ``batch_writes=False`` to get the historical row-at-a-time behaviour
-(one ``execute`` per record, commit on :meth:`commit`) — kept as the
+(one ``execute`` per record, committed by :meth:`flush`) — kept as the
 benchmark baseline.
 """
 
@@ -33,7 +33,6 @@ import json
 import os
 import sqlite3
 import time
-from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.errors import StorageError
@@ -43,6 +42,7 @@ from repro.monitor.records import (
     PacketRecord,
     StatusRecord,
 )
+from repro.monitor.storage import FlushStats
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS packet_records (
@@ -102,24 +102,6 @@ _PACKET_INSERT = (
 _STATUS_INSERT = (
     "INSERT OR REPLACE INTO status_records VALUES (?,?,?,?,?,?,?,?,?,?,?,?,?,?,?,?,?)"
 )
-
-
-@dataclass
-class FlushStats:
-    """Counters for the buffered write path ("monitor the monitor")."""
-
-    flushes: int = 0
-    records_flushed: int = 0
-    last_latency_s: float = 0.0
-    max_latency_s: float = 0.0
-    total_latency_s: float = 0.0
-
-    def note(self, records: int, latency_s: float) -> None:
-        self.flushes += 1
-        self.records_flushed += records
-        self.last_latency_s = latency_s
-        self.max_latency_s = max(self.max_latency_s, latency_s)
-        self.total_latency_s += latency_s
 
 
 def _packet_row(record: PacketRecord) -> Tuple:
@@ -333,10 +315,6 @@ class SqliteMetricsStore:
         self._oldest_pending_at = None
         self.flush_stats.note(pending, time.perf_counter() - started)
         return True
-
-    def commit(self) -> None:
-        """Flush buffered writes and commit (back-compat alias)."""
-        self.flush()
 
     def journal_mode(self) -> str:
         """The active SQLite journal mode (``wal`` for tuned file stores)."""

@@ -12,23 +12,47 @@ dashboard needs (observer, direction, packet type, time window, src/dst).
 
 The write API mirrors :class:`~repro.monitor.sqlitestore.SqliteMetricsStore`
 — single-record adds, batch adds (``add_packet_records`` /
-``add_status_records``) and ``flush()``/``close()`` — so the two backends
-stay drop-in interchangeable for the server's batched ingestion path.
-For the in-memory store the batch adds are plain loops and flush/close
-are no-ops (writes are immediately visible and nothing needs closing).
+``add_status_records``), ``maybe_flush()``/``flush()``/``close()`` and
+``flush_stats`` — so the two backends stay drop-in interchangeable for
+the server's batched ingestion path.  For the in-memory store the batch
+adds are plain loops, the flushes and close are no-ops (writes are
+immediately visible and nothing needs closing) and ``flush_stats`` is
+None.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from dataclasses import dataclass
 from typing import Deque, Dict, Iterable, Iterator, List, Optional
 
 from repro.errors import StorageError
 from repro.monitor.records import Direction, PacketRecord, StatusRecord
 
 
+@dataclass
+class FlushStats:
+    """Counters for the buffered write path ("monitor the monitor")."""
+
+    flushes: int = 0
+    records_flushed: int = 0
+    last_latency_s: float = 0.0
+    max_latency_s: float = 0.0
+    total_latency_s: float = 0.0
+
+    def note(self, records: int, latency_s: float) -> None:
+        self.flushes += 1
+        self.records_flushed += records
+        self.last_latency_s = latency_s
+        self.max_latency_s = max(self.max_latency_s, latency_s)
+        self.total_latency_s += latency_s
+
+
 class MetricsStore:
     """In-memory time-series store for telemetry records."""
+
+    #: Writes are never buffered, so there are no flushes to count.
+    flush_stats: Optional[FlushStats] = None
 
     def __init__(self, max_packet_records_per_node: int = 200_000, max_status_records_per_node: int = 20_000) -> None:
         if max_packet_records_per_node < 1 or max_status_records_per_node < 1:
@@ -71,6 +95,10 @@ class MetricsStore:
 
     def flush(self) -> bool:
         """No-op (in-memory writes are immediately visible); returns False."""
+        return False
+
+    def maybe_flush(self) -> bool:
+        """No-op, for API parity with the SQLite store; returns False."""
         return False
 
     def close(self) -> None:

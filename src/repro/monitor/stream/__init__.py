@@ -17,24 +17,3 @@ subscribe and pump frames; browsers consume them with ``EventSource``
 and :class:`repro.monitor.client.SseStreamClient` consumes them from
 scripts.  See docs/STREAMING.md for the contract.
 """
-
-from repro.monitor.stream.events import (
-    FLEET_TOPIC,
-    STREAM_SCHEMA,
-    StreamEvent,
-    decode_event,
-    encode_event,
-    network_topic,
-)
-from repro.monitor.stream.hub import StreamHub, StreamSubscription
-
-__all__ = [
-    "STREAM_SCHEMA",
-    "FLEET_TOPIC",
-    "network_topic",
-    "StreamEvent",
-    "encode_event",
-    "decode_event",
-    "StreamHub",
-    "StreamSubscription",
-]

@@ -4,30 +4,15 @@ A *codec* (:mod:`repro.monitor.codec`) decides how a record batch is
 encoded; a *transport* decides how encoded batches reach the server.
 Two transports ship:
 
-* :class:`HttpIngestTransport` — the paper's path: the threaded HTTP
+* :class:`~repro.monitor.transport.http.HttpIngestTransport` — the paper's path: the threaded HTTP
   server with per-request codec negotiation via ``Content-Type``.
-* :class:`UdpIngestTransport` — stateless, loss-tolerant telemetry
+* :class:`~repro.monitor.transport.udp.UdpIngestTransport` — stateless, loss-tolerant telemetry
   datagrams with per-(network, node) sequence-gap accounting, so the
   record loss UDP permits is *measured*, not ignored.
 
-Each transport implements :class:`IngestTransport` and can be attached
+Each transport implements
+:class:`~repro.monitor.transport.base.IngestTransport` and can be attached
 to a :class:`~repro.monitor.server.MonitorServer` via
 ``attach_transport``, which surfaces its counters under the
 ``transports`` key of ``GET /api/v1/server``.
 """
-
-from repro.monitor.transport.base import (
-    IngestTransport,
-    SequenceGapTracker,
-    TelemetryGapAccountant,
-)
-from repro.monitor.transport.http import HttpIngestTransport
-from repro.monitor.transport.udp import UdpIngestTransport
-
-__all__ = [
-    "HttpIngestTransport",
-    "IngestTransport",
-    "SequenceGapTracker",
-    "TelemetryGapAccountant",
-    "UdpIngestTransport",
-]

@@ -14,30 +14,3 @@ Implements the standard simulation components used by LoRaSim-style studies:
 * EU868 regional constraints: channel plan and per-band duty cycle
   (``regional``).
 """
-
-from repro.phy.airtime import symbol_time, time_on_air
-from repro.phy.channel import Channel, Transmission
-from repro.phy.collision import CollisionModel
-from repro.phy.link import LinkModel, PathLossParams, SENSITIVITY_DBM, SNR_FLOOR_DB
-from repro.phy.params import LoRaParams
-from repro.phy.radio import EnergyModel, Radio, RadioState
-from repro.phy.regional import DutyCycleTracker, EU868Band, EU868_CHANNELS
-
-__all__ = [
-    "symbol_time",
-    "time_on_air",
-    "Channel",
-    "Transmission",
-    "CollisionModel",
-    "LinkModel",
-    "PathLossParams",
-    "SENSITIVITY_DBM",
-    "SNR_FLOOR_DB",
-    "LoRaParams",
-    "EnergyModel",
-    "Radio",
-    "RadioState",
-    "DutyCycleTracker",
-    "EU868Band",
-    "EU868_CHANNELS",
-]

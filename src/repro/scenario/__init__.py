@@ -1,26 +1,1 @@
 """Declarative scenarios: build, run and measure a full deployment."""
-
-from repro.scenario.config import MobilitySpec, MonitorMode, ScenarioConfig, WorkloadSpec
-from repro.scenario.faults import (
-    BatteryDepletion,
-    FaultSchedule,
-    LinkDegradation,
-    NodeCrash,
-)
-from repro.scenario.results import GroundTruth, ScenarioResult
-from repro.scenario.runner import Scenario, run_scenario
-
-__all__ = [
-    "MobilitySpec",
-    "MonitorMode",
-    "ScenarioConfig",
-    "WorkloadSpec",
-    "BatteryDepletion",
-    "FaultSchedule",
-    "LinkDegradation",
-    "NodeCrash",
-    "GroundTruth",
-    "ScenarioResult",
-    "Scenario",
-    "run_scenario",
-]

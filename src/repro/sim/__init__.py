@@ -5,22 +5,3 @@ sequence), periodic and one-shot timers, and named seeded RNG streams so every
 stochastic subsystem (channel fading, MAC backoff, traffic, uplink loss) draws
 from an independent, reproducible stream.
 """
-
-from repro.sim.engine import Event, Simulator
-from repro.sim.mobility import ConstantVelocityMobility, RandomWaypointMobility
-from repro.sim.rng import RngRegistry
-from repro.sim.topology import Placement, Topology, distance_matrix
-from repro.sim.trace import TraceEvent, TraceLog
-
-__all__ = [
-    "Event",
-    "Simulator",
-    "ConstantVelocityMobility",
-    "RandomWaypointMobility",
-    "RngRegistry",
-    "Placement",
-    "Topology",
-    "distance_matrix",
-    "TraceEvent",
-    "TraceLog",
-]

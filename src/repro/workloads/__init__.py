@@ -1,21 +1,1 @@
 """Application traffic generators."""
-
-from repro.workloads.generators import (
-    BurstyWorkload,
-    EventWorkload,
-    PeriodicWorkload,
-    PoissonWorkload,
-    Workload,
-    convergecast,
-    random_pairs,
-)
-
-__all__ = [
-    "BurstyWorkload",
-    "EventWorkload",
-    "PeriodicWorkload",
-    "PoissonWorkload",
-    "Workload",
-    "convergecast",
-    "random_pairs",
-]

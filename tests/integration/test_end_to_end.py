@@ -10,6 +10,7 @@ import math
 import pytest
 
 from repro.analysis.compare import pdr_estimation_error, topology_accuracy
+from repro.api import JsonCodec
 from repro.monitor import metrics
 from repro.monitor.dashboard import Dashboard
 from repro.scenario.config import MonitorMode, ScenarioConfig, WorkloadSpec
@@ -76,6 +77,27 @@ class TestTelemetryPipeline:
         for address in result.nodes:
             count = result.store.status_record_count(node=address)
             assert expected * 0.7 <= count <= expected * 1.3
+
+
+class TestUplinkCost:
+    def test_each_submitted_batch_is_encoded_once(self, monkeypatch):
+        # The uplink counts the bytes it sends; nothing else may encode
+        # a batch just to measure it.
+        encoded = []
+        encode = JsonCodec.encode
+
+        def counting_encode(codec, batch):
+            encoded.append(batch)
+            return encode(codec, batch)
+
+        monkeypatch.setattr(JsonCodec, "encode", counting_encode)
+        config = BASE.with_overrides(n_nodes=4, warmup_s=300.0, duration_s=300.0)
+        with run_scenario(config) as short:
+            submitted = sum(
+                uplink.stats.batches_submitted for uplink in short.uplinks.values()
+            )
+        assert submitted > 0
+        assert len(encoded) == submitted
 
 
 class TestDashboardFidelity:

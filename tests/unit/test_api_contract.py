@@ -6,12 +6,14 @@ Four contracts are pinned here:
    the dispatcher runs on.
 2. **Tenant isolation** — records never leak between networks, even for
    identical node addresses and sequence numbers.
-3. **Facade** — every name in ``repro.api.__all__`` is importable, and
-   importing the facade itself emits no deprecation warnings.
+3. **Facade** — every name in ``repro.api.__all__`` is importable,
+   importing the facade itself emits no deprecation warnings, and it is
+   the only re-exporting module: no package ``__init__`` imports names.
 4. **Docs** — ``docs/API.md`` matches the route table it is generated
    from.
 """
 
+import ast
 import json
 import urllib.request
 import warnings
@@ -125,12 +127,19 @@ class TestFacade:
             warnings.simplefilter("error", DeprecationWarning)
             importlib.reload(repro.api)
 
-    def test_facade_covers_top_level_exports(self):
-        import repro
-        import repro.api
-
-        missing = set(repro.__all__) - set(repro.api.__all__) - {"ReproError"}
-        assert not missing, f"top-level exports absent from facade: {missing}"
+    def test_packages_import_nothing(self):
+        # lint/rules imports its modules to register the rules.
+        registering = REPO_ROOT / "src" / "repro" / "lint" / "rules" / "__init__.py"
+        importing = [
+            str(path.relative_to(REPO_ROOT))
+            for path in sorted((REPO_ROOT / "src" / "repro").rglob("__init__.py"))
+            if path != registering
+            and any(
+                isinstance(node, (ast.Import, ast.ImportFrom))
+                for node in ast.parse(path.read_text()).body
+            )
+        ]
+        assert importing == []
 
 
 class TestDocs:

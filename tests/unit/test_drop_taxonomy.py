@@ -9,9 +9,9 @@ why``.  The synthetic-event unit tests for the inference rules live in
 
 import pytest
 
+from repro.api import FlightRecorder
 from repro.mesh.config import MeshConfig
 from repro.mesh.mac import CsmaMac
-from repro.obs import FlightRecorder
 from repro.obs.recorder import (
     VERDICT_COLLISION,
     VERDICT_DUTY_CYCLE,

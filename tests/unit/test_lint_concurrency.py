@@ -10,8 +10,8 @@ behaves exactly as on the real tree.  Rules are isolated with
 import textwrap
 from pathlib import Path
 
-from repro.lint import lint_file
 from repro.lint.cli import EXIT_CLEAN, EXIT_USAGE, main
+from repro.lint.engine import lint_file, run_lint
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -569,8 +569,6 @@ class TestExplainCli:
 
 class TestShippedTreeConcurrency:
     def test_monitor_tier_clean_under_rl1xx(self):
-        from repro.lint import run_lint
-
         report = run_lint(
             [REPO_ROOT / "src" / "repro" / "monitor"],
             select=["RL100", "RL101", "RL102", "RL103"],

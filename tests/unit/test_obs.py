@@ -11,18 +11,20 @@ import json
 
 import pytest
 
-from repro.obs import (
-    ALL_VERDICTS,
-    CaptureFormatError,
+from repro.api import (
     FlightRecorder,
     SpanProfiler,
     export_trace,
     read_trace,
     replay_into_recorder,
+)
+from repro.obs.ndjson import (
+    CaptureFormatError,
     validate_spans_file,
     validate_trace_file,
 )
 from repro.obs.recorder import (
+    ALL_VERDICTS,
     VERDICT_COLLISION,
     VERDICT_DELIVERED,
     VERDICT_IN_FLIGHT,

@@ -2,7 +2,7 @@
 
 import pytest
 
-import repro
+from repro import api
 from repro.errors import (
     ConfigurationError,
     DecodeError,
@@ -78,5 +78,5 @@ class TestErrorHierarchy:
 
     def test_public_api_exports(self):
         for name in ("ScenarioConfig", "run_scenario", "Dashboard", "MeshNode", "LoRaParams"):
-            assert hasattr(repro, name)
-        assert repro.__version__
+            assert hasattr(api, name)
+        assert api.__version__

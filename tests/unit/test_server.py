@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.api import Dashboard, sqlite_store_factory
 from repro.monitor.ingest import SeqWindow
 from repro.monitor.records import Direction, PacketRecord, RecordBatch, StatusRecord
 from repro.monitor.server import MonitorServer
@@ -261,6 +262,27 @@ class TestSelfMetrics:
         assert store.pending_records == 0
         assert server.self_metrics.store_flushes == 1
         store.close()
+
+    def test_reading_metrics_creates_no_default_network(self, tmp_path):
+        # Reading the self-metrics, directly or through the dashboard's
+        # server panel, must not create the implicit ``default`` network
+        # (nor, with durable stores, its SQLite file).
+        server = MonitorServer(store_factory=sqlite_store_factory(str(tmp_path)))
+        server.ingest(RecordBatch(
+            node=1, batch_seq=0, sent_at=1.0,
+            packet_records=(packet_record(seq=0),), network_id="site-a",
+        ))
+        document = server.self_metrics_document()
+        assert server.networks() == ["site-a"]
+        assert document["networks"] == 1
+        assert document["store"]["flushes"] == 0
+        dashboard = Dashboard(
+            server.store_for("site-a"), monitor_server=server, network_id="site-a"
+        )
+        dashboard.to_json_dict(10.0)
+        assert server.networks() == ["site-a"]
+        server.close()
+        assert not (tmp_path / "default.sqlite").exists()
 
 
 class TestAlertSweep:

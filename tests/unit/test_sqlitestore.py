@@ -107,7 +107,7 @@ class TestPersistence:
         store = SqliteMetricsStore(path)
         store.add_packet_record(packet_record())
         store.add_status_record(status_record())
-        store.commit()
+        store.flush()
         store.close()
 
         reopened = SqliteMetricsStore(path)

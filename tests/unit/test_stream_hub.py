@@ -6,7 +6,7 @@ import pytest
 
 from repro.api import StreamHub
 from repro.errors import ConfigurationError
-from repro.monitor.stream import FLEET_TOPIC, network_topic
+from repro.monitor.stream.events import FLEET_TOPIC, network_topic
 
 
 def drain(subscription):
