@@ -18,7 +18,7 @@ claims in ``BENCH_stream.json`` at the repo root:
    subscribers with a tiny constant.
 3. **End-to-end push latency.**  A live threaded HTTP server, a real
    ``SseStreamClient`` over a socket: median wall time from
-   ``server.ingest(batch)`` to the client holding the round's last
+   ``server.submit(batch)`` to the client holding the round's last
    event.  Asserted interactive (< 1 s — typically single-digit ms).
 """
 
@@ -83,7 +83,7 @@ def populated_server(n_networks):
         batch = small_batch(
             node=1, batch_seq=0, network_id=f"site-{index:03d}", ts=10.0
         )
-        assert server.ingest(batch).ok
+        assert server.submit(batch).ok
     return server
 
 
@@ -100,7 +100,7 @@ def measure_overview():
                 node=1, batch_seq=round_index + 1, network_id="site-000",
                 ts=20.0 + round_index,
             )
-            assert server.ingest(invalidator).ok
+            assert server.submit(invalidator).ok
             start = time.perf_counter()
             fleet_overview(server, now=now)
             rebuild_s.append(time.perf_counter() - start)
@@ -171,7 +171,7 @@ def measure_e2e():
                 ts=10.0 + round_index * 400.0,
             )
             start = time.perf_counter()
-            assert server.ingest(batch).ok
+            assert server.submit(batch).ok
             deadline = start + 5.0
             while len(arrivals) < expected:
                 assert time.perf_counter() < deadline, "push never arrived"

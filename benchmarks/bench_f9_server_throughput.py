@@ -72,7 +72,7 @@ def build_loaded_server():
         for index in range(N_BATCHES)
     ]
     for batch in raw_batches:
-        server.ingest(batch)
+        server.submit(batch)
     return server
 
 

@@ -65,7 +65,6 @@ from repro.monitor.fleet import fleet_overview, network_tile
 from repro.monitor.httpapi import MonitoringHttpServer
 from repro.monitor.ingest import (
     DEFAULT_NETWORK_ID,
-    BackpressurePolicy,
     IngestResult,
     ServerSelfMetrics,
 )
@@ -201,7 +200,6 @@ __all__ = [
     "TelemetryGapAccountant",
     # monitoring: server and multi-tenancy
     "MonitorServer",
-    "BackpressurePolicy",
     "IngestResult",
     "ServerSelfMetrics",
     "DEFAULT_NETWORK_ID",

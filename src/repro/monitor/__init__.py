@@ -16,9 +16,8 @@ Server side:
   stores batches in a :class:`~repro.monitor.storage.MetricsStore` (or the
   SQLite-backed :class:`~repro.monitor.sqlitestore.SqliteMetricsStore`,
   whose buffered ``executemany`` write path is the high-throughput
-  ingestion knob) through a bounded ingest queue with a configurable
-  :class:`~repro.monitor.ingest.BackpressurePolicy`; the pipeline's own
-  :class:`~repro.monitor.ingest.ServerSelfMetrics` are served at
+  ingestion knob), processing each batch in the caller's thread; the
+  pipeline's own :class:`~repro.monitor.ingest.ServerSelfMetrics` are served at
   ``GET /api/v1/server`` ("monitor the monitor"),
 * the server is **multi-tenant**: each batch carries a ``network_id``
   (implicitly ``default``) and lands in its network's shard — own store,

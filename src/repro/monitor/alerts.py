@@ -14,7 +14,7 @@ node 7 on campus B.
 from __future__ import annotations
 
 import math
-from abc import ABC, abstractmethod
+from abc import ABC
 from collections import deque
 from dataclasses import dataclass
 from typing import Deque, Dict, Iterable, List, Optional, Tuple
@@ -60,6 +60,18 @@ class NodeDelta:
     duty_utilisation: Optional[float] = None
     queue_depth: Optional[int] = None
 
+    @classmethod
+    def from_store(cls, store: MetricsStore, node: int) -> "NodeDelta":
+        """The same snapshot read back from ``store`` (the sweep's view)."""
+        status = store.latest_status(node)
+        return cls(
+            node=node,
+            last_seen=store.last_seen(node),
+            battery_v=status.battery_v if status else None,
+            duty_utilisation=status.duty_utilisation if status else None,
+            queue_depth=status.queue_depth if status else None,
+        )
+
 
 class AlertRule(ABC):
     """A condition evaluated against the store."""
@@ -68,15 +80,27 @@ class AlertRule(ABC):
     name: str = "rule"
     severity: str = "warning"
 
-    @abstractmethod
     def conditions(self, store: MetricsStore, now: float) -> List[Tuple[Optional[int], str]]:
-        """Return (node, message) for every currently firing condition."""
+        """Return (node, message) for every currently firing condition.
+
+        Per-node rules are defined once, by :meth:`node_conditions`; the
+        sweep judges every node of ``store`` from its
+        :meth:`NodeDelta.from_store` snapshot.  Cross-node rules
+        override this.
+        """
+        firing: List[Tuple[Optional[int], str]] = []
+        for node in store.nodes():
+            messages = self.node_conditions(NodeDelta.from_store(store, node), now)
+            if messages:
+                firing.extend((node, message) for message in messages)
+        return firing
 
     def node_conditions(self, delta: "NodeDelta", now: float) -> Optional[List[str]]:
         """Firing messages for one node's delta, or None if not judgeable.
 
-        The O(delta) path: when a batch arrives the engine re-evaluates
-        only the rules that can judge one node from the in-memory
+        The O(delta) path, and the one definition of a per-node rule
+        (:meth:`conditions` reuses it): when a batch arrives the engine
+        re-evaluates only the rules that can judge one node from the in-memory
         :class:`NodeDelta` snapshot the ingest pipeline hands over — no
         store reads at all, so the path never blocks on a durable store.
         Return None when this rule cannot judge from the delta (the
@@ -97,17 +121,6 @@ class SilentNodeRule(AlertRule):
 
     def __init__(self, max_silence_s: float) -> None:
         self.max_silence_s = max_silence_s
-
-    def conditions(self, store: MetricsStore, now: float) -> List[Tuple[Optional[int], str]]:
-        firing = []
-        for node in store.nodes():
-            last = store.last_seen(node)
-            if last is None:
-                continue
-            silence = now - last
-            if silence > self.max_silence_s:
-                firing.append((node, f"no telemetry for {silence:.0f}s"))
-        return firing
 
     def node_conditions(self, delta: "NodeDelta", now: float) -> Optional[List[str]]:
         # A delta can only *clear* silence (the node just reported);
@@ -154,16 +167,6 @@ class DutyCycleRule(AlertRule):
     def __init__(self, threshold: float = 0.8) -> None:
         self.threshold = threshold
 
-    def conditions(self, store: MetricsStore, now: float) -> List[Tuple[Optional[int], str]]:
-        firing = []
-        for node in store.nodes():
-            status = store.latest_status(node)
-            if status is not None and status.duty_utilisation >= self.threshold:
-                firing.append(
-                    (node, f"duty-cycle utilisation {status.duty_utilisation:.0%} of budget")
-                )
-        return firing
-
     def node_conditions(self, delta: "NodeDelta", now: float) -> Optional[List[str]]:
         if delta.duty_utilisation is None:
             return None  # no status seen yet; cannot judge
@@ -181,14 +184,6 @@ class BatteryLowRule(AlertRule):
     def __init__(self, threshold_v: float = 3.4) -> None:
         self.threshold_v = threshold_v
 
-    def conditions(self, store: MetricsStore, now: float) -> List[Tuple[Optional[int], str]]:
-        firing = []
-        for node in store.nodes():
-            status = store.latest_status(node)
-            if status is not None and status.battery_v < self.threshold_v:
-                firing.append((node, f"battery at {status.battery_v:.2f} V"))
-        return firing
-
     def node_conditions(self, delta: "NodeDelta", now: float) -> Optional[List[str]]:
         if delta.battery_v is None:
             return None  # no status seen yet; cannot judge
@@ -205,14 +200,6 @@ class QueueBacklogRule(AlertRule):
 
     def __init__(self, threshold: int = 10) -> None:
         self.threshold = threshold
-
-    def conditions(self, store: MetricsStore, now: float) -> List[Tuple[Optional[int], str]]:
-        firing = []
-        for node in store.nodes():
-            status = store.latest_status(node)
-            if status is not None and status.queue_depth >= self.threshold:
-                firing.append((node, f"MAC queue depth {status.queue_depth}"))
-        return firing
 
     def node_conditions(self, delta: "NodeDelta", now: float) -> Optional[List[str]]:
         if delta.queue_depth is None:

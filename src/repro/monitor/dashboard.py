@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
 from repro.monitor import health as health_mod
 from repro.monitor import metrics
-from repro.monitor.alerts import AlertEngine
+from repro.monitor.alerts import AlertEngine, default_rules
 from repro.monitor.storage import MetricsStore
 
 if TYPE_CHECKING:  # the observability layer is optional for the dashboard
@@ -72,7 +72,11 @@ class Dashboard:
                 output byte-identical.
         """
         self.store = store
-        self.alerts = alert_engine if alert_engine is not None else AlertEngine(store)
+        self.alerts = (
+            alert_engine
+            if alert_engine is not None
+            else AlertEngine(store, default_rules(report_interval_s))
+        )
         self.report_interval_s = report_interval_s
         self.monitor_server = monitor_server
         self.flight_recorder = flight_recorder
@@ -238,17 +242,12 @@ class Dashboard:
             sections.append("\n[server]  (self-metrics)")
             sections.append(
                 _format_table(
-                    ["batches", "records", "dedup", "decode-err", "rejected", "dropped",
-                     "queue", "q-hiwater", "flushes", "flush-max"],
+                    ["batches", "records", "dedup", "decode-err", "flushes", "flush-max"],
                     [[
                         str(server_doc["batches_ingested"]),
                         str(server_doc["records_ingested"]),
                         str(server_doc["dedup_hits"]),
                         str(server_doc["decode_failures"]),
-                        str(server_doc["batches_rejected"]),
-                        str(server_doc["batches_dropped"]),
-                        str(server_doc["queue_depth"]),
-                        str(server_doc["queue_high_water"]),
                         str(server_doc["store_flushes"]),
                         _fmt(server_doc["flush_latency_max_ms"], "ms", 2),
                     ]],

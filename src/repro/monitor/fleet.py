@@ -292,7 +292,6 @@ def materialized_tile(
         "batches_ingested": shard.batches_ingested,
         "records_ingested": shard.records_ingested,
         "dedup_hits": shard.dedup_hits,
-        "queued_batches": shard.queued_batches,
         "last_batch_at": shard.last_batch_at,
     }
 

@@ -21,9 +21,7 @@ versioned, network-scoped ``/api/v1/...`` API:
 ``GET  /api/v1/networks/<id>/dot``          Graphviz topology
 ``POST /api/v1/networks/<id>/ingest``       Ingest one record batch
                                             (JSON or binary, by
-                                            ``Content-Type``; 503 +
-                                            ``Retry-After`` under
-                                            backpressure)
+                                            ``Content-Type``)
 ==========================================  =================================
 
 plus the HTML pages ``/`` (default network), ``/fleet``,
@@ -144,12 +142,12 @@ class MonitoringHttpServer:
     def _sweep_loop(self) -> None:
         """Tick the server's alert sweep until :meth:`stop`.
 
-        The tick period is the server's sweep interval; the server
-        itself paces actual sweeps on *its* clock inside
+        The tick period is the server's ``report_interval_s``; the
+        server itself paces actual sweeps on *its* clock inside
         ``maybe_sweep_alerts``, so a frozen-clock server (tests, the
         serve CLI's post-run snapshot) just no-ops each tick.
         """
-        interval_s = self.monitor_server.alert_sweep_interval_s
+        interval_s = self.monitor_server.report_interval_s
         while not self._sweep_stop.wait(interval_s):
             self.monitor_server.maybe_sweep_alerts()
 
@@ -406,7 +404,9 @@ class MonitoringHttpServer:
                 dashboard = self._network_dashboard(network)
                 if dashboard is None:
                     return
-                scores = health_mod.network_health(dashboard.store, api._clock())
+                scores = health_mod.network_health(
+                    dashboard.store, api._clock(), dashboard.report_interval_s
+                )
                 self._send_json(
                     {
                         str(node): {
@@ -423,6 +423,7 @@ class MonitoringHttpServer:
             def _h_network_history(self, network: str) -> None:
                 from repro.errors import StorageError
                 from repro.monitor.rollup import (
+                    bucket_document,
                     rollup_packet_rate,
                     rollup_status_field,
                 )
@@ -464,16 +465,7 @@ class MonitoringHttpServer:
                     self._send_json({"error": str(exc)}, code=400)
                     return
                 self._send_json(
-                    [
-                        {
-                            "start": bucket.start,
-                            "count": bucket.count,
-                            "mean": bucket.mean,
-                            "min": bucket.minimum,
-                            "max": bucket.maximum,
-                        }
-                        for bucket in series.buckets()
-                    ]
+                    [bucket_document(bucket, interval) for bucket in series.buckets()]
                 )
 
             def _h_network_dot(self, network: str) -> None:
@@ -492,27 +484,11 @@ class MonitoringHttpServer:
                     self._send_json(
                         {
                             "ok": True,
-                            "queued": result.queued,
                             "accepted_packets": result.accepted_packets,
                             "accepted_status": result.accepted_status,
                             "duplicates": result.duplicates,
                         }
                     )
-                elif result.retry_after_s is not None:
-                    # Backpressure: tell the client when to retry.
-                    body = json.dumps(
-                        {"ok": False, "error": result.error,
-                         "retry_after_s": result.retry_after_s}
-                    ).encode("utf-8")
-                    self.send_response(503)
-                    self.send_header("Content-Type", "application/json")
-                    self.send_header(
-                        "Retry-After",
-                        str(max(1, int(math.ceil(result.retry_after_s)))),
-                    )
-                    self.send_header("Content-Length", str(len(body)))
-                    self.end_headers()
-                    self.wfile.write(body)
                 else:
                     self._send_json({"ok": False, "error": result.error}, code=400)
 

@@ -2,9 +2,8 @@
 
 Split out of :mod:`repro.monitor.server` when the server went
 multi-tenant (one server, many mesh networks): these are the wire-level
-building blocks — the backpressure policy, the per-batch result, the
-wire/self-metrics counters and the bounded dedup window — that every
-per-network shard reuses.  Import them from this module or from the
+building blocks — the per-batch result, the wire/self-metrics counters
+and the bounded dedup window — that every per-network shard reuses.  Import them from this module or from the
 :mod:`repro.api` facade.
 """
 
@@ -12,7 +11,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from enum import Enum
 from typing import Any, Dict, Optional, Set
 
 #: The implicit network single-network deployments live in.  Every API
@@ -40,18 +38,6 @@ def validate_network_id(network_id: str) -> str:
     return network_id
 
 
-class BackpressurePolicy(Enum):
-    """What a full ingest queue does with the next batch."""
-
-    #: Refuse the batch; the result carries ``retry_after_s`` so the
-    #: client backs off and retries (at-least-once uplinks redeliver).
-    REJECT = "reject"
-    #: Evict the oldest queued batch to admit the new one.  Bounded
-    #: staleness for a live dashboard; the evicted batch is lost unless
-    #: the client retries it.
-    DROP_OLDEST = "drop_oldest"
-
-
 @dataclass(frozen=True)
 class IngestResult:
     """Outcome of one batch ingestion."""
@@ -61,11 +47,6 @@ class IngestResult:
     accepted_status: int = 0
     duplicates: int = 0
     error: Optional[str] = None
-    #: True when the batch was admitted to the ingest queue but not yet
-    #: processed (``autodrain=False``); counts arrive after drain().
-    queued: bool = False
-    #: Backpressure hint: seconds the client should wait before retrying.
-    retry_after_s: Optional[float] = None
 
 
 @dataclass(frozen=True)
@@ -94,12 +75,6 @@ class ServerSelfMetrics:
     dedup_hits: int = 0
     foreign_records_rejected: int = 0
     decode_failures: int = 0
-    batches_rejected: int = 0          # backpressure refusals (REJECT)
-    batches_dropped: int = 0           # queue evictions (DROP_OLDEST)
-    #: Batches refused because one network exhausted its queue quota
-    #: while the global queue still had room (noisy-neighbour control).
-    quota_rejections: int = 0
-    queue_high_water: int = 0
     # The metrics object is owned by one MonitorServer, which serialises
     # every mutation under its ingest lock.
     store_flushes: int = 0  # guarded-by: MonitorServer._lock
@@ -121,10 +96,6 @@ class ServerSelfMetrics:
             "dedup_hits": self.dedup_hits,
             "foreign_records_rejected": self.foreign_records_rejected,
             "decode_failures": self.decode_failures,
-            "batches_rejected": self.batches_rejected,
-            "batches_dropped": self.batches_dropped,
-            "quota_rejections": self.quota_rejections,
-            "queue_high_water": self.queue_high_water,
             "store_flushes": self.store_flushes,
             "flush_latency_last_ms": self.flush_latency_last_s * 1000.0,
             "flush_latency_max_ms": self.flush_latency_max_s * 1000.0,

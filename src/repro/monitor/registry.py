@@ -13,12 +13,9 @@ Scaling knobs
 -------------
 
 * ``max_networks`` bounds resident shards; when a new network would
-  exceed the bound the least-recently-active *idle* shard is evicted
-  (flushed, closed, forgotten).  A network that reports again later
-  simply gets a fresh shard — telemetry is a rolling window anyway.
-* Each shard counts its queued-but-unprocessed batches so the server
-  can enforce a per-network ingest-queue quota: one noisy network
-  saturating the global queue cannot starve the rest of the fleet.
+  exceed the bound the least-recently-active shard is evicted (flushed,
+  closed, forgotten).  A network that reports again later simply gets
+  a fresh shard — telemetry is a rolling window anyway.
 """
 
 from __future__ import annotations
@@ -28,7 +25,7 @@ from collections import OrderedDict
 from typing import Callable, Dict, Iterator, List, Optional
 
 from repro.errors import ConfigurationError
-from repro.monitor.alerts import AlertEngine
+from repro.monitor.alerts import AlertEngine, default_rules
 from repro.monitor.fleet import TileAggregate
 from repro.monitor.ingest import DEFAULT_NETWORK_ID, SeqWindow
 from repro.monitor.rollup import IncrementalRollup
@@ -54,7 +51,9 @@ class NetworkShard:
     :meth:`~repro.monitor.alerts.AlertEngine.observe`.
     """
 
-    def __init__(self, network_id: str, store: MetricsStore) -> None:
+    def __init__(
+        self, network_id: str, store: MetricsStore, report_interval_s: float
+    ) -> None:
         self.network_id = network_id
         self.store = store
         #: Incremental fleet-tile aggregates (seeded when the store
@@ -63,14 +62,13 @@ class NetworkShard:
         self.tile.seed_from_store(store)
         #: Per-network traffic rollup fed record-by-record.
         self.rollup = IncrementalRollup(interval_s=SHARD_ROLLUP_INTERVAL_S)
-        #: Per-network alert state driven by the O(delta) observe path.
-        self.alerts = AlertEngine(store)
+        #: Per-network alert state driven by the O(delta) observe path;
+        #: thresholds scale with the clients' report interval.
+        self.alerts = AlertEngine(store, default_rules(report_interval_s))
         #: Per-node dedup windows, private to this network — the same
         #: node address in two networks never shares a window.
         self.packet_windows: Dict[int, SeqWindow] = {}
         self.status_windows: Dict[int, SeqWindow] = {}
-        #: Batches admitted to the server queue but not yet processed.
-        self.queued_batches = 0
         #: Server clock of the last processed batch (None before any).
         self.last_batch_at: Optional[float] = None
         self.batches_ingested = 0
@@ -88,18 +86,18 @@ class NetworkShard:
             "records_ingested": self.records_ingested,
             "dedup_hits": self.dedup_hits,
             "datagram_batches": self.datagram_batches,
-            "queued_batches": self.queued_batches,
             "last_batch_at": self.last_batch_at,
         }
 
 
 class NetworkRegistry:
-    """Lazy id -> shard mapping with LRU eviction of idle shards."""
+    """Lazy id -> shard mapping with LRU eviction."""
 
     def __init__(
         self,
         store_factory: Optional[StoreFactory] = None,
         max_networks: Optional[int] = None,
+        report_interval_s: float = 60.0,
     ) -> None:
         """Args:
             store_factory: builds a network's store on first contact;
@@ -107,6 +105,8 @@ class NetworkRegistry:
                 network.  Receives the network id, so a durable factory
                 can derive one SQLite file per network.
             max_networks: bound on resident shards (None = unbounded).
+            report_interval_s: the clients' report interval, handed to
+                every shard's alert rules.
         """
         if max_networks is not None and max_networks < 1:
             raise ConfigurationError(
@@ -118,6 +118,7 @@ class NetworkRegistry:
             else (lambda network_id: MetricsStore())  # reprolint: allow[RL006] -- the registry owns shard stores; close() flushes and closes every one
         )
         self._max_networks = max_networks
+        self._report_interval_s = report_interval_s
         # Reentrant: get_or_create() -> get() and -> _evict_one() nest.
         self._lock = threading.RLock()
         #: Insertion/access-ordered: the first entry is the LRU candidate.
@@ -165,9 +166,10 @@ class NetworkRegistry:
                 return shard
             if self._max_networks is not None:
                 while len(self._shards) >= self._max_networks:
-                    if not self._evict_one():
-                        break  # every shard busy; let the fleet grow past the bound
-            shard = NetworkShard(network_id, self._store_factory(network_id))
+                    self._evict_one()
+            shard = NetworkShard(
+                network_id, self._store_factory(network_id), self._report_interval_s
+            )
             self._shards[network_id] = shard
             return shard
 
@@ -180,22 +182,19 @@ class NetworkRegistry:
         with self._lock:
             if network_id in self._shards:
                 raise ConfigurationError(f"network {network_id!r} already registered")
-            shard = NetworkShard(network_id, store)
+            shard = NetworkShard(network_id, store, self._report_interval_s)
             self._shards[network_id] = shard
             return shard
 
     # -- eviction -------------------------------------------------------------
 
-    def _evict_one(self) -> bool:
-        """Evict the least-recently-active idle shard; False if none is idle."""
+    def _evict_one(self) -> None:
+        """Evict the least-recently-active shard."""
         with self._lock:
-            for network_id, shard in self._shards.items():
-                if shard.queued_batches == 0:
-                    self._close_shard(shard)
-                    del self._shards[network_id]
-                    self.evictions += 1
-                    return True
-            return False
+            network_id, shard = next(iter(self._shards.items()))
+            self._close_shard(shard)
+            del self._shards[network_id]
+            self.evictions += 1
 
     @staticmethod
     def _close_shard(shard: NetworkShard) -> None:

@@ -177,8 +177,8 @@ ROUTES: Tuple[Route, ...] = (
         name="server-metrics",
         method="GET",
         pattern="/api/v1/server",
-        summary="Server self-metrics: ingest/dedup/queue/flush counters.",
-        response="object: ingestion counters, queue state, per-store flush stats",
+        summary="Server self-metrics: ingest/dedup/flush counters.",
+        response="object: ingestion counters, alert counters, per-store flush stats",
     ),
     Route(
         name="stream",
@@ -218,8 +218,8 @@ ROUTES: Tuple[Route, ...] = (
         name="network-detail",
         method="GET",
         pattern="/api/v1/networks/<network>",
-        summary="One network's ingest counters and queue share.",
-        response="object: network, batches/records ingested, dedup_hits, queued_batches, last_batch_at",
+        summary="One network's ingest counters.",
+        response="object: network, batches/records ingested, dedup_hits, datagram_batches, last_batch_at",
     ),
     Route(
         name="network-summary",
@@ -268,7 +268,7 @@ ROUTES: Tuple[Route, ...] = (
         method="GET",
         pattern="/api/v1/networks/<network>/history",
         summary="Rolled-up time series for one node of one network.",
-        response="array of buckets: start, count, mean, min, max",
+        response="array of buckets: start, interval_s, count, mean, min, max",
         params=_HISTORY_PARAMS,
     ),
     Route(
@@ -286,10 +286,9 @@ ROUTES: Tuple[Route, ...] = (
             "Ingest one record batch for this network. The codec is negotiated "
             "via Content-Type: application/json (default) or the compact "
             "binary telemetry format application/vnd.repro.telemetry+binary "
-            "(see PROTOCOL.md). 503 + Retry-After under backpressure, 400 on "
-            "malformed or cross-network batches."
+            "(see PROTOCOL.md). 400 on malformed or cross-network batches."
         ),
-        response="object: ok, queued, accepted_packets, accepted_status, duplicates",
+        response="object: ok, accepted_packets, accepted_status, duplicates",
     ),
     # -- ui ------------------------------------------------------------------
     Route(

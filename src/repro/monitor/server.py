@@ -1,4 +1,4 @@
-"""Monitoring server: ingestion, validation, deduplication, backpressure.
+"""Monitoring server: ingestion, validation, deduplication.
 
 The server accepts batches in either wire format (JSON from the
 out-of-band uplink, binary from the gateway bridge), validates them,
@@ -6,7 +6,8 @@ deduplicates records on (network, node, record-kind, seq) — the client
 retries failed batches under new batch sequence numbers but stable
 record sequence numbers — and writes accepted records into the
 per-network :class:`~repro.monitor.storage.MetricsStore` (or the SQLite
-store) through the store's batched write API.
+store) through the store's batched write API.  Every batch is processed
+in the caller's thread, so each caller gets its own batch's result.
 
 Multi-tenancy
 -------------
@@ -17,55 +18,30 @@ single-network clients) and is routed to that network's
 :class:`~repro.monitor.registry.NetworkShard` — its own store, dedup
 windows and counters, managed by a
 :class:`~repro.monitor.registry.NetworkRegistry` with lazy shard
-creation and LRU eviction of idle shards.  Single-network callers see
-no difference: ``MonitorServer(store=...)`` makes the injected store
-the ``default`` network's shard and the ``store`` attribute keeps
-pointing at it.
-
-Admission control
------------------
-
-Decoded batches pass through a bounded ingest queue so that overload
-degrades gracefully instead of stalling the mesh-side uplinks:
-
-* ``queue_capacity=None`` (default) — unbounded, every batch is
-  processed inline; the historical synchronous behaviour.
-* ``queue_capacity=N`` with ``autodrain=True`` — batches still process
-  inline, but the queue accounting (depth, high-water mark) is live.
-* ``queue_capacity=N`` with ``autodrain=False`` — batches are enqueued
-  and processed later by :meth:`MonitorServer.drain`.  When the queue
-  is full the configured :class:`BackpressurePolicy` decides: ``REJECT``
-  refuses the new batch with a ``retry_after_s`` hint, ``DROP_OLDEST``
-  evicts the oldest queued batch to admit the new one.
-* ``network_queue_quota=N`` — per-network bound on queued batches, so
-  one noisy network cannot starve the rest of the fleet: once a
-  network's share of the queue reaches the quota, *its* next batch is
-  rejected (or displaces its own oldest batch under ``DROP_OLDEST``)
-  while other networks keep ingesting.
+creation and LRU eviction.  Single-network callers see no difference:
+``MonitorServer(store=...)`` makes the injected store the ``default``
+network's shard and the ``store`` attribute keeps pointing at it.
 
 Observability ("monitor the monitor")
 -------------------------------------
 
 :class:`ServerSelfMetrics` counts everything the ingestion pipeline
-does — batches/records ingested, dedup hits, decode failures, queue
-depth high-water mark, rejected/dropped batches, quota rejections,
-store flush count and latencies.  It is exposed as
-``GET /api/v1/server`` by :mod:`repro.monitor.httpapi` and rendered in
-the dashboard's ``[server]`` panel.
+does — batches/records ingested, dedup hits, decode failures, store
+flush count and latencies.  It is exposed as ``GET /api/v1/server`` by
+:mod:`repro.monitor.httpapi` and rendered in the dashboard's
+``[server]`` panel.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import threading
-from collections import deque
-from typing import TYPE_CHECKING, Any, Callable, Deque, Dict, List, Optional, Union
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Union
 
 from repro.errors import ConfigurationError, DecodeError
 from repro.monitor.fleet import materialized_tile
 from repro.monitor.ingest import (
     DEFAULT_NETWORK_ID,
-    BackpressurePolicy,
     IngestResult,
     SeqWindow,
     ServerSelfMetrics,
@@ -91,15 +67,9 @@ class MonitorServer:
         self,
         store: Optional[MetricsStore] = None,
         clock: Optional[Callable[[], float]] = None,
-        queue_capacity: Optional[int] = None,
-        backpressure: Union[BackpressurePolicy, str] = BackpressurePolicy.REJECT,
-        autodrain: bool = True,
-        retry_after_s: float = 1.0,
         store_factory: Optional[StoreFactory] = None,
         max_networks: Optional[int] = None,
-        network_queue_quota: Optional[int] = None,
         report_interval_s: float = 60.0,
-        alert_sweep_interval_s: Optional[float] = None,
     ) -> None:
         """Create a server.
 
@@ -109,73 +79,38 @@ class MonitorServer:
             clock: returns "server time"; inside a simulation pass the
                 simulator's ``now``.  Defaults to 0.0 (tests that do not
                 care about liveness).
-            queue_capacity: bound on the ingest queue (None = unbounded).
-            backpressure: full-queue policy; see :class:`BackpressurePolicy`.
-            autodrain: process each admitted batch inline (the historical
-                synchronous behaviour).  ``False`` defers processing to
-                :meth:`drain`, which is what makes the bound and the
-                policy observable.
-            retry_after_s: hint returned with REJECT refusals.
             store_factory: builds the store for each newly seen network
                 (default: an in-memory :class:`MetricsStore` per network).
             max_networks: bound on resident network shards; the
-                least-recently-active idle shard is evicted beyond it.
-            network_queue_quota: per-network bound on queued batches
-                (None = no per-network bound; only the global capacity
-                applies).
-            report_interval_s: expected client report interval, used
-                when rendering the fleet tiles published on the stream.
-            alert_sweep_interval_s: minimum spacing between full-rule
-                alert sweeps (see :meth:`sweep_alerts`); defaults to
-                ``report_interval_s``.
+                least-recently-active shard is evicted beyond it.
+            report_interval_s: expected client report interval.  It sets
+                the shards' alert thresholds, scores the fleet tiles
+                published on the stream, and spaces the full-rule alert
+                sweeps (see :meth:`maybe_sweep_alerts`).
         """
         if report_interval_s <= 0:
             raise ConfigurationError(
                 f"report_interval_s must be > 0, got {report_interval_s}"
             )
-        if alert_sweep_interval_s is not None and alert_sweep_interval_s <= 0:
-            raise ConfigurationError(
-                f"alert_sweep_interval_s must be > 0 or None, got {alert_sweep_interval_s}"
-            )
-        if queue_capacity is not None and queue_capacity < 1:
-            raise ConfigurationError(
-                f"queue_capacity must be >= 1 or None, got {queue_capacity}"
-            )
-        if network_queue_quota is not None and network_queue_quota < 1:
-            raise ConfigurationError(
-                f"network_queue_quota must be >= 1 or None, got {network_queue_quota}"
-            )
-        if retry_after_s <= 0:
-            raise ConfigurationError(f"retry_after_s must be > 0, got {retry_after_s}")
-        if isinstance(backpressure, str):
-            backpressure = BackpressurePolicy(backpressure)
         self.registry = NetworkRegistry(
-            store_factory=store_factory, max_networks=max_networks
+            store_factory=store_factory,
+            max_networks=max_networks,
+            report_interval_s=report_interval_s,
         )
         if store is not None:
             self.registry.adopt(DEFAULT_NETWORK_ID, store)
         self._clock = clock or (lambda: 0.0)
-        # Reentrant: the admission helpers are callable with the lock
-        # already held.
+        # Reentrant: the shard alert engines call their on_raise /
+        # on_clear sinks with the lock held, and a sink may read the
+        # server back (stats, documents, tiles).
         self._lock = threading.RLock()
         self.self_metrics = ServerSelfMetrics()  # guarded-by: _lock
-        self.queue_capacity = queue_capacity
-        self.backpressure = backpressure
-        self.autodrain = autodrain
-        self.retry_after_s = retry_after_s
-        self.network_queue_quota = network_queue_quota
         self.report_interval_s = report_interval_s
-        self.alert_sweep_interval_s = (
-            report_interval_s
-            if alert_sweep_interval_s is None
-            else alert_sweep_interval_s
-        )
         #: Server clock of the last full-rule alert sweep (None before
         #: the cadence is anchored by the first maybe_sweep_alerts call).
         self._last_alert_sweep_at: Optional[float] = None  # guarded-by: _lock
         #: Full-rule sweeps run over the server's lifetime.
         self.alert_sweeps = 0  # guarded-by: _lock
-        self._queue: Deque[RecordBatch] = deque()  # guarded-by: _lock
         self._transports: List[IngestTransport] = []  # guarded-by: _lock
         #: Push-pipeline fan-out.  The ingest path publishes while
         #: holding the server lock (``MonitorServer._lock`` ->
@@ -263,18 +198,7 @@ class MonitorServer:
                 for shard in shards
             ]
 
-    # -- admission -----------------------------------------------------------
-
-    @property
-    def queue_depth(self) -> int:
-        """Batches admitted but not yet processed."""
-        with self._lock:
-            return len(self._queue)
-
-    def queue_depth_for(self, network_id: str) -> int:
-        """Queued batches belonging to ``network_id``."""
-        shard = self.registry.get(network_id)
-        return shard.queued_batches if shard is not None else 0
+    # -- ingest --------------------------------------------------------------
 
     def ingest_json(self, raw: bytes, network_id: Optional[str] = None) -> IngestResult:
         """Ingest an out-of-band JSON batch (see :meth:`_ingest_wire`)."""
@@ -336,9 +260,17 @@ class MonitorServer:
             return IngestResult(ok=False, error=str(exc))
         return self.submit(batch)
 
-    def ingest(self, batch: RecordBatch) -> IngestResult:
-        """Ingest an already decoded batch (tests, local clients)."""
-        return self.submit(batch)
+    def submit(self, batch: RecordBatch) -> IngestResult:
+        """Process ``batch`` in the caller's thread and return its result.
+
+        After the batch, the paced full-rule alert sweep runs (see
+        :meth:`maybe_sweep_alerts`): it catches the conditions the
+        O(delta) observe path cannot judge — a *silent* node in an
+        otherwise active fleet, windowed cross-node rules like low PDR.
+        """
+        result = self._ingest(batch)
+        self.maybe_sweep_alerts()
+        return result
 
     # -- transports ----------------------------------------------------------
 
@@ -369,97 +301,6 @@ class MonitorServer:
             if shard is not None:
                 shard.datagram_batches += 1
 
-    def submit(self, batch: RecordBatch) -> IngestResult:
-        """Admit ``batch`` through the bounded queue, then maybe process it.
-
-        Admission (queue bound, quota, enqueue) happens atomically under
-        the server lock; processing happens in :meth:`drain`, which
-        re-locks per batch.  Under concurrent submitters an autodrain
-        call may find its batch already processed by a sibling thread's
-        drain — the returned result then reports the admission, not the
-        (equivalent) processing outcome.
-        """
-        with self._lock:
-            shard = self.registry.get_or_create(batch.network_id)
-            if (
-                self.queue_capacity is not None
-                and len(self._queue) >= self.queue_capacity
-            ):
-                if self.backpressure is BackpressurePolicy.DROP_OLDEST:
-                    evicted = self._queue.popleft()
-                    self._uncount_queued(evicted)
-                    self.self_metrics.batches_dropped += 1
-                else:
-                    self.self_metrics.batches_rejected += 1
-                    return IngestResult(
-                        ok=False,
-                        error="ingest queue full",
-                        retry_after_s=self.retry_after_s,
-                    )
-            elif (
-                self.network_queue_quota is not None
-                and shard.queued_batches >= self.network_queue_quota
-            ):
-                # The global queue has room but this network used up its
-                # share: apply the policy to this network only.
-                if self.backpressure is BackpressurePolicy.DROP_OLDEST:
-                    self._drop_oldest_of(batch.network_id)
-                    self.self_metrics.batches_dropped += 1
-                else:
-                    self.self_metrics.batches_rejected += 1
-                    self.self_metrics.quota_rejections += 1
-                    return IngestResult(
-                        ok=False,
-                        error=f"ingest queue quota exhausted for network {batch.network_id!r}",
-                        retry_after_s=self.retry_after_s,
-                    )
-            self._queue.append(batch)
-            shard.queued_batches += 1
-            depth = len(self._queue)
-            if depth > self.self_metrics.queue_high_water:
-                self.self_metrics.queue_high_water = depth
-        if self.autodrain:
-            results = self.drain()
-            if results:
-                return results[-1]
-        return IngestResult(ok=True, queued=True)
-
-    def _uncount_queued(self, batch: RecordBatch) -> None:
-        """Caller holds ``self._lock``."""
-        shard = self.registry.get(batch.network_id)
-        if shard is not None and shard.queued_batches > 0:
-            shard.queued_batches -= 1
-
-    def _drop_oldest_of(self, network_id: str) -> None:
-        """Evict the oldest queued batch belonging to ``network_id``."""
-        with self._lock:
-            for index, queued in enumerate(self._queue):
-                if queued.network_id == network_id:
-                    del self._queue[index]
-                    self._uncount_queued(queued)
-                    return
-
-    def drain(self, max_batches: Optional[int] = None) -> List[IngestResult]:
-        """Process up to ``max_batches`` queued batches (all by default)."""
-        results: List[IngestResult] = []
-        while True:
-            with self._lock:
-                if not self._queue:
-                    break
-                if max_batches is not None and len(results) >= max_batches:
-                    break
-                batch = self._queue.popleft()
-                self._uncount_queued(batch)
-            results.append(self._ingest(batch))
-        if results:
-            # Opportunistic full-rule sweep riding the ingest cadence
-            # (at most once per alert_sweep_interval_s): catches the
-            # conditions the O(delta) observe path cannot judge — a
-            # *silent* node in an otherwise active fleet, windowed
-            # cross-node rules like low PDR.
-            self.maybe_sweep_alerts()
-        return results
-
     # -- alert sweeping -------------------------------------------------------
 
     def sweep_alerts(self, now: Optional[float] = None) -> List["Alert"]:
@@ -471,8 +312,8 @@ class MonitorServer:
         need this periodic sweep.  Raised and cleared alerts are
         published onto the network's stream topic exactly like the
         observe path's, so SSE subscribers see them live.  Wired in two
-        places: :meth:`drain` calls :meth:`maybe_sweep_alerts` on the
-        ingest cadence, and the HTTP tier runs a timer so a fleet that
+        places: :meth:`submit` calls :meth:`maybe_sweep_alerts` after
+        every batch, and the HTTP tier runs a timer so a fleet that
         goes entirely silent still raises; library users driving their
         own clock can call it directly.
         """
@@ -500,7 +341,7 @@ class MonitorServer:
         return raised_all
 
     def maybe_sweep_alerts(self, now: Optional[float] = None) -> List["Alert"]:
-        """Run :meth:`sweep_alerts` if the sweep interval elapsed.
+        """Run :meth:`sweep_alerts` if ``report_interval_s`` elapsed.
 
         The first call only anchors the cadence (nothing worth sweeping
         exists before one interval of history).  The elapsed check and
@@ -515,7 +356,7 @@ class MonitorServer:
             if last is None:
                 self._last_alert_sweep_at = now
                 return []
-            if now - last < self.alert_sweep_interval_s:
+            if now - last < self.report_interval_s:
                 return []
             self._last_alert_sweep_at = now  # claim the slot
         return self.sweep_alerts(now)
@@ -669,7 +510,7 @@ class MonitorServer:
         self._sync_flush_stats()
 
     def close(self) -> None:
-        """Orderly shutdown: drain queued batches, flush, close every shard.
+        """Orderly shutdown: stop transports, flush, close every shard.
 
         The server owns the stores it creates, so closing the server
         closes them; store closes are idempotent, so an injected store
@@ -682,10 +523,9 @@ class MonitorServer:
         # thread (RL101's deadlock shape).
         for transport in transports:
             transport.stop()
-        self.drain()
         self.flush()
-        # Close the hub after the final drain so the last deltas reach
-        # subscribers, and before the stores go away.
+        # Close the hub after the transports stop so the last deltas
+        # reach subscribers, and before the stores go away.
         self.stream.close()
         self.registry.close()
 
@@ -704,14 +544,14 @@ class MonitorServer:
             metrics = self.self_metrics
             return ServerStats(
                 batches_ok=metrics.batches_ingested,
-                batches_rejected=metrics.batches_rejected + metrics.decode_failures,
+                batches_rejected=metrics.decode_failures,
                 records_accepted=metrics.records_ingested,
                 duplicates=metrics.dedup_hits,
                 bytes_received=metrics.bytes_received,
             )
 
     def self_metrics_document(self) -> Dict[str, Any]:
-        """The ``GET /api/v1/server`` body: self-metrics + queue + wire stats."""
+        """The ``GET /api/v1/server`` body: self-metrics + wire stats."""
         with self._lock:
             document = self.self_metrics.to_json_dict()
             transports = list(self._transports)
@@ -724,12 +564,7 @@ class MonitorServer:
                 alerts_active += len(shard.alerts.active())
             document.update(
                 {
-                    "queue_depth": len(self._queue),
-                    "queue_capacity": self.queue_capacity,
-                    "backpressure": self.backpressure.value,
-                    "autodrain": self.autodrain,
                     "networks": len(self.registry),
-                    "network_queue_quota": self.network_queue_quota,
                     "network_evictions": self.registry.evictions,
                     # Shard alert engines (the O(delta) observe path);
                     # history is a bounded ring, so emitted >= history.
@@ -737,7 +572,6 @@ class MonitorServer:
                     "alerts_history_len": alerts_history_len,
                     "alerts_active": alerts_active,
                     "alert_sweeps": self.alert_sweeps,
-                    "alert_sweep_interval_s": self.alert_sweep_interval_s,
                 }
             )
         # Transports lock themselves; collecting their documents outside
@@ -765,6 +599,4 @@ class MonitorServer:
             shard = self.registry.get(network_id)
             if shard is None:
                 return None
-            document = shard.to_json_dict()
-            document["queued_batches"] = shard.queued_batches
-            return document
+            return shard.to_json_dict()

@@ -48,7 +48,7 @@ class UdpIngestTransport(IngestTransport):
 
         Args:
             server: ingestion backend; datagram batches go through the
-                same admission queue and dedup as every other path.
+                same validation and dedup as every other path.
             host/port: bind address; port 0 picks a free port.
             codec: wire encoding of the datagrams (default ``binary``).
             recv_buffer_bytes: requested ``SO_RCVBUF`` — a deep kernel
@@ -69,7 +69,6 @@ class UdpIngestTransport(IngestTransport):
         self.bytes_received = 0  # guarded-by: _lock
         self.malformed_datagrams = 0  # guarded-by: _lock
         self.batches_submitted = 0  # guarded-by: _lock
-        self.batches_refused = 0  # guarded-by: _lock
 
     @property
     def address(self) -> Tuple[str, int]:
@@ -187,13 +186,7 @@ class UdpIngestTransport(IngestTransport):
         # own lock, and holding ours across the call would establish a
         # udp -> server lock order that deadlocks against the server's
         # server -> udp order in stats collection.
-        result = self._server.submit(batch)
-        if not result.ok:
-            # Backpressure refusal: UDP has no reply channel, so the
-            # refusal is visible here and in the server self-metrics.
-            with self._lock:
-                self.batches_refused += 1
-            return False
+        self._server.submit(batch)
         self._server.note_datagram_batch(batch.network_id)
         with self._lock:
             self.batches_submitted += 1
@@ -210,6 +203,5 @@ class UdpIngestTransport(IngestTransport):
                 "bytes_received": self.bytes_received,
                 "malformed_datagrams": self.malformed_datagrams,
                 "batches_submitted": self.batches_submitted,
-                "batches_refused": self.batches_refused,
                 "sequence": self.accountant.to_json_dict(),
             }

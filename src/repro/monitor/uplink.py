@@ -47,10 +47,6 @@ class UplinkStats:
     batches_delivered: int = 0
     batches_lost: int = 0
     bytes_sent: int = 0
-    #: Requests the server refused under backpressure (queue full).  The
-    #: batch stays client-side and is retried — delivery remains
-    #: at-least-once, just delayed by the server's retry-after hint.
-    backpressure_rejections: int = 0
 
 
 class Uplink(ABC):
@@ -135,18 +131,6 @@ class OutOfBandUplink(Uplink):
                 result = ingest_encoded(raw, self._codec)
             self.stats.batches_delivered += 1
             ok = bool(getattr(result, "ok", True))
-            retry_after = getattr(result, "retry_after_s", None)
-            if not ok and retry_after is not None:
-                # Server backpressure: the batch was refused before any
-                # record was stored.  Honour the retry-after hint — the
-                # failure surfaces to the client no earlier than the
-                # server asked, so the next interval's retry lands after
-                # the queue has had time to drain.
-                self.stats.backpressure_rejections += 1
-                self._sim.call_in(
-                    max(self._latency(), retry_after), lambda: on_result(False)
-                )
-                return
             if self._rng.random() < self._loss:
                 # Response lost: the batch WAS ingested, but the client
                 # times out and will retry — the server's per-record
@@ -331,17 +315,7 @@ class HttpIngestClient:
             status = self._post(self.v1_url, raw, codec.content_type)
         except urllib.error.HTTPError as exc:
             self.posts_failed += 1
-            retry_after: Optional[float] = None
-            if exc.code == 503:
-                header = exc.headers.get("Retry-After") if exc.headers else None
-                if header is not None:
-                    try:
-                        retry_after = float(header)
-                    except ValueError:
-                        retry_after = None
-            return IngestResult(
-                ok=False, error=f"HTTP {exc.code}", retry_after_s=retry_after
-            )
+            return IngestResult(ok=False, error=f"HTTP {exc.code}")
         except (urllib.error.URLError, OSError) as exc:
             self.posts_failed += 1
             return IngestResult(ok=False, error=str(exc))

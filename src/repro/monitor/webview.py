@@ -256,7 +256,6 @@ def render_html(dashboard: Dashboard, now: float, network_id: Optional[str] = No
     ``network_id`` labels the page when it renders one network of a
     multi-network server (the ``/networks/<id>`` view).
     """
-    dashboard.alerts.evaluate(now)
     document = dashboard.to_json_dict(now)
 
     def fmt(value: Optional[float], suffix: str = "", digits: int = 1) -> str:
@@ -353,22 +352,13 @@ def render_html(dashboard: Dashboard, now: float, network_id: Optional[str] = No
     if server is not None:
         sections.append("<h2>Server (self-metrics)</h2><table>"
                         "<tr><th>batches</th><th>records</th><th>dedup</th>"
-                        "<th>decode err</th><th>rejected</th><th>dropped</th>"
-                        "<th>queue</th><th>q hi-water</th><th>flushes</th>"
-                        "<th>flush max</th></tr>")
-        queue_depth = server["queue_depth"]
-        capacity = server["queue_capacity"]
-        queue = f"{queue_depth}/{capacity}" if capacity is not None else str(queue_depth)
+                        "<th>decode err</th><th>flushes</th><th>flush max</th></tr>")
         sections.append(
             "<tr>"
             f"<td>{server['batches_ingested']}</td>"
             f"<td>{server['records_ingested']}</td>"
             f"<td>{server['dedup_hits']}</td>"
             f"<td>{server['decode_failures']}</td>"
-            f"<td>{server['batches_rejected']}</td>"
-            f"<td>{server['batches_dropped']}</td>"
-            f"<td>{queue}</td>"
-            f"<td>{server['queue_high_water']}</td>"
             f"<td>{server['store_flushes']}</td>"
             f"<td>{fmt(server['flush_latency_max_ms'], ' ms', 2)}</td>"
             "</tr>"

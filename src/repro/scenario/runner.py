@@ -166,7 +166,10 @@ class Scenario:
             self.store = self.server.registry.get_or_create(config.network_id).store
         else:
             self.store = MetricsStore()
-            self.server = MonitorServer(clock=lambda: self.sim.now)
+            self.server = MonitorServer(
+                clock=lambda: self.sim.now,
+                report_interval_s=config.report_interval_s,
+            )
             self.server.registry.adopt(config.network_id, self.store)
         client_config = MonitorClientConfig(
             report_interval_s=config.report_interval_s,

@@ -10,6 +10,7 @@ for every record exactly once: nothing lost to a torn counter, nothing
 double-counted, fleet totals consistent with the wire counters.
 """
 
+import sys
 import threading
 import time
 
@@ -31,17 +32,23 @@ from repro.monitor.records import Direction
 HTTP_THREADS = 4
 UDP_THREADS = 2
 BATCHES_PER_THREAD = 25
+SUBMIT_THREADS = 8
+SUBMITS_PER_THREAD = 300
 
 
-def make_batch(node: int, seq: int) -> RecordBatch:
-    record = PacketRecord(
-        node=node, seq=seq, timestamp=float(seq), direction=Direction.IN,
-        src=1, dst=node, next_hop=node, prev_hop=1, ptype=3, packet_id=seq,
-        size_bytes=40, rssi_dbm=-100.0, snr_db=5.0,
+def make_batch(node: int, seq: int, records: int = 1) -> RecordBatch:
+    """Batch ``seq`` of ``node``: ``records`` packet records, all fresh."""
+    packet_records = tuple(
+        PacketRecord(
+            node=node, seq=record_seq, timestamp=float(seq), direction=Direction.IN,
+            src=1, dst=node, next_hop=node, prev_hop=1, ptype=3,
+            packet_id=record_seq, size_bytes=40, rssi_dbm=-100.0, snr_db=5.0,
+        )
+        for record_seq in range(seq * records, (seq + 1) * records)
     )
     return RecordBatch(
         node=node, batch_seq=seq, sent_at=float(seq),
-        packet_records=(record,), status_records=(), dropped_records=0,
+        packet_records=packet_records, status_records=(), dropped_records=0,
     )
 
 
@@ -118,9 +125,6 @@ class TestConcurrentIngest:
         assert document["status_records_ingested"] == 0
         assert document["dedup_hits"] == 0
         assert document["decode_failures"] == 0
-        assert document["batches_rejected"] == 0
-        assert document["batches_dropped"] == 0
-        assert document["queue_depth"] == 0
 
         udp_stats = document["transports"]["udp"]
         udp_total = UDP_THREADS * BATCHES_PER_THREAD
@@ -136,6 +140,39 @@ class TestConcurrentIngest:
         assert overview["totals"]["batches_ingested"] == total
         assert overview["totals"]["records_ingested"] == total
         assert overview["totals"]["nodes"] == HTTP_THREADS + UDP_THREADS
+
+    def test_each_submitter_gets_its_own_result(self):
+        # Node n submits batches of n fresh records from its own thread,
+        # so a result that reports another caller's batch is visible.
+        server = MonitorServer()
+        results = {}
+
+        def submitter(node: int) -> None:
+            results[node] = [
+                server.submit(make_batch(node, seq, records=node))
+                for seq in range(SUBMITS_PER_THREAD)
+            ]
+
+        threads = [
+            threading.Thread(target=submitter, args=(node,), daemon=True)
+            for node in range(1, SUBMIT_THREADS + 1)
+        ]
+        switch_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(switch_interval)
+        assert not any(thread.is_alive() for thread in threads)
+        server.close()
+        assert sorted(results) == list(range(1, SUBMIT_THREADS + 1))
+        for node, node_results in results.items():
+            assert [result.accepted_packets for result in node_results] == (
+                [node] * SUBMITS_PER_THREAD
+            )
 
     def test_concurrent_stop_is_safe(self):
         # Several threads racing stop() on both transports: exactly one

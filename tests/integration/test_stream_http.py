@@ -100,7 +100,7 @@ class TestNetworkStream:
             if server.stream.subscriber_count > 0:
                 break
             done.wait(0.05)
-        assert server.ingest(batch()).ok
+        assert server.submit(batch()).ok
         assert done.wait(10.0)
         types = [event.type for event in events]
         assert types == ["ingest-delta", "rollup-update", "fleet-tile"]
@@ -132,8 +132,8 @@ class TestNetworkStream:
             if server.stream.subscriber_count > 0:
                 break
             done.wait(0.05)
-        assert server.ingest(batch(batch_seq=0)).ok
-        assert server.ingest(batch(batch_seq=1, seq_base=10, ts=20.0)).ok
+        assert server.submit(batch(batch_seq=0)).ok
+        assert server.submit(batch(batch_seq=1, seq_base=10, ts=20.0)).ok
         assert done.wait(10.0)
         assert [event.type for event in events] == ["fleet-tile", "fleet-tile"]
         assert all(event.topic == "fleet" for event in events)
@@ -160,13 +160,13 @@ class TestNetworkStream:
             if server.stream.subscriber_count > 0:
                 break
             done_first.wait(0.05)
-        assert server.ingest(batch(batch_seq=0)).ok
+        assert server.submit(batch(batch_seq=0)).ok
         assert done_first.wait(10.0)
         cursor = first.last_event_id
         assert cursor == 3
 
         # Client is gone; more events happen while disconnected.
-        assert server.ingest(batch(batch_seq=1, seq_base=10, ts=20.0)).ok
+        assert server.submit(batch(batch_seq=1, seq_base=10, ts=20.0)).ok
 
         # Reconnect with the cursor: the ring replays exactly the missed
         # events (ids 4..6), not the already-seen ones.
@@ -201,7 +201,7 @@ class TestNetworkStream:
                 break
             done.wait(0.05)
         low_battery = status_record(battery=3.0, ts=10.0)
-        assert server.ingest(batch(status=low_battery)).ok
+        assert server.submit(batch(status=low_battery)).ok
         assert done.wait(10.0)
         by_type = {event.type: event for event in events}
         assert "alert-raised" in by_type

@@ -66,7 +66,7 @@ def batch(node=1, batch_seq=0, network_id="default"):
 def served():
     server = MonitorServer(clock=lambda: 10.0)
     for node in (1, 2):
-        assert server.ingest(batch(node=node)).ok
+        assert server.submit(batch(node=node)).ok
     dashboard = Dashboard(server.store, report_interval_s=60.0, monitor_server=server)
     http = MonitoringHttpServer(server, dashboard, port=0, clock=lambda: 10.0)
     http.start()
@@ -93,9 +93,9 @@ class TestSchema:
 class TestTenantIsolation:
     def test_identical_records_do_not_cross_dedup(self):
         server = MonitorServer()
-        assert server.ingest(batch(node=1, network_id="a")).ok
+        assert server.submit(batch(node=1, network_id="a")).ok
         # Same node, same seqs, different network: not duplicates.
-        result = server.ingest(batch(node=1, network_id="b"))
+        result = server.submit(batch(node=1, network_id="b"))
         assert result.ok
         assert server.shard_for("b").dedup_hits == 0
         assert server.store_for("a").packet_record_count() == 4
@@ -104,8 +104,8 @@ class TestTenantIsolation:
 
     def test_stores_are_disjoint(self):
         server = MonitorServer()
-        server.ingest(batch(node=1, network_id="a"))
-        server.ingest(batch(node=2, network_id="b"))
+        server.submit(batch(node=1, network_id="a"))
+        server.submit(batch(node=2, network_id="b"))
         assert server.store_for("a").nodes() == [1]
         assert server.store_for("b").nodes() == [2]
         server.close()

@@ -85,6 +85,13 @@ class TestRenderers:
             assert key in document
         assert document["network_pdr"] == pytest.approx(1.0)
 
+    def test_default_alert_rules_follow_report_interval(self):
+        # 230 s of silence is less than one 300 s report interval.
+        store = MetricsStore()
+        store.note_batch(1, received_at=0.0, dropped_records=0)
+        dashboard = Dashboard(store, report_interval_s=300.0)
+        assert dashboard.to_json_dict(now=230.0)["alerts"] == []
+
     def test_empty_store_renders_without_error(self):
         dashboard = Dashboard(MetricsStore())
         text = dashboard.render_text(now=0.0)

@@ -119,10 +119,10 @@ class TestTileHealth:
             size_bytes=40, rssi_dbm=-100.0, snr_db=5.0,
         )
         server = MonitorServer(clock=lambda: 10.0)
-        assert server.ingest(
+        assert server.submit(
             RecordBatch(node=1, batch_seq=0, sent_at=1.0, packet_records=(out(0), out(1)))
         ).ok
-        assert server.ingest(
+        assert server.submit(
             RecordBatch(node=2, batch_seq=0, sent_at=2.0, packet_records=(delivered,))
         ).ok
         tile = network_tile(server, "default", now=10.0)

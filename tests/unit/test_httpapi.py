@@ -8,6 +8,7 @@ import pytest
 from repro.monitor.dashboard import Dashboard
 from repro.monitor.httpapi import MonitoringHttpServer, _sanitize
 from repro.monitor.records import Direction, PacketRecord, RecordBatch
+from repro.monitor.rollup import bucket_document, rollup_packet_rate
 from repro.monitor.server import MonitorServer
 from repro.monitor.storage import MetricsStore
 
@@ -89,6 +90,23 @@ class TestEndpoints:
         status, body = get(http_server, f"{V1}/health")
         assert status == 200 and "1" in body
 
+    def test_health_route_scores_match_node_rows(self):
+        # Batches land at server time 0; pages are read 250 s later,
+        # inside one 300 s report interval.
+        store = MetricsStore()
+        monitor_server = MonitorServer(store=store, report_interval_s=300.0)
+        dashboard = Dashboard(store, report_interval_s=300.0)
+        with MonitoringHttpServer(
+            monitor_server, dashboard, port=0, clock=lambda: 250.0
+        ) as server:
+            post(server, f"{V1}/ingest", make_batch_bytes(node=1))
+            post(server, f"{V1}/ingest", make_batch_bytes(node=2))
+            _, health = get(server, f"{V1}/health")
+            _, rows = get(server, f"{V1}/nodes")
+        assert {str(row["node"]): row["health"] for row in rows} == {
+            node: score["score"] for node, score in health.items()
+        }
+
     def test_alerts_endpoint(self, http_server):
         status, body = get(http_server, f"{V1}/alerts")
         assert status == 200 and body == []
@@ -162,6 +180,13 @@ class TestHistoryEndpoint:
         status, body = get_status_only(http_server, f"{V1}/history?node=1&field=bogus")
         assert status == 400
 
+    def test_history_buckets_are_bucket_documents(self, http_server):
+        post(http_server, f"{V1}/ingest", make_batch_bytes())
+        status, body = get(http_server, f"{V1}/history?node=1&interval=60")
+        series = rollup_packet_rate(http_server.dashboard.store, interval_s=60.0, node=1)
+        assert status == 200
+        assert body == [bucket_document(bucket, 60.0) for bucket in series.buckets()]
+
 
 class TestSanitize:
     def test_nan_becomes_none(self):
@@ -187,7 +212,6 @@ class TestServerSelfMetricsEndpoint:
         assert status == 200
         assert body["batches_ingested"] == 1
         assert body["records_ingested"] == 1
-        assert body["queue_depth"] == 0
         assert body["bytes_received"] > 0
 
     def test_decode_failures_visible(self, http_server):
@@ -197,47 +221,18 @@ class TestServerSelfMetricsEndpoint:
 
 
 class TestBackpressureOverHttp:
-    @pytest.fixture
-    def saturated_server(self):
-        from repro.monitor.ingest import BackpressurePolicy
+    def test_summary_includes_server_panel(self):
         store = MetricsStore()
-        monitor_server = MonitorServer(
-            store=store, clock=lambda: 100.0,
-            queue_capacity=1, backpressure=BackpressurePolicy.REJECT,
-            autodrain=False, retry_after_s=2.5,
-        )
+        monitor_server = MonitorServer(store=store, clock=lambda: 100.0)
         dashboard = Dashboard(store, report_interval_s=60.0, monitor_server=monitor_server)
-        server = MonitoringHttpServer(monitor_server, dashboard, port=0, clock=lambda: 100.0)
-        server.start()
-        yield server
-        server.stop()
-
-    def test_queue_full_is_503_with_retry_after(self, saturated_server):
-        status, body = post(saturated_server, f"{V1}/ingest", make_batch_bytes())
-        assert status == 200 and body["ok"] and body["queued"]
-
-        request = urllib.request.Request(
-            f"{saturated_server.url}{V1}/ingest", data=make_batch_bytes(node=2),
-            method="POST", headers={"Content-Type": "application/json"},
-        )
-        with pytest.raises(urllib.error.HTTPError) as excinfo:
-            urllib.request.urlopen(request, timeout=5)
-        error = excinfo.value
-        assert error.code == 503
-        assert error.headers["Retry-After"] == "3"  # ceil(2.5)
-        body = json.loads(error.read())
-        assert body["retry_after_s"] == 2.5
-
-        # After a drain the same batch goes through.
-        saturated_server.monitor_server.drain()
-        status, body = post(saturated_server, f"{V1}/ingest", make_batch_bytes(node=2))
-        assert status == 200 and body["ok"]
-
-    def test_summary_includes_server_panel(self, saturated_server):
-        status, body = get(saturated_server, f"{V1}/summary")
+        with MonitoringHttpServer(
+            monitor_server, dashboard, port=0, clock=lambda: 100.0
+        ) as server:
+            post(server, f"{V1}/ingest", make_batch_bytes())
+            status, body = get(server, f"{V1}/summary")
         assert status == 200
-        assert body["server"]["queue_capacity"] == 1
-        assert body["server"]["backpressure"] == "reject"
+        assert body["server"]["batches_ingested"] == 1
+        assert body["server"]["records_ingested"] == 1
 
 
 def post_with_type(server, path, body, content_type):

@@ -5,7 +5,6 @@ import time
 import pytest
 
 from repro.api import (
-    BackpressurePolicy,
     Dashboard,
     HttpIngestClient,
     HttpIngestTransport,
@@ -178,18 +177,6 @@ class TestUdpIngestTransport:
         assert sequence["lost"] == 1
         assert sequence["duplicates"] == 1
         assert "default/1" in sequence["worst_streams"]
-
-    def test_backpressure_refusals_counted(self):
-        server = MonitorServer(
-            queue_capacity=1, autodrain=False,
-            backpressure=BackpressurePolicy.REJECT,
-        )
-        transport = udp_pair(server)
-        codec = BinaryCodec()
-        assert transport.handle_datagram(codec.encode(batch(batch_seq=0)))
-        assert not transport.handle_datagram(codec.encode(batch(batch_seq=1)))
-        assert transport.batches_refused == 1
-        assert transport.malformed_datagrams == 0
 
     def test_live_socket_end_to_end(self):
         server = MonitorServer()

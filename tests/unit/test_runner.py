@@ -35,6 +35,10 @@ class TestConstruction:
         assert sorted(scenario.nodes) == list(range(1, 10))
         assert scenario.topology.size == 9
 
+    def test_server_uses_scenario_report_interval(self):
+        scenario = Scenario(quick_config(report_interval_s=300.0))
+        assert scenario.server.report_interval_s == 300.0
+
     def test_auto_area_scales_with_range(self):
         scenario_sf7 = Scenario(quick_config(spreading_factor=7))
         scenario_sf9 = Scenario(quick_config(spreading_factor=9))

@@ -62,7 +62,7 @@ class TestSeqWindow:
 class TestIngestion:
     def test_accepts_records(self):
         server = MonitorServer()
-        result = server.ingest(batch(packets=[packet_record(seq=0)], status=[status_record(seq=0)]))
+        result = server.submit(batch(packets=[packet_record(seq=0)], status=[status_record(seq=0)]))
         assert result.ok
         assert result.accepted_packets == 1
         assert result.accepted_status == 1
@@ -71,15 +71,15 @@ class TestIngestion:
     def test_deduplicates_retried_records(self):
         server = MonitorServer()
         records = [packet_record(seq=0), packet_record(seq=1)]
-        server.ingest(batch(batch_seq=0, packets=records))
-        result = server.ingest(batch(batch_seq=1, packets=records + [packet_record(seq=2)]))
+        server.submit(batch(batch_seq=0, packets=records))
+        result = server.submit(batch(batch_seq=1, packets=records + [packet_record(seq=2)]))
         assert result.accepted_packets == 1
         assert result.duplicates == 2
         assert server.store.packet_record_count() == 3
 
     def test_rejects_foreign_records(self):
         server = MonitorServer()
-        result = server.ingest(batch(node=1, packets=[packet_record(node=2, seq=0)]))
+        result = server.submit(batch(node=1, packets=[packet_record(node=2, seq=0)]))
         assert result.accepted_packets == 0
         assert server.store.packet_record_count() == 0
 
@@ -109,111 +109,31 @@ class TestIngestion:
     def test_batch_metadata_recorded(self):
         clock_value = [123.0]
         server = MonitorServer(clock=lambda: clock_value[0])
-        server.ingest(batch(dropped=7))
+        server.submit(batch(dropped=7))
         assert server.store.last_seen(1) == 123.0
         assert server.store.reported_drops(1) == 7
 
     def test_stats_accumulate(self):
         server = MonitorServer()
-        server.ingest(batch(batch_seq=0, packets=[packet_record(seq=0)]))
-        server.ingest(batch(batch_seq=1, packets=[packet_record(seq=0)]))
+        server.submit(batch(batch_seq=0, packets=[packet_record(seq=0)]))
+        server.submit(batch(batch_seq=1, packets=[packet_record(seq=0)]))
         assert server.stats.batches_ok == 2
         assert server.stats.records_accepted == 1
         assert server.stats.duplicates == 1
 
     def test_per_node_windows_are_independent(self):
         server = MonitorServer()
-        server.ingest(batch(node=1, packets=[packet_record(node=1, seq=0)]))
-        result = server.ingest(batch(node=2, packets=[packet_record(node=2, seq=0)]))
+        server.submit(batch(node=1, packets=[packet_record(node=1, seq=0)]))
+        result = server.submit(batch(node=2, packets=[packet_record(node=2, seq=0)]))
         assert result.accepted_packets == 1
-
-
-class TestBackpressure:
-    def saturated_server(self, policy="reject"):
-        from repro.monitor.ingest import BackpressurePolicy
-        return MonitorServer(
-            queue_capacity=2, backpressure=BackpressurePolicy(policy),
-            autodrain=False, retry_after_s=3.0,
-        )
-
-    def test_deferred_batches_are_queued_not_processed(self):
-        server = self.saturated_server()
-        result = server.ingest(batch(batch_seq=0, packets=[packet_record(seq=0)]))
-        assert result.ok and result.queued
-        assert server.queue_depth == 1
-        assert server.store.packet_record_count() == 0
-
-    def test_reject_when_full_with_retry_after(self):
-        server = self.saturated_server("reject")
-        server.ingest(batch(batch_seq=0))
-        server.ingest(batch(batch_seq=1))
-        result = server.ingest(batch(batch_seq=2))
-        assert not result.ok
-        assert result.retry_after_s == 3.0
-        assert server.self_metrics.batches_rejected == 1
-        assert server.stats.batches_rejected == 1
-        assert server.queue_depth == 2
-
-    def test_drop_oldest_when_full(self):
-        server = self.saturated_server("drop_oldest")
-        server.ingest(batch(batch_seq=0, packets=[packet_record(seq=0)]))
-        server.ingest(batch(batch_seq=1, packets=[packet_record(seq=1)]))
-        result = server.ingest(batch(batch_seq=2, packets=[packet_record(seq=2)]))
-        assert result.ok and result.queued
-        assert server.self_metrics.batches_dropped == 1
-        assert server.queue_depth == 2
-        server.drain()
-        # batch 0 was evicted; batches 1 and 2 made it to the store.
-        assert sorted(r.seq for r in server.store.packet_records()) == [1, 2]
-
-    def test_drain_processes_in_fifo_order_with_limit(self):
-        server = self.saturated_server()
-        server.ingest(batch(batch_seq=0, packets=[packet_record(seq=0)]))
-        server.ingest(batch(batch_seq=1, packets=[packet_record(seq=1)]))
-        results = server.drain(max_batches=1)
-        assert len(results) == 1 and results[0].accepted_packets == 1
-        assert server.queue_depth == 1
-        assert server.store.packet_record_count() == 1
-        server.drain()
-        assert server.queue_depth == 0
-        assert server.store.packet_record_count() == 2
-
-    def test_queue_high_water_mark(self):
-        server = self.saturated_server()
-        server.ingest(batch(batch_seq=0))
-        server.ingest(batch(batch_seq=1))
-        server.drain()
-        assert server.self_metrics.queue_high_water == 2
-        assert server.queue_depth == 0
-
-    def test_rejected_batch_retried_later_is_accepted(self):
-        server = self.saturated_server("reject")
-        server.ingest(batch(batch_seq=0))
-        server.ingest(batch(batch_seq=1))
-        payload = [packet_record(seq=7)]
-        assert not server.ingest(batch(batch_seq=2, packets=payload)).ok
-        server.drain()
-        retried = server.ingest(batch(batch_seq=3, packets=payload))
-        assert retried.ok and retried.queued
-        server.drain()
-        assert server.store.packet_record_count() == 1
-
-    def test_invalid_queue_config_rejected(self):
-        from repro.errors import ConfigurationError
-        with pytest.raises(ConfigurationError):
-            MonitorServer(queue_capacity=0)
-        with pytest.raises(ConfigurationError):
-            MonitorServer(retry_after_s=0.0)
-        with pytest.raises(ConfigurationError):
-            MonitorServer(alert_sweep_interval_s=0.0)
 
 
 class TestSelfMetrics:
     def test_ingest_counters(self):
         server = MonitorServer()
-        server.ingest(batch(batch_seq=0, packets=[packet_record(seq=0)],
+        server.submit(batch(batch_seq=0, packets=[packet_record(seq=0)],
                             status=[status_record(seq=0)]))
-        server.ingest(batch(batch_seq=1, packets=[packet_record(seq=0)]))
+        server.submit(batch(batch_seq=1, packets=[packet_record(seq=0)]))
         metrics = server.self_metrics
         assert metrics.batches_ingested == 2
         assert metrics.packet_records_ingested == 1
@@ -228,24 +148,21 @@ class TestSelfMetrics:
 
     def test_foreign_records_counted(self):
         server = MonitorServer()
-        server.ingest(batch(node=1, packets=[packet_record(node=2, seq=0)]))
+        server.submit(batch(node=1, packets=[packet_record(node=2, seq=0)]))
         assert server.self_metrics.foreign_records_rejected == 1
 
     def test_document_shape(self):
         server = MonitorServer()
-        server.ingest(batch(packets=[packet_record(seq=0)]))
+        server.submit(batch(packets=[packet_record(seq=0)]))
         document = server.self_metrics_document()
         assert document["batches_ingested"] == 1
         assert document["records_ingested"] == 1
-        assert document["queue_depth"] == 0
-        assert document["queue_capacity"] is None
-        assert document["backpressure"] == "reject"
 
     def test_flush_latency_recorded_for_sqlite_store(self):
         from repro.monitor.sqlitestore import SqliteMetricsStore
         store = SqliteMetricsStore(flush_records=1)
         server = MonitorServer(store=store)
-        server.ingest(batch(packets=[packet_record(seq=0)]))
+        server.submit(batch(packets=[packet_record(seq=0)]))
         assert server.self_metrics.store_flushes >= 1
         assert server.self_metrics.flush_latency_max_s > 0.0
         document = server.self_metrics_document()
@@ -256,7 +173,7 @@ class TestSelfMetrics:
         from repro.monitor.sqlitestore import SqliteMetricsStore
         store = SqliteMetricsStore(flush_records=10_000, flush_interval_s=None)
         server = MonitorServer(store=store)
-        server.ingest(batch(packets=[packet_record(seq=0)]))
+        server.submit(batch(packets=[packet_record(seq=0)]))
         assert store.pending_records == 1
         server.flush()
         assert store.pending_records == 0
@@ -268,7 +185,7 @@ class TestSelfMetrics:
         # server panel, must not create the implicit ``default`` network
         # (nor, with durable stores, its SQLite file).
         server = MonitorServer(store_factory=sqlite_store_factory(str(tmp_path)))
-        server.ingest(RecordBatch(
+        server.submit(RecordBatch(
             node=1, batch_seq=0, sent_at=1.0,
             packet_records=(packet_record(seq=0),), network_id="site-a",
         ))
@@ -301,7 +218,7 @@ class TestAlertSweep:
 
         clock = {"now": 0.0}
         server = MonitorServer(clock=lambda: clock["now"])
-        server.ingest(batch(packets=[packet_record(seq=0)]))
+        server.submit(batch(packets=[packet_record(seq=0)]))
         topic = network_topic("default")
         subscription = server.stream.subscribe([topic])
         clock["now"] = 1000.0  # silence >> 3 report intervals
@@ -319,13 +236,13 @@ class TestAlertSweep:
 
         clock = {"now": 0.0}
         server = MonitorServer(clock=lambda: clock["now"])
-        server.ingest(batch(packets=[packet_record(seq=0)]))
+        server.submit(batch(packets=[packet_record(seq=0)]))
         clock["now"] = 1000.0
         assert len(server.sweep_alerts()) == 1
         # The node reports again: the next sweep clears the silence.
         topic = network_topic("default")
         subscription = server.stream.subscribe([topic])
-        server.ingest(batch(batch_seq=1, packets=[packet_record(seq=1)]))
+        server.submit(batch(batch_seq=1, packets=[packet_record(seq=1)]))
         server.sweep_alerts()
         assert server.shard_for("default").alerts.active() == []
         types = [event.type for event in self.drain_events(subscription)]
@@ -333,13 +250,22 @@ class TestAlertSweep:
         # already; either way exactly one clear reaches the stream.
         assert types.count("alert-cleared") == 1
 
+    def test_sweep_silence_threshold_follows_report_interval(self):
+        # 230 s of silence is less than one 300 s report interval.
+        clock = {"now": 0.0}
+        server = MonitorServer(clock=lambda: clock["now"], report_interval_s=300.0)
+        server.submit(batch(packets=[packet_record(seq=0)]))
+        clock["now"] = 230.0
+        assert server.sweep_alerts() == []
+        assert server.shard_for("default").alerts.active() == []
+
     def test_maybe_sweep_paces_on_server_clock(self):
         clock = {"now": 0.0}
         server = MonitorServer(
-            clock=lambda: clock["now"], alert_sweep_interval_s=100.0
+            clock=lambda: clock["now"], report_interval_s=100.0
         )
-        # The first drain anchors the cadence without sweeping.
-        server.ingest(batch(packets=[packet_record(seq=0)]))
+        # The first submit anchors the cadence without sweeping.
+        server.submit(batch(packets=[packet_record(seq=0)]))
         assert server.alert_sweeps == 0
         clock["now"] = 50.0
         assert server.maybe_sweep_alerts() == []
@@ -353,10 +279,10 @@ class TestAlertSweep:
     def test_drain_sweeps_on_ingest_cadence(self):
         clock = {"now": 0.0}
         server = MonitorServer(clock=lambda: clock["now"])
-        server.ingest(batch(node=1, packets=[packet_record(node=1, seq=0)]))
+        server.submit(batch(node=1, packets=[packet_record(node=1, seq=0)]))
         clock["now"] = 500.0
-        server.ingest(batch(node=2, packets=[packet_record(node=2, seq=0)]))
-        # The second batch's drain swept: node 1 fell silent meanwhile.
+        server.submit(batch(node=2, packets=[packet_record(node=2, seq=0)]))
+        # The second submit swept: node 1 fell silent meanwhile.
         assert server.alert_sweeps == 1
         active = server.shard_for("default").alerts.active()
         assert {(alert.rule, alert.node) for alert in active} == {("silent_node", 1)}

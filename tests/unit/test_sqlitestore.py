@@ -124,7 +124,7 @@ class TestDropInCompatibility:
             node=1, batch_seq=0, sent_at=0.0,
             packet_records=(packet_record(),), status_records=(status_record(),),
         )
-        result = server.ingest(batch)
+        result = server.submit(batch)
         assert result.ok and result.accepted_packets == 1
         assert store.packet_record_count() == 1
 

@@ -87,6 +87,14 @@ class TestHtmlPage:
         page = render_html(Dashboard(MetricsStore()), now=0.0)
         assert "0/0" in page  # nodes reporting tile
 
+    def test_page_view_evaluates_alerts_once(self):
+        dashboard = populated_dashboard()
+        calls = []
+        evaluate = dashboard.alerts.evaluate
+        dashboard.alerts.evaluate = lambda now: calls.append(now) or evaluate(now)
+        render_html(dashboard, now=20.0)
+        assert calls == [20.0]
+
 
 class TestHttpIntegration:
     def test_index_serves_rich_page_and_text_remains(self):
