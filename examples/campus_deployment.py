@@ -87,7 +87,7 @@ def main() -> None:
 
     print("\n=== network health ===")
     scores = health.network_health(scenario.store, sim.now, config.report_interval_s)
-    network_score = health.network_health_score(scenario.store, sim.now, config.report_interval_s)
+    network_score = health.network_health_score(scores)
     worst = sorted(scores.values(), key=lambda score: score.score)[:3]
     print(f"  overall: {network_score:.0f}/100")
     for score in worst:

@@ -1,13 +1,12 @@
 """Dashboard renderers.
 
-The paper's server "visualizes the information through a dashboard".  This
-module renders the same panels in three media:
+The paper's server "visualizes the information through a dashboard".  One
+page view is one document, computed once and rendered in several media:
 
-* :meth:`Dashboard.render_text` — a terminal dashboard (node table, link
-  table, traffic matrix, traffic composition, alerts),
-* :meth:`Dashboard.render_dot` — Graphviz DOT of the reported topology,
-* :meth:`Dashboard.to_json_dict` — the structured document behind the
-  HTTP API, consumable by any web frontend.
+* :meth:`Dashboard.to_json_dict` — the document: every panel, computed
+  once; the HTTP API serves it and :mod:`repro.monitor.webview` formats it,
+* :meth:`Dashboard.render_text` — the document as a terminal dashboard,
+* :meth:`Dashboard.render_dot` — Graphviz DOT of the reported topology.
 """
 
 from __future__ import annotations
@@ -87,6 +86,11 @@ class Dashboard:
     def node_rows(self, now: float) -> List[Dict[str, Any]]:
         """One summary row per known node."""
         scores = health_mod.network_health(self.store, now, self.report_interval_s)
+        return self._node_rows(now, scores)
+
+    def _node_rows(
+        self, now: float, scores: Dict[int, health_mod.HealthScore]
+    ) -> List[Dict[str, Any]]:
         rows = []
         for node in self.store.nodes():
             status = self.store.latest_status(node)
@@ -109,7 +113,7 @@ class Dashboard:
             )
         return rows
 
-    def link_rows(self, since: Optional[float] = None) -> List[Dict[str, Any]]:
+    def link_rows(self) -> List[Dict[str, Any]]:
         """One row per directed radio link."""
         return [
             {
@@ -121,14 +125,14 @@ class Dashboard:
                 "rssi_max": link.rssi_max,
                 "snr_mean": link.snr_mean,
             }
-            for (_tx, _rx), link in sorted(metrics.link_quality(self.store, since=since).items())
+            for (_tx, _rx), link in sorted(metrics.link_quality(self.store).items())
         ]
 
-    def pdr_rows(self, since: Optional[float] = None) -> List[Dict[str, Any]]:
+    def pdr_rows(self) -> List[Dict[str, Any]]:
         """One row per unicast (src, dst) pair with traffic."""
         rows = []
-        latencies = metrics.delivery_latency(self.store, since=since)
-        for (src, dst), pair in sorted(metrics.pdr_matrix(self.store, since=since).items()):
+        latencies = metrics.delivery_latency(self.store)
+        for (src, dst), pair in sorted(metrics.pdr_matrix(self.store).items()):
             latency = latencies.get((src, dst))
             rows.append(
                 {
@@ -143,27 +147,14 @@ class Dashboard:
             )
         return rows
 
-    def server_document(self) -> Optional[Dict[str, Any]]:
-        """Self-metrics of the attached monitoring server, or None."""
-        if self.monitor_server is None:
-            return None
-        return self.monitor_server.self_metrics_document()
-
-    def drops_document(self) -> Optional[Dict[str, Any]]:
-        """Flight-recorder summary (verdicts + drop tables), or None."""
-        if self.flight_recorder is None:
-            return None
-        return self.flight_recorder.to_json_dict()
-
     # -- renderers ----------------------------------------------------------------
 
     def render_text(self, now: float) -> str:
-        """Full terminal dashboard."""
-        self.alerts.evaluate(now)
+        """Full terminal dashboard: the page view's document as text."""
+        document = self.to_json_dict(now)
         label = "" if self.network_id is None else f" [{self.network_id}]"
         sections = [f"=== LoRa mesh monitor{label} @ t={now:.0f}s ==="]
 
-        node_rows = self.node_rows(now)
         sections.append("\n[nodes]")
         sections.append(
             _format_table(
@@ -174,18 +165,17 @@ class Dashboard:
                         _fmt(row["last_seen_age_s"], "s", 0),
                         _fmt(row["uptime_s"], "s", 0),
                         _fmt(row["battery_v"], "V", 2),
-                        _fmt(float(row["queue"]) if row["queue"] is not None else None, "", 0),
-                        _fmt(float(row["routes"]) if row["routes"] is not None else None, "", 0),
-                        _fmt(float(row["neighbors"]) if row["neighbors"] is not None else None, "", 0),
+                        _fmt(row["queue"], "", 0),
+                        _fmt(row["routes"], "", 0),
+                        _fmt(row["neighbors"], "", 0),
                         _fmt(row["duty"] * 100 if row["duty"] is not None else None, "%", 1),
                         _fmt(row["health"], "", 0),
                     ]
-                    for row in node_rows
+                    for row in document["nodes"]
                 ],
             )
         )
 
-        link_rows = self.link_rows()
         sections.append("\n[links]  (tx -> rx as heard by rx)")
         sections.append(
             _format_table(
@@ -198,13 +188,12 @@ class Dashboard:
                         _fmt(row["rssi_mean"], "dBm", 1),
                         _fmt(row["snr_mean"], "dB", 1),
                     ]
-                    for row in link_rows
+                    for row in document["links"]
                 ],
             )
         )
 
-        pdr_rows = self.pdr_rows()
-        if pdr_rows:
+        if document["delivery"]:
             sections.append("\n[delivery]")
             sections.append(
                 _format_table(
@@ -219,52 +208,51 @@ class Dashboard:
                             _fmt(row["latency_mean_s"], "s", 2),
                             _fmt(row["latency_p95_s"], "s", 2),
                         ]
-                        for row in pdr_rows
+                        for row in document["delivery"]
                     ],
                 )
             )
 
-        breakdown = metrics.type_breakdown(self.store)
-        if breakdown:
+        if document["composition"]:
             sections.append("\n[traffic composition]")
             sections.append(
                 _format_table(
                     ["type", "frames", "bytes", "airtime"],
                     [
-                        [row.name, str(row.frames_out), str(row.bytes_out), _fmt(row.airtime_s, "s", 2)]
-                        for row in breakdown
+                        [row["type"], str(row["frames"]), str(row["bytes"]), _fmt(row["airtime_s"], "s", 2)]
+                        for row in document["composition"]
                     ],
                 )
             )
 
-        server_doc = self.server_document()
-        if server_doc is not None:
+        server = document["server"]
+        if server is not None:
             sections.append("\n[server]  (self-metrics)")
             sections.append(
                 _format_table(
                     ["batches", "records", "dedup", "decode-err", "flushes", "flush-max"],
                     [[
-                        str(server_doc["batches_ingested"]),
-                        str(server_doc["records_ingested"]),
-                        str(server_doc["dedup_hits"]),
-                        str(server_doc["decode_failures"]),
-                        str(server_doc["store_flushes"]),
-                        _fmt(server_doc["flush_latency_max_ms"], "ms", 2),
+                        str(server["batches_ingested"]),
+                        str(server["records_ingested"]),
+                        str(server["dedup_hits"]),
+                        str(server["decode_failures"]),
+                        str(server["store_flushes"]),
+                        _fmt(server["flush_latency_max_ms"], "ms", 2),
                     ]],
                 )
             )
 
-        drops_doc = self.drops_document()
-        if drops_doc is not None:
+        drops = document["drops"]
+        if drops is not None:
             sections.append("\n[drops]  (flight recorder: message verdicts / drop events)")
-            verdicts = {k: v for k, v in drops_doc["verdicts"].items() if v}
+            verdicts = {k: v for k, v in drops["verdicts"].items() if v}
             sections.append(
                 _format_table(
                     ["verdict", "messages"],
                     [[verdict, str(count)] for verdict, count in verdicts.items()],
                 )
             )
-            reasons = drops_doc["drops_by_reason"]
+            reasons = drops["drops_by_reason"]
             if reasons:
                 sections.append(
                     _format_table(
@@ -276,13 +264,13 @@ class Dashboard:
                     )
                 )
 
-        active = self.alerts.active()
-        sections.append(f"\n[alerts]  {len(active)} active")
-        for alert in active:
-            node_label = f"node {alert.node}" if alert.node is not None else "network"
+        alerts = document["alerts"]
+        sections.append(f"\n[alerts]  {len(alerts)} active")
+        for alert in alerts:
+            node_label = f"node {alert['node']}" if alert["node"] is not None else "network"
             sections.append(
-                f"  {alert.severity.upper():8s} {alert.rule:14s} {node_label}: "
-                f"{alert.message} (since t={alert.raised_at:.0f}s)"
+                f"  {alert['severity'].upper():8s} {alert['rule']:14s} {node_label}: "
+                f"{alert['message']} (since t={alert['raised_at']:.0f}s)"
             )
         return "\n".join(sections)
 
@@ -303,23 +291,24 @@ class Dashboard:
         return "\n".join(lines)
 
     def to_json_dict(self, now: float) -> Dict[str, Any]:
-        """Structured dashboard document (the HTTP API response body).
+        """The document of one page view, every panel computed once.
 
-        The ``network`` key appears only for labelled (multi-tenant)
+        The network score is the mean of the node rows' scores.  The
+        ``network`` key appears only for labelled (multi-tenant)
         dashboards so the single-network document stays byte-identical.
         """
         self.alerts.evaluate(now)
+        scores = health_mod.network_health(self.store, now, self.report_interval_s)
+        server, recorder = self.monitor_server, self.flight_recorder
         document: Dict[str, Any] = {}
         if self.network_id is not None:
             document["network"] = self.network_id
         return {
             **document,
             "now": now,
-            "network_health": health_mod.network_health_score(
-                self.store, now, self.report_interval_s
-            ),
+            "network_health": health_mod.network_health_score(scores),
             "network_pdr": metrics.network_pdr(self.store),
-            "nodes": self.node_rows(now),
+            "nodes": self._node_rows(now, scores),
             "links": self.link_rows(),
             "delivery": self.pdr_rows(),
             "composition": [
@@ -332,6 +321,6 @@ class Dashboard:
                 for row in metrics.type_breakdown(self.store)
             ],
             "alerts": [alert.to_json_dict() for alert in self.alerts.active()],
-            "server": self.server_document(),
-            "drops": self.drops_document(),
+            "server": None if server is None else server.self_metrics_document(),
+            "drops": None if recorder is None else recorder.to_json_dict(),
         }

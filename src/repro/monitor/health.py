@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, List, Mapping, Optional
 
 from repro.monitor import metrics
 from repro.monitor.storage import MetricsStore
@@ -28,6 +28,9 @@ _W_LIVENESS = 0.40
 _W_DELIVERY = 0.30
 _W_SPECTRUM = 0.15
 _W_BATTERY = 0.15
+
+#: The delivery component's window: the trailing half hour of traffic.
+PDR_WINDOW_S = 1800.0
 
 
 @dataclass(frozen=True)
@@ -99,37 +102,44 @@ def node_score(
     return 100.0 * total / weight
 
 
+def _scores(
+    store: MetricsStore,
+    nodes: List[int],
+    now: float,
+    report_interval_s: float,
+    pdr_window_s: float,
+) -> Dict[int, HealthScore]:
+    """Scores for ``nodes`` from one PDR matrix over the trailing window.
+
+    A node's delivery is its delivered over its sent packets, summed over
+    every pair it is the source of.
+    """
+    sent: Dict[int, int] = {}
+    delivered: Dict[int, int] = {}
+    for (src, _dst), pair in metrics.pdr_matrix(store, since=now - pdr_window_s, until=now).items():
+        sent[src] = sent.get(src, 0) + pair.sent
+        delivered[src] = delivered.get(src, 0) + pair.delivered
+    scores: Dict[int, HealthScore] = {}
+    for node in nodes:
+        liveness = liveness_component(store.last_seen(node), now, report_interval_s)
+        delivery = delivered[node] / sent[node] if sent.get(node) else None
+        status = store.latest_status(node)
+        spectrum = spectrum_component(None if status is None else status.duty_utilisation)
+        battery = battery_component(None if status is None else status.battery_v)
+        score = node_score(liveness, delivery, spectrum, battery)
+        scores[node] = HealthScore(node, score, liveness, delivery, spectrum, battery)
+    return scores
+
+
 def node_health(
     store: MetricsStore,
     node: int,
     now: float,
     report_interval_s: float = 60.0,
-    pdr_window_s: float = 1800.0,
+    pdr_window_s: float = PDR_WINDOW_S,
 ) -> HealthScore:
     """Compute the health score for one node."""
-    liveness = liveness_component(store.last_seen(node), now, report_interval_s)
-
-    delivery: Optional[float] = None
-    pairs = metrics.pdr_matrix(store, since=now - pdr_window_s, until=now)
-    sent = delivered = 0
-    for (src, _dst), pair in pairs.items():
-        if src == node:
-            sent += pair.sent
-            delivered += pair.delivered
-    if sent > 0:
-        delivery = delivered / sent
-
-    status = store.latest_status(node)
-    spectrum = spectrum_component(None if status is None else status.duty_utilisation)
-    battery = battery_component(None if status is None else status.battery_v)
-    return HealthScore(
-        node=node,
-        score=node_score(liveness, delivery, spectrum, battery),
-        liveness=liveness,
-        delivery=delivery,
-        spectrum=spectrum,
-        battery=battery,
-    )
+    return _scores(store, [node], now, report_interval_s, pdr_window_s)[node]
 
 
 def network_health(
@@ -137,22 +147,12 @@ def network_health(
     now: float,
     report_interval_s: float = 60.0,
 ) -> Dict[int, HealthScore]:
-    """Health scores for every known node."""
-    return {
-        node: node_health(store, node, now, report_interval_s=report_interval_s)
-        for node in store.nodes()
-    }
+    """Health scores for every known node, from one PDR matrix."""
+    return _scores(store, store.nodes(), now, report_interval_s, PDR_WINDOW_S)
 
 
-def network_health_score(
-    store: MetricsStore,
-    now: float,
-    report_interval_s: float = 60.0,
-) -> float:
-    """Single network-level score: the mean of defined node scores."""
-    scores = [
-        health.score
-        for health in network_health(store, now, report_interval_s).values()
-        if not math.isnan(health.score)
-    ]
-    return sum(scores) / len(scores) if scores else math.nan
+def network_health_score(scores: Mapping[int, HealthScore]) -> float:
+    """Single network-level score: the mean of the defined node scores
+    (``scores`` as :func:`network_health` returns them)."""
+    defined = [health.score for health in scores.values() if not math.isnan(health.score)]
+    return sum(defined) / len(defined) if defined else math.nan

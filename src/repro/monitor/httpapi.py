@@ -39,13 +39,14 @@ import math
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple, get_type_hints
 
 from repro.monitor import fleet as fleet_mod
 from repro.monitor import health as health_mod
 from repro.monitor.codec import codec_for_content_type
 from repro.monitor.dashboard import Dashboard
 from repro.monitor.ingest import DEFAULT_NETWORK_ID, is_valid_network_id
+from repro.monitor.records import StatusRecord
 from repro.monitor.routes import ROUTES, schema_document
 from repro.monitor.server import MonitorServer
 from repro.monitor.stream.events import FLEET_TOPIC, network_topic
@@ -57,6 +58,11 @@ _INDEX_HTML = """<!DOCTYPE html>
 <style>body{font-family:monospace;background:#111;color:#ddd;padding:1em}</style>
 </head><body><pre>%s</pre></body></html>
 """
+
+#: StatusRecord fields the history route can roll up: the numeric ones.
+_NUMERIC_STATUS_FIELDS = {
+    name for name, hint in get_type_hints(StatusRecord).items() if hint in (int, float)
+}
 
 
 def _sanitize(value: Any) -> Any:
@@ -316,9 +322,9 @@ class MonitoringHttpServer:
                         {"error": "heartbeat must be a float, limit an int"}, code=400
                     )
                     return
-                if heartbeat_s <= 0 or (limit is not None and limit < 1):
+                if not 0 < heartbeat_s < math.inf or (limit is not None and limit < 1):
                     self._send_json(
-                        {"error": "heartbeat must be > 0 and limit >= 1"}, code=400
+                        {"error": "heartbeat must be finite and > 0, limit >= 1"}, code=400
                     )
                     return
                 # The SSE resume cursor: the Last-Event-ID header a
@@ -441,16 +447,13 @@ class MonitoringHttpServer:
                         code=400,
                     )
                     return
+                if not 0 < interval < math.inf:
+                    self._send_json({"error": "interval must be finite and > 0"}, code=400)
+                    return
                 field = params.get("field")
-                if field is not None:
-                    from repro.monitor.records import StatusRecord
-                    import dataclasses
-                    valid = {f.name for f in dataclasses.fields(StatusRecord)}
-                    if field not in valid:
-                        self._send_json(
-                            {"error": f"unknown status field {field!r}"}, code=400
-                        )
-                        return
+                if field is not None and field not in _NUMERIC_STATUS_FIELDS:
+                    self._send_json({"error": f"unknown numeric status field {field!r}"}, code=400)
+                    return
                 try:
                     if field is None:
                         series = rollup_packet_rate(
@@ -474,8 +477,12 @@ class MonitoringHttpServer:
                     self._send(200, dashboard.render_dot().encode("utf-8"), "text/plain")
 
             def _h_network_ingest(self, network: str) -> None:
-                length = int(self.headers.get("Content-Length", "0"))
-                raw = self.rfile.read(length)
+                length = self.headers.get("Content-Length", "0")
+                if not (length.isascii() and length.isdigit()):
+                    error = "Content-Length must be a non-negative integer"
+                    self._send_json({"ok": False, "error": error}, code=400)
+                    return
+                raw = self.rfile.read(int(length))
                 # The codec is negotiated via Content-Type; absent or JSON
                 # types run the JSON path.
                 codec = codec_for_content_type(self.headers.get("Content-Type"))

@@ -110,7 +110,7 @@ _STREAM_PARAMS = (
     Param(
         "heartbeat",
         "float",
-        description="Comment-heartbeat period in seconds while the topic is quiet.",
+        description="Comment-heartbeat period in seconds (> 0) while the topic is quiet.",
         default="15",
     ),
     Param(
@@ -137,14 +137,14 @@ _HISTORY_PARAMS = (
         "field",
         "string",
         description=(
-            "StatusRecord field to roll up (e.g. queue_depth, battery_v); "
+            "Numeric StatusRecord field to roll up (e.g. queue_depth, battery_v); "
             "omitted = packet rate."
         ),
     ),
     Param(
         "interval",
         "float",
-        description="Bucket width in seconds.",
+        description="Bucket width in seconds (> 0).",
         default="300",
     ),
 )

@@ -29,7 +29,6 @@ try:  # optional: nicer force-directed layout when available
 except ImportError:  # pragma: no cover - exercised only without networkx
     networkx = None
 
-from repro.monitor import metrics
 from repro.monitor.dashboard import Dashboard
 from repro.monitor.ingest import DEFAULT_NETWORK_ID
 
@@ -155,6 +154,13 @@ _FLEET_LISTENERS = """
 """
 
 
+def _fmt(value: Optional[float], suffix: str = "", digits: int = 1) -> str:
+    """A fixed-point number, or a muted dash for None or NaN."""
+    if value is None or (isinstance(value, float) and math.isnan(value)):
+        return '<span class="muted">–</span>'
+    return f"{float(value):.{digits}f}{suffix}"
+
+
 def _health_class(score: float) -> str:
     if score is None or (isinstance(score, float) and math.isnan(score)):
         return "bad"
@@ -205,16 +211,19 @@ def _rssi_color(rssi_dbm: float) -> str:
     return "#e87a68"
 
 
-def render_topology_svg(dashboard: Dashboard, width: int = 640, height: int = 420) -> str:
-    """SVG map of the reported topology, colored by link RSSI."""
-    links = metrics.link_quality(dashboard.store)
-    nodes = dashboard.store.nodes()
+def render_topology_svg(document: Dict[str, Any], width: int = 640, height: int = 420) -> str:
+    """SVG map of the reported topology, colored by link RSSI.
+
+    Draws the ``links`` and ``nodes`` of a dashboard document
+    (:meth:`~repro.monitor.dashboard.Dashboard.to_json_dict`).
+    """
+    nodes = [row["node"] for row in document["nodes"]]
     undirected = {}
-    for (tx, rx), quality in links.items():
-        key = (min(tx, rx), max(tx, rx))
+    for link in document["links"]:
+        key = (min(link["tx"], link["rx"]), max(link["tx"], link["rx"]))
         existing = undirected.get(key)
-        if existing is None or quality.rssi_mean > existing:
-            undirected[key] = quality.rssi_mean
+        if existing is None or link["rssi_mean"] > existing:
+            undirected[key] = link["rssi_mean"]
     positions = _layout(list(undirected), nodes)
     margin = 36
     def sx(x: float) -> float:
@@ -257,12 +266,6 @@ def render_html(dashboard: Dashboard, now: float, network_id: Optional[str] = No
     multi-network server (the ``/networks/<id>`` view).
     """
     document = dashboard.to_json_dict(now)
-
-    def fmt(value: Optional[float], suffix: str = "", digits: int = 1) -> str:
-        if value is None or (isinstance(value, float) and math.isnan(value)):
-            return '<span class="muted">–</span>'
-        return f"{value:.{digits}f}{suffix}"
-
     nodes = document["nodes"]
     online = sum(
         1 for row in nodes
@@ -286,9 +289,9 @@ def render_html(dashboard: Dashboard, now: float, network_id: Optional[str] = No
         f"<h1>LoRa mesh monitor{label} <span class='muted'>t={now:.0f}s</span>{_BADGE}</h1>",
         '<div class="tiles">',
         f'<div class="tile {health_tile_class}">'
-        f'<div class="value" data-live="health">{fmt(health, "", 0)}</div>'
+        f'<div class="value" data-live="health">{_fmt(health, "", 0)}</div>'
         '<div class="label">network health / 100</div></div>',
-        f'<div class="tile"><div class="value" data-live="pdr">{fmt(pdr_percent, "%", 1)}</div>'
+        f'<div class="tile"><div class="value" data-live="pdr">{_fmt(pdr_percent, "%", 1)}</div>'
         '<div class="label">packet delivery</div></div>',
         f'<div class="tile"><div class="value">{online}/{len(nodes)}</div>'
         '<div class="label">nodes reporting</div></div>',
@@ -296,7 +299,7 @@ def render_html(dashboard: Dashboard, now: float, network_id: Optional[str] = No
         '<div class="label">radio links seen</div></div>',
         "</div>",
         "<h2>Topology (as reported)</h2>",
-        render_topology_svg(dashboard),
+        render_topology_svg(document),
     ]
 
     sections.append("<h2>Nodes</h2><table><tr><th>node</th><th>seen</th>"
@@ -307,13 +310,13 @@ def render_html(dashboard: Dashboard, now: float, network_id: Optional[str] = No
         sections.append(
             "<tr>"
             f"<td>{row['node']}</td>"
-            f"<td>{fmt(row['last_seen_age_s'], 's', 0)}</td>"
-            f"<td>{fmt(row['battery_v'], ' V', 2)}</td>"
+            f"<td>{_fmt(row['last_seen_age_s'], 's', 0)}</td>"
+            f"<td>{_fmt(row['battery_v'], ' V', 2)}</td>"
             f"<td>{row['queue'] if row['queue'] is not None else '–'}</td>"
             f"<td>{row['routes'] if row['routes'] is not None else '–'}</td>"
             f"<td>{row['neighbors'] if row['neighbors'] is not None else '–'}</td>"
-            f"<td>{fmt(duty * 100 if duty is not None else None, '%', 1)}</td>"
-            f"<td>{fmt(row['health'], '', 0)}</td>"
+            f"<td>{_fmt(duty * 100 if duty is not None else None, '%', 1)}</td>"
+            f"<td>{_fmt(row['health'], '', 0)}</td>"
             "</tr>"
         )
     sections.append("</table>")
@@ -327,8 +330,8 @@ def render_html(dashboard: Dashboard, now: float, network_id: Optional[str] = No
             "<tr>"
             f"<td>{row['src']}</td><td>{row['dst']}</td>"
             f"<td>{row['sent']}</td><td>{row['delivered']}</td>"
-            f"<td>{fmt(row_pdr * 100 if row_pdr is not None else None, '%', 1)}</td>"
-            f"<td>{fmt(row['latency_mean_s'], ' s', 2)}</td>"
+            f"<td>{_fmt(row_pdr * 100 if row_pdr is not None else None, '%', 1)}</td>"
+            f"<td>{_fmt(row['latency_mean_s'], ' s', 2)}</td>"
             "</tr>"
         )
     sections.append("</table>")
@@ -360,7 +363,7 @@ def render_html(dashboard: Dashboard, now: float, network_id: Optional[str] = No
             f"<td>{server['dedup_hits']}</td>"
             f"<td>{server['decode_failures']}</td>"
             f"<td>{server['store_flushes']}</td>"
-            f"<td>{fmt(server['flush_latency_max_ms'], ' ms', 2)}</td>"
+            f"<td>{_fmt(server['flush_latency_max_ms'], ' ms', 2)}</td>"
             "</tr>"
         )
         sections.append("</table>")
@@ -380,12 +383,6 @@ def render_fleet_html(overview: Dict[str, Any]) -> str:
     tiles: List[Dict[str, Any]] = overview["networks"]
     totals: Dict[str, Any] = overview["totals"]
     unhealthy: List[Dict[str, Any]] = overview["top_unhealthy"]
-
-    def fmt(value: Optional[float], suffix: str = "", digits: int = 1) -> str:
-        if value is None or (isinstance(value, float) and math.isnan(value)):
-            return '<span class="muted">–</span>'
-        return f"{float(value):.{digits}f}{suffix}"
-
     sections = [
         "<!DOCTYPE html>",
         '<html><head><meta charset="utf-8">',
@@ -412,7 +409,7 @@ def render_fleet_html(overview: Dict[str, Any]) -> str:
         name = html.escape(str(tile["network"]))
         sections.append(
             f'<div class="tile {klass}" data-network="{name}">'
-            f'<div class="value">{fmt(health, "", 0)}</div>'
+            f'<div class="value">{_fmt(health, "", 0)}</div>'
             f'<div class="label"><a href="/networks/{name}" style="color:inherit">'
             f'{name}</a> · <span data-live="summary">{tile["nodes"]} nodes · '
             f"{tile['records_ingested']} records</span></div></div>"
@@ -429,10 +426,10 @@ def render_fleet_html(overview: Dict[str, Any]) -> str:
         sections.append(
             "<tr>"
             f'<td><a href="/networks/{name}" style="color:inherit">{name}</a></td>'
-            f"<td>{fmt(tile['health'], '', 0)}</td>"
-            f"<td>{fmt(pdr * 100 if pdr is not None else None, '%', 1)}</td>"
+            f"<td>{_fmt(tile['health'], '', 0)}</td>"
+            f"<td>{_fmt(pdr * 100 if pdr is not None else None, '%', 1)}</td>"
             f"<td>{tile['nodes']}</td>"
-            f"<td>{fmt(tile['last_batch_at'], 's', 0)}</td>"
+            f"<td>{_fmt(tile['last_batch_at'], 's', 0)}</td>"
             "</tr>"
         )
     sections.append("</table>")

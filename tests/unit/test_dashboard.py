@@ -9,7 +9,9 @@ from repro.monitor.records import (
     PacketRecord,
     StatusRecord,
 )
+from repro.monitor.server import MonitorServer
 from repro.monitor.storage import MetricsStore
+from repro.monitor.webview import render_html
 
 
 def populate(store):
@@ -97,6 +99,151 @@ class TestRenderers:
         text = dashboard.render_text(now=0.0)
         assert "[nodes]" in text
         assert dashboard.to_json_dict(now=0.0)["nodes"] == []
+
+
+#: ``render_text`` of the ``populate()`` store with a server panel, byte
+#: for byte: at t=20 s, and at t=20000 s when both nodes fall silent.
+TEXT_AT_20 = "\n".join([
+    "=== LoRa mesh monitor @ t=20s ===",
+    "",
+    "[nodes]",
+    "node  seen  uptime  batt   queue  routes  neigh  duty  health",
+    "----  ----  ------  -----  -----  ------  -----  ----  ------",
+    "1     10s   10s     3.80V  1      1       1      2.0%  95    ",
+    "2     10s   10s     3.80V  1      1       1      2.0%  92    ",
+    "",
+    "[links]  (tx -> rx as heard by rx)",
+    "tx  rx  frames  rssi       snr  ",
+    "--  --  ------  ---------  -----",
+    "1   2   3       -105.0dBm  6.0dB",
+    "",
+    "[delivery]",
+    "src  dst  sent  delivered  pdr     lat-mean  lat-p95",
+    "---  ---  ----  ---------  ------  --------  -------",
+    "1    2    3     3          100.0%  0.50s     0.50s  ",
+    "",
+    "[traffic composition]",
+    "type  frames  bytes  airtime",
+    "----  ------  -----  -------",
+    "DATA  3       120    0.15s  ",
+    "",
+    "[server]  (self-metrics)",
+    "batches  records  dedup  decode-err  flushes  flush-max",
+    "-------  -------  -----  ----------  -------  ---------",
+    "0        0        0      0           0        0.00ms   ",
+    "",
+    "[alerts]  0 active",
+])
+TEXT_AT_20000 = "\n".join([
+    "=== LoRa mesh monitor @ t=20000s ===",
+    "",
+    "[nodes]",
+    "node  seen    uptime  batt   queue  routes  neigh  duty  health",
+    "----  ------  ------  -----  -----  ------  -----  ----  ------",
+    "1     19990s  10s     3.80V  1      1       1      2.0%  35    ",
+    "2     19990s  10s     3.80V  1      1       1      2.0%  35    ",
+    "",
+    "[links]  (tx -> rx as heard by rx)",
+    "tx  rx  frames  rssi       snr  ",
+    "--  --  ------  ---------  -----",
+    "1   2   3       -105.0dBm  6.0dB",
+    "",
+    "[delivery]",
+    "src  dst  sent  delivered  pdr     lat-mean  lat-p95",
+    "---  ---  ----  ---------  ------  --------  -------",
+    "1    2    3     3          100.0%  0.50s     0.50s  ",
+    "",
+    "[traffic composition]",
+    "type  frames  bytes  airtime",
+    "----  ------  -----  -------",
+    "DATA  3       120    0.15s  ",
+    "",
+    "[server]  (self-metrics)",
+    "batches  records  dedup  decode-err  flushes  flush-max",
+    "-------  -------  -----  ----------  -------  ---------",
+    "0        0        0      0           0        0.00ms   ",
+    "",
+    "[alerts]  2 active",
+    "  CRITICAL silent_node    node 1: no telemetry for 19990s (since t=20000s)",
+    "  CRITICAL silent_node    node 2: no telemetry for 19990s (since t=20000s)",
+])
+
+
+class TestTextSnapshot:
+    @pytest.mark.parametrize(
+        "now, expected",
+        [(20.0, TEXT_AT_20), (20_000.0, TEXT_AT_20000)],
+        ids=["t20", "t20000"],
+    )
+    def test_render_text_is_byte_identical(self, now, expected):
+        store = MetricsStore()
+        populate(store)
+        dashboard = Dashboard(
+            store, report_interval_s=60.0, monitor_server=MonitorServer(store=store)
+        )
+        assert dashboard.render_text(now) == expected
+
+
+class CountingStore(MetricsStore):
+    """A store that counts full scans of its packet records."""
+
+    def __init__(self):
+        super().__init__()
+        self.scans = 0
+
+    def packet_records(self, *args, **kwargs):
+        self.scans += 1
+        return super().packet_records(*args, **kwargs)
+
+
+def ring_store(nodes):
+    """``nodes`` nodes in a ring; each sends the same three packets to the next."""
+    store = CountingStore()
+    for node in range(1, nodes + 1):
+        dst = node % nodes + 1
+        for pid in range(3):
+            store.add_packet_record(PacketRecord(
+                node=node, seq=2 * pid, timestamp=float(pid), direction=Direction.OUT,
+                src=node, dst=dst, next_hop=dst, prev_hop=node, ptype=3,
+                packet_id=pid, size_bytes=40, airtime_s=0.05,
+            ))
+            store.add_packet_record(PacketRecord(
+                node=dst, seq=2 * pid + 1, timestamp=pid + 0.5, direction=Direction.IN,
+                src=node, dst=dst, next_hop=dst, prev_hop=node, ptype=3,
+                packet_id=pid, size_bytes=40, rssi_dbm=-105.0, snr_db=6.0,
+            ))
+        store.add_status_record(StatusRecord(
+            node=node, seq=0, timestamp=10.0, uptime_s=10.0, queue_depth=1,
+            route_count=1, neighbor_count=1, battery_v=3.8, tx_frames=3,
+            tx_airtime_s=0.15, retransmissions=0, drops=0, duty_utilisation=0.02,
+            originated=3, delivered=0, forwarded=0,
+        ))
+        store.note_batch(node, received_at=10.0, dropped_records=0)
+    return store
+
+
+def scans_per_view(nodes):
+    """Packet-record scans of one page view, per renderer."""
+    store = ring_store(nodes)
+    dashboard = Dashboard(store, report_interval_s=60.0)
+    views = {
+        "to_json_dict": lambda: dashboard.to_json_dict(20.0),
+        "render_text": lambda: dashboard.render_text(20.0),
+        "render_html": lambda: render_html(dashboard, 20.0),
+    }
+    scans = {}
+    for name, view in views.items():
+        store.scans = 0
+        view()
+        scans[name] = store.scans
+    return scans
+
+
+class TestScansPerView:
+    def test_scans_do_not_grow_with_network_size(self):
+        small, large = scans_per_view(4), scans_per_view(64)
+        assert small == large
+        assert max(large.values()) <= 12
 
 
 class TestTableFormatter:

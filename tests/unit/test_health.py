@@ -95,11 +95,12 @@ class TestNetworkHealth:
     def test_network_score_is_mean(self, store):
         store.note_batch(1, received_at=0.0, dropped_records=0)
         store.note_batch(2, received_at=0.0, dropped_records=0)
-        value = health.network_health_score(store, now=30.0, report_interval_s=60.0)
+        scores = health.network_health(store, now=30.0, report_interval_s=60.0)
+        value = health.network_health_score(scores)
         assert value == pytest.approx(100.0)
 
     def test_empty_network_is_nan(self, store):
-        assert math.isnan(health.network_health_score(store, now=0.0))
+        assert math.isnan(health.network_health_score(health.network_health(store, now=0.0)))
 
 
 class TestTileHealth:
@@ -126,6 +127,6 @@ class TestTileHealth:
             RecordBatch(node=2, batch_seq=0, sent_at=2.0, packet_records=(delivered,))
         ).ok
         tile = network_tile(server, "default", now=10.0)
-        recomputed = health.network_health_score(server.store, now=10.0)
+        recomputed = health.network_health_score(health.network_health(server.store, now=10.0))
         assert recomputed == pytest.approx(100.0)
         assert tile["health"] == round(recomputed, 1)

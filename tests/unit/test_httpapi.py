@@ -1,13 +1,14 @@
 """Unit tests for the HTTP JSON API (real sockets on localhost)."""
 
 import json
+import socket
 import urllib.request
 
 import pytest
 
 from repro.monitor.dashboard import Dashboard
 from repro.monitor.httpapi import MonitoringHttpServer, _sanitize
-from repro.monitor.records import Direction, PacketRecord, RecordBatch
+from repro.monitor.records import Direction, PacketRecord, RecordBatch, StatusRecord
 from repro.monitor.rollup import bucket_document, rollup_packet_rate
 from repro.monitor.server import MonitorServer
 from repro.monitor.storage import MetricsStore
@@ -41,6 +42,30 @@ def post(server, path, body):
         return error.code, json.loads(error.read())
 
 
+def raw_post(server, path, content_length, body):
+    """POST with a verbatim Content-Length header over a raw socket.
+
+    The socket stays open for writing, so a server that waits for more
+    body than was sent makes this time out instead of stalling the suite.
+    Returns (status, JSON body), or (None, None) when the server hangs up
+    without answering.
+    """
+    host, port = server.address
+    request = (
+        f"POST {path} HTTP/1.1\r\nHost: {host}\r\n"
+        f"Content-Type: application/json\r\nContent-Length: {content_length}\r\n\r\n"
+    ).encode("ascii") + body
+    with socket.create_connection((host, port), timeout=5) as sock:
+        sock.sendall(request)
+        response = b""
+        while chunk := sock.recv(65536):
+            response += chunk
+    if not response:
+        return None, None
+    head, _, payload = response.partition(b"\r\n\r\n")
+    return int(head.split()[1]), json.loads(payload)
+
+
 #: The single-network deployment's v1 route prefix.
 V1 = "/api/v1/networks/default"
 
@@ -53,6 +78,18 @@ def make_batch_bytes(node=1):
     )
     return RecordBatch(
         node=node, batch_seq=0, sent_at=50.0, packet_records=(record,)
+    ).to_json_bytes()
+
+
+def make_status_batch_bytes(node=1):
+    record = StatusRecord(
+        node=node, seq=0, timestamp=50.0, uptime_s=50.0, queue_depth=4,
+        route_count=1, neighbor_count=0, battery_v=3.7, tx_frames=1,
+        tx_airtime_s=0.1, retransmissions=0, drops=0, duty_utilisation=0.0,
+        originated=0, delivered=0, forwarded=0,
+    )
+    return RecordBatch(
+        node=node, batch_seq=5, sent_at=50.0, status_records=(record,)
     ).to_json_bytes()
 
 
@@ -69,8 +106,13 @@ class TestEndpoints:
         status, body = post(http_server, f"{V1}/ingest", make_batch_bytes())
         assert body["duplicates"] == 1
 
-    def test_bad_batch_is_400(self, http_server):
-        status, body = post(http_server, f"{V1}/ingest", b"junk")
+    @pytest.mark.parametrize(
+        "content_length, payload",
+        [("4", b"junk"), ("abc", b""), ("-1", b"")],
+        ids=["junk-body", "non-integer-length", "negative-length"],
+    )
+    def test_bad_batch_is_400(self, http_server, content_length, payload):
+        status, body = raw_post(http_server, f"{V1}/ingest", content_length, payload)
         assert status == 400 and not body["ok"]
 
     def test_summary_document(self, http_server):
@@ -106,6 +148,11 @@ class TestEndpoints:
         assert {str(row["node"]): row["health"] for row in rows} == {
             node: score["score"] for node, score in health.items()
         }
+
+    @pytest.mark.parametrize("heartbeat", ["nan", "inf"])
+    def test_bad_heartbeat_is_400(self, http_server, heartbeat):
+        status, body = get_status_only(http_server, f"{V1}/stream?heartbeat={heartbeat}")
+        assert status == 400 and "heartbeat" in body["error"]
 
     def test_alerts_endpoint(self, http_server):
         status, body = get(http_server, f"{V1}/alerts")
@@ -154,30 +201,34 @@ class TestHistoryEndpoint:
         assert body[0]["start"] == 0.0
 
     def test_status_field_history(self, http_server):
-        from repro.monitor.records import RecordBatch, StatusRecord
-        record = StatusRecord(
-            node=1, seq=0, timestamp=50.0, uptime_s=50.0, queue_depth=4,
-            route_count=1, neighbor_count=0, battery_v=3.7, tx_frames=1,
-            tx_airtime_s=0.1, retransmissions=0, drops=0, duty_utilisation=0.0,
-            originated=0, delivered=0, forwarded=0,
-        )
-        raw = RecordBatch(
-            node=1, batch_seq=5, sent_at=50.0, status_records=(record,)
-        ).to_json_bytes()
-        post(http_server, f"{V1}/ingest", raw)
+        post(http_server, f"{V1}/ingest", make_status_batch_bytes())
         status, body = get(
             http_server, f"{V1}/history?node=1&field=queue_depth&interval=60"
         )
         assert status == 200
         assert body[0]["mean"] == 4.0
 
-    def test_missing_node_param_is_400(self, http_server):
-        status, body = get_status_only(http_server, f"{V1}/history?interval=60")
-        assert status == 400
-
-    def test_unknown_field_is_400(self, http_server):
+    @pytest.mark.parametrize(
+        "query",
+        [
+            "interval=60",
+            "node=1&field=bogus",
+            "node=1&field=neighbors",
+            "node=1&interval=0",
+            "node=1&interval=-5",
+            "node=1&interval=nan",
+            "node=1&interval=inf",
+        ],
+        ids=[
+            "no-node", "unknown-field", "non-numeric-field", "zero-interval",
+            "negative-interval", "nan-interval", "inf-interval",
+        ],
+    )
+    def test_bad_query_is_400(self, http_server, query):
+        # Packet and status records are stored, so every rollup has input.
         post(http_server, f"{V1}/ingest", make_batch_bytes())
-        status, body = get_status_only(http_server, f"{V1}/history?node=1&field=bogus")
+        post(http_server, f"{V1}/ingest", make_status_batch_bytes())
+        status, body = get_status_only(http_server, f"{V1}/history?{query}")
         assert status == 400
 
     def test_history_buckets_are_bucket_documents(self, http_server):

@@ -40,19 +40,19 @@ def populated_dashboard():
 
 class TestTopologySvg:
     def test_contains_nodes_and_edges(self):
-        svg = render_topology_svg(populated_dashboard())
+        svg = render_topology_svg(populated_dashboard().to_json_dict(now=20.0))
         assert svg.startswith("<svg") and svg.endswith("</svg>")
         assert svg.count("<circle") == 2
         assert svg.count("<line") == 1
         assert ">1<" in svg and ">2<" in svg  # node labels
 
     def test_empty_store_renders_empty_svg(self):
-        svg = render_topology_svg(Dashboard(MetricsStore()))
+        svg = render_topology_svg(Dashboard(MetricsStore()).to_json_dict(now=0.0))
         assert svg.startswith("<svg")
         assert "<circle" not in svg
 
     def test_link_color_reflects_rssi(self):
-        svg = render_topology_svg(populated_dashboard())
+        svg = render_topology_svg(populated_dashboard().to_json_dict(now=20.0))
         assert "#e8c268" in svg  # -108 dBm is in the amber band
 
 
