@@ -14,6 +14,8 @@ from repro.api import (
     LinkModel,
     LoRaParams,
     PathLossParams,
+    Radio,
+    RadioState,
     Simulator,
     Topology,
 )
@@ -42,7 +44,7 @@ def run_cell(sf: int, n_contenders: int, seed: int = 7):
     params = LoRaParams(spreading_factor=sf)
 
     received = []
-    channel.attach(1, received.append, lambda: True)
+    channel.attach(1, received.append, Radio())
     sent = {"count": 0}
 
     def contender(address):
@@ -53,7 +55,7 @@ def run_cell(sf: int, n_contenders: int, seed: int = 7):
         sim.call_in(rng.uniform(0, MESSAGE_INTERVAL_S), uplink)
 
     for address in range(2, n_contenders + 2):
-        channel.attach(address, lambda reception: None, lambda: False)
+        channel.attach(address, lambda reception: None, Radio(initial_state=RadioState.SLEEP))
         contender(address)
     sim.run(until=DURATION)
     return sent["count"], len(received)

@@ -43,6 +43,7 @@ from repro.api import (
     PacketRecord,
     PathLossParams,
     Placement,
+    Radio,
     RecordBatch,
     Simulator,
     SpanProfiler,
@@ -93,7 +94,7 @@ def drive_mesh(n_nodes, reachability, seed=7, profiler=None):
         config=ChannelConfig(sub_sensitivity_trace="aggregate"),
     )
     for node in topology.nodes():
-        channel.attach(node, lambda reception: None, lambda: True)
+        channel.attach(node, lambda reception: None, Radio())
 
     phases = rng.stream("traffic")
 

@@ -19,7 +19,9 @@ The facade is organised by layer:
 * **Simulation** — :class:`Simulator`, :class:`MeshConfig`,
   :class:`LoRaParams`, :func:`time_on_air`.
 * **PHY / propagation seam** — :class:`Channel` (keyword-only
-  ``reachability=`` / ``config=`` construction), :class:`ChannelConfig`,
+  ``reachability=`` / ``config=`` construction; nodes attach with their
+  :class:`Radio`, whose :class:`RadioState` tells the channel who
+  listens), :class:`ChannelConfig`,
   the :class:`PropagationModel` and :class:`ReachabilityIndex` protocols
   with their stock implementations (:class:`LinkModel`,
   :class:`GridReachabilityIndex`, :class:`BruteForceReachability`,
@@ -105,6 +107,7 @@ from repro.phy.channel import Channel, ChannelConfig, Reception
 from repro.phy.collision import CollisionModel, FrameOnAir
 from repro.phy.link import LinkModel, PathLossParams
 from repro.phy.params import LoRaParams
+from repro.phy.radio import Radio, RadioState
 from repro.phy.reachability import (
     BruteForceReachability,
     GridReachabilityIndex,
@@ -136,6 +139,8 @@ __all__ = [
     "Channel",
     "ChannelConfig",
     "Reception",
+    "Radio",
+    "RadioState",
     "CollisionModel",
     "FrameOnAir",
     "LinkModel",

@@ -20,6 +20,7 @@ from typing import Dict, List, Optional
 from repro.errors import ConfigurationError
 from repro.phy.channel import Channel, Reception
 from repro.phy.params import LoRaParams
+from repro.phy.radio import Radio, RadioState
 from repro.phy.regional import DutyCycleTracker
 from repro.sim.engine import Simulator
 
@@ -44,7 +45,7 @@ class LoRaWANGateway:
         self.address = address
         self.stats: Dict[int, UplinkStats] = {}
         self.receptions: List[Reception] = []
-        channel.attach(address, self._on_receive, lambda: True)
+        channel.attach(address, self._on_receive, Radio())
 
     def _on_receive(self, reception: Reception) -> None:
         payload = reception.payload
@@ -82,9 +83,9 @@ class LoRaWANNode:
         self._rng = rng or random.Random(address)
         self.duty = DutyCycleTracker(enforce=True)
         self.duty_skips = 0
-        # End nodes do not receive in this baseline; attach as deaf so the
-        # channel knows the address without delivering to it.
-        channel.attach(address, lambda reception: None, lambda: False)
+        # End nodes do not receive in this baseline; attach with a sleeping
+        # radio so the channel knows the address without delivering to it.
+        channel.attach(address, lambda reception: None, Radio(initial_state=RadioState.SLEEP))
         self._running = False
 
     def start(self) -> None:

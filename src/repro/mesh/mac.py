@@ -143,10 +143,6 @@ class CsmaMac:
             depth += 1
         return depth
 
-    def is_listening(self) -> bool:
-        """Whether the radio could currently hear a preamble."""
-        return self.radio.state == RadioState.RX
-
     def stop(self) -> None:
         """Halt the MAC (node failure): flush the queue, freeze the radio."""
         self._stopped = True
@@ -232,9 +228,9 @@ class CsmaMac:
 
     def _tx_complete(self, item: _Outbound) -> None:
         self._transmitting = False
-        self.radio.set_state(RadioState.RX, self._sim.now)
         if self._stopped:
-            return
+            return  # the radio stays asleep
+        self.radio.set_state(RadioState.RX, self._sim.now)
         needs_ack = item.packet.wants_ack and item.packet.next_hop != BROADCAST
         if needs_ack:
             self._awaiting_ack = True
@@ -321,6 +317,8 @@ class CsmaMac:
 
             def done() -> None:
                 self._transmitting = False
+                if self._stopped:
+                    return  # the radio stays asleep
                 self.radio.set_state(RadioState.RX, self._sim.now)
                 self._schedule_attempt(0.0)
 

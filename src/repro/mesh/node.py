@@ -132,7 +132,7 @@ class MeshNode:
         self._triggered_update_pending = False
         self._timers: List = []
         self.mac.on_frame_tx = self._frame_transmitted
-        self._channel.attach(self.address, self._on_reception, self.mac.is_listening)
+        self._channel.attach(self.address, self._on_reception, self.mac.radio)
         self._start_timers()
 
     def _make_route_table(self) -> RouteTable:
@@ -200,7 +200,7 @@ class MeshNode:
             trace=self._trace,
         )
         self.mac.on_frame_tx = self._frame_transmitted
-        self._channel.attach(self.address, self._on_reception, self.mac.is_listening)
+        self._channel.attach(self.address, self._on_reception, self.mac.radio)
         self._start_timers()
         self._trace.emit(self._sim.now, "node.recover", node=self.address)
 

@@ -15,11 +15,16 @@ unusable at 512).  Now each :class:`~repro.monitor.registry.NetworkShard`
 owns a :class:`TileAggregate` the ingest path feeds record-by-record:
 per-node liveness/battery/duty snapshots and per-pair delivery counters
 mirroring :func:`repro.monitor.metrics.pdr_matrix`'s matching rules with
-bounded memory.  :func:`materialized_tile` renders a tile from those
-aggregates in O(nodes in that network); :func:`fleet_overview` assembles
-tiles into the overview document and caches it on the server keyed by
-ingest progress, so steady-state reads are O(1) snapshot hits no matter
-how many networks are resident.
+bounded memory.  The aggregate keeps running sent/matched totals for the
+tile's PDR and caches each node's health score: a tile re-scores only the
+nodes whose inputs changed since the last tile, plus nodes whose liveness
+is decaying (silent for one to five report intervals), and averages the
+cached scores of the rest.  In steady state :func:`materialized_tile`
+therefore scores one node per batch, however large the network, and its
+remaining per-node work is summing cached floats.  :func:`fleet_overview`
+assembles tiles into the overview document and caches it on the server
+keyed by ingest progress, so steady-state reads are O(1) snapshot hits
+no matter how many networks are resident.
 
 Two documented deviations from the scan-based tiles: delivery counters
 are cumulative since shard creation rather than windowed, and a cached
@@ -28,8 +33,9 @@ elapsed ``report_interval_s`` time bucket, whichever is newer — so
 liveness-driven health keeps decaying while a fleet is silent instead
 of freezing at its last healthy snapshot.
 
-The aggregates are mutated by the ingest path under the server lock;
-HTTP handler threads therefore read them through
+The aggregates are mutated by the ingest path under the server lock,
+and a read refreshes the cached scores; HTTP handler threads therefore
+read them through
 :meth:`~repro.monitor.server.MonitorServer.materialize_tile` /
 :meth:`~repro.monitor.server.MonitorServer.materialize_tiles`, which
 take the same lock (:func:`materialized_tile` itself is lock-free and
@@ -68,7 +74,8 @@ def _remember(ring: "OrderedDict[int, None]", key: int, bound: int) -> None:
 
 
 class _NodeTelemetry:
-    """One node's latest-state snapshot, fed at ingest time."""
+    """One node's latest-state snapshot, fed at ingest time, and its
+    cached health score."""
 
     __slots__ = (
         "last_seen",
@@ -77,6 +84,9 @@ class _NodeTelemetry:
         "queue_depth",
         "sent",
         "matched",
+        "score",
+        "silence_min",
+        "silence_max",
     )
 
     def __init__(self) -> None:
@@ -87,6 +97,41 @@ class _NodeTelemetry:
         #: Unicast DATA packets this node originated / saw delivered.
         self.sent = 0
         self.matched = 0
+        #: Cached health score; None until scored and after any input
+        #: changes.  It holds while the silence (``now - last_seen``)
+        #: stays within ``[silence_min, silence_max]``.
+        self.score: Optional[float] = None
+        self.silence_min = 0.0
+        self.silence_max = 0.0
+
+    def rescore(self, now: float, report_interval_s: float) -> float:
+        """Score the node at ``now`` and cache the score.
+
+        The liveness term is the only input that moves with the clock,
+        so the cached score keeps the range of silences that give the
+        same liveness bit for bit.  For a positive interval, liveness is
+        exactly 1.0 up to one interval of silence (even after a clock
+        step back), and once it reaches 0.0 it never rises again.  In
+        the decay band between, only the silence it was computed at
+        gives the same value.
+        """
+        liveness = health_mod.liveness_component(self.last_seen, now, report_interval_s)
+        score = health_mod.node_score(
+            liveness,
+            self.matched / self.sent if self.sent else None,
+            health_mod.spectrum_component(self.duty_utilisation),
+            health_mod.battery_component(self.battery_v),
+        )
+        self.score = score
+        if self.last_seen is not None:
+            silence = now - self.last_seen
+            if liveness == 1.0:
+                self.silence_min, self.silence_max = -math.inf, report_interval_s
+            elif liveness == 0.0:
+                self.silence_min, self.silence_max = silence, math.inf
+            else:
+                self.silence_min = self.silence_max = silence
+        return score
 
 
 class _PairDelivery:
@@ -145,14 +190,21 @@ class TileAggregate:
 
     The ingest path calls :meth:`observe_batch` / :meth:`observe_packet`
     / :meth:`observe_status` for each accepted record (under the server
-    lock — all methods are pure in-memory bookkeeping).  Reads then cost
-    O(nodes in this network) instead of O(records in the store).
+    lock — all methods are pure in-memory bookkeeping).  Each call drops
+    the cached score of the node whose inputs it changed, so a read
+    re-scores only those nodes and the decaying ones, instead of
+    touching every record in the store.
     """
 
     def __init__(self, pending_ids: int = DEFAULT_PENDING_IDS) -> None:
         self._pending_ids = pending_ids
         self._nodes: Dict[int, _NodeTelemetry] = {}
         self._pairs: Dict[Tuple[int, int], _PairDelivery] = {}
+        #: The pairs' ``sent`` and ``matched`` summed, kept as they move.
+        self._sent = 0
+        self._matched = 0
+        #: The report interval the cached node scores were computed with.
+        self._scored_interval: Optional[float] = None
 
     # -- feeding ---------------------------------------------------------------
 
@@ -173,7 +225,9 @@ class TileAggregate:
 
     def observe_batch(self, node: int, now: float) -> None:
         """A batch from ``node`` was accepted at server time ``now``."""
-        self._node(node).last_seen = now
+        telemetry = self._node(node)
+        telemetry.last_seen = now
+        telemetry.score = None
 
     def observe_packet(self, record: PacketRecord) -> None:
         """One accepted packet record (mirrors ``pdr_matrix`` filters)."""
@@ -187,14 +241,20 @@ class TileAggregate:
                     return
                 telemetry = self._node(record.src)
                 telemetry.sent += 1
+                self._sent += 1
                 if matched:
                     telemetry.matched += 1
+                    self._matched += 1
+                telemetry.score = None
         else:
             if record.node == record.dst:
                 if self._pair(record.src, record.dst).observe_in(record.packet_id):
+                    self._matched += 1
+                    # The delivery moves the source's score, not the observer's.
                     source = self._nodes.get(record.src)
                     if source is not None:
                         source.matched += 1
+                        source.score = None
 
     def observe_status(self, record: StatusRecord) -> None:
         """One accepted status record: refresh the node's snapshot."""
@@ -202,6 +262,7 @@ class TileAggregate:
         telemetry.battery_v = record.battery_v
         telemetry.duty_utilisation = record.duty_utilisation
         telemetry.queue_depth = record.queue_depth
+        telemetry.score = None
 
     def seed_from_store(self, store: MetricsStore) -> None:
         """Replay an already populated store into the aggregates.
@@ -247,28 +308,32 @@ class TileAggregate:
 
     def pdr(self) -> float:
         """Aggregate delivery ratio across all unicast pairs (NaN if idle)."""
-        sent = sum(pair.sent for pair in self._pairs.values())
-        if not sent:
-            return math.nan
-        matched = sum(pair.matched for pair in self._pairs.values())
-        return matched / sent
+        return self._matched / self._sent if self._sent else math.nan
 
     def health(self, now: float, report_interval_s: float = 60.0) -> float:
         """Network health: the mean of the defined node scores (NaN if none).
 
         Each node is scored by :func:`repro.monitor.health.node_score`
         from its last accepted batch, its incremental match counters and
-        its latest status snapshot.
+        its latest status snapshot.  A node's cached score is reused
+        while its inputs are unchanged and its silence still gives the
+        same liveness (see :meth:`_NodeTelemetry.rescore`); a different
+        ``report_interval_s`` drops every cached score.
         """
+        if report_interval_s != self._scored_interval:
+            self._scored_interval = report_interval_s
+            for telemetry in self._nodes.values():
+                telemetry.score = None
         total = 0.0
         count = 0
         for telemetry in self._nodes.values():
-            score = health_mod.node_score(
-                health_mod.liveness_component(telemetry.last_seen, now, report_interval_s),
-                telemetry.matched / telemetry.sent if telemetry.sent else None,
-                health_mod.spectrum_component(telemetry.duty_utilisation),
-                health_mod.battery_component(telemetry.battery_v),
-            )
+            score = telemetry.score
+            last_seen = telemetry.last_seen
+            if score is None or (
+                last_seen is not None
+                and not telemetry.silence_min <= now - last_seen <= telemetry.silence_max
+            ):
+                score = telemetry.rescore(now, report_interval_s)
             if not math.isnan(score):
                 total += score
                 count += 1

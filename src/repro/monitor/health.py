@@ -80,9 +80,9 @@ def node_score(
     """A node's 0..100 score from its components (None = no data).
 
     Missing components redistribute their weight over the others; a node
-    with no component at all scores NaN.  Called for every node on every
-    ingested batch (:class:`~repro.monitor.fleet.TileAggregate`), so it
-    takes plain values and builds nothing.
+    with no component at all scores NaN.  The ingest path calls it for
+    each node a batch changed (:class:`~repro.monitor.fleet.TileAggregate`),
+    so it takes plain values and builds nothing.
     """
     weight = total = 0.0
     if liveness is not None:

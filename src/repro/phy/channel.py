@@ -6,17 +6,20 @@ On each transmission it
 1. asks its :class:`~repro.phy.reachability.ReachabilityIndex` which nodes
    could plausibly detect the frame (everyone else is provably below the
    CAD-detection threshold and is skipped),
-2. snapshots which candidate nodes are listening when the preamble starts,
+2. stores which nodes cannot hear the preamble when it starts,
 3. schedules a delivery evaluation at frame end, where the collision model
    decides — per receiver — whether the frame survived all overlapping
    transmissions,
 4. emits ground-truth trace events (``phy.tx``, ``phy.rx``, ``phy.collision``,
    ``phy.below_sensitivity``, ``phy.rx_missed``).
 
-Nodes attach with two callbacks: ``on_receive`` (invoked with a
-:class:`Reception`) and ``is_listening`` (polled to decide whether the radio
-could hear the preamble).  Half-duplex is enforced: a node whose own
-transmission overlaps an incoming frame never receives it.
+Nodes attach with an ``on_receive`` callback (invoked with a
+:class:`Reception`) and their :class:`~repro.phy.radio.Radio`, which
+reports every state transition back to the channel; the channel keeps
+the set of nodes that are not attached with a radio in RX, so a frame
+start copies that small set instead of asking every radio.  Half-duplex
+is enforced: a node whose own transmission overlaps an incoming frame
+never receives it.
 
 Hot-path structure (see ``docs/ARCHITECTURE.md``, "PHY hot path"): RSSI is
 computed lazily per (frame, receiver) on first use, backed by the shared
@@ -37,13 +40,14 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Deque, Dict, List, Optional, Set
+from typing import Any, Callable, Deque, Dict, FrozenSet, List, Optional, Set
 
 from repro.errors import ConfigurationError
 from repro.phy.airtime import cached_time_on_air
 from repro.phy.collision import CollisionModel, FrameOnAir
 from repro.phy.link import sensitivity_dbm
 from repro.phy.params import LoRaParams
+from repro.phy.radio import Radio, RadioState
 from repro.phy.reachability import (
     GridReachabilityIndex,
     LinkBudgetCache,
@@ -56,6 +60,10 @@ from repro.sim.trace import TraceLog
 
 #: Valid values for :attr:`ChannelConfig.sub_sensitivity_trace`.
 SUB_SENSITIVITY_MODES = ("auto", "per_node", "aggregate")
+
+_RX = RadioState.RX
+#: Shared by every frame that starts while every node can listen.
+_NOBODY: FrozenSet[int] = frozenset()
 
 
 @dataclass(frozen=True)
@@ -130,13 +138,15 @@ class Transmission:
     #: geometry in one index flavour but not the other; the channel
     #: recomputes on epoch mismatch to keep the flavours event-identical.
     rssi_epoch: Dict[int, int] = field(default_factory=dict)
-    #: Attached nodes that were listening (radio in RX, not transmitting)
-    #: at start.  Sampled over every attached node, not just the sender's
-    #: candidate set: reception is decided against frame-*end* geometry, so
-    #: under mid-flight mobility a node outside the start-time candidate set
-    #: can still become a receiver — its listening state must have been
-    #: recorded for both index flavours to agree.
-    listeners_at_start: Set[int] = field(default_factory=set)
+    #: Topology nodes that could not hear the preamble at start: not
+    #: attached, or attached with a radio outside RX (a MAC puts its own
+    #: radio in TX before it sends).  It covers every topology node, not
+    #: just the sender's candidate set: reception is decided against
+    #: frame-*end* geometry, so under mid-flight mobility a node outside
+    #: the start-time candidate set can still become a receiver — its
+    #: listening state must have been recorded for both index flavours
+    #: to agree.
+    deaf_at_start: FrozenSet[int] = _NOBODY
 
     def as_frame(self, receiver: int) -> FrameOnAir:
         """Collision-model view of this transmission at ``receiver``."""
@@ -215,7 +225,10 @@ class Channel:
         #: Per-sender frames within the horizon (half-duplex lookups).
         self._by_sender: Dict[int, Deque[Transmission]] = {}
         self._on_receive: Dict[int, Callable[[Reception], None]] = {}
-        self._is_listening: Dict[int, Callable[[], bool]] = {}
+        self._radios: Dict[int, Radio] = {}
+        #: Topology nodes not attached with a radio in RX, kept current by
+        #: attach/detach and the attached radios' transitions.
+        self._deaf: Set[int] = set(topology.positions)
 
     @property
     def trace(self) -> TraceLog:
@@ -247,25 +260,47 @@ class Channel:
         self,
         address: int,
         on_receive: Callable[[Reception], None],
-        is_listening: Callable[[], bool],
+        radio: Radio,
     ) -> None:
         """Register a node's radio with the medium.
 
+        The channel becomes the radio's observer: from now on the node
+        can hear a preamble exactly while ``radio`` is in RX.
+
         Raises:
             ConfigurationError: if the address is not in the topology or is
-                already attached.
+                already attached, or the radio already has an observer.
         """
         if address not in self._topology.positions:
             raise ConfigurationError(f"node {address} is not in the topology")
         if address in self._on_receive:
             raise ConfigurationError(f"node {address} already attached")
+        if radio.observer is not None:
+            raise ConfigurationError(f"node {address}: radio is already observed")
+        deaf = self._deaf
+
+        def observe(state: RadioState) -> None:
+            if state is _RX:
+                deaf.discard(address)
+            else:
+                deaf.add(address)
+
         self._on_receive[address] = on_receive
-        self._is_listening[address] = is_listening
+        self._radios[address] = radio
+        radio.observer = observe
+        observe(radio.state)
 
     def detach(self, address: int) -> None:
-        """Remove a node (e.g. simulated hardware failure)."""
+        """Remove a node (e.g. simulated hardware failure).
+
+        The node's radio stops reporting to the channel, so transitions a
+        stopped MAC makes later cannot make the address look listening.
+        """
         self._on_receive.pop(address, None)
-        self._is_listening.pop(address, None)
+        radio = self._radios.pop(address, None)
+        if radio is not None:
+            radio.observer = None
+            self._deaf.add(address)
 
     def is_busy(self, address: int) -> bool:
         """Carrier/CAD sense at ``address``: any detectable frame on air?
@@ -314,6 +349,11 @@ class Channel:
         """
         now = self._sim.now
         end = now + cached_time_on_air(params, payload_bytes)
+        # Listening state is time-dependent and cannot be reconstructed
+        # later, so it is stored for *every* topology node — not just the
+        # current candidate set, which a mid-flight move can grow.  Only
+        # the nodes that cannot listen are stored: usually a handful.
+        deaf = self._deaf
         tx = Transmission(
             tx_id=next(self._tx_ids),
             sender=sender,
@@ -322,13 +362,8 @@ class Channel:
             payload_bytes=payload_bytes,
             start=now,
             end=end,
+            deaf_at_start=frozenset(deaf) if deaf else _NOBODY,
         )
-        # Listening state is time-dependent and cannot be reconstructed
-        # later, so it is sampled for *every* attached node — not just the
-        # current candidate set, which a mid-flight move can grow.
-        for node, listener in self._is_listening.items():
-            if node != sender and listener():
-                tx.listeners_at_start.add(node)
         self._active.append(tx)
         self._register_slots(tx)
         self._by_sender.setdefault(sender, deque()).append(tx)
@@ -488,7 +523,7 @@ class Channel:
                 else:
                     below_count += 1
                 continue
-            if node not in tx.listeners_at_start or self._own_tx_overlaps(node, tx):
+            if node in tx.deaf_at_start or self._own_tx_overlaps(node, tx):
                 self._trace.emit(self._sim.now, "phy.rx_missed", node=node, tx_id=tx.tx_id)
                 continue
             # Frames the node itself sent do not appear at the antenna as

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict
+from typing import Callable, Dict, Optional
 
 from repro.errors import SimulationError
 from repro.units import mah
@@ -56,6 +56,11 @@ class EnergyModel:
         return self.charge_coulombs(state, duration_s) * self.supply_voltage_v
 
 
+#: Every state in definition order.  Iterating the enum class runs Python
+#: code per member, and every simulated node builds a radio.
+_STATES = tuple(RadioState)
+
+
 class Radio:
     """Tracks the radio's state over simulation time and accumulates energy.
 
@@ -67,7 +72,11 @@ class Radio:
         self._energy_model = energy_model or EnergyModel()
         self._state = initial_state
         self._state_since = 0.0
-        self._time_in_state: Dict[RadioState, float] = {state: 0.0 for state in RadioState}
+        self._time_in_state: Dict[RadioState, float] = dict.fromkeys(_STATES, 0.0)
+        #: Called with the new state after every transition.  The channel
+        #: the radio is attached to sets it, to know who can hear a
+        #: preamble without asking every radio at every frame.
+        self.observer: Optional[Callable[[RadioState], None]] = None
 
     @property
     def state(self) -> RadioState:
@@ -90,6 +99,8 @@ class Radio:
         self._time_in_state[self._state] += now - self._state_since
         self._state = state
         self._state_since = now
+        if self.observer is not None:
+            self.observer(state)
 
     def finalize(self, now: float) -> None:
         """Account the tail interval up to ``now`` without changing state."""

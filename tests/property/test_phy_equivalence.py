@@ -24,6 +24,7 @@ from repro.api import (
     LinkModel,
     LoRaParams,
     PathLossParams,
+    Radio,
     Simulator,
     Topology,
 )
@@ -89,7 +90,7 @@ def run_flavour(reachability, mode, nodes, positions, seed, txs, move_list, atte
         channel.attach(
             node,
             lambda reception: receptions.append(reception),
-            lambda: True,
+            Radio(),
         )
 
     def send(sender, payload_bytes, sf):

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from repro.api import Radio, RadioState
 from repro.errors import ConfigurationError
 from repro.phy.channel import Channel, ChannelConfig
 from repro.phy.link import LinkModel, PathLossParams
@@ -28,8 +29,8 @@ class Receiver:
 
     def __init__(self, channel, address, listening=True):
         self.received = []
-        self.listening = listening
-        channel.attach(address, self.received.append, lambda: self.listening)
+        self.radio = Radio(initial_state=RadioState.RX if listening else RadioState.SLEEP)
+        channel.attach(address, self.received.append, self.radio)
 
 
 class TestDelivery:
@@ -215,13 +216,13 @@ class TestAttachment:
     def test_unknown_address_rejected(self):
         _, channel, _, _ = make_world({1: (0, 0)})
         with pytest.raises(ConfigurationError):
-            channel.attach(99, lambda r: None, lambda: True)
+            channel.attach(99, lambda r: None, Radio())
 
     def test_double_attach_rejected(self):
         _, channel, _, _ = make_world({1: (0, 0), 2: (10, 0)})
         Receiver(channel, 2)
         with pytest.raises(ConfigurationError):
-            channel.attach(2, lambda r: None, lambda: True)
+            channel.attach(2, lambda r: None, Radio())
 
     def test_detach_stops_delivery(self):
         sim, channel, trace, params = make_world({1: (0, 0), 2: (100, 0)})

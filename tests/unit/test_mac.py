@@ -7,7 +7,7 @@ import pytest
 from repro.mesh.addressing import BROADCAST
 from repro.mesh.config import MeshConfig
 from repro.mesh.mac import CsmaMac
-from repro.mesh.packet import FLAG_ACK_REQUESTED, Packet, PacketType
+from repro.mesh.packet import FLAG_ACK_REQUESTED, AckPayload, Packet, PacketType
 from repro.phy.channel import Channel
 from repro.phy.link import LinkModel, PathLossParams
 from repro.phy.params import LoRaParams
@@ -36,7 +36,7 @@ def build(positions=None, config=None):
             config=config,
             rng=random.Random(address),
         )
-        channel.attach(address, received[address].append, mac.is_listening)
+        channel.attach(address, received[address].append, mac.radio)
         macs[address] = mac
     return sim, channel, trace, macs, received
 
@@ -104,6 +104,38 @@ class TestBasicTransmission:
         assert observed == [(9, 1)]
 
 
+class TestStopMidFrame:
+    """A MAC stopped while its radio transmits (the node failed) leaves
+    the radio asleep when the frame's airtime ends."""
+
+    @staticmethod
+    def ack_packet():
+        return Packet(
+            dst=2, src=1, ptype=PacketType.ACK, packet_id=500,
+            payload=AckPayload(2, 7).encode(), next_hop=2, prev_hop=1, ttl=1,
+        )
+
+    @pytest.mark.parametrize("frame", ["data", "ack"])
+    def test_radio_stays_asleep(self, frame):
+        sim, channel, trace, macs, received = build()
+        mac = macs[1]
+        if frame == "data":
+            mac.send(data_packet(next_hop=BROADCAST))
+        else:
+            mac.send_ack(self.ack_packet())
+        while mac.radio.state != RadioState.TX:
+            assert sim.run(max_events=1) == 1
+        mac.stop()
+        sim.run(until=sim.now + 10.0)  # well past the frame's airtime
+        assert mac.radio.state == RadioState.SLEEP
+        mac.radio.finalize(sim.now)
+        rx_s = mac.radio.time_in_state(RadioState.RX)
+        sim.run(until=sim.now + 300.0)
+        mac.radio.finalize(sim.now)
+        assert mac.radio.state == RadioState.SLEEP
+        assert mac.radio.time_in_state(RadioState.RX) == rx_s
+
+
 class TestCsma:
     def test_busy_channel_defers_transmission(self):
         sim, channel, trace, macs, received = build(
@@ -154,7 +186,7 @@ class TestAcks:
                 macs[2].send_ack(ack)
 
         channel.detach(2)
-        channel.attach(2, auto_ack, macs[2].is_listening)
+        channel.attach(2, auto_ack, macs[2].radio)
         results = []
         macs[1].send(data_packet(want_ack=True), lambda ok, why: results.append((ok, why)))
 
@@ -171,7 +203,7 @@ class TestAcks:
                 macs[1].handle_ack(ack.acked_src, ack.acked_packet_id, packet.prev_hop)
 
         channel.detach(1)
-        channel.attach(1, on_rx_1, macs[1].is_listening)
+        channel.attach(1, on_rx_1, macs[1].radio)
         sim.run(until=30.0)
         assert results == [(True, "acked")]
         assert macs[1].stats.retransmissions == 0

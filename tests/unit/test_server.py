@@ -286,3 +286,48 @@ class TestAlertSweep:
         assert server.alert_sweeps == 1
         active = server.shard_for("default").alerts.active()
         assert {(alert.rule, alert.node) for alert in active} == {("silent_node", 1)}
+
+
+class TestTileScoringWork:
+    """The tile published per batch re-scores only what the batch changed."""
+
+    @staticmethod
+    def scores_per_measured_batch(monkeypatch, n_nodes):
+        """``node_score`` calls per batch in the third report interval,
+        every node reporting once per interval at evenly spaced times."""
+        from repro.monitor import health
+
+        calls = []
+        node_score = health.node_score
+
+        def counting_node_score(*components):
+            calls.append(components)
+            return node_score(*components)
+
+        monkeypatch.setattr(health, "node_score", counting_node_score)
+        interval = 60.0
+        clock = {"now": 0.0}
+        server = MonitorServer(clock=lambda: clock["now"], report_interval_s=interval)
+        for cycle in range(3):
+            if cycle == 2:
+                calls.clear()
+            for node in range(1, n_nodes + 1):
+                clock["now"] = (cycle + node / n_nodes) * interval
+                sent = PacketRecord(
+                    node=node, seq=cycle, timestamp=clock["now"], direction=Direction.OUT,
+                    src=node, dst=node % n_nodes + 1, next_hop=node % n_nodes + 1,
+                    prev_hop=node, ptype=3, packet_id=cycle, size_bytes=40,
+                )
+                result = server.submit(
+                    batch(node=node, batch_seq=cycle, packets=[sent],
+                          status=[status_record(node=node, seq=cycle)])
+                )
+                assert result.ok
+        server.close()
+        return len(calls) / n_nodes
+
+    def test_scores_per_batch_do_not_grow_with_network_size(self, monkeypatch):
+        small = self.scores_per_measured_batch(monkeypatch, 4)
+        large = self.scores_per_measured_batch(monkeypatch, 64)
+        assert small == large
+        assert large <= 1
