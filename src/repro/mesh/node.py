@@ -17,6 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Dict, List, Optional
 
 from repro.errors import ConfigurationError
@@ -49,6 +50,19 @@ PROTOCOL_FLOOD = "flood"
 PacketInHook = Callable[[float, Packet, Reception], None]
 PacketOutHook = Callable[[float, Packet, float, int], None]
 DeliverHook = Callable[["DeliveredMessage"], None]
+
+
+@lru_cache(maxsize=1)
+def _decode_route(raw: bytes) -> RoutePayload:
+    """:meth:`RoutePayload.decode` behind a one-entry memo keyed by the bytes.
+
+    A ROUTE frame is a broadcast that every neighbour in range receives
+    with the same payload, so they share one decode (as does an unchanged
+    vector advertised again).  Sharing is safe because
+    :meth:`RouteTable.apply_vector` only reads the payload; a decode error
+    is raised afresh every time, since ``lru_cache`` stores only results.
+    """
+    return RoutePayload.decode(raw)
 
 
 @dataclass(frozen=True)
@@ -422,7 +436,7 @@ class MeshNode:
         if self.protocol != PROTOCOL_DV:
             return
         try:
-            payload = RoutePayload.decode(packet.payload)
+            payload = _decode_route(packet.payload)
         except Exception:
             self.counters.drop("bad_route_payload")
             return

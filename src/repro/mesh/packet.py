@@ -236,10 +236,19 @@ class RoutePayload:
     ENTRY_SIZE = struct.calcsize(_ENTRY_FORMAT)
 
     def encode(self) -> bytes:
-        parts = [struct.pack("!B", len(self.entries))]
+        """Serialize to the count byte followed by one (dst, metric) pair
+        per entry.
+
+        Raises:
+            EncodeError: for more than 255 entries, or an entry whose
+                ``dst`` does not fit in 16 bits or ``metric`` in 8.
+        """
         if len(self.entries) > 0xFF:
             raise EncodeError(f"route vector of {len(self.entries)} entries exceeds 255")
+        parts = [struct.pack("!B", len(self.entries))]
         for entry in self.entries:
+            if not (0 <= entry.dst <= 0xFFFF):
+                raise EncodeError(f"dst {entry.dst} does not fit in 16 bits")
             if not (0 <= entry.metric <= 0xFF):
                 raise EncodeError(f"metric {entry.metric} does not fit in 8 bits")
             parts.append(struct.pack(self._ENTRY_FORMAT, entry.dst, entry.metric))

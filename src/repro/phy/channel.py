@@ -8,8 +8,9 @@ On each transmission it
    CAD-detection threshold and is skipped),
 2. stores which nodes cannot hear the preamble when it starts,
 3. schedules a delivery evaluation at frame end, where the collision model
-   decides — per receiver — whether the frame survived all overlapping
-   transmissions,
+   first decides once which overlapping transmissions threaten the frame
+   at all, and then — per receiver — whether the frame's power there
+   captures those threats,
 4. emits ground-truth trace events (``phy.tx``, ``phy.rx``, ``phy.collision``,
    ``phy.below_sensitivity``, ``phy.rx_missed``).
 
@@ -19,7 +20,8 @@ reports every state transition back to the channel; the channel keeps
 the set of nodes that are not attached with a radio in RX, so a frame
 start copies that small set instead of asking every radio.  Half-duplex
 is enforced: a node whose own transmission overlaps an incoming frame
-never receives it.
+never receives it — the senders of the frames overlapping it, found once
+per frame, are exactly the nodes that transmitted during it.
 
 Hot-path structure (see ``docs/ARCHITECTURE.md``, "PHY hot path"): RSSI is
 computed lazily per (frame, receiver) on first use, backed by the shared
@@ -28,7 +30,10 @@ by a geometry epoch (bumped on every topology move and injected
 attenuation change) so a cached value never outlives the geometry it was
 computed under; overlap queries go through a slot map keyed by coarse
 time buckets instead of scanning every active/recent frame; recently
-finished frames are pruned incrementally from a deque.  Because the link
+finished frames are pruned incrementally from a deque.  Everything that
+does not depend on the receiver — the overlapping frames, which of them
+are collision threats, who was transmitting — is computed once per frame,
+and RSSI at a receiver only for the threats.  Because the link
 model's randomness is counter-based and bounded (:mod:`repro.phy.link`),
 the produced trace stream is identical whichever reachability index is
 plugged in — the brute-force index remains available as the reference
@@ -44,7 +49,7 @@ from typing import Any, Callable, Deque, Dict, FrozenSet, List, Optional, Set
 
 from repro.errors import ConfigurationError
 from repro.phy.airtime import cached_time_on_air
-from repro.phy.collision import CollisionModel, FrameOnAir
+from repro.phy.collision import CollisionModel
 from repro.phy.link import sensitivity_dbm
 from repro.phy.params import LoRaParams
 from repro.phy.radio import Radio, RadioState
@@ -148,15 +153,6 @@ class Transmission:
     #: to agree.
     deaf_at_start: FrozenSet[int] = _NOBODY
 
-    def as_frame(self, receiver: int) -> FrameOnAir:
-        """Collision-model view of this transmission at ``receiver``."""
-        return FrameOnAir(
-            params=self.params,
-            rssi_dbm=self.rssi_at[receiver],
-            start=self.start,
-            end=self.end,
-        )
-
 
 @dataclass(frozen=True)
 class Reception:
@@ -222,8 +218,6 @@ class Channel:
         self._recent: Deque[Transmission] = deque()
         #: Coarse time bucket -> frames whose air interval touches it.
         self._slots: Dict[int, List[Transmission]] = {}
-        #: Per-sender frames within the horizon (half-duplex lookups).
-        self._by_sender: Dict[int, Deque[Transmission]] = {}
         self._on_receive: Dict[int, Callable[[Reception], None]] = {}
         self._radios: Dict[int, Radio] = {}
         #: Topology nodes not attached with a radio in RX, kept current by
@@ -366,7 +360,6 @@ class Channel:
         )
         self._active.append(tx)
         self._register_slots(tx)
-        self._by_sender.setdefault(sender, deque()).append(tx)
         # Thread the network-wide packet identity into the PHY event stream
         # so the flight recorder can stitch phy.tx/rx/collision (keyed by
         # tx_id) back to the mesh packet that was on the air.
@@ -462,20 +455,6 @@ class Channel:
         out.sort(key=lambda other: other.tx_id)
         return out
 
-    def _own_tx_overlaps(self, node: int, tx: Transmission) -> bool:
-        """Whether ``node`` transmitted at any point during ``tx``
-        (half-duplex), via the per-sender deque instead of a global scan."""
-        frames = self._by_sender.get(node)
-        if not frames:
-            return False
-        horizon = self._sim.now - self._config.recent_horizon_s
-        while frames and frames[0].end < horizon:
-            frames.popleft()
-        return any(
-            other.tx_id != tx.tx_id and tx.start < other.end and other.start < tx.end
-            for other in frames
-        )
-
     # -- delivery evaluation --------------------------------------------------
 
     def _complete(self, tx: Transmission) -> None:
@@ -488,17 +467,15 @@ class Channel:
         horizon = self._sim.now - self._config.recent_horizon_s
         while self._recent and self._recent[0].end < horizon:
             self._unregister_slots(self._recent.popleft())
-        # Prune the sender's half-duplex deque here too: _own_tx_overlaps
-        # only prunes when the node is evaluated as a receiver, and a
-        # node that transmits but is rarely eligible to receive (out of
-        # everyone's range, or culled in aggregate mode) would otherwise
-        # accumulate every frame it ever sent.
-        sender_frames = self._by_sender.get(tx.sender)
-        if sender_frames:
-            while sender_frames and sender_frames[0].end < horizon:
-                sender_frames.popleft()
 
+        # Receiver-independent, so once per frame: the frames on air during
+        # this one, which of them can corrupt it anywhere, and who sent
+        # them — a node that transmitted during the frame cannot have
+        # received it (half-duplex).
         overlapping = self._overlapping(tx)
+        cross_sf, same_sf = self._collisions.threats(tx.params, tx.start, tx.end, overlapping)
+        threatened = bool(cross_sf or same_sf)
+        transmitting = {other.sender for other in overlapping}
         candidates = self._reachability.candidates(tx.sender, tx.params)
         per_node = self._per_node_trace
         if per_node:
@@ -523,26 +500,24 @@ class Channel:
                 else:
                     below_count += 1
                 continue
-            if node in tx.deaf_at_start or self._own_tx_overlaps(node, tx):
+            if node in tx.deaf_at_start or node in transmitting:
                 self._trace.emit(self._sim.now, "phy.rx_missed", node=node, tx_id=tx.tx_id)
                 continue
-            # Frames the node itself sent do not appear at the antenna as
-            # interference (it was not listening then anyway).  Every
-            # overlapping frame counts as an interferer regardless of its
-            # sender's candidate set — its RSSI here is computed on demand.
-            interferers = []
-            for other in overlapping:
-                if other.sender == node:
-                    continue
-                self._rssi(other, node)
-                interferers.append(other.as_frame(node))
-            if not self._collisions.survives(tx.as_frame(node), interferers):
+            # Every threat counts regardless of its sender's candidate set —
+            # its RSSI here is computed on demand.  This node sent none of
+            # the overlapping frames (half-duplex above), so each of them is
+            # an interferer here and counts in ``n_interferers``.
+            if threatened and not self._collisions.captures(
+                rssi,
+                [self._rssi(other, node) for other in cross_sf],
+                [self._rssi(other, node) for other in same_sf],
+            ):
                 self._trace.emit(
                     self._sim.now,
                     "phy.collision",
                     node=node,
                     tx_id=tx.tx_id,
-                    n_interferers=len(interferers),
+                    n_interferers=len(overlapping),
                 )
                 continue
             snr = self._link.snr_db(rssi, tx.params.bandwidth_hz)

@@ -15,16 +15,42 @@ transmissions destroy each other at a given receiver?" into four conditions:
 * **timing (critical section)**: a weaker frame still survives if the
   interference ends before its last ``critical_preamble_symbols`` preamble
   symbols begin — the receiver can then still lock onto the preamble.
+
+The rule is split along what depends on the receiver.  Frequency, SF and
+timing are properties of the frames alone, so :meth:`CollisionModel.threats`
+decides once per frame which overlapping frames can corrupt it at *any*
+receiver; power is all a receiver adds, so :meth:`CollisionModel.captures`
+compares one receiver's RSSI against those threats only.
+:meth:`CollisionModel.survives` is the two composed, for callers that hold
+one receiver's view of every frame.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import Dict, Iterable, List, Protocol, Sequence, Tuple, TypeVar
 
 from repro.phy.airtime import symbol_time
 from repro.phy.params import LoRaParams
 from repro.units import db_sum
+
+
+class OnAir(Protocol):
+    """What :meth:`CollisionModel.threats` reads of a frame: its modulation
+    and air interval (a :class:`FrameOnAir`, or the channel's
+    ``Transmission``)."""
+
+    @property
+    def params(self) -> LoRaParams: ...
+
+    @property
+    def start(self) -> float: ...
+
+    @property
+    def end(self) -> float: ...
+
+
+Frame = TypeVar("Frame", bound=OnAir)
 
 
 @dataclass(frozen=True)
@@ -71,8 +97,8 @@ class CollisionModel:
         self.capture_threshold_db = capture_threshold_db
         self.cross_sf_rejection_db = cross_sf_rejection_db
         self.critical_preamble_symbols = critical_preamble_symbols
-        # Preamble-lock offset per modulation params; the channel hot path
-        # evaluates this per interferer, LoRaParams is frozen/hashable.
+        # Preamble-lock offset per modulation params (LoRaParams is
+        # frozen/hashable); threats() needs it once per frame.
         self._locked_after: Dict[LoRaParams, float] = {}
 
     def frequency_overlap(self, a: LoRaParams, b: LoRaParams) -> bool:
@@ -90,17 +116,61 @@ class CollisionModel:
             guard_hz = 30_000
         return abs(a.frequency_hz - b.frequency_hz) < guard_hz
 
-    def _critical_section_start(self, frame: FrameOnAir) -> float:
-        """Time after which interference prevents preamble lock."""
-        locked_after = self._locked_after.get(frame.params)
+    def threats(
+        self, params: LoRaParams, start: float, end: float, others: Iterable[Frame]
+    ) -> Tuple[List[Frame], List[Frame]]:
+        """Receiver-independent half of the rule: which of ``others`` can
+        corrupt a frame sent with ``params`` over ``[start, end)``.
+
+        A threat overlaps the frame in time, sits on an interacting
+        carrier and is still on air when the frame's critical preamble
+        section begins; everything else is harmless at every receiver, so
+        passing a superset of the overlapping frames is safe.
+
+        Returns:
+            ``(cross_sf, same_sf)``: the threats with a different and with
+            the same spreading factor, each in the order of ``others``.
+        """
+        locked_after = self._locked_after.get(params)
         if locked_after is None:
-            t_sym = symbol_time(frame.params)
             locked_after = max(
-                (frame.params.preamble_symbols - self.critical_preamble_symbols) * t_sym,
+                (params.preamble_symbols - self.critical_preamble_symbols) * symbol_time(params),
                 0.0,
             )
-            self._locked_after[frame.params] = locked_after
-        return frame.start + locked_after
+            self._locked_after[params] = locked_after
+        critical_start = start + locked_after
+        cross_sf: List[Frame] = []
+        same_sf: List[Frame] = []
+        for other in others:
+            if not (start < other.end and other.start < end):
+                continue
+            # Timing rule: interference confined to the early preamble is harmless.
+            if other.end <= critical_start or not self.frequency_overlap(params, other.params):
+                continue
+            if other.params.spreading_factor == params.spreading_factor:
+                same_sf.append(other)
+            else:
+                cross_sf.append(other)
+        return cross_sf, same_sf
+
+    def captures(self, rssi_dbm: float, cross_rssi: List[float], same_rssi: List[float]) -> bool:
+        """Receiver-dependent half of the rule: whether a frame received at
+        ``rssi_dbm`` survives threats received at these powers.
+
+        Args:
+            rssi_dbm: the frame's power at this receiver.
+            cross_rssi: power here of each cross-SF threat.
+            same_rssi: power here of each same-SF threat, in threat order.
+        """
+        # Cross-SF: quasi-orthogonal unless the interferer is vastly stronger.
+        for level in cross_rssi:
+            if level - rssi_dbm >= self.cross_sf_rejection_db:
+                return False
+        if not same_rssi:
+            return True
+        # Capture rule: survive if stronger than the sum of same-SF threats
+        # by the capture threshold.
+        return rssi_dbm - db_sum(same_rssi) >= self.capture_threshold_db
 
     def survives(self, frame: FrameOnAir, interferers: Sequence[FrameOnAir]) -> bool:
         """Whether ``frame`` is correctly received despite ``interferers``.
@@ -109,39 +179,14 @@ class CollisionModel:
         the frame; non-overlapping and far-frequency frames are ignored
         here, so passing a superset is safe.
         """
-        relevant: List[FrameOnAir] = [
-            other
-            for other in interferers
-            if other is not frame
-            and frame.overlaps(other)
-            and self.frequency_overlap(frame.params, other.params)
-        ]
-        if not relevant:
-            return True
-
-        critical_start = self._critical_section_start(frame)
-        same_sf: List[FrameOnAir] = []
-        for other in relevant:
-            if other.params.spreading_factor == frame.params.spreading_factor:
-                same_sf.append(other)
-            else:
-                # Cross-SF: quasi-orthogonal unless the interferer is vastly
-                # stronger and hits the critical section.
-                if (
-                    other.rssi_dbm - frame.rssi_dbm >= self.cross_sf_rejection_db
-                    and other.end > critical_start
-                ):
-                    return False
-
-        if not same_sf:
-            return True
-
-        # Timing rule: interference confined to the early preamble is harmless.
-        dangerous = [other for other in same_sf if other.end > critical_start]
-        if not dangerous:
-            return True
-
-        # Capture rule: survive if stronger than the sum of dangerous
-        # interferers by the capture threshold.
-        interference_dbm = db_sum([other.rssi_dbm for other in dangerous])
-        return frame.rssi_dbm - interference_dbm >= self.capture_threshold_db
+        cross_sf, same_sf = self.threats(
+            frame.params,
+            frame.start,
+            frame.end,
+            [other for other in interferers if other is not frame],
+        )
+        return self.captures(
+            frame.rssi_dbm,
+            [other.rssi_dbm for other in cross_sf],
+            [other.rssi_dbm for other in same_sf],
+        )

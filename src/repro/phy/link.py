@@ -62,8 +62,13 @@ SNR_FLOOR_DB: Dict[int, float] = {
 NOISE_FIGURE_DB = 6.0
 
 
+@lru_cache(maxsize=256)
 def noise_floor_dbm(bandwidth_hz: int) -> float:
-    """Thermal noise power at the receiver input for ``bandwidth_hz``."""
+    """Thermal noise power at the receiver input for ``bandwidth_hz``.
+
+    Memoised: the channel checks the SNR of every frame at every receiver
+    above sensitivity.
+    """
     return -174.0 + 10.0 * math.log10(bandwidth_hz) + NOISE_FIGURE_DB
 
 

@@ -111,6 +111,34 @@ class TestCollisions:
         sim.run()
         assert rx1.received == []
 
+    def test_half_duplex_from_frame_started_after_incoming(self):
+        """A receiver listening when the incoming frame began, that then
+        starts its own frame, is not in the frame's deaf set; only the
+        frames overlapping the incoming one show it was transmitting."""
+        sim, channel, trace, params = make_world({1: (0, 0), 2: (100, 0)})
+        rx2 = Receiver(channel, 2)
+        incoming = channel.transmit(1, params, "a", 200)
+
+        def start_own_frame():
+            rx2.radio.set_state(RadioState.TX, sim.now)
+            channel.transmit(2, params, "b", 20)
+
+        sim.call_at(0.01, start_own_frame)
+        sim.run()
+        assert 2 not in incoming.deaf_at_start
+        assert rx2.received == []
+        verdicts = [e.kind for e in trace.events(node=2) if e.data.get("tx_id") == incoming.tx_id]
+        assert verdicts == ["phy.rx_missed"]
+
+    def test_own_frame_ended_before_incoming_does_not_block(self):
+        sim, channel, trace, params = make_world({1: (0, 0), 2: (100, 0)})
+        rx2 = Receiver(channel, 2)
+        own = channel.transmit(2, params, "b", 20)
+        sim.call_at(own.end + 0.01, lambda: channel.transmit(1, params, "a", 20))
+        sim.run()
+        assert [r.payload for r in rx2.received] == ["a"]
+        assert trace.count("phy.rx_missed") == 0
+
     def test_different_channels_do_not_collide(self):
         sim, channel, trace, _ = make_world({1: (0, -100), 2: (0, 100), 3: (0, 0)})
         rx = Receiver(channel, 3)
@@ -190,10 +218,11 @@ class TestGeometryEpoch:
 
 
 class TestBookkeepingBounds:
-    def test_sender_deque_pruned_without_receiver_evaluation(self):
+    def test_sent_frames_pruned_without_receiver_evaluation(self):
         """A node that transmits but is never eligible to receive (out of
-        everyone's range) must not accumulate its sent frames forever
-        (REVIEW: _by_sender was only pruned inside _own_tx_overlaps)."""
+        everyone's range) must not leave its sent frames in the channel's
+        bookkeeping forever: finished frames leave the recent deque and
+        the slot map at the horizon."""
         sim = Simulator()
         topology = Topology(positions={1: (0.0, 0.0), 2: (50_000.0, 0.0)})
         link_model = LinkModel(PathLossParams(shadowing_sigma_db=0.0), random.Random(1))
@@ -209,7 +238,9 @@ class TestBookkeepingBounds:
         sim.run()
         # Frames are 10 s apart with a 5 s horizon: at each completion all
         # previous frames have expired, so only the latest one survives.
-        assert len(channel._by_sender[1]) <= 1
+        assert len(channel._recent) <= 1
+        slotted = {id(tx) for bucket in channel._slots.values() for tx in bucket}
+        assert slotted == {id(tx) for tx in channel._recent}
 
 
 class TestAttachment:

@@ -3,9 +3,10 @@
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.mesh import node as node_module
 from repro.mesh.addressing import BROADCAST
 from repro.mesh.node import MeshNode
-from repro.mesh.packet import PacketType
+from repro.mesh.packet import Packet, PacketType, RoutePayload, RouteVectorEntry
 
 
 class TestDiscovery:
@@ -183,3 +184,55 @@ class TestFloodingProtocol:
         world.sim.run(until=world.sim.now + 60.0)
         reached = [address for address, msgs in delivered.items() if msgs and address != 1]
         assert len(reached) == 8
+
+
+class TestRouteDecoding:
+    """A ROUTE broadcast is decoded once per frame, not once per receiver."""
+
+    #: An address no test node has, so no other frame carries these bytes.
+    FOREIGN_DST = 0x7A5C
+
+    def broadcast_route(self, world, monkeypatch, raw):
+        """Put a ROUTE frame with payload ``raw`` on the air from node 1
+        before any node's first timer fires; return the receivers and the
+        payloads passed to ``RoutePayload.decode``."""
+        decoded = []
+        original = RoutePayload.decode
+
+        def counting(cls, payload):
+            decoded.append(payload)
+            return original(payload)
+
+        monkeypatch.setattr(RoutePayload, "decode", classmethod(counting))
+        node_module._decode_route.cache_clear()
+        world.build(n_nodes=5, area_m=50.0)
+        packet = Packet(
+            dst=BROADCAST, src=1, ptype=PacketType.ROUTE, packet_id=1, payload=raw,
+            prev_hop=1, ttl=1,
+        )
+        tx = world.channel.transmit(1, world.params, packet, packet.wire_size)
+        # Hellos start 1 s after boot: the frame has the air to itself.
+        world.sim.run(until=0.9)
+        receivers = [
+            event.node for event in world.trace.events("phy.rx") if event.data["tx_id"] == tx.tx_id
+        ]
+        return receivers, decoded
+
+    def test_broadcast_heard_by_several_neighbours_is_decoded_once(self, world, monkeypatch):
+        raw = RoutePayload([RouteVectorEntry(dst=self.FOREIGN_DST, metric=2)]).encode()
+        receivers, decoded = self.broadcast_route(world, monkeypatch, raw)
+        assert len(receivers) >= 3
+        assert decoded == [raw]
+        # Every receiver applied the shared vector.
+        for address in receivers:
+            assert world.nodes[address].routes.next_hop(self.FOREIGN_DST) == 1
+            assert world.nodes[address].routes.metric(self.FOREIGN_DST) == 3
+
+    def test_malformed_route_payload_counted_at_every_receiver(self, world, monkeypatch):
+        raw = bytes([2, 0x7A, 0x5C, 1])  # announces 2 entries, carries 1
+        receivers, decoded = self.broadcast_route(world, monkeypatch, raw)
+        assert len(receivers) >= 3
+        # Errors are not memoised: each receiver decodes and fails.
+        assert decoded == [raw] * len(receivers)
+        for address in receivers:
+            assert world.nodes[address].counters.drops["bad_route_payload"] == 1

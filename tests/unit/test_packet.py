@@ -168,6 +168,22 @@ class TestControlPayloads:
         with pytest.raises(EncodeError):
             RoutePayload(entries=[RouteVectorEntry(2, 300)]).encode()
 
+    def test_route_too_many_entries_rejected(self):
+        # The count is one byte; 256 entries must not reach struct.pack.
+        entries = [RouteVectorEntry(i + 1, 1) for i in range(256)]
+        with pytest.raises(EncodeError, match="256 entries"):
+            RoutePayload(entries=entries).encode()
+
+    def test_route_255_entries_encode(self):
+        entries = [RouteVectorEntry(i + 1, 1) for i in range(255)]
+        raw = RoutePayload(entries=entries).encode()
+        assert raw[0] == 255 and RoutePayload.decode(raw).entries == entries
+
+    @pytest.mark.parametrize("dst", [-1, 0x10000])
+    def test_route_dst_out_of_range_rejected(self, dst):
+        with pytest.raises(EncodeError, match="16 bits"):
+            RoutePayload(entries=[RouteVectorEntry(dst, 1)]).encode()
+
     def test_route_max_entries_fits_one_frame(self):
         n = RoutePayload.max_entries_per_frame()
         payload = RoutePayload(entries=[RouteVectorEntry(i + 1, 1) for i in range(n)])
