@@ -19,7 +19,6 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Deque, Dict, Iterable, List, Optional, Tuple
 
-from repro.monitor import metrics
 from repro.monitor.storage import MetricsStore
 
 
@@ -146,15 +145,16 @@ class LowPdrRule(AlertRule):
         self.min_sent = min_sent
 
     def conditions(self, store: MetricsStore, now: float) -> List[Tuple[Optional[int], str]]:
+        """Pairs of ``metrics.pdr_matrix`` over the window, read from the
+        store's aggregate."""
         firing = []
-        pairs = metrics.pdr_matrix(store, since=now - self.window_s, until=now)
-        for (src, dst), pair in sorted(pairs.items()):
-            if pair.sent < self.min_sent:
+        pairs = store.aggregate.window_delivery(now - self.window_s, now)
+        for (src, dst), (sent, delivered) in sorted(pairs.items()):
+            if sent < self.min_sent:
                 continue
-            if not math.isnan(pair.pdr) and pair.pdr < self.threshold:
-                firing.append(
-                    (src, f"PDR {pair.pdr:.0%} to node {dst} ({pair.delivered}/{pair.sent})")
-                )
+            pdr = delivered / sent if sent else math.nan
+            if not math.isnan(pdr) and pdr < self.threshold:
+                firing.append((src, f"PDR {pdr:.0%} to node {dst} ({delivered}/{sent})"))
         return firing
 
 

@@ -7,6 +7,11 @@ page view is one document, computed once and rendered in several media:
   once; the HTTP API serves it and :mod:`repro.monitor.webview` formats it,
 * :meth:`Dashboard.render_text` — the document as a terminal dashboard,
 * :meth:`Dashboard.render_dot` — Graphviz DOT of the reported topology.
+
+The panels read the store's :class:`~repro.monitor.aggregate.ViewAggregate`
+under its lock, the lock the store's writes take, so a view scans no
+packet records, costs the same at any history length, and is one
+consistent snapshot while another thread ingests.
 """
 
 from __future__ import annotations
@@ -85,8 +90,9 @@ class Dashboard:
 
     def node_rows(self, now: float) -> List[Dict[str, Any]]:
         """One summary row per known node."""
-        scores = health_mod.network_health(self.store, now, self.report_interval_s)
-        return self._node_rows(now, scores)
+        with self.store.aggregate.lock:
+            scores = health_mod.network_health(self.store, now, self.report_interval_s)
+            return self._node_rows(now, scores)
 
     def _node_rows(
         self, now: float, scores: Dict[int, health_mod.HealthScore]
@@ -115,37 +121,35 @@ class Dashboard:
 
     def link_rows(self) -> List[Dict[str, Any]]:
         """One row per directed radio link."""
+        links = self.store.aggregate.links()
         return [
             {
-                "tx": link.tx,
-                "rx": link.rx,
-                "frames": link.frames,
-                "rssi_mean": link.rssi_mean,
-                "rssi_min": link.rssi_min,
-                "rssi_max": link.rssi_max,
-                "snr_mean": link.snr_mean,
+                "tx": tx,
+                "rx": rx,
+                "frames": frames,
+                "rssi_mean": rssi_mean,
+                "rssi_min": rssi_min,
+                "rssi_max": rssi_max,
+                "snr_mean": snr_mean,
             }
-            for (_tx, _rx), link in sorted(metrics.link_quality(self.store).items())
+            for tx, rx, frames, rssi_mean, rssi_min, rssi_max, snr_mean in links
         ]
 
     def pdr_rows(self) -> List[Dict[str, Any]]:
         """One row per unicast (src, dst) pair with traffic."""
-        rows = []
-        latencies = metrics.delivery_latency(self.store)
-        for (src, dst), pair in sorted(metrics.pdr_matrix(self.store).items()):
-            latency = latencies.get((src, dst))
-            rows.append(
-                {
-                    "src": src,
-                    "dst": dst,
-                    "sent": pair.sent,
-                    "delivered": pair.delivered,
-                    "pdr": pair.pdr,
-                    "latency_mean_s": latency.mean if latency else None,
-                    "latency_p95_s": latency.percentile(95) if latency else None,
-                }
-            )
-        return rows
+        pairs = self.store.aggregate.delivery()
+        return [
+            {
+                "src": src,
+                "dst": dst,
+                "sent": sent,
+                "delivered": delivered,
+                "pdr": pdr,
+                "latency_mean_s": latency_mean,
+                "latency_p95_s": latency_p95,
+            }
+            for src, dst, sent, delivered, pdr, latency_mean, latency_p95 in pairs
+        ]
 
     # -- renderers ----------------------------------------------------------------
 
@@ -293,34 +297,40 @@ class Dashboard:
     def to_json_dict(self, now: float) -> Dict[str, Any]:
         """The document of one page view, every panel computed once.
 
+        The panels are read under the aggregate's lock, so they are one
+        snapshot of the store; the server's self-metrics and the flight
+        recorder lock themselves and are read after it is released.
         The network score is the mean of the node rows' scores.  The
         ``network`` key appears only for labelled (multi-tenant)
         dashboards so the single-network document stays byte-identical.
         """
-        self.alerts.evaluate(now)
-        scores = health_mod.network_health(self.store, now, self.report_interval_s)
-        server, recorder = self.monitor_server, self.flight_recorder
+        store = self.store
+        aggregate = store.aggregate
         document: Dict[str, Any] = {}
         if self.network_id is not None:
             document["network"] = self.network_id
-        return {
-            **document,
-            "now": now,
-            "network_health": health_mod.network_health_score(scores),
-            "network_pdr": metrics.network_pdr(self.store),
-            "nodes": self._node_rows(now, scores),
-            "links": self.link_rows(),
-            "delivery": self.pdr_rows(),
-            "composition": [
-                {
-                    "type": row.name,
-                    "frames": row.frames_out,
-                    "bytes": row.bytes_out,
-                    "airtime_s": row.airtime_s,
-                }
-                for row in metrics.type_breakdown(self.store)
-            ],
-            "alerts": [alert.to_json_dict() for alert in self.alerts.active()],
-            "server": None if server is None else server.self_metrics_document(),
-            "drops": None if recorder is None else recorder.to_json_dict(),
-        }
+        with aggregate.lock:
+            self.alerts.evaluate(now)
+            scores = health_mod.network_health(store, now, self.report_interval_s)
+            document.update({
+                "now": now,
+                "network_health": health_mod.network_health_score(scores),
+                "network_pdr": aggregate.network_pdr(),
+                "nodes": self._node_rows(now, scores),
+                "links": self.link_rows(),
+                "delivery": self.pdr_rows(),
+                "composition": [
+                    {
+                        "type": metrics.packet_type_name(ptype),
+                        "frames": frames,
+                        "bytes": size,
+                        "airtime_s": airtime,
+                    }
+                    for ptype, frames, size, airtime in aggregate.composition()
+                ],
+                "alerts": [alert.to_json_dict() for alert in self.alerts.active()],
+            })
+        server, recorder = self.monitor_server, self.flight_recorder
+        document["server"] = None if server is None else server.self_metrics_document()
+        document["drops"] = None if recorder is None else recorder.to_json_dict()
+        return document

@@ -12,26 +12,30 @@ Incremental tiles
 Until the push pipeline landed, every overview request re-scanned every
 network's store (``O(networks × records)`` — 19 ms at 8 networks and
 unusable at 512).  Now each :class:`~repro.monitor.registry.NetworkShard`
-owns a :class:`TileAggregate` the ingest path feeds record-by-record:
-per-node liveness/battery/duty snapshots and per-pair delivery counters
-mirroring :func:`repro.monitor.metrics.pdr_matrix`'s matching rules with
-bounded memory.  The aggregate keeps running sent/matched totals for the
-tile's PDR and caches each node's health score: a tile re-scores only the
-nodes whose inputs changed since the last tile, plus nodes whose liveness
-is decaying (silent for one to five report intervals), and averages the
-cached scores of the rest.  In steady state :func:`materialized_tile`
-therefore scores one node per batch, however large the network, and its
-remaining per-node work is summing cached floats.  :func:`fleet_overview`
-assembles tiles into the overview document and caches it on the server
-keyed by ingest progress, so steady-state reads are O(1) snapshot hits
-no matter how many networks are resident.
+owns a :class:`TileAggregate` the ingest path feeds per batch:
+per-node liveness/battery/duty snapshots.  Delivery comes from the
+shard store's :class:`~repro.monitor.aggregate.ViewAggregate` — the
+same exact per-pair state the dashboard reads, so the tile's PDR is
+``metrics.network_pdr`` of the store and a node's delivery term is its
+``pdr_matrix`` ratio over all retained records, however long a
+destination takes to report.  The tile caches each node's health
+score: a tile re-scores only the nodes whose inputs changed since the
+last tile (a batch, a status, or their delivery counts), plus nodes
+whose liveness is decaying (silent for one to five report intervals),
+and averages the cached scores of the rest.  In steady state
+:func:`materialized_tile` therefore scores one node per batch, however
+large the network, and its remaining per-node work is comparing counts
+and summing cached floats.  :func:`fleet_overview` assembles tiles into
+the overview document and caches it on the server keyed by ingest
+progress, so steady-state reads are O(1) snapshot hits no matter how
+many networks are resident.
 
-Two documented deviations from the scan-based tiles: delivery counters
-are cumulative since shard creation rather than windowed, and a cached
-overview reflects the state as of the last ingest delta *or* the last
-elapsed ``report_interval_s`` time bucket, whichever is newer — so
-liveness-driven health keeps decaying while a fleet is silent instead
-of freezing at its last healthy snapshot.
+Two documented deviations from the dashboard's health panel: delivery
+counts cover all retained records rather than the 1800 s window, and a
+cached overview reflects the state as of the last ingest delta *or*
+the last elapsed ``report_interval_s`` time bucket, whichever is newer
+— so liveness-driven health keeps decaying while a fleet is silent
+instead of freezing at its last healthy snapshot.
 
 The aggregates are mutated by the ingest path under the server lock,
 and a read refreshes the cached scores; HTTP handler threads therefore
@@ -45,32 +49,17 @@ is only called directly where the lock is already held).
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
 from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple
 
-from repro.mesh.addressing import BROADCAST
-from repro.mesh.packet import PacketType
 from repro.monitor import health as health_mod
+from repro.monitor.aggregate import ViewAggregate
 from repro.monitor.alerts import NodeDelta
-from repro.monitor.records import Direction, PacketRecord, StatusRecord
+from repro.monitor.records import PacketRecord, StatusRecord
 from repro.monitor.storage import MetricsStore
 
 if TYPE_CHECKING:
     from repro.monitor.registry import NetworkShard
     from repro.monitor.server import MonitorServer
-
-#: Bound on per-pair pending packet-id match state (ids kept while the
-#: other endpoint's observation has not arrived yet).
-DEFAULT_PENDING_IDS = 4096
-
-_DATA_PTYPE = int(PacketType.DATA)
-
-
-def _remember(ring: "OrderedDict[int, None]", key: int, bound: int) -> None:
-    """Insert ``key`` into a bounded insertion-ordered set."""
-    ring[key] = None
-    if len(ring) > bound:
-        ring.popitem(last=False)
 
 
 class _NodeTelemetry:
@@ -82,8 +71,7 @@ class _NodeTelemetry:
         "battery_v",
         "duty_utilisation",
         "queue_depth",
-        "sent",
-        "matched",
+        "delivery",
         "score",
         "silence_min",
         "silence_max",
@@ -94,9 +82,9 @@ class _NodeTelemetry:
         self.battery_v: Optional[float] = None
         self.duty_utilisation: Optional[float] = None
         self.queue_depth: Optional[int] = None
-        #: Unicast DATA packets this node originated / saw delivered.
-        self.sent = 0
-        self.matched = 0
+        #: (sent, delivered) unicast DATA packets this node originated,
+        #: as the store's aggregate counted them when last scored.
+        self.delivery: Tuple[int, int] = (0, 0)
         #: Cached health score; None until scored and after any input
         #: changes.  It holds while the silence (``now - last_seen``)
         #: stays within ``[silence_min, silence_max]``.
@@ -116,9 +104,10 @@ class _NodeTelemetry:
         gives the same value.
         """
         liveness = health_mod.liveness_component(self.last_seen, now, report_interval_s)
+        sent, delivered = self.delivery
         score = health_mod.node_score(
             liveness,
-            self.matched / self.sent if self.sent else None,
+            delivered / sent if sent else None,
             health_mod.spectrum_component(self.duty_utilisation),
             health_mod.battery_component(self.battery_v),
         )
@@ -134,75 +123,21 @@ class _NodeTelemetry:
         return score
 
 
-class _PairDelivery:
-    """Bounded incremental mirror of :class:`repro.monitor.metrics.PairDelivery`.
-
-    ``sent`` counts origin first-attempt OUT observations; ``matched``
-    counts packet ids seen at *both* endpoints, whichever side reported
-    first.  Pending ids waiting for the other side live in bounded
-    insertion-ordered sets, so per-pair memory does not grow with
-    traffic; an id evicted before its match simply never matches (the
-    same packet is then conservatively counted as undelivered).
-    """
-
-    __slots__ = ("sent", "matched", "_out_unmatched", "_out_matched", "_in_pending", "_bound")
-
-    def __init__(self, bound: int) -> None:
-        self.sent = 0
-        self.matched = 0
-        self._bound = bound
-        self._out_unmatched: "OrderedDict[int, None]" = OrderedDict()
-        self._out_matched: "OrderedDict[int, None]" = OrderedDict()
-        self._in_pending: "OrderedDict[int, None]" = OrderedDict()
-
-    def observe_out(self, packet_id: int) -> Optional[bool]:
-        """Origin reported the send; True when this completed a match.
-
-        None when the origin already reported this packet id (a routing
-        loop can bring a packet back to its origin): nothing is counted.
-        """
-        if packet_id in self._out_unmatched or packet_id in self._out_matched:
-            return None
-        self.sent += 1
-        if packet_id in self._in_pending:
-            del self._in_pending[packet_id]
-            self.matched += 1
-            _remember(self._out_matched, packet_id, self._bound)
-            return True
-        _remember(self._out_unmatched, packet_id, self._bound)
-        return False
-
-    def observe_in(self, packet_id: int) -> bool:
-        """Destination reported delivery; True when this completed a match."""
-        if packet_id in self._out_matched or packet_id in self._in_pending:
-            return False  # duplicate delivery report
-        if packet_id in self._out_unmatched:
-            del self._out_unmatched[packet_id]
-            self.matched += 1
-            _remember(self._out_matched, packet_id, self._bound)
-            return True
-        _remember(self._in_pending, packet_id, self._bound)
-        return False
-
-
 class TileAggregate:
     """Everything a fleet tile needs, maintained incrementally at ingest.
 
     The ingest path calls :meth:`observe_batch` / :meth:`observe_packet`
-    / :meth:`observe_status` for each accepted record (under the server
-    lock — all methods are pure in-memory bookkeeping).  Each call drops
-    the cached score of the node whose inputs it changed, so a read
-    re-scores only those nodes and the decaying ones, instead of
-    touching every record in the store.
+    / :meth:`observe_status` for each accepted batch and record (under
+    the server lock — all methods are pure in-memory bookkeeping).
+    Delivery is read from ``delivery``, the shard store's aggregate.
+    Each call drops the cached score of the node whose inputs it
+    changed, and a read also re-scores the nodes whose delivery counts
+    moved, instead of touching every record in the store.
     """
 
-    def __init__(self, pending_ids: int = DEFAULT_PENDING_IDS) -> None:
-        self._pending_ids = pending_ids
+    def __init__(self, delivery: ViewAggregate) -> None:
+        self._delivery = delivery
         self._nodes: Dict[int, _NodeTelemetry] = {}
-        self._pairs: Dict[Tuple[int, int], _PairDelivery] = {}
-        #: The pairs' ``sent`` and ``matched`` summed, kept as they move.
-        self._sent = 0
-        self._matched = 0
         #: The report interval the cached node scores were computed with.
         self._scored_interval: Optional[float] = None
 
@@ -215,14 +150,6 @@ class TileAggregate:
             self._nodes[node] = telemetry
         return telemetry
 
-    def _pair(self, src: int, dst: int) -> _PairDelivery:
-        key = (src, dst)
-        pair = self._pairs.get(key)
-        if pair is None:
-            pair = _PairDelivery(self._pending_ids)
-            self._pairs[key] = pair
-        return pair
-
     def observe_batch(self, node: int, now: float) -> None:
         """A batch from ``node`` was accepted at server time ``now``."""
         telemetry = self._node(node)
@@ -230,31 +157,8 @@ class TileAggregate:
         telemetry.score = None
 
     def observe_packet(self, record: PacketRecord) -> None:
-        """One accepted packet record (mirrors ``pdr_matrix`` filters)."""
-        self._node(record.node)  # the observer is a known node
-        if record.ptype != _DATA_PTYPE or record.dst == BROADCAST:
-            return
-        if record.direction is Direction.OUT:
-            if record.node == record.src and record.attempt == 1:
-                matched = self._pair(record.src, record.dst).observe_out(record.packet_id)
-                if matched is None:
-                    return
-                telemetry = self._node(record.src)
-                telemetry.sent += 1
-                self._sent += 1
-                if matched:
-                    telemetry.matched += 1
-                    self._matched += 1
-                telemetry.score = None
-        else:
-            if record.node == record.dst:
-                if self._pair(record.src, record.dst).observe_in(record.packet_id):
-                    self._matched += 1
-                    # The delivery moves the source's score, not the observer's.
-                    source = self._nodes.get(record.src)
-                    if source is not None:
-                        source.matched += 1
-                        source.score = None
+        """One accepted packet record: its observer is a known node."""
+        self._node(record.node)
 
     def observe_status(self, record: StatusRecord) -> None:
         """One accepted status record: refresh the node's snapshot."""
@@ -265,14 +169,12 @@ class TileAggregate:
         telemetry.score = None
 
     def seed_from_store(self, store: MetricsStore) -> None:
-        """Replay an already populated store into the aggregates.
+        """Take the nodes of an already populated store.
 
         Called once when a shard adopts an external store (the
         historical single-network API) so tiles start from the store's
-        state; a freshly created store replays nothing.
+        state; delivery already lives in the store's aggregate.
         """
-        for record in store.packet_records():
-            self.observe_packet(record)
         for node in store.nodes():
             self._node(node)
             status = store.latest_status(node)
@@ -308,25 +210,30 @@ class TileAggregate:
 
     def pdr(self) -> float:
         """Aggregate delivery ratio across all unicast pairs (NaN if idle)."""
-        return self._matched / self._sent if self._sent else math.nan
+        return self._delivery.network_pdr()
 
     def health(self, now: float, report_interval_s: float = 60.0) -> float:
         """Network health: the mean of the defined node scores (NaN if none).
 
         Each node is scored by :func:`repro.monitor.health.node_score`
-        from its last accepted batch, its incremental match counters and
-        its latest status snapshot.  A node's cached score is reused
-        while its inputs are unchanged and its silence still gives the
-        same liveness (see :meth:`_NodeTelemetry.rescore`); a different
-        ``report_interval_s`` drops every cached score.
+        from its last accepted batch, its delivery counts in the store's
+        aggregate and its latest status snapshot.  A node's cached score
+        is reused while its inputs are unchanged and its silence still
+        gives the same liveness (see :meth:`_NodeTelemetry.rescore`); a
+        different ``report_interval_s`` drops every cached score.
         """
         if report_interval_s != self._scored_interval:
             self._scored_interval = report_interval_s
             for telemetry in self._nodes.values():
                 telemetry.score = None
+        delivery = self._delivery.source_delivery()
         total = 0.0
         count = 0
-        for telemetry in self._nodes.values():
+        for node, telemetry in self._nodes.items():
+            counts = delivery.get(node, (0, 0))
+            if counts != telemetry.delivery:
+                telemetry.delivery = counts
+                telemetry.score = None
             score = telemetry.score
             last_seen = telemetry.last_seen
             if score is None or (

@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional
 
-from repro.monitor import metrics
 from repro.monitor.storage import MetricsStore
 
 BATTERY_EMPTY_V = 3.0
@@ -112,13 +111,15 @@ def _scores(
     """Scores for ``nodes`` from one PDR matrix over the trailing window.
 
     A node's delivery is its delivered over its sent packets, summed over
-    every pair it is the source of.
+    every pair it is the source of (``metrics.pdr_matrix`` over the
+    window, read from the store's aggregate).
     """
     sent: Dict[int, int] = {}
     delivered: Dict[int, int] = {}
-    for (src, _dst), pair in metrics.pdr_matrix(store, since=now - pdr_window_s, until=now).items():
-        sent[src] = sent.get(src, 0) + pair.sent
-        delivered[src] = delivered.get(src, 0) + pair.delivered
+    window = store.aggregate.window_delivery(now - pdr_window_s, now)
+    for (src, _dst), (pair_sent, pair_delivered) in window.items():
+        sent[src] = sent.get(src, 0) + pair_sent
+        delivered[src] = delivered.get(src, 0) + pair_delivered
     scores: Dict[int, HealthScore] = {}
     for node in nodes:
         liveness = liveness_component(store.last_seen(node), now, report_interval_s)

@@ -1,6 +1,6 @@
 """Metric aggregations over the metrics store.
 
-These functions compute everything the dashboard shows, from raw packet
+These functions define everything the dashboard shows, from raw packet
 and status records:
 
 * per-link quality (RSSI/SNR statistics per directed radio link),
@@ -9,9 +9,19 @@ and status records:
 * traffic matrix (frames/bytes originated per pair),
 * per-node airtime and duty-cycle utilisation,
 * end-to-end delivery latency,
-* per-packet route reconstruction (which nodes transmitted the packet),
 * traffic composition by packet type,
 * the network graph as reported by the nodes' own neighbor tables.
+
+Each function scans the store's retained records, so its cost grows with
+history.  They are the definition, the test oracle and the offline API:
+page views read the store's
+:class:`~repro.monitor.aggregate.ViewAggregate` instead, which keeps
+the dashboard's panels exact at ingest time, and the property tests
+check every view against these scans.  So that a value depends only on
+the retained records and not on the order a scan visits them in, float
+sums are exact (:func:`math.fsum`) and a latency sample is the
+destination's earliest IN record minus the origin's earliest
+first-attempt OUT record.
 
 Every function takes one store, and on a multi-tenant server each
 network has its own store (its shard), so all aggregations here are
@@ -27,13 +37,15 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from repro.mesh.addressing import BROADCAST
 from repro.mesh.packet import PacketType
+from repro.monitor.aggregate import nearest_rank
 from repro.monitor.records import Direction
 from repro.monitor.storage import MetricsStore
 
 
 @dataclass
 class LinkQuality:
-    """RSSI/SNR statistics for one directed link (tx -> rx)."""
+    """RSSI/SNR statistics for one directed link (tx -> rx); the sums
+    are exact (:func:`math.fsum`)."""
 
     tx: int
     rx: int
@@ -42,13 +54,6 @@ class LinkQuality:
     rssi_min: float = math.inf
     rssi_max: float = -math.inf
     snr_sum: float = 0.0
-
-    def add(self, rssi: float, snr: float) -> None:
-        self.frames += 1
-        self.rssi_sum += rssi
-        self.snr_sum += snr
-        self.rssi_min = min(self.rssi_min, rssi)
-        self.rssi_max = max(self.rssi_max, rssi)
 
     @property
     def rssi_mean(self) -> float:
@@ -65,17 +70,29 @@ def link_quality(
     until: Optional[float] = None,
 ) -> Dict[Tuple[int, int], LinkQuality]:
     """Per-directed-link quality from IN records (prev_hop -> observer)."""
-    links: Dict[Tuple[int, int], LinkQuality] = {}
+    rssi: Dict[Tuple[int, int], List[float]] = {}
+    snr: Dict[Tuple[int, int], List[float]] = {}
     for record in store.packet_records(direction=Direction.IN, since=since, until=until):
         if record.rssi_dbm is None or record.snr_db is None:
             continue
         key = (record.prev_hop, record.node)
-        link = links.get(key)
-        if link is None:
-            link = LinkQuality(tx=record.prev_hop, rx=record.node)
-            links[key] = link
-        link.add(record.rssi_dbm, record.snr_db)
-    return links
+        if key not in rssi:
+            rssi[key] = []
+            snr[key] = []
+        rssi[key].append(record.rssi_dbm)
+        snr[key].append(record.snr_db)
+    return {
+        key: LinkQuality(
+            tx=key[0],
+            rx=key[1],
+            frames=len(values),
+            rssi_sum=math.fsum(values),
+            rssi_min=min(values),
+            rssi_max=max(values),
+            snr_sum=math.fsum(snr[key]),
+        )
+        for key, values in rssi.items()
+    }
 
 
 @dataclass
@@ -215,15 +232,11 @@ class LatencyStats:
 
     @property
     def mean(self) -> float:
-        return sum(self.samples) / len(self.samples) if self.samples else math.nan
+        return math.fsum(self.samples) / len(self.samples) if self.samples else math.nan
 
     def percentile(self, q: float) -> float:
         """q-th percentile (0..100) by nearest-rank."""
-        if not self.samples:
-            return math.nan
-        ordered = sorted(self.samples)
-        rank = max(int(math.ceil(q / 100.0 * len(ordered))) - 1, 0)
-        return ordered[rank]
+        return nearest_rank(sorted(self.samples), q)
 
 
 def delivery_latency(
@@ -232,44 +245,36 @@ def delivery_latency(
     since: Optional[float] = None,
     until: Optional[float] = None,
 ) -> Dict[Tuple[int, int], LatencyStats]:
-    """Origin-to-destination latency per pair, correlated by packet id."""
-    origin_ts: Dict[Tuple[int, int], float] = {}
+    """Origin-to-destination latency per unicast pair, correlated by packet id.
+
+    One sample per packet id that both ends reported (the ids
+    :func:`pdr_matrix` counts as delivered): the destination's earliest
+    IN record minus the origin's earliest first-attempt OUT record.
+    """
+    sent: Dict[Tuple[int, int, int], float] = {}
     for record in store.packet_records(direction=Direction.OUT, ptype=ptype, since=since, until=until):
-        if record.node != record.src or record.attempt != 1:
+        if record.dst == BROADCAST or record.node != record.src or record.attempt != 1:
             continue
-        key = (record.src, record.packet_id)
-        if key not in origin_ts or record.timestamp < origin_ts[key]:
-            origin_ts[key] = record.timestamp
-    stats: Dict[Tuple[int, int], LatencyStats] = {}
-    seen: Set[Tuple[int, int]] = set()
+        key = (record.src, record.dst, record.packet_id)
+        if key not in sent or record.timestamp < sent[key]:
+            sent[key] = record.timestamp
+    delivered: Dict[Tuple[int, int, int], float] = {}
     for record in store.packet_records(direction=Direction.IN, ptype=ptype, since=since, until=until):
         if record.dst == BROADCAST or record.node != record.dst:
             continue
-        key = (record.src, record.packet_id)
-        if key in seen or key not in origin_ts:
+        key = (record.src, record.dst, record.packet_id)
+        if key not in delivered or record.timestamp < delivered[key]:
+            delivered[key] = record.timestamp
+    stats: Dict[Tuple[int, int], LatencyStats] = {}
+    for (src, dst, packet_id), received in delivered.items():
+        origin = sent.get((src, dst, packet_id))
+        if origin is None:
             continue
-        seen.add(key)
-        pair_key = (record.src, record.dst)
-        entry = stats.get(pair_key)
+        entry = stats.get((src, dst))
         if entry is None:
-            entry = LatencyStats(src=record.src, dst=record.dst)
-            stats[pair_key] = entry
-        entry.samples.append(record.timestamp - origin_ts[key])
+            entry = stats[(src, dst)] = LatencyStats(src=src, dst=dst)
+        entry.samples.append(received - origin)
     return stats
-
-
-def route_taken(store: MetricsStore, src: int, packet_id: int) -> List[Tuple[int, float]]:
-    """Nodes that transmitted packet (src, packet_id), ordered by time.
-
-    Reconstructs the forwarding path of one packet from OUT records —
-    the per-packet drill-down view of the dashboard.
-    """
-    hops = [
-        (record.node, record.timestamp)
-        for record in store.packet_records(direction=Direction.OUT, src=src)
-        if record.packet_id == packet_id and record.attempt == 1
-    ]
-    return sorted(hops, key=lambda item: item[1])
 
 
 @dataclass(frozen=True)
@@ -292,27 +297,29 @@ def type_breakdown(
     vs user payload — the composition panel)."""
     frames: Dict[int, int] = {}
     sizes: Dict[int, int] = {}
-    airtime: Dict[int, float] = {}
+    airtime: Dict[int, List[float]] = {}
     for record in store.packet_records(direction=Direction.OUT, since=since, until=until):
         frames[record.ptype] = frames.get(record.ptype, 0) + 1
         sizes[record.ptype] = sizes.get(record.ptype, 0) + record.size_bytes
-        airtime[record.ptype] = airtime.get(record.ptype, 0.0) + (record.airtime_s or 0.0)
-    rows = []
-    for ptype in sorted(frames):
-        try:
-            name = PacketType(ptype).name
-        except ValueError:
-            name = f"UNKNOWN({ptype})"
-        rows.append(
-            TypeBreakdownRow(
-                ptype=ptype,
-                name=name,
-                frames_out=frames[ptype],
-                bytes_out=sizes[ptype],
-                airtime_s=airtime[ptype],
-            )
+        airtime.setdefault(record.ptype, []).append(record.airtime_s or 0.0)
+    return [
+        TypeBreakdownRow(
+            ptype=ptype,
+            name=packet_type_name(ptype),
+            frames_out=frames[ptype],
+            bytes_out=sizes[ptype],
+            airtime_s=math.fsum(airtime[ptype]),
         )
-    return rows
+        for ptype in sorted(frames)
+    ]
+
+
+def packet_type_name(ptype: int) -> str:
+    """The name of a numeric packet type, ``UNKNOWN(n)`` when it has none."""
+    try:
+        return PacketType(ptype).name
+    except ValueError:
+        return f"UNKNOWN({ptype})"
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,12 @@ Records travel in a :class:`RecordBatch` with two encodings:
 Each record carries a client-assigned ``seq``; together with the node
 address it identifies the record globally, so at-least-once batch retries
 deduplicate cleanly at the server.
+
+The JSON decoder accepts a numeric field only as a JSON number no
+larger than 2**53 in magnitude (``rssi``/``snr`` may also be null): a
+string, a boolean, ``NaN``, ``Infinity`` or a larger number raises
+:class:`~repro.errors.DecodeError`, so a batch the server cannot
+aggregate is refused before any of it is stored.
 """
 
 from __future__ import annotations
@@ -53,6 +59,43 @@ class Direction(str, Enum):
 
 def _clamp(value: int, low: int, high: int) -> int:
     return max(low, min(high, value))
+
+
+#: The largest magnitude a JSON number may have.  2**53 is the range in
+#: which JSON implementations agree on integers (RFC 7493), and it keeps
+#: every sum and difference the server aggregates finite: two timestamps
+#: at opposite ends of it still give a finite latency.
+MAX_JSON_MAGNITUDE = 1 << 53
+
+
+def _int(data: Dict[str, Any], key: str) -> int:
+    """``data[key]`` as an int; it must be a JSON number within range."""
+    value = data[key]
+    if type(value) is int and -MAX_JSON_MAGNITUDE <= value <= MAX_JSON_MAGNITUDE:
+        return value
+    return int(_number(value, key))
+
+
+def _float(data: Dict[str, Any], key: str) -> float:
+    """``data[key]`` as a float; it must be a JSON number within range."""
+    value = data[key]
+    if type(value) is float and -MAX_JSON_MAGNITUDE <= value <= MAX_JSON_MAGNITUDE:
+        return value
+    return float(_number(value, key))
+
+
+def _number(value: Any, key: str) -> Any:
+    """``value`` when it is an int or float within range, else DecodeError.
+
+    The range check also refuses ``NaN`` (it compares false) and the
+    infinities.
+    """
+    kind = type(value)
+    if (kind is int or kind is float) and -MAX_JSON_MAGNITUDE <= value <= MAX_JSON_MAGNITUDE:
+        return value
+    raise DecodeError(
+        f"field {key!r} must be a number of magnitude at most 2**53, got {value!r}"
+    )
 
 
 @dataclass(frozen=True)
@@ -123,22 +166,29 @@ class PacketRecord:
     def from_json_dict(cls, data: Dict[str, Any]) -> "PacketRecord":
         try:
             direction = Direction(data["dir"])
+            rssi = data.get("rssi")
+            snr = data.get("snr")
+            airtime_ms = data.get("airtime_ms")
             return cls(
-                node=int(data["node"]),
-                seq=int(data["seq"]),
-                timestamp=float(data["ts"]),
+                node=_int(data, "node"),
+                seq=_int(data, "seq"),
+                timestamp=_float(data, "ts"),
                 direction=direction,
-                src=int(data["src"]),
-                dst=int(data["dst"]),
-                next_hop=int(data["next_hop"]),
-                prev_hop=int(data["prev_hop"]),
-                ptype=int(data["ptype"]),
-                packet_id=int(data["packet_id"]),
-                size_bytes=int(data["size"]),
-                rssi_dbm=data.get("rssi"),
-                snr_db=data.get("snr"),
-                airtime_s=(data.get("airtime_ms") or 0.0) / 1000 if direction is Direction.OUT else None,
-                attempt=int(data.get("attempt", 1)),
+                src=_int(data, "src"),
+                dst=_int(data, "dst"),
+                next_hop=_int(data, "next_hop"),
+                prev_hop=_int(data, "prev_hop"),
+                ptype=_int(data, "ptype"),
+                packet_id=_int(data, "packet_id"),
+                size_bytes=_int(data, "size"),
+                rssi_dbm=None if rssi is None else float(_number(rssi, "rssi")),
+                snr_db=None if snr is None else float(_number(snr, "snr")),
+                airtime_s=(
+                    (0.0 if airtime_ms is None else float(_number(airtime_ms, "airtime_ms"))) / 1000
+                    if direction is Direction.OUT
+                    else None
+                ),
+                attempt=_int(data, "attempt") if "attempt" in data else 1,
             )
         except (KeyError, ValueError, TypeError) as exc:
             raise DecodeError(f"bad packet record: {exc}") from exc
@@ -268,10 +318,10 @@ class NeighborObservation:
     def from_json_dict(cls, data: Dict[str, Any]) -> "NeighborObservation":
         try:
             return cls(
-                address=int(data["addr"]),
-                rssi_dbm=float(data["rssi"]),
-                snr_db=float(data["snr"]),
-                frames_heard=int(data["heard"]),
+                address=_int(data, "addr"),
+                rssi_dbm=_float(data, "rssi"),
+                snr_db=_float(data, "snr"),
+                frames_heard=_int(data, "heard"),
             )
         except (KeyError, ValueError, TypeError) as exc:
             raise DecodeError(f"bad neighbor observation: {exc}") from exc
@@ -345,22 +395,22 @@ class StatusRecord:
     def from_json_dict(cls, data: Dict[str, Any]) -> "StatusRecord":
         try:
             return cls(
-                node=int(data["node"]),
-                seq=int(data["seq"]),
-                timestamp=float(data["ts"]),
-                uptime_s=float(data["uptime_s"]),
-                queue_depth=int(data["queue"]),
-                route_count=int(data["routes"]),
-                neighbor_count=int(data["neighbors_n"]),
-                battery_v=float(data["battery_v"]),
-                tx_frames=int(data["tx_frames"]),
-                tx_airtime_s=float(data["tx_airtime_s"]),
-                retransmissions=int(data["retx"]),
-                drops=int(data["drops"]),
-                duty_utilisation=float(data["duty"]),
-                originated=int(data["originated"]),
-                delivered=int(data["delivered"]),
-                forwarded=int(data["forwarded"]),
+                node=_int(data, "node"),
+                seq=_int(data, "seq"),
+                timestamp=_float(data, "ts"),
+                uptime_s=_float(data, "uptime_s"),
+                queue_depth=_int(data, "queue"),
+                route_count=_int(data, "routes"),
+                neighbor_count=_int(data, "neighbors_n"),
+                battery_v=_float(data, "battery_v"),
+                tx_frames=_int(data, "tx_frames"),
+                tx_airtime_s=_float(data, "tx_airtime_s"),
+                retransmissions=_int(data, "retx"),
+                drops=_int(data, "drops"),
+                duty_utilisation=_float(data, "duty"),
+                originated=_int(data, "originated"),
+                delivered=_int(data, "delivered"),
+                forwarded=_int(data, "forwarded"),
                 neighbors=tuple(
                     NeighborObservation.from_json_dict(item) for item in data.get("neighbors", [])
                 ),
@@ -487,10 +537,10 @@ class RecordBatch:
         if version != SCHEMA_VERSION:
             raise DecodeError(f"unsupported schema version {version!r}")
         try:
-            node = int(document["node"])
-            batch_seq = int(document["batch_seq"])
-            sent_at = float(document["sent_at"])
-            dropped = int(document.get("dropped", 0))
+            node = _int(document, "node")
+            batch_seq = _int(document, "batch_seq")
+            sent_at = _float(document, "sent_at")
+            dropped = _int(document, "dropped") if "dropped" in document else 0
             network_id = document.get("net", DEFAULT_NETWORK_ID)
             packets = tuple(
                 PacketRecord.from_json_dict(item) for item in document.get("packets", [])

@@ -57,8 +57,9 @@ class NetworkShard:
         self.network_id = network_id
         self.store = store
         #: Incremental fleet-tile aggregates (seeded when the store
-        #: already holds records — the adopted-store path).
-        self.tile = TileAggregate()
+        #: already holds records — the adopted-store path); delivery
+        #: comes from the store's own aggregate.
+        self.tile = TileAggregate(store.aggregate)
         self.tile.seed_from_store(store)
         #: Per-network traffic rollup fed record-by-record.
         self.rollup = IncrementalRollup(interval_s=SHARD_ROLLUP_INTERVAL_S)

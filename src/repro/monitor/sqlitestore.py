@@ -25,6 +25,23 @@ out; ``close()`` flushes and then closes the connection.  Pass
 ``batch_writes=False`` to get the historical row-at-a-time behaviour
 (one ``execute`` per record, committed by :meth:`flush`) — kept as the
 benchmark baseline.
+
+View aggregate
+--------------
+
+Like the in-memory store, the SQLite store keeps a
+:class:`~repro.monitor.aggregate.ViewAggregate` of what a page view
+reads, so a view never queries the packet table.  Packet-record writes
+feed it (buffered or not), a write that replaces a stored ``(node,
+seq)`` row takes the replaced record out again, and opening a file that
+already holds records seeds it with one pass over the table.
+
+The node state a view reads — the nodes, each node's status record of
+highest seq, its last batch time and reported drops — is mirrored in
+memory as well, written under the aggregate's lock and seeded on open.
+A view therefore runs no query and no flush: it reads memory under the
+aggregate's lock, is one snapshot of the store, and holds no lock
+across disk I/O.
 """
 
 from __future__ import annotations
@@ -33,9 +50,10 @@ import json
 import os
 import sqlite3
 import time
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.errors import StorageError
+from repro.monitor.aggregate import ViewAggregate
 from repro.monitor.records import (
     Direction,
     NeighborObservation,
@@ -182,6 +200,42 @@ class SqliteMetricsStore:
         self._oldest_pending_at: Optional[float] = None
         self._closed = False
         self.flush_stats = FlushStats()
+        #: What a page view reads, kept at write time and seeded here
+        #: from the records a reopened file already holds.
+        self.aggregate = ViewAggregate()
+        #: Highest stored seq per node: a record above it replaces no row.
+        self._highest_seq: Dict[int, int] = dict(
+            self._conn.execute(
+                "SELECT node, MAX(seq) FROM packet_records GROUP BY node"
+            ).fetchall()
+        )
+        cursor = self._conn.execute("SELECT * FROM packet_records")
+        while True:
+            rows = cursor.fetchmany(10_000)
+            if not rows:
+                break
+            self.aggregate.add_records([self._packet_from_row(row) for row in rows])
+        #: The node state a view reads, mirrored in memory (guarded by
+        #: the aggregate's lock): every node that reported anything...
+        self._nodes: Set[int] = {
+            row[0] for row in self._conn.execute(
+                "SELECT node FROM packet_records UNION SELECT node FROM status_records "
+                "UNION SELECT node FROM batches"
+            )
+        }
+        #: ...each node's status record of highest seq...
+        self._latest_status: Dict[int, StatusRecord] = {
+            row[0]: self._status_from_row(row) for row in self._conn.execute(
+                "SELECT s.* FROM status_records AS s JOIN (SELECT node, MAX(seq) AS seq "
+                "FROM status_records GROUP BY node) AS m ON s.node = m.node AND s.seq = m.seq"
+            )
+        }
+        #: ...and its batch notes: (last batch received at, reported drops).
+        self._batches: Dict[int, Tuple[float, int]] = {
+            node: (last_seen, dropped) for node, last_seen, dropped in self._conn.execute(
+                "SELECT node, last_seen, dropped FROM batches"
+            )
+        }
 
     @property
     def closed(self) -> bool:
@@ -214,46 +268,86 @@ class SqliteMetricsStore:
         return len(self._packet_buffer) + len(self._status_buffer)
 
     def add_packet_record(self, record: PacketRecord) -> None:
-        if not self._batch_writes:
-            try:
-                self._conn.execute(_PACKET_INSERT, _packet_row(record))
-            except sqlite3.Error as exc:
-                raise StorageError(f"sqlite insert failed: {exc}") from exc
-            return
-        self._packet_buffer.append(_packet_row(record))
-        self._note_pending()
-        self._flush_if_due()
+        self.add_packet_records((record,))
 
     def add_packet_records(self, records: Iterable[PacketRecord]) -> None:
-        """Buffer many packet records at once (the server's batch path)."""
-        if not self._batch_writes:
-            for record in records:
-                self.add_packet_record(record)
-            return
-        self._packet_buffer.extend(_packet_row(record) for record in records)
-        self._note_pending()
-        self._flush_if_due()
+        """Buffer many packet records at once (the server's batch path).
 
-    def add_status_record(self, record: StatusRecord) -> None:
+        A record whose ``(node, seq)`` is already stored replaces that
+        row, so the replaced record leaves the aggregate.  A record
+        above its node's highest seq replaces nothing; only a lower one
+        (a client replaying into a reopened store, say) costs a lookup.
+        """
+        fresh: List[PacketRecord] = []
+        for record in records:
+            highest = self._highest_seq.get(record.node)
+            if highest is None or record.seq > highest:
+                self._highest_seq[record.node] = record.seq
+                fresh.append(record)
+                continue
+            self._write_packets(fresh)
+            fresh = []
+            replaced = self._stored_packet(record.node, record.seq)
+            self._write_packets([record], replaced)
+        self._write_packets(fresh)
+
+    def _write_packets(
+        self, records: List[PacketRecord], replaced: Optional[PacketRecord] = None
+    ) -> None:
+        if not records:
+            return
+        rows = [_packet_row(record) for record in records]
         if not self._batch_writes:
             try:
-                self._conn.execute(_STATUS_INSERT, _status_row(record))
+                for row in rows:
+                    self._conn.execute(_PACKET_INSERT, row)
             except sqlite3.Error as exc:
                 raise StorageError(f"sqlite insert failed: {exc}") from exc
-            return
-        self._status_buffer.append(_status_row(record))
-        self._note_pending()
-        self._flush_if_due()
+        with self.aggregate.lock:
+            self.aggregate.add_records(records)
+            if replaced is not None:
+                self.aggregate.remove_records((replaced,))
+            for record in records:
+                self._nodes.add(record.node)
+            if self._batch_writes:
+                self._packet_buffer.extend(rows)
+        if self._batch_writes:
+            self._note_pending()
+            self._flush_if_due()
+
+    def _stored_packet(self, node: int, seq: int) -> Optional[PacketRecord]:
+        """The packet record stored (or buffered) under ``(node, seq)``."""
+        self._read_ready()
+        row = self._conn.execute(
+            "SELECT * FROM packet_records WHERE node = ? AND seq = ?", (node, seq)
+        ).fetchone()
+        return self._packet_from_row(row) if row else None
+
+    def add_status_record(self, record: StatusRecord) -> None:
+        self.add_status_records((record,))
 
     def add_status_records(self, records: Iterable[StatusRecord]) -> None:
         """Buffer many status records at once (the server's batch path)."""
+        records = tuple(records)
+        rows = [_status_row(record) for record in records]
         if not self._batch_writes:
+            try:
+                for row in rows:
+                    self._conn.execute(_STATUS_INSERT, row)
+            except sqlite3.Error as exc:
+                raise StorageError(f"sqlite insert failed: {exc}") from exc
+        with self.aggregate.lock:
+            latest = self._latest_status
             for record in records:
-                self.add_status_record(record)
-            return
-        self._status_buffer.extend(_status_row(record) for record in records)
-        self._note_pending()
-        self._flush_if_due()
+                self._nodes.add(record.node)
+                current = latest.get(record.node)
+                if current is None or record.seq >= current.seq:
+                    latest[record.node] = record
+            if self._batch_writes:
+                self._status_buffer.extend(rows)
+        if self._batch_writes:
+            self._note_pending()
+            self._flush_if_due()
 
     def note_batch(self, node: int, received_at: float, dropped_records: int) -> None:
         self._conn.execute(
@@ -262,6 +356,10 @@ class SqliteMetricsStore:
             "dropped=batches.dropped+excluded.dropped",
             (node, received_at, dropped_records),
         )
+        with self.aggregate.lock:
+            self._nodes.add(node)
+            _last_seen, dropped = self._batches.get(node, (received_at, 0))
+            self._batches[node] = (received_at, dropped + dropped_records)
 
     def _note_pending(self) -> None:
         if self._oldest_pending_at is None:
@@ -356,12 +454,9 @@ class SqliteMetricsStore:
         )
 
     def nodes(self) -> List[int]:
-        self._read_ready()
-        rows = self._conn.execute(
-            "SELECT node FROM packet_records UNION SELECT node FROM status_records "
-            "UNION SELECT node FROM batches ORDER BY 1"
-        ).fetchall()
-        return [row[0] for row in rows]
+        """All node addresses that ever reported anything, sorted (from memory)."""
+        with self.aggregate.lock:
+            return sorted(self._nodes)
 
     def packet_records(
         self,
@@ -421,12 +516,8 @@ class SqliteMetricsStore:
             yield self._status_from_row(row)
 
     def latest_status(self, node: int) -> Optional[StatusRecord]:
-        self._read_ready()
-        row = self._conn.execute(
-            "SELECT * FROM status_records WHERE node = ? ORDER BY seq DESC LIMIT 1",
-            (node,),
-        ).fetchone()
-        return self._status_from_row(row) if row else None
+        """The node's status record of highest seq (from memory)."""
+        return self._latest_status.get(node)
 
     def status_series(
         self,
@@ -446,16 +537,14 @@ class SqliteMetricsStore:
         return series
 
     def last_seen(self, node: int) -> Optional[float]:
-        row = self._conn.execute(
-            "SELECT last_seen FROM batches WHERE node = ?", (node,)
-        ).fetchone()
-        return row[0] if row else None
+        """Server receive time of the node's most recent batch (from memory)."""
+        entry = self._batches.get(node)
+        return entry[0] if entry is not None else None
 
     def reported_drops(self, node: int) -> int:
-        row = self._conn.execute(
-            "SELECT dropped FROM batches WHERE node = ?", (node,)
-        ).fetchone()
-        return row[0] if row else 0
+        """Client-reported buffer-overflow drops for ``node`` (from memory)."""
+        entry = self._batches.get(node)
+        return entry[1] if entry is not None else 0
 
     def packet_record_count(self, node: Optional[int] = None) -> int:
         self._read_ready()

@@ -14,10 +14,18 @@ The write API mirrors :class:`~repro.monitor.sqlitestore.SqliteMetricsStore`
 — single-record adds, batch adds (``add_packet_records`` /
 ``add_status_records``), ``maybe_flush()``/``flush()``/``close()`` and
 ``flush_stats`` — so the two backends stay drop-in interchangeable for
-the server's batched ingestion path.  For the in-memory store the batch
-adds are plain loops, the flushes and close are no-ops (writes are
-immediately visible and nothing needs closing) and ``flush_stats`` is
-None.
+the server's batched ingestion path.  For the in-memory store the
+flushes and close are no-ops (writes are immediately visible and nothing
+needs closing) and ``flush_stats`` is None.
+
+Both stores keep a :class:`~repro.monitor.aggregate.ViewAggregate` of
+what a page view reads.  Every write runs under its lock and feeds it;
+a packet record the retention bound drops is subtracted from it again.
+A page view reads the aggregate and the in-memory node state
+(``nodes``, ``latest_status``, ``last_seen``, ``reported_drops``) under
+the same lock.  Reads iterate a copy of a node's records (one C-level
+``tuple()``), so a scan or a history query running beside ingest never
+sees a deque change under it.
 """
 
 from __future__ import annotations
@@ -27,6 +35,7 @@ from dataclasses import dataclass
 from typing import Deque, Dict, Iterable, Iterator, List, Optional
 
 from repro.errors import StorageError
+from repro.monitor.aggregate import ViewAggregate
 from repro.monitor.records import Direction, PacketRecord, StatusRecord
 
 
@@ -64,34 +73,51 @@ class MetricsStore:
         self._packet_evictions = 0
         self._dropped_reported: Dict[int, int] = {}
         self._last_batch_at: Dict[int, float] = {}
+        #: What a page view reads, kept at write time.
+        self.aggregate = ViewAggregate()
 
     # -- writes ---------------------------------------------------------------
 
     def add_packet_record(self, record: PacketRecord) -> None:
-        bucket = self._packet_by_node.get(record.node)
-        if bucket is None:
-            bucket = deque(maxlen=self._max_packets)
-            self._packet_by_node[record.node] = bucket
-        if len(bucket) == self._max_packets:
-            self._packet_evictions += 1
-        bucket.append(record)
+        self.add_packet_records((record,))
 
     def add_status_record(self, record: StatusRecord) -> None:
-        bucket = self._status_by_node.get(record.node)
-        if bucket is None:
-            bucket = deque(maxlen=self._max_status)
-            self._status_by_node[record.node] = bucket
-        bucket.append(record)
+        self.add_status_records((record,))
 
     def add_packet_records(self, records: Iterable[PacketRecord]) -> None:
-        """Add many packet records (batch mirror of the SQLite store)."""
-        for record in records:
-            self.add_packet_record(record)
+        """Add many packet records (batch mirror of the SQLite store).
+
+        A record that pushes a node past its retention bound drops that
+        node's oldest record, which leaves the aggregate too.  The
+        aggregate counts the records before the deques take them: if it
+        fails on one, none of the batch is stored.
+        """
+        records = tuple(records)
+        evicted: List[PacketRecord] = []
+        with self.aggregate.lock:
+            # Added before removed: an evicted record may be one of ``records``.
+            self.aggregate.add_records(records)
+            for record in records:
+                bucket = self._packet_by_node.get(record.node)
+                if bucket is None:
+                    bucket = deque(maxlen=self._max_packets)
+                    self._packet_by_node[record.node] = bucket
+                if len(bucket) == self._max_packets:
+                    evicted.append(bucket[0])
+                bucket.append(record)
+            self._packet_evictions += len(evicted)
+            if evicted:
+                self.aggregate.remove_records(evicted)
 
     def add_status_records(self, records: Iterable[StatusRecord]) -> None:
         """Add many status records (batch mirror of the SQLite store)."""
-        for record in records:
-            self.add_status_record(record)
+        with self.aggregate.lock:
+            for record in records:
+                bucket = self._status_by_node.get(record.node)
+                if bucket is None:
+                    bucket = deque(maxlen=self._max_status)
+                    self._status_by_node[record.node] = bucket
+                bucket.append(record)
 
     def flush(self) -> bool:
         """No-op (in-memory writes are immediately visible); returns False."""
@@ -112,11 +138,12 @@ class MetricsStore:
 
     def note_batch(self, node: int, received_at: float, dropped_records: int) -> None:
         """Record batch-level metadata (client-side loss, liveness)."""
-        self._last_batch_at[node] = received_at
-        if dropped_records:
-            self._dropped_reported[node] = (
-                self._dropped_reported.get(node, 0) + dropped_records
-            )
+        with self.aggregate.lock:
+            self._last_batch_at[node] = received_at
+            if dropped_records:
+                self._dropped_reported[node] = (
+                    self._dropped_reported.get(node, 0) + dropped_records
+                )
 
     # -- reads ----------------------------------------------------------------
 
@@ -142,7 +169,7 @@ class MetricsStore:
         else:
             buckets = [self._packet_by_node[key] for key in sorted(self._packet_by_node)]
         for bucket in buckets:
-            for record in bucket:
+            for record in tuple(bucket):
                 if direction is not None and record.direction != direction:
                     continue
                 if ptype is not None and record.ptype != ptype:
@@ -164,7 +191,8 @@ class MetricsStore:
         until: Optional[float] = None,
     ) -> Iterator[StatusRecord]:
         """Iterate one node's status records in arrival order."""
-        for record in self._status_by_node.get(node, ()):  # arrival order == time order per node
+        # Arrival order == time order per node.
+        for record in tuple(self._status_by_node.get(node, ())):
             if since is not None and record.timestamp < since:
                 continue
             if until is not None and record.timestamp > until:
@@ -210,12 +238,12 @@ class MetricsStore:
     def packet_record_count(self, node: Optional[int] = None) -> int:
         if node is not None:
             return len(self._packet_by_node.get(node, ()))
-        return sum(len(bucket) for bucket in self._packet_by_node.values())
+        return sum(len(bucket) for bucket in tuple(self._packet_by_node.values()))
 
     def status_record_count(self, node: Optional[int] = None) -> int:
         if node is not None:
             return len(self._status_by_node.get(node, ()))
-        return sum(len(bucket) for bucket in self._status_by_node.values())
+        return sum(len(bucket) for bucket in tuple(self._status_by_node.values()))
 
     @property
     def evictions(self) -> int:
@@ -226,7 +254,7 @@ class MetricsStore:
         """(earliest, latest) packet-record timestamp, or None when empty."""
         earliest: Optional[float] = None
         latest: Optional[float] = None
-        for bucket in self._packet_by_node.values():
+        for bucket in tuple(self._packet_by_node.values()):
             if not bucket:
                 continue
             if earliest is None or bucket[0].timestamp < earliest:

@@ -7,12 +7,16 @@ handler threads) and M UDP senders (drained by the transport's receiver
 thread) ingest concurrently into one server, every batch tagged with a
 unique (node, seq) pair, and afterwards the self-metrics must account
 for every record exactly once: nothing lost to a torn counter, nothing
-double-counted, fleet totals consistent with the wire counters.
+double-counted, fleet totals consistent with the wire counters.  Page
+views and the history route run while a thread ingests: no read may
+raise, and a view must be one consistent snapshot of the store.
 """
 
+import json
 import sys
 import threading
 import time
+import urllib.request
 
 from repro.api import (
     Dashboard,
@@ -27,13 +31,20 @@ from repro.api import (
     UdpIngestTransport,
     fleet_overview,
 )
-from repro.monitor.records import Direction
+from repro.monitor.records import Direction, StatusRecord
+from repro.monitor.sqlitestore import SqliteMetricsStore
+from tests.view_oracle import canonical, scan_alert_engine, scan_document
 
 HTTP_THREADS = 4
 UDP_THREADS = 2
 BATCHES_PER_THREAD = 25
 SUBMIT_THREADS = 8
 SUBMITS_PER_THREAD = 300
+#: Page views taken while another thread ingests.
+VIEWS = 300
+#: Fewer on SQLite, where the scan recompute queries a growing table.
+SQLITE_VIEWS = 60
+RING_NODES = 8
 
 
 def make_batch(node: int, seq: int, records: int = 1) -> RecordBatch:
@@ -49,6 +60,40 @@ def make_batch(node: int, seq: int, records: int = 1) -> RecordBatch:
     return RecordBatch(
         node=node, batch_seq=seq, sent_at=float(seq),
         packet_records=packet_records, status_records=(), dropped_records=0,
+    )
+
+
+def ring_batch(node: int, seq: int) -> RecordBatch:
+    """Batch ``seq`` of ``node`` in a ring: a DATA packet sent to the next
+    node, the previous node's packet delivered, a HELLO heard, a status."""
+    now = float(seq)
+    previous = (node - 2) % RING_NODES + 1
+    following = node % RING_NODES + 1
+
+    def record(index, **fields):
+        base = dict(
+            node=node, seq=3 * seq + index, timestamp=now + index / 4, ptype=3,
+            packet_id=seq & 0xFFFF, size_bytes=40,
+        )
+        base.update(fields)
+        return PacketRecord(**base)
+
+    return RecordBatch(
+        node=node, batch_seq=seq, sent_at=now,
+        packet_records=(
+            record(0, direction=Direction.OUT, src=node, dst=following, next_hop=following,
+                   prev_hop=node, airtime_s=0.072),
+            record(1, direction=Direction.IN, src=previous, dst=node, next_hop=node,
+                   prev_hop=previous, rssi_dbm=-90.0 - (seq % 7) / 10, snr_db=5.0 - (seq % 3) / 10),
+            record(2, direction=Direction.IN, src=following, dst=0xFFFF, next_hop=0xFFFF,
+                   prev_hop=following, ptype=1, rssi_dbm=-100.3, snr_db=2.1, size_bytes=22),
+        ),
+        status_records=(StatusRecord(
+            node=node, seq=seq, timestamp=now, uptime_s=now, queue_depth=seq % 4,
+            route_count=RING_NODES - 1, neighbor_count=2, battery_v=3.9, tx_frames=seq,
+            tx_airtime_s=0.072 * seq, retransmissions=0, drops=0, duty_utilisation=0.01,
+            originated=seq, delivered=seq, forwarded=0,
+        ),),
     )
 
 
@@ -203,3 +248,103 @@ class TestConcurrentIngest:
         assert not any(thread.is_alive() for thread in threads)
         assert errors == []
         server.close()
+
+    @staticmethod
+    def views_while_a_thread_ingests(store, views):
+        """Take ``views`` page views of ``store`` while a thread ingests
+        into it; each must equal the document recomputed from the
+        metrics.py scans under the same hold of the aggregate's lock,
+        where any record written between the two would show as a
+        difference.  Returns the distinct documents seen."""
+        clock = {"now": 0.0}
+        server = MonitorServer(store=store, clock=lambda: clock["now"])
+        dashboard = Dashboard(store, report_interval_s=60.0)
+        oracle_alerts = scan_alert_engine(store, 60.0)
+        stop = threading.Event()
+        errors = []
+
+        def ingest() -> None:
+            seq = 0
+            try:
+                while not stop.is_set():
+                    for node in range(1, RING_NODES + 1):
+                        clock["now"] = float(seq)
+                        assert server.submit(ring_batch(node, seq)).ok
+                    seq += 1
+            except Exception as exc:  # pragma: no cover - reporting
+                errors.append(repr(exc))
+
+        thread = threading.Thread(target=ingest, daemon=True)
+        documents = set()
+        switch_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-4)
+        thread.start()
+        try:
+            assert wait_until(lambda: server.self_metrics.batches_ingested > RING_NODES)
+            for _ in range(views):
+                with store.aggregate.lock:
+                    now = clock["now"]
+                    view = canonical(dashboard.to_json_dict(now))
+                    expected = canonical(scan_document(dashboard, oracle_alerts, now))
+                assert view == expected
+                documents.add(view)
+                time.sleep(0)
+        finally:
+            sys.setswitchinterval(switch_interval)
+            stop.set()
+            thread.join(timeout=30.0)
+            server.close()
+        assert not thread.is_alive()
+        assert errors == []
+        # Ingest ran between the views: they saw many different states.
+        assert len(documents) > views // 2
+        return documents
+
+    def test_views_are_snapshots_while_a_thread_ingests(self):
+        # The store keeps 60 packet records per node, so ingest evicts
+        # while the views run.
+        store = MetricsStore(max_packet_records_per_node=60)
+        self.views_while_a_thread_ingests(store, VIEWS)
+        assert store.evictions > 0
+
+    def test_sqlite_views_are_snapshots_while_a_thread_ingests(self):
+        # Node state (status, last seen, drops) comes from the store's
+        # in-memory mirror, written under the aggregate's lock like the
+        # packet aggregate; small flushes keep ingest writing SQLite.
+        store = SqliteMetricsStore(flush_records=16, flush_interval_s=None)
+        self.views_while_a_thread_ingests(store, SQLITE_VIEWS)
+
+    def test_history_route_reads_while_a_thread_ingests(self):
+        store = MetricsStore()
+        server = MonitorServer(store=store)
+        for seq in range(100):
+            server.submit(make_batch(1, seq, records=100))
+        dashboard = Dashboard(store, report_interval_s=60.0)
+        http = MonitoringHttpServer(server, dashboard, port=0)
+        http.start()
+        stop = threading.Event()
+
+        def ingest() -> None:
+            seq = 100
+            while not stop.is_set():
+                server.submit(make_batch(1, seq, records=20))
+                seq += 1
+
+        thread = threading.Thread(target=ingest, daemon=True)
+        switch_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        thread.start()
+        try:
+            for _ in range(20):
+                url = f"{http.url}/api/v1/networks/default/history?node=1&interval=60"
+                with urllib.request.urlopen(url, timeout=30) as response:
+                    assert response.status == 200
+                    buckets = json.loads(response.read())
+                assert sum(bucket["count"] for bucket in buckets) >= 10_000
+        finally:
+            sys.setswitchinterval(switch_interval)
+            stop.set()
+            thread.join(timeout=30.0)
+            http.stop()
+            server.close()
+        assert not thread.is_alive()

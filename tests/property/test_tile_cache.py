@@ -1,11 +1,12 @@
 """Property: the cached fleet tile equals its from-scratch definition.
 
-``TileAggregate`` caches each node's health score and keeps running
-sent/matched totals, so a tile re-scores only the nodes a batch changed
-and the ones whose liveness is decaying.  The oracle is the definition
-the cache replaced: score every node from its current inputs and average
-the defined scores in node order, and divide the pairs' summed
-``matched`` by their summed ``sent``.  After any sequence of ``observe_*``
+``TileAggregate`` caches each node's health score and reads delivery
+from the store's aggregate, so a tile re-scores only the nodes whose
+inputs changed and the ones whose liveness is decaying.  The oracle is
+the definition the cache replaced: score every node from its current
+inputs, with its delivery from ``metrics.pdr_matrix`` over the store,
+and average the defined scores in node order; the tile's PDR is
+``metrics.network_pdr``.  After any sequence of records, ``observe_*``
 calls, clock steps and report-interval changes both must agree bit for
 bit (NaN matching NaN).
 """
@@ -16,8 +17,8 @@ import struct
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.api import BROADCAST, Direction, PacketRecord, PacketType, StatusRecord
-from repro.monitor import health
+from repro.api import BROADCAST, Direction, MetricsStore, PacketRecord, PacketType, StatusRecord
+from repro.monitor import health, metrics
 from repro.monitor.fleet import TileAggregate
 
 #: Nodes that report batches and observe packets.
@@ -90,15 +91,20 @@ steps = st.lists(
 )
 
 
-def definition_health(tile, now, report_interval_s):
+def definition_health(tile, store, now, report_interval_s):
     """The from-scratch tile health: every node scored from its current
     inputs, the mean of the defined scores taken in node order."""
+    sent = {}
+    delivered = {}
+    for (src, _dst), pair in metrics.pdr_matrix(store).items():
+        sent[src] = sent.get(src, 0) + pair.sent
+        delivered[src] = delivered.get(src, 0) + pair.delivered
     total = 0.0
     count = 0
-    for telemetry in tile._nodes.values():
+    for node, telemetry in tile._nodes.items():
         score = health.node_score(
             health.liveness_component(telemetry.last_seen, now, report_interval_s),
-            telemetry.matched / telemetry.sent if telemetry.sent else None,
+            delivered[node] / sent[node] if sent.get(node) else None,
             health.spectrum_component(telemetry.duty_utilisation),
             health.battery_component(telemetry.battery_v),
         )
@@ -108,25 +114,18 @@ def definition_health(tile, now, report_interval_s):
     return total / count if count else math.nan
 
 
-def definition_pdr(tile):
-    """Matched over sent, each summed over every pair."""
-    sent = sum(pair.sent for pair in tile._pairs.values())
-    if not sent:
-        return math.nan
-    return sum(pair.matched for pair in tile._pairs.values()) / sent
-
-
 def same_bits(a, b):
     if math.isnan(a) or math.isnan(b):
         return math.isnan(a) and math.isnan(b)
     return struct.pack("<d", a) == struct.pack("<d", b)
 
 
-def observations(step, now):
-    """The ``observe_*`` calls of one step, one callable each."""
+def observations(step, now, seq):
+    """The store writes and ``observe_*`` calls of one step, one callable
+    each; ``seq`` numbers the packet records."""
     kind = step[0]
     if kind == "batch":
-        return [lambda tile: tile.observe_batch(step[1], now)]
+        return [lambda store, tile: tile.observe_batch(step[1], now)]
     if kind == "status":
         _, node, battery_v, duty = step
         record = StatusRecord(
@@ -135,37 +134,44 @@ def observations(step, now):
             tx_airtime_s=0.1, retransmissions=0, drops=0, duty_utilisation=duty,
             originated=0, delivered=0, forwarded=0,
         )
-        return [lambda tile: tile.observe_status(record)]
+        return [lambda store, tile: tile.observe_status(record)]
     _, src, dst, packet_id, ptype, observed = step
     records = [
         PacketRecord(
-            node=node, seq=0, timestamp=now, direction=direction, src=src, dst=dst,
-            next_hop=dst, prev_hop=src, ptype=ptype, packet_id=packet_id,
+            node=node, seq=seq + index, timestamp=now, direction=direction, src=src,
+            dst=dst, next_hop=dst, prev_hop=src, ptype=ptype, packet_id=packet_id,
             size_bytes=40, attempt=attempt,
         )
-        for node, direction, attempt in observed
+        for index, (node, direction, attempt) in enumerate(observed)
     ]
-    return [lambda tile, record=record: tile.observe_packet(record) for record in records]
+
+    def observe(store, tile, record):
+        store.add_packet_record(record)
+        tile.observe_packet(record)
+
+    return [
+        lambda store, tile, record=record: observe(store, tile, record) for record in records
+    ]
 
 
 @settings(max_examples=200, deadline=None)
 @given(
-    pending_ids=st.integers(min_value=1, max_value=6),
     start=st.floats(min_value=0.0, max_value=1e6),
     steps=steps,
 )
-def test_cached_tile_equals_definition(pending_ids, start, steps):
-    tile = TileAggregate(pending_ids=pending_ids)
+def test_cached_tile_equals_definition(start, steps):
+    store = MetricsStore()
+    tile = TileAggregate(store.aggregate)
     now = start
     report_interval_s = 60.0
 
     def check(step):
         cached = tile.health(now, report_interval_s)
-        expected = definition_health(tile, now, report_interval_s)
+        expected = definition_health(tile, store, now, report_interval_s)
         assert same_bits(cached, expected), (step, cached, expected)
-        assert same_bits(tile.pdr(), definition_pdr(tile)), step
+        assert same_bits(tile.pdr(), metrics.network_pdr(store)), step
 
-    for step in steps:
+    for number, step in enumerate(steps):
         if step[0] == "clock":
             now += step[1] * report_interval_s
             check(step)
@@ -173,6 +179,6 @@ def test_cached_tile_equals_definition(pending_ids, start, steps):
             report_interval_s = step[1]
             check(step)
         else:
-            for observe in observations(step, now):
-                observe(tile)
+            for observe in observations(step, now, seq=10 * number):
+                observe(store, tile)
                 check(step)

@@ -1,0 +1,236 @@
+"""Property: a page view read from the store's aggregate equals the scans.
+
+``Dashboard.to_json_dict`` reads the ``ViewAggregate`` each store keeps
+at write time; the ``metrics.py`` scans are the definition.  Random
+batches go through ``MonitorServer.submit`` — resent batches (dedup),
+seqs out of order inside a batch, timestamps out of order and on both
+sides of the 1800 s health window, records with and without RSSI, a
+retention bound of 1-4 packet records per node so eviction runs, and
+clock steps across the window — and after every step the document must
+equal the one built from the scans, byte for byte.  The SQLite store
+runs the same steps plus close-and-reopen, after which the seeded
+aggregate must still agree (and replayed batches replace stored rows).
+"""
+
+import os
+import random
+import tempfile
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.api import BROADCAST, Dashboard, MetricsStore, MonitorServer, PacketType
+from repro.monitor.aggregate import SortedList
+from repro.monitor.records import Direction, PacketRecord, RecordBatch, StatusRecord
+from repro.monitor.sqlitestore import SqliteMetricsStore
+from tests.view_oracle import canonical, scan_alert_engine, scan_document
+
+@pytest.fixture(autouse=True, scope="module")
+def tiny_blocks():
+    """Blocks of at most 4 events or latencies, so the few records of an
+    example split blocks, empty them and span windows across them."""
+    load = SortedList.LOAD
+    SortedList.LOAD = 2
+    yield
+    SortedList.LOAD = load
+
+
+NODES = (1, 2, 3, 4)
+DATA = int(PacketType.DATA)
+HELLO = int(PacketType.HELLO)
+REPORT_INTERVAL_S = 60.0
+
+nodes = st.sampled_from(NODES)
+#: Offsets from the clock on a quarter-second grid: ties, and records
+#: right at, inside and outside the 1800 s window's edges.
+offsets = st.one_of(
+    st.sampled_from([-1800.25, -1800.0, -1799.75, -0.25, 0.0, 0.25]),
+    st.integers(min_value=-7300, max_value=400).map(lambda quarters: quarters / 4),
+)
+#: RSSI/SNR in tenths, as the wire carries them (not exact in binary).
+rssis = st.integers(min_value=-1300, max_value=-300).map(lambda tenths: tenths / 10)
+snrs = st.integers(min_value=-200, max_value=150).map(lambda tenths: tenths / 10)
+quality = st.one_of(st.tuples(rssis, snrs), st.tuples(rssis, snrs), st.tuples(st.none(), snrs))
+airtimes = st.one_of(st.none(), st.floats(min_value=0.0, max_value=2.0))
+packet_ids = st.integers(min_value=0, max_value=3)
+attempts = st.sampled_from([1, 1, 2])
+roles = st.sampled_from(["origin", "origin", "destination", "destination", "relay", "overhear"])
+
+
+@st.composite
+def packets(draw):
+    """Observations of one DATA packet (src, dst, id), each at its observer:
+    OUT at the origin (first try or retry, maybe twice), IN at the
+    destination (maybe twice), OUT at a relay, IN where it was overheard."""
+    src = draw(nodes)
+    dst = draw(nodes)
+    if dst == src:
+        dst = BROADCAST
+    packet_id = draw(packet_ids)
+    observed = []
+    for role in draw(st.lists(roles, min_size=1, max_size=4)):
+        offset = draw(offsets)
+        if role == "origin":
+            record = dict(node=src, direction=Direction.OUT, attempt=draw(attempts),
+                          airtime_s=draw(airtimes))
+        elif role == "relay":
+            record = dict(node=draw(nodes), direction=Direction.OUT, airtime_s=draw(airtimes))
+        else:
+            rssi, snr = draw(quality)
+            node = dst if role == "destination" and dst != BROADCAST else draw(nodes)
+            record = dict(node=node, direction=Direction.IN, rssi_dbm=rssi, snr_db=snr)
+        record.update(
+            src=src, dst=dst, next_hop=dst, prev_hop=src, ptype=DATA, packet_id=packet_id,
+            size_bytes=40,
+        )
+        observed.append((offset, record))
+    return ("packet", observed, draw(st.booleans()))
+
+
+#: Broadcast HELLOs: sent by the batch's node, or heard from a neighbour.
+hellos = st.tuples(st.sampled_from(["hello", "heard"]), nodes, offsets, quality, airtimes)
+
+batches = st.tuples(
+    st.just("batch"),
+    nodes,
+    st.lists(hellos, min_size=0, max_size=4),
+    st.booleans(),  # with a status record
+    st.booleans(),  # seqs shuffled inside the batch
+)
+resends = st.tuples(st.just("resend"), st.integers(min_value=0, max_value=50))
+clock_steps = st.tuples(
+    st.just("clock"), st.sampled_from([0.25, 60.0, 900.0, 1799.75, 1800.0, 1800.25, 3600.0])
+)
+
+
+def hello(node, hello_step):
+    """The fields of one broadcast HELLO record at ``node``."""
+    kind, peer, offset, (rssi, snr), airtime = hello_step
+    if kind == "hello":
+        fields = dict(direction=Direction.OUT, src=node, prev_hop=node, airtime_s=airtime)
+    else:
+        heard = peer if peer != node else node % len(NODES) + 1
+        fields = dict(direction=Direction.IN, src=heard, prev_hop=heard, rssi_dbm=rssi, snr_db=snr)
+    fields.update(
+        node=node, dst=BROADCAST, next_hop=BROADCAST, ptype=HELLO, packet_id=0, size_bytes=22
+    )
+    return offset, fields
+
+
+class Harness:
+    """A server over one store, its dashboard and the scan oracle."""
+
+    def __init__(self, store):
+        self.now = 0.0
+        self.seqs = {node: 0 for node in NODES}
+        self.status_seqs = {node: 0 for node in NODES}
+        self.sent = []
+        self.attach(store)
+
+    def attach(self, store):
+        self.store = store
+        self.server = MonitorServer(
+            store=store, clock=lambda: self.now, report_interval_s=REPORT_INTERVAL_S
+        )
+        self.dashboard = Dashboard(store, report_interval_s=REPORT_INTERVAL_S)
+        self.oracle_alerts = scan_alert_engine(store, REPORT_INTERVAL_S)
+
+    def apply(self, step, rng):
+        kind = step[0]
+        if kind == "clock":
+            self.now += step[1]
+        elif kind == "resend":
+            if self.sent:
+                assert self.server.submit(self.sent[step[1] % len(self.sent)]).ok
+        elif kind == "batch":
+            _, node, steps, with_status, shuffle = step
+            self.submit(node, [hello(node, item) for item in steps], with_status, shuffle, rng)
+        elif kind == "packet":
+            _, observed, shuffle = step
+            by_node = {}
+            for offset, fields in observed:
+                by_node.setdefault(fields["node"], []).append((offset, fields))
+            for node, fields in by_node.items():
+                self.submit(node, fields, False, shuffle, rng)
+        else:
+            raise AssertionError(step)
+
+    def submit(self, node, observed, with_status, shuffle, rng):
+        """One batch from ``node``: a record per (offset, fields), seqs
+        fresh but maybe out of order, and maybe a status record."""
+        seqs = list(range(self.seqs[node], self.seqs[node] + len(observed)))
+        self.seqs[node] += len(observed)
+        if shuffle:
+            rng.shuffle(seqs)
+        records = tuple(
+            PacketRecord(seq=seq, timestamp=self.now + offset, **fields)
+            for seq, (offset, fields) in zip(seqs, observed)
+        )
+        status = ()
+        if with_status:
+            seq = self.status_seqs[node]
+            self.status_seqs[node] += 1
+            status = (StatusRecord(
+                node=node, seq=seq, timestamp=self.now, uptime_s=self.now,
+                queue_depth=seq % 12, route_count=3, neighbor_count=2,
+                battery_v=3.0 + (seq % 7) * 0.2, tx_frames=seq, tx_airtime_s=0.1,
+                retransmissions=0, drops=0, duty_utilisation=(seq % 5) * 0.25,
+                originated=seq, delivered=0, forwarded=0,
+            ),)
+        batch = RecordBatch(
+            node=node, batch_seq=len(self.sent), sent_at=self.now,
+            packet_records=records, status_records=status,
+        )
+        self.sent.append(batch)
+        assert self.server.submit(batch).ok
+
+    def check(self, step):
+        view = canonical(self.dashboard.to_json_dict(self.now))
+        expected = canonical(scan_document(self.dashboard, self.oracle_alerts, self.now))
+        assert view == expected, step
+
+
+steps = st.lists(
+    st.one_of(packets(), packets(), packets(), batches, resends, clock_steps, clock_steps),
+    min_size=1,
+    max_size=25,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(retention=st.integers(min_value=1, max_value=4), steps=steps, seed=st.integers(0, 2**16))
+def test_memory_store_view_equals_scans(retention, steps, seed):
+    rng = random.Random(seed)
+    harness = Harness(MetricsStore(max_packet_records_per_node=retention))
+    for step in steps:
+        harness.apply(step, rng)
+        harness.check(step)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    steps=st.lists(
+        st.one_of(
+            packets(), packets(), packets(), batches, resends, clock_steps, st.just(("reopen",))
+        ),
+        min_size=1,
+        max_size=25,
+    ),
+    seed=st.integers(0, 2**16),
+)
+def test_sqlite_store_view_equals_scans_across_reopen(steps, seed):
+    rng = random.Random(seed)
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, "net.sqlite")
+        harness = Harness(SqliteMetricsStore(path, flush_interval_s=None))
+        try:
+            for step in steps:
+                if step[0] == "reopen":
+                    harness.server.close()
+                    harness.attach(SqliteMetricsStore(path, flush_interval_s=None))
+                else:
+                    harness.apply(step, rng)
+                harness.check(step)
+        finally:
+            harness.server.close()

@@ -243,7 +243,75 @@ class TestScansPerView:
     def test_scans_do_not_grow_with_network_size(self):
         small, large = scans_per_view(4), scans_per_view(64)
         assert small == large
-        assert max(large.values()) <= 12
+        assert max(large.values()) == 0
+
+
+def interval_store(intervals):
+    """``intervals`` report intervals of identical traffic in a 4-node
+    ring: each node sends three DATA packets to the next one, which
+    receives them, and reports status at the end of the interval."""
+    store = CountingStore()
+    seqs = {}
+    for interval in range(intervals):
+        start = interval * 60.0
+        for node in range(1, 5):
+            dst = node % 4 + 1
+            for index in range(3):
+                packet_id = (interval * 3 + index) & 0xFFFF
+                for observer, direction in ((node, Direction.OUT), (dst, Direction.IN)):
+                    seq = seqs.get(observer, 0)
+                    seqs[observer] = seq + 1
+                    store.add_packet_record(PacketRecord(
+                        node=observer, seq=seq, timestamp=start + index + 0.5 * (observer == dst),
+                        direction=direction, src=node, dst=dst, next_hop=dst, prev_hop=node,
+                        ptype=3, packet_id=packet_id, size_bytes=40,
+                        airtime_s=0.05 if direction is Direction.OUT else None,
+                        rssi_dbm=-100.0 - index if direction is Direction.IN else None,
+                        snr_db=5.0 if direction is Direction.IN else None,
+                    ))
+            store.add_status_record(StatusRecord(
+                node=node, seq=interval, timestamp=start + 59.0, uptime_s=start + 59.0,
+                queue_depth=1, route_count=3, neighbor_count=2, battery_v=3.8,
+                tx_frames=3 * interval, tx_airtime_s=0.15 * interval, retransmissions=0,
+                drops=0, duty_utilisation=0.02, originated=3 * interval, delivered=0,
+                forwarded=0,
+            ))
+            store.note_batch(node, received_at=start + 59.0, dropped_records=0)
+    return store
+
+
+def entries_per_view(intervals):
+    """Aggregate entries one page view reads after ``intervals`` intervals:
+    the rows of every panel plus the delivery events its windows cover."""
+    store = interval_store(intervals)
+    aggregate = store.aggregate
+    read = []
+
+    def counting(method):
+        def wrapper(*args):
+            result = method(*args)
+            read.append(len(result))
+            return result
+        return wrapper
+
+    for name in ("links", "delivery", "composition", "source_delivery"):
+        setattr(aggregate, name, counting(getattr(aggregate, name)))
+    window = aggregate.window_delivery
+
+    def counting_window(since, until):
+        read.append(sum(1 for event in aggregate._events if since <= event[0] <= until))
+        return window(since, until)
+
+    aggregate.window_delivery = counting_window
+    Dashboard(store, report_interval_s=60.0).to_json_dict(intervals * 60.0)
+    return sum(read), store.scans
+
+
+class TestViewCostFlatInHistory:
+    def test_entries_read_do_not_grow_with_history(self):
+        (entries_40, scans_40), (entries_80, scans_80) = entries_per_view(40), entries_per_view(80)
+        assert scans_40 == scans_80 == 0
+        assert entries_40 == entries_80 > 0
 
 
 class TestTableFormatter:

@@ -140,13 +140,6 @@ class TestLatency:
 
 
 class TestRouteAndGraph:
-    def test_route_taken_orders_by_time(self, store):
-        store.add_packet_record(out_record(node=1, seq=0, packet_id=7, ts=1.0))
-        store.add_packet_record(out_record(node=5, seq=0, packet_id=7, src=1, ts=2.0))
-        store.add_packet_record(out_record(node=8, seq=0, packet_id=7, src=1, ts=3.0))
-        hops = metrics.route_taken(store, src=1, packet_id=7)
-        assert [node for node, _ in hops] == [1, 5, 8]
-
     def test_neighbor_graph_uses_latest_status(self, store):
         store.add_status_record(
             status_with_neighbors(2, 0, [NeighborObservation(1, -100.0, 5.0, 10)])

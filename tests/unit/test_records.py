@@ -1,5 +1,8 @@
 """Unit tests for the telemetry record schema and wire encodings."""
 
+import json
+import math
+
 import pytest
 
 from repro.errors import DecodeError
@@ -209,3 +212,102 @@ class TestRecordBatch:
         batch = RecordBatch(node=1, batch_seq=0, sent_at=0.0)
         assert RecordBatch.from_binary(batch.to_binary()).record_count == 0
         assert RecordBatch.from_json_bytes(batch.to_json_bytes()).record_count == 0
+
+
+class TestJsonNumbers:
+    """JSON numeric fields must be finite numbers; ``rssi``/``snr`` may be null."""
+
+    @staticmethod
+    def document():
+        return json.loads(TestRecordBatch().make_batch().to_json_bytes())
+
+    @staticmethod
+    def decode(document):
+        return RecordBatch.from_json_bytes(json.dumps(document).encode())
+
+    @pytest.mark.parametrize("value", ["loud", "-90", True, [1], {"dbm": 1}, math.inf, math.nan])
+    def test_bad_rssi_is_refused(self, value):
+        document = self.document()
+        document["packets"][0]["rssi"] = value
+        with pytest.raises(DecodeError):
+            self.decode(document)
+
+    @pytest.mark.parametrize(
+        "key", ["node", "seq", "ts", "src", "dst", "ptype", "packet_id", "size", "snr"]
+    )
+    @pytest.mark.parametrize("value", ["7", math.inf, -math.inf, math.nan, False])
+    def test_bad_packet_number_is_refused(self, key, value):
+        document = self.document()
+        document["packets"][0][key] = value
+        with pytest.raises(DecodeError):
+            self.decode(document)
+
+    @pytest.mark.parametrize("key", ["airtime_ms", "attempt"])
+    def test_bad_out_record_number_is_refused(self, key):
+        document = self.document()
+        document["packets"][1][key] = "1"
+        with pytest.raises(DecodeError):
+            self.decode(document)
+
+    @pytest.mark.parametrize("key", ["ts", "uptime_s", "battery_v", "duty", "queue", "retx"])
+    def test_bad_status_number_is_refused(self, key):
+        document = self.document()
+        document["status"][0][key] = math.nan
+        with pytest.raises(DecodeError):
+            self.decode(document)
+
+    @pytest.mark.parametrize("key", ["addr", "rssi", "snr", "heard"])
+    def test_bad_neighbor_number_is_refused(self, key):
+        document = self.document()
+        document["status"][0]["neighbors"][0][key] = "x"
+        with pytest.raises(DecodeError):
+            self.decode(document)
+
+    @pytest.mark.parametrize("key", ["sent_at", "node", "batch_seq", "dropped"])
+    def test_bad_batch_number_is_refused(self, key):
+        document = self.document()
+        document[key] = math.inf
+        with pytest.raises(DecodeError):
+            self.decode(document)
+
+    @pytest.mark.parametrize("key", ["ts", "rssi", "snr", "node", "seq", "packet_id", "size"])
+    @pytest.mark.parametrize(
+        "value",
+        [1e308, -1e308, 1.7e308, 2**53 + 1, -(2**53) - 1, pytest.param(10**400, id="int-1e400")],
+    )
+    def test_number_beyond_2_53_is_refused(self, key, value):
+        # Sums and differences of such values overflow to inf (and
+        # float(10**400) raises OverflowError).
+        document = self.document()
+        document["packets"][0][key] = value
+        with pytest.raises(DecodeError):
+            self.decode(document)
+
+    @pytest.mark.parametrize("value", [1e308, pytest.param(10**400, id="int-1e400")])
+    def test_huge_out_and_status_numbers_are_refused(self, value):
+        for path in (("packets", 1, "airtime_ms"), ("packets", 1, "attempt"),
+                     ("status", 0, "battery_v"), ("status", 0, "tx_frames")):
+            document = self.document()
+            section, index, key = path
+            document[section][index][key] = value
+            with pytest.raises(DecodeError):
+                self.decode(document)
+        document = self.document()
+        document["sent_at"] = value
+        with pytest.raises(DecodeError):
+            self.decode(document)
+
+    def test_numbers_at_2_53_are_accepted(self):
+        document = self.document()
+        document["packets"][0].update(ts=-(2**53), rssi=float(2**53), snr=-(2.0**53))
+        record = self.decode(document).packet_records[0]
+        assert record.timestamp == -(2.0**53) and isinstance(record.timestamp, float)
+        assert record.rssi_dbm == 2.0**53 and record.snr_db == -(2.0**53)
+
+    def test_null_rssi_and_integer_numbers_are_accepted(self):
+        document = self.document()
+        document["packets"][0].update(rssi=None, snr=-3, ts=100)
+        record = self.decode(document).packet_records[0]
+        assert record.rssi_dbm is None
+        assert record.snr_db == -3.0 and isinstance(record.snr_db, float)
+        assert record.timestamp == 100.0 and isinstance(record.timestamp, float)

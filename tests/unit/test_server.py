@@ -1,8 +1,11 @@
 """Unit tests for the monitoring server (ingestion/dedup)."""
 
+import json
+
 import pytest
 
 from repro.api import Dashboard, sqlite_store_factory
+from repro.monitor import metrics
 from repro.monitor.ingest import SeqWindow
 from repro.monitor.records import Direction, PacketRecord, RecordBatch, StatusRecord
 from repro.monitor.server import MonitorServer
@@ -331,3 +334,89 @@ class TestTileScoringWork:
         large = self.scores_per_measured_batch(monkeypatch, 64)
         assert small == large
         assert large <= 1
+
+
+class TestUnusableNumbers:
+    """A batch whose numbers the server cannot aggregate is refused whole."""
+
+    @pytest.mark.parametrize(
+        "field, value", [("rssi", "loud"), ("ts", float("inf")), ("ts", float("nan"))]
+    )
+    def test_refused_before_anything_is_stored(self, field, value):
+        server = MonitorServer()
+        document = json.loads(batch(packets=[packet_record(seq=0)]).to_json_bytes())
+        document["packets"][0][field] = value
+        result = server.ingest_json(json.dumps(document).encode())
+        assert not result.ok
+        assert server.self_metrics.decode_failures == 1
+        assert server.store.packet_record_count() == 0
+        # The refused seq was not taken: the corrected batch is accepted.
+        good = server.ingest_json(batch(packets=[packet_record(seq=0)]).to_json_bytes())
+        assert good.ok and good.accepted_packets == 1 and good.duplicates == 0
+        Dashboard(server.store).to_json_dict(10.0)
+        server.close()
+
+
+    @staticmethod
+    def post(server, node, seq, **fields):
+        record = PacketRecord(
+            node=node, seq=seq, timestamp=float(seq), direction=Direction.IN,
+            src=1, dst=2, next_hop=2, prev_hop=1, ptype=3, packet_id=7,
+            size_bytes=40, rssi_dbm=-100.0, snr_db=5.0,
+        )
+        document = json.loads(batch(node=node, batch_seq=seq, packets=[record]).to_json_bytes())
+        document["packets"][0].update(fields)
+        return server.ingest_json(json.dumps(document).encode())
+
+    def test_huge_timestamps_cannot_make_an_infinite_latency(self):
+        # An OUT at ts=-1e308 and its IN at ts=1e308 would give a
+        # latency of inf, which no exact sum can hold.
+        server = MonitorServer()
+        sent = self.post(server, 1, 0, dir="out", ts=-1e308, airtime_ms=72.0, attempt=1)
+        received = self.post(server, 2, 0, ts=1e308)
+        assert not sent.ok and not received.ok
+        assert server.self_metrics.decode_failures == 2
+        assert server.store.packet_record_count() == 0
+        assert self.post(server, 1, 1, dir="out", ts=5.0, airtime_ms=72.0, attempt=1).ok
+        assert self.post(server, 2, 1, ts=6.5).ok
+        document = Dashboard(server.store).to_json_dict(10.0)
+        assert [row["latency_mean_s"] for row in document["delivery"]] == [1.5]
+        server.close()
+
+    def test_huge_rssi_cannot_overflow_a_link_sum(self):
+        # Two rssi=1.7e308 frames on one link would sum past the
+        # largest float.
+        server = MonitorServer()
+        assert not self.post(server, 2, 0, rssi=1.7e308).ok
+        assert not self.post(server, 2, 1, rssi=1.7e308).ok
+        assert self.post(server, 2, 2, rssi=-90.0).ok
+        assert self.post(server, 2, 3, rssi=-100.0).ok
+        document = Dashboard(server.store).to_json_dict(10.0)
+        assert [(row["frames"], row["rssi_mean"]) for row in document["links"]] == [(2, -95.0)]
+        server.close()
+
+
+class TestTileDelivery:
+    def test_tile_pdr_counts_every_send_before_a_late_destination(self):
+        # Node 1 sends 5,000 packets to node 2, which reports every
+        # delivery only afterwards: the tile's PDR is the store's.
+        server = MonitorServer(clock=lambda: 10.0)
+
+        def data(node, seq, direction):
+            return PacketRecord(
+                node=node, seq=seq, timestamp=float(seq), direction=direction,
+                src=1, dst=2, next_hop=2, prev_hop=1, ptype=3, packet_id=seq,
+                size_bytes=40, rssi_dbm=-100.0, snr_db=5.0,
+            )
+
+        for node, direction in ((1, Direction.OUT), (2, Direction.IN)):
+            for start in range(0, 5000, 500):
+                result = server.submit(batch(
+                    node=node, batch_seq=start,
+                    packets=[data(node, seq, direction) for seq in range(start, start + 500)],
+                ))
+                assert result.accepted_packets == 500
+        tile = server.materialize_tile(server.shard_for("default"), 10.0)
+        assert metrics.network_pdr(server.store) == 1.0
+        assert tile["pdr"] == 1.0
+        server.close()

@@ -116,6 +116,75 @@ class TestPersistence:
         reopened.close()
 
 
+class CountingConnection:
+    """Stands in for a store's sqlite3 connection and counts every use."""
+
+    def __init__(self, connection):
+        self.connection = connection
+        self.uses = []
+
+    def __getattr__(self, name):
+        self.uses.append(name)
+        return getattr(self.connection, name)
+
+
+class TestNodeStateInMemory:
+    """A view reads node state from memory: no query, no flush."""
+
+    def fill(self, store):
+        store.add_packet_records([packet_record(seq=0, ts=1.0), packet_record(node=2, seq=0)])
+        store.add_status_records([status_record(seq=5, ts=5.0), status_record(seq=3, ts=3.0)])
+        store.add_status_record(status_record(node=3, seq=0, ts=2.0))
+        store.note_batch(1, 10.0, 2)
+        store.note_batch(1, 12.0, 1)
+        store.note_batch(4, 11.0, 0)
+
+    def node_state(self, store):
+        return [
+            (node, store.latest_status(node), store.last_seen(node), store.reported_drops(node))
+            for node in store.nodes()
+        ]
+
+    def test_a_view_runs_no_query_and_no_flush(self):
+        from repro.monitor.dashboard import Dashboard
+
+        store = SqliteMetricsStore(flush_records=10_000, flush_interval_s=None)
+        self.fill(store)
+        pending = store.pending_records
+        assert pending > 0
+        connection, store._conn = store._conn, CountingConnection(store._conn)
+        document = Dashboard(store).to_json_dict(20.0)
+        assert store._conn.uses == []
+        assert store.pending_records == pending
+        assert [row["node"] for row in document["nodes"]] == [1, 2, 3, 4]
+        store._conn = connection
+        store.close()
+
+    def test_node_state_matches_the_tables_and_survives_reopen(self, tmp_path):
+        path = str(tmp_path / "telemetry.db")
+        store = SqliteMetricsStore(path)
+        self.fill(store)
+        before = self.node_state(store)
+        assert [node for node, *_ in before] == [1, 2, 3, 4]
+        assert before[0][1:] == (status_record(seq=5, ts=5.0), 12.0, 3)
+        assert before[3][1:] == (None, 11.0, 0)
+        store.close()
+        reopened = SqliteMetricsStore(path)
+        assert self.node_state(reopened) == before
+        # The tables agree with the mirror.
+        assert [row[0] for row in reopened._conn.execute(
+            "SELECT node FROM packet_records UNION SELECT node FROM status_records "
+            "UNION SELECT node FROM batches ORDER BY 1"
+        )] == [1, 2, 3, 4]
+        reopened.close()
+
+    def test_row_at_a_time_mode_keeps_the_mirror_too(self):
+        store = SqliteMetricsStore(batch_writes=False)
+        self.fill(store)
+        assert self.node_state(store)[0][1:] == (status_record(seq=5, ts=5.0), 12.0, 3)
+        store.close()
+
+
 class TestDropInCompatibility:
     def test_server_ingests_into_sqlite(self, store):
         from repro.monitor.records import RecordBatch
