@@ -309,35 +309,33 @@ class ViewAggregate:
         with self.lock:
             self._version += 1
             links, pairs, types, events = self._links, self._pairs, self._types, self._events
-            for record in records:
-                ptype = record.ptype
-                if record.direction is Direction.OUT:
-                    _count_type(types, record, sign)
-                    if (
-                        ptype != _DATA
-                        or record.node != record.src
-                        or record.attempt != 1
-                        or record.dst == BROADCAST
-                    ):
+            for (
+                node, _seq, ts, direction, src, dst, _next_hop, prev_hop,
+                ptype, packet_id, size_bytes, rssi, snr, airtime, attempt,
+            ) in records:
+                if direction is Direction.OUT:
+                    _count_type(types, ptype, size_bytes, airtime, sign)
+                    if ptype != _DATA or node != src or attempt != 1 or dst == BROADCAST:
                         continue
                     kind = _SENT
                 else:
-                    rssi, snr = record.rssi_dbm, record.snr_db
                     if rssi is not None and snr is not None:
-                        _count_link(links, (record.prev_hop, record.node), rssi, snr, sign)
-                    if ptype != _DATA or record.node != record.dst or record.dst == BROADCAST:
+                        _count_link(links, (prev_hop, node), rssi, snr, sign)
+                    if ptype != _DATA or node != dst or dst == BROADCAST:
                         continue
                     kind = _DELIVERED
-                sent_delta, delivered_delta = _count_event(pairs, events, kind, record, sign)
+                sent_delta, delivered_delta = _count_event(
+                    pairs, events, (ts, kind, src, dst, packet_id), sign
+                )
                 if sent_delta or delivered_delta:
                     self._sent += sent_delta
                     self._delivered += delivered_delta
-                    sent, delivered = self._sources.get(record.src, (0, 0))
+                    sent, delivered = self._sources.get(src, (0, 0))
                     counts = (sent + sent_delta, delivered + delivered_delta)
                     if counts == (0, 0):
-                        del self._sources[record.src]
+                        del self._sources[src]
                     else:
-                        self._sources[record.src] = counts
+                        self._sources[src] = counts
 
     # -- reads -----------------------------------------------------------------
 
@@ -431,17 +429,19 @@ class ViewAggregate:
             return counts
 
 
-def _count_type(types: Dict[int, _Type], record: PacketRecord, sign: int) -> None:
+def _count_type(
+    types: Dict[int, _Type], ptype: int, size_bytes: int, airtime: Optional[float], sign: int
+) -> None:
     """Count one OUT record in (``sign`` 1) or out (-1) of its packet type."""
-    entry = types.get(record.ptype)
+    entry = types.get(ptype)
     if entry is None:
-        entry = types[record.ptype] = _Type()
+        entry = types[ptype] = _Type()
     entry.frames += sign
     if not entry.frames:
-        del types[record.ptype]
+        del types[ptype]
         return
-    entry.bytes += sign * record.size_bytes
-    entry.airtime.add(record.airtime_s or 0.0, sign)
+    entry.bytes += sign * size_bytes
+    entry.airtime.add(airtime or 0.0, sign)
 
 
 def _count_link(
@@ -479,15 +479,14 @@ def _count_link(
 def _count_event(
     pairs: Dict[Tuple[int, int], _Pair],
     events: SortedList[Event],
-    kind: int,
-    record: PacketRecord,
+    event: Event,
     sign: int,
 ) -> Tuple[int, int]:
-    """Count one send or delivery in or out of its pair and the index.
+    """Count one send or delivery ``event`` in or out of its pair and the index.
 
     Returns how the pair's sent and delivered packet counts moved.
     """
-    src, dst, packet_id, ts = record.src, record.dst, record.packet_id, record.timestamp
+    ts, kind, src, dst, packet_id = event
     key = (src, dst)
     pair = pairs.get(key)
     if pair is None:
@@ -496,7 +495,6 @@ def _count_event(
     side = pair.sent if kind == _SENT else pair.delivered
     sent_before = len(pair.sent)
     before = pair.sample(packet_id)
-    event = (ts, kind, src, dst, packet_id)
     if sign > 0:
         side.setdefault(packet_id, []).append(ts)
         events.add(event)

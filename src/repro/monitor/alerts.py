@@ -17,7 +17,7 @@ import math
 from abc import ABC
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, Iterable, List, Optional, Tuple
+from typing import Deque, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.monitor.storage import MetricsStore
 
@@ -72,6 +72,11 @@ class NodeDelta:
         )
 
 
+def node_snapshots(store: MetricsStore) -> List[NodeDelta]:
+    """One :meth:`NodeDelta.from_store` snapshot per node of ``store``, in node order."""
+    return [NodeDelta.from_store(store, node) for node in store.nodes()]
+
+
 class AlertRule(ABC):
     """A condition evaluated against the store."""
 
@@ -79,19 +84,28 @@ class AlertRule(ABC):
     name: str = "rule"
     severity: str = "warning"
 
-    def conditions(self, store: MetricsStore, now: float) -> List[Tuple[Optional[int], str]]:
+    def conditions(
+        self,
+        store: MetricsStore,
+        now: float,
+        snapshots: Optional[Sequence[NodeDelta]] = None,
+    ) -> List[Tuple[Optional[int], str]]:
         """Return (node, message) for every currently firing condition.
 
         Per-node rules are defined once, by :meth:`node_conditions`; the
         sweep judges every node of ``store`` from its
-        :meth:`NodeDelta.from_store` snapshot.  Cross-node rules
+        :meth:`NodeDelta.from_store` snapshot.  ``snapshots`` passes
+        those in (:meth:`AlertEngine.evaluate` builds them once for all
+        its rules); without it they are built here.  Cross-node rules
         override this.
         """
+        if snapshots is None:
+            snapshots = node_snapshots(store)
         firing: List[Tuple[Optional[int], str]] = []
-        for node in store.nodes():
-            messages = self.node_conditions(NodeDelta.from_store(store, node), now)
+        for delta in snapshots:
+            messages = self.node_conditions(delta, now)
             if messages:
-                firing.extend((node, message) for message in messages)
+                firing.extend((delta.node, message) for message in messages)
         return firing
 
     def node_conditions(self, delta: "NodeDelta", now: float) -> Optional[List[str]]:
@@ -144,9 +158,14 @@ class LowPdrRule(AlertRule):
         self.window_s = window_s
         self.min_sent = min_sent
 
-    def conditions(self, store: MetricsStore, now: float) -> List[Tuple[Optional[int], str]]:
+    def conditions(
+        self,
+        store: MetricsStore,
+        now: float,
+        snapshots: Optional[Sequence[NodeDelta]] = None,
+    ) -> List[Tuple[Optional[int], str]]:
         """Pairs of ``metrics.pdr_matrix`` over the window, read from the
-        store's aggregate."""
+        store's aggregate (``snapshots`` are not needed)."""
         firing = []
         pairs = store.aggregate.window_delivery(now - self.window_s, now)
         for (src, dst), (sent, delivered) in sorted(pairs.items()):
@@ -295,8 +314,9 @@ class AlertEngine:
         """
         raised: List[Alert] = []
         firing_keys = set()
+        snapshots = node_snapshots(self.store)
         for rule in self.rules:
-            for node, message in rule.conditions(self.store, now):
+            for node, message in rule.conditions(self.store, now, snapshots):
                 key = (rule.name, node)
                 firing_keys.add(key)
                 if key in self._active:

@@ -201,19 +201,10 @@ class MonitorClient:
             return
         self._append(
             PacketRecord(
-                node=self.node.address,
-                seq=next(self._packet_seq),
-                timestamp=now,
-                direction=Direction.IN,
-                src=packet.src,
-                dst=packet.dst,
-                next_hop=packet.next_hop,
-                prev_hop=packet.prev_hop,
-                ptype=int(packet.ptype),
-                packet_id=packet.packet_id,
-                size_bytes=packet.wire_size,
-                rssi_dbm=reception.rssi_dbm,
-                snr_db=reception.snr_db,
+                self.node.address, next(self._packet_seq), now, Direction.IN,
+                packet.src, packet.dst, packet.next_hop, packet.prev_hop,
+                int(packet.ptype), packet.packet_id, packet.wire_size,
+                reception.rssi_dbm, reception.snr_db, None, 1,
             )
         )
 
@@ -222,19 +213,10 @@ class MonitorClient:
             return
         self._append(
             PacketRecord(
-                node=self.node.address,
-                seq=next(self._packet_seq),
-                timestamp=now,
-                direction=Direction.OUT,
-                src=packet.src,
-                dst=packet.dst,
-                next_hop=packet.next_hop,
-                prev_hop=packet.prev_hop,
-                ptype=int(packet.ptype),
-                packet_id=packet.packet_id,
-                size_bytes=packet.wire_size,
-                airtime_s=airtime,
-                attempt=attempt,
+                self.node.address, next(self._packet_seq), now, Direction.OUT,
+                packet.src, packet.dst, packet.next_hop, packet.prev_hop,
+                int(packet.ptype), packet.packet_id, packet.wire_size,
+                None, None, airtime, attempt,
             )
         )
 
@@ -250,10 +232,8 @@ class MonitorClient:
         status = self.node.status()
         neighbors = tuple(
             NeighborObservation(
-                address=neighbor.address,
-                rssi_dbm=neighbor.rssi_ewma_dbm,
-                snr_db=neighbor.snr_ewma_db,
-                frames_heard=neighbor.frames_heard,
+                neighbor.address, neighbor.rssi_ewma_dbm, neighbor.snr_ewma_db,
+                neighbor.frames_heard,
             )
             for neighbor in (
                 self.node.neighbors.get(addr) for addr in self.node.neighbors.addresses()
@@ -262,23 +242,23 @@ class MonitorClient:
         )
         self.stats.status_snapshots += 1
         return StatusRecord(
-            node=self.node.address,
-            seq=next(self._status_seq),
-            timestamp=self._sim.now,
-            uptime_s=status["uptime_s"],
-            queue_depth=int(status["queue_depth"]),
-            route_count=int(status["route_count"]),
-            neighbor_count=int(status["neighbor_count"]),
-            battery_v=status["battery_v"],
-            tx_frames=int(status["tx_frames"]),
-            tx_airtime_s=status["tx_airtime_s"],
-            retransmissions=int(status["retransmissions"]),
-            drops=int(status["drops"]),
-            duty_utilisation=status["duty_utilisation"],
-            originated=int(status["originated"]),
-            delivered=int(status["delivered"]),
-            forwarded=int(status["forwarded"]),
-            neighbors=neighbors,
+            self.node.address,
+            next(self._status_seq),
+            self._sim.now,
+            status["uptime_s"],
+            int(status["queue_depth"]),
+            int(status["route_count"]),
+            int(status["neighbor_count"]),
+            status["battery_v"],
+            int(status["tx_frames"]),
+            status["tx_airtime_s"],
+            int(status["retransmissions"]),
+            int(status["drops"]),
+            status["duty_utilisation"],
+            int(status["originated"]),
+            int(status["delivered"]),
+            int(status["forwarded"]),
+            neighbors,
         )
 
     # -- shipping -----------------------------------------------------------------

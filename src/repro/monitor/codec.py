@@ -41,11 +41,12 @@ from typing import Dict, List, Optional, Tuple, Union
 from repro.errors import DecodeError, EncodeError
 from repro.monitor.ingest import DEFAULT_NETWORK_ID, is_valid_network_id
 from repro.monitor.records import (
+    NEIGHBOR_FORMAT,
+    PACKET_FORMAT,
     SCHEMA_VERSION,
-    NeighborObservation,
-    PacketRecord,
+    STATUS_HEADER_FORMAT,
     RecordBatch,
-    StatusRecord,
+    decode_packed_records,
 )
 
 #: ``Content-Type`` of the JSON batch encoding (the paper's POST body).
@@ -161,26 +162,15 @@ class BinaryCodec(Codec):
                 raise DecodeError("telemetry datagram network id is not ASCII") from exc
             if not is_valid_network_id(network_id):
                 raise DecodeError(f"bad network id {network_id!r}")
-        offset += net_len
-        if len(raw) < offset + n_packets * PacketRecord.BINARY_SIZE:
-            raise DecodeError("telemetry datagram packet records truncated")
-        packets: List[PacketRecord] = []
-        for _ in range(n_packets):
-            packets.append(PacketRecord.from_binary_at(raw, offset, node))
-            offset += PacketRecord.BINARY_SIZE
-        status: List[StatusRecord] = []
-        for _ in range(n_status):
-            record, consumed = StatusRecord.from_binary(raw[offset:], node=node)
-            status.append(record)
-            offset += consumed
-        if offset != len(raw):
-            raise DecodeError(f"{len(raw) - offset} trailing bytes after telemetry datagram")
+        packets, status = decode_packed_records(
+            raw, offset + net_len, node, n_packets, n_status, "telemetry datagram"
+        )
         return RecordBatch(
             node=node,
             batch_seq=batch_seq,
             sent_at=sent_cs / 100.0,
-            packet_records=tuple(packets),
-            status_records=tuple(status),
+            packet_records=packets,
+            status_records=status,
             dropped_records=dropped,
             network_id=network_id,
         )
@@ -322,7 +312,7 @@ def telemetry_layouts() -> Tuple[StructLayout, ...]:
         ),
         StructLayout(
             title="Packet record",
-            struct_format=PacketRecord._BINARY_FORMAT,
+            struct_format=PACKET_FORMAT,
             fields=(
                 FieldSpec("flags", "bit 0: direction, 1 = OUT"),
                 FieldSpec("seq", "record sequence (dedup key with node)"),
@@ -342,7 +332,7 @@ def telemetry_layouts() -> Tuple[StructLayout, ...]:
         ),
         StructLayout(
             title="Status record header",
-            struct_format=StatusRecord._BINARY_FORMAT,
+            struct_format=STATUS_HEADER_FORMAT,
             fields=(
                 FieldSpec("seq", "record sequence (dedup key with node)"),
                 FieldSpec("timestamp", "snapshot time, centiseconds"),
@@ -365,7 +355,7 @@ def telemetry_layouts() -> Tuple[StructLayout, ...]:
         ),
         StructLayout(
             title="Neighbor entry",
-            struct_format=NeighborObservation._BINARY_FORMAT,
+            struct_format=NEIGHBOR_FORMAT,
             fields=(
                 FieldSpec("address", "neighbor address"),
                 FieldSpec("rssi", "EWMA, dBm x 10"),

@@ -94,7 +94,8 @@ def import_jsonl(path: Union[str, Path], store: Optional[MetricsStore] = None) -
 
     Args:
         path: file written by :func:`export_jsonl`.
-        store: existing store to append into (a new one by default).
+        store: existing store to append into (a new one by default).  A
+            buffering store flushes as its ``maybe_flush`` thresholds say.
 
     Raises:
         DecodeError: on a malformed line.
@@ -116,4 +117,5 @@ def import_jsonl(path: Union[str, Path], store: Optional[MetricsStore] = None) -
                 result.add_status_record(StatusRecord.from_json_dict(document))
             else:
                 raise DecodeError(f"{path}:{line_number}: unknown record kind {kind!r}")
+            result.maybe_flush()
     return result

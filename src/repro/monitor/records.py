@@ -23,6 +23,24 @@ Each record carries a client-assigned ``seq``; together with the node
 address it identifies the record globally, so at-least-once batch retries
 deduplicate cleanly at the server.
 
+Records are :class:`typing.NamedTuple` classes.  Every observed frame
+becomes a record twice, once at the client and once when the server
+decodes it, so a record must be cheap to build and to keep: a named
+tuple is built by one positional call, about five times faster than a
+frozen dataclass (which pays one ``object.__setattr__`` per field), and
+a packet record takes 160 bytes with no ``__dict__`` (248 as a
+dataclass).  It stays immutable and hashable, which the server's
+:class:`~repro.monitor.aggregate.ViewAggregate` relies on: it subtracts
+an evicted record's own fields, so a record changed after it was counted
+would corrupt every later view.  ``dataclass(slots=True)`` would need
+Python 3.10; the package supports 3.9.  Client capture, JSON decode,
+binary decode and SQLite rows all build records through the positional
+constructor, and the binary layouts are module constants
+(:data:`PACKET_FORMAT`, :data:`STATUS_HEADER_FORMAT`,
+:data:`NEIGHBOR_FORMAT`) because a named tuple's body holds only fields.
+Readers that touch most fields unpack the tuple once: a named-tuple
+attribute read costs more than a dataclass's.
+
 The JSON decoder accepts a numeric field only as a JSON number no
 larger than 2**53 in magnitude (``rssi``/``snr`` may also be null): a
 string, a boolean, ``NaN``, ``Infinity`` or a larger number raises
@@ -36,7 +54,7 @@ import json
 import struct
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.errors import DecodeError, EncodeError
 from repro.monitor.ingest import (
@@ -55,6 +73,28 @@ class Direction(str, Enum):
 
     IN = "in"
     OUT = "out"
+
+
+#: Wire spelling -> direction, for the JSON ``dir`` field and the SQLite
+#: ``direction`` column: a dict lookup instead of an enum call per record.
+DIRECTIONS: Dict[str, Direction] = {"in": Direction.IN, "out": Direction.OUT}
+
+#: Packet record layout: flags (bit 0: OUT), seq, timestamp (cs), src,
+#: dst, next_hop, prev_hop, ptype, packet_id, size, rssi and snr (x 10),
+#: airtime (ms), attempt.
+PACKET_FORMAT = "!BHIHHHHBHHhhHB"
+_PACKET_STRUCT = struct.Struct(PACKET_FORMAT)
+PACKET_SIZE = _PACKET_STRUCT.size
+
+#: Neighbor entry layout: address, rssi and snr (x 10), frames heard.
+NEIGHBOR_FORMAT = "!HhhH"
+_NEIGHBOR_STRUCT = struct.Struct(NEIGHBOR_FORMAT)
+NEIGHBOR_SIZE = _NEIGHBOR_STRUCT.size
+
+#: Status record header layout; ``n_neighbors`` neighbor entries follow.
+STATUS_HEADER_FORMAT = "!HIIBBBHIIHHHIIIB"
+_STATUS_STRUCT = struct.Struct(STATUS_HEADER_FORMAT)
+STATUS_HEADER_SIZE = _STATUS_STRUCT.size
 
 
 def _clamp(value: int, low: int, high: int) -> int:
@@ -98,8 +138,7 @@ def _number(value: Any, key: str) -> Any:
     )
 
 
-@dataclass(frozen=True)
-class PacketRecord:
+class PacketRecord(NamedTuple):
     """One packet observation at one node.
 
     Attributes:
@@ -134,61 +173,65 @@ class PacketRecord:
     airtime_s: Optional[float] = None
     attempt: int = 1
 
-    _BINARY_FORMAT = "!BHIHHHHBHHhhHB"
-    _STRUCT = struct.Struct(_BINARY_FORMAT)
-    BINARY_SIZE = _STRUCT.size
-
     def to_json_dict(self) -> Dict[str, Any]:
         """JSON-friendly dict (omits fields that do not apply)."""
+        (
+            node, seq, timestamp, direction, src, dst, next_hop, prev_hop,
+            ptype, packet_id, size_bytes, rssi_dbm, snr_db, airtime_s, attempt,
+        ) = self
+        incoming = direction is Direction.IN
         data: Dict[str, Any] = {
             "kind": "packet",
-            "node": self.node,
-            "seq": self.seq,
-            "ts": round(self.timestamp, 3),
-            "dir": self.direction.value,
-            "src": self.src,
-            "dst": self.dst,
-            "next_hop": self.next_hop,
-            "prev_hop": self.prev_hop,
-            "ptype": self.ptype,
-            "packet_id": self.packet_id,
-            "size": self.size_bytes,
+            "node": node,
+            "seq": seq,
+            "ts": round(timestamp, 3),
+            "dir": "in" if incoming else "out",
+            "src": src,
+            "dst": dst,
+            "next_hop": next_hop,
+            "prev_hop": prev_hop,
+            "ptype": ptype,
+            "packet_id": packet_id,
+            "size": size_bytes,
         }
-        if self.direction is Direction.IN:
-            data["rssi"] = round(self.rssi_dbm, 1) if self.rssi_dbm is not None else None
-            data["snr"] = round(self.snr_db, 1) if self.snr_db is not None else None
+        if incoming:
+            data["rssi"] = round(rssi_dbm, 1) if rssi_dbm is not None else None
+            data["snr"] = round(snr_db, 1) if snr_db is not None else None
         else:
-            data["airtime_ms"] = round((self.airtime_s or 0.0) * 1000, 2)
-            data["attempt"] = self.attempt
+            data["airtime_ms"] = round((airtime_s or 0.0) * 1000, 2)
+            data["attempt"] = attempt
         return data
 
     @classmethod
     def from_json_dict(cls, data: Dict[str, Any]) -> "PacketRecord":
         try:
-            direction = Direction(data["dir"])
+            wire_direction = data["dir"]
+            direction = DIRECTIONS.get(wire_direction) if type(wire_direction) is str else None
+            if direction is None:
+                raise ValueError(f"{wire_direction!r} is not a valid Direction")
             rssi = data.get("rssi")
             snr = data.get("snr")
             airtime_ms = data.get("airtime_ms")
             return cls(
-                node=_int(data, "node"),
-                seq=_int(data, "seq"),
-                timestamp=_float(data, "ts"),
-                direction=direction,
-                src=_int(data, "src"),
-                dst=_int(data, "dst"),
-                next_hop=_int(data, "next_hop"),
-                prev_hop=_int(data, "prev_hop"),
-                ptype=_int(data, "ptype"),
-                packet_id=_int(data, "packet_id"),
-                size_bytes=_int(data, "size"),
-                rssi_dbm=None if rssi is None else float(_number(rssi, "rssi")),
-                snr_db=None if snr is None else float(_number(snr, "snr")),
-                airtime_s=(
+                _int(data, "node"),
+                _int(data, "seq"),
+                _float(data, "ts"),
+                direction,
+                _int(data, "src"),
+                _int(data, "dst"),
+                _int(data, "next_hop"),
+                _int(data, "prev_hop"),
+                _int(data, "ptype"),
+                _int(data, "packet_id"),
+                _int(data, "size"),
+                None if rssi is None else float(_number(rssi, "rssi")),
+                None if snr is None else float(_number(snr, "snr")),
+                (
                     (0.0 if airtime_ms is None else float(_number(airtime_ms, "airtime_ms"))) / 1000
                     if direction is Direction.OUT
                     else None
                 ),
-                attempt=_int(data, "attempt") if "attempt" in data else 1,
+                _int(data, "attempt") if "attempt" in data else 1,
             )
         except (KeyError, ValueError, TypeError) as exc:
             raise DecodeError(f"bad packet record: {exc}") from exc
@@ -201,46 +244,48 @@ class PacketRecord:
         goes through this method, so the per-record cost is what the
         codec benchmark table measures.
         """
-        rssi_tenths = round((self.rssi_dbm or 0.0) * 10)
+        (
+            _node, seq, timestamp, direction, src, dst, next_hop, prev_hop,
+            ptype, packet_id, size_bytes, rssi_dbm, snr_db, airtime_s, attempt,
+        ) = self
+        rssi_tenths = round((rssi_dbm or 0.0) * 10)
         if rssi_tenths < -32768:
             rssi_tenths = -32768
         elif rssi_tenths > 32767:
             rssi_tenths = 32767
-        snr_tenths = round((self.snr_db or 0.0) * 10)
+        snr_tenths = round((snr_db or 0.0) * 10)
         if snr_tenths < -32768:
             snr_tenths = -32768
         elif snr_tenths > 32767:
             snr_tenths = 32767
-        airtime_ms = round((self.airtime_s or 0.0) * 1000)
+        airtime_ms = round((airtime_s or 0.0) * 1000)
         if airtime_ms < 0:
             airtime_ms = 0
         elif airtime_ms > 0xFFFF:
             airtime_ms = 0xFFFF
-        ts_cs = round(self.timestamp * 100)
+        ts_cs = round(timestamp * 100)
         if ts_cs < 0:
             ts_cs = 0
         elif ts_cs > 0xFFFFFFFF:
             ts_cs = 0xFFFFFFFF
-        size_bytes = self.size_bytes
         if size_bytes < 0:
             size_bytes = 0
         elif size_bytes > 0xFFFF:
             size_bytes = 0xFFFF
-        attempt = self.attempt
         if attempt < 0:
             attempt = 0
         elif attempt > 0xFF:
             attempt = 0xFF
-        return self._STRUCT.pack(
-            0 if self.direction is Direction.IN else 1,
-            self.seq & 0xFFFF,
+        return _PACKET_STRUCT.pack(
+            0 if direction is Direction.IN else 1,
+            seq & 0xFFFF,
             ts_cs,
-            self.src,
-            self.dst,
-            self.next_hop,
-            self.prev_hop,
-            self.ptype,
-            self.packet_id,
+            src,
+            dst,
+            next_hop,
+            prev_hop,
+            ptype,
+            packet_id,
             size_bytes,
             rssi_tenths,
             snr_tenths,
@@ -250,61 +295,40 @@ class PacketRecord:
 
     @classmethod
     def from_binary_at(cls, raw: bytes, offset: int, node: int) -> "PacketRecord":
-        """Decode one record at ``offset`` without slicing the buffer.
-
-        Builds the (frozen) instance by assigning ``__dict__`` directly:
-        the dataclass ``__init__`` costs one ``object.__setattr__`` per
-        field, which dominates batch decoding.  There is no
-        ``__post_init__`` to skip.
-        """
+        """Decode one record at ``offset`` without slicing the buffer."""
         try:
             (
                 flags, seq, ts_cs, src, dst, next_hop, prev_hop, ptype,
                 packet_id, size_bytes, rssi_tenths, snr_tenths, airtime_ms, attempt,
-            ) = cls._STRUCT.unpack_from(raw, offset)
+            ) = _PACKET_STRUCT.unpack_from(raw, offset)
         except struct.error as exc:
             raise DecodeError(
                 f"bad binary packet record of {len(raw) - offset} bytes"
             ) from exc
-        record = object.__new__(cls)
         if flags & 1:
-            object.__setattr__(record, "__dict__", {
-                "node": node, "seq": seq, "timestamp": ts_cs / 100.0,
-                "direction": Direction.OUT, "src": src, "dst": dst,
-                "next_hop": next_hop, "prev_hop": prev_hop, "ptype": ptype,
-                "packet_id": packet_id, "size_bytes": size_bytes,
-                "rssi_dbm": None, "snr_db": None,
-                "airtime_s": airtime_ms / 1000.0, "attempt": attempt,
-            })
-        else:
-            object.__setattr__(record, "__dict__", {
-                "node": node, "seq": seq, "timestamp": ts_cs / 100.0,
-                "direction": Direction.IN, "src": src, "dst": dst,
-                "next_hop": next_hop, "prev_hop": prev_hop, "ptype": ptype,
-                "packet_id": packet_id, "size_bytes": size_bytes,
-                "rssi_dbm": rssi_tenths / 10.0, "snr_db": snr_tenths / 10.0,
-                "airtime_s": None, "attempt": attempt,
-            })
-        return record
+            return cls(
+                node, seq, ts_cs / 100.0, Direction.OUT, src, dst, next_hop, prev_hop,
+                ptype, packet_id, size_bytes, None, None, airtime_ms / 1000.0, attempt,
+            )
+        return cls(
+            node, seq, ts_cs / 100.0, Direction.IN, src, dst, next_hop, prev_hop,
+            ptype, packet_id, size_bytes, rssi_tenths / 10.0, snr_tenths / 10.0, None, attempt,
+        )
 
     @classmethod
     def from_binary(cls, raw: bytes, node: int) -> "PacketRecord":
-        if len(raw) != cls.BINARY_SIZE:
+        if len(raw) != PACKET_SIZE:
             raise DecodeError(f"bad binary packet record of {len(raw)} bytes")
         return cls.from_binary_at(raw, 0, node)
 
 
-@dataclass(frozen=True)
-class NeighborObservation:
+class NeighborObservation(NamedTuple):
     """One neighbor-table entry shipped inside a status record."""
 
     address: int
     rssi_dbm: float
     snr_db: float
     frames_heard: int
-
-    _BINARY_FORMAT = "!HhhH"
-    BINARY_SIZE = struct.calcsize(_BINARY_FORMAT)
 
     def to_json_dict(self) -> Dict[str, Any]:
         return {
@@ -318,34 +342,22 @@ class NeighborObservation:
     def from_json_dict(cls, data: Dict[str, Any]) -> "NeighborObservation":
         try:
             return cls(
-                address=_int(data, "addr"),
-                rssi_dbm=_float(data, "rssi"),
-                snr_db=_float(data, "snr"),
-                frames_heard=_int(data, "heard"),
+                _int(data, "addr"), _float(data, "rssi"), _float(data, "snr"),
+                _int(data, "heard"),
             )
         except (KeyError, ValueError, TypeError) as exc:
             raise DecodeError(f"bad neighbor observation: {exc}") from exc
 
     def to_binary(self) -> bytes:
-        return struct.pack(
-            self._BINARY_FORMAT,
+        return _NEIGHBOR_STRUCT.pack(
             self.address,
             _clamp(int(round(self.rssi_dbm * 10)), -32768, 32767),
             _clamp(int(round(self.snr_db * 10)), -32768, 32767),
             _clamp(self.frames_heard, 0, 0xFFFF),
         )
 
-    @classmethod
-    def from_binary(cls, raw: bytes) -> "NeighborObservation":
-        try:
-            address, rssi_tenths, snr_tenths, heard = struct.unpack(cls._BINARY_FORMAT, raw)
-        except struct.error as exc:
-            raise DecodeError(f"bad binary neighbor observation") from exc
-        return cls(address=address, rssi_dbm=rssi_tenths / 10.0, snr_db=snr_tenths / 10.0, frames_heard=heard)
 
-
-@dataclass(frozen=True)
-class StatusRecord:
+class StatusRecord(NamedTuple):
     """Periodic node-health snapshot."""
 
     node: int
@@ -365,9 +377,6 @@ class StatusRecord:
     delivered: int
     forwarded: int
     neighbors: Tuple[NeighborObservation, ...] = ()
-
-    _BINARY_FORMAT = "!HIIBBBHIIHHHIIIB"
-    BINARY_HEADER_SIZE = struct.calcsize(_BINARY_FORMAT)
 
     def to_json_dict(self) -> Dict[str, Any]:
         return {
@@ -395,23 +404,23 @@ class StatusRecord:
     def from_json_dict(cls, data: Dict[str, Any]) -> "StatusRecord":
         try:
             return cls(
-                node=_int(data, "node"),
-                seq=_int(data, "seq"),
-                timestamp=_float(data, "ts"),
-                uptime_s=_float(data, "uptime_s"),
-                queue_depth=_int(data, "queue"),
-                route_count=_int(data, "routes"),
-                neighbor_count=_int(data, "neighbors_n"),
-                battery_v=_float(data, "battery_v"),
-                tx_frames=_int(data, "tx_frames"),
-                tx_airtime_s=_float(data, "tx_airtime_s"),
-                retransmissions=_int(data, "retx"),
-                drops=_int(data, "drops"),
-                duty_utilisation=_float(data, "duty"),
-                originated=_int(data, "originated"),
-                delivered=_int(data, "delivered"),
-                forwarded=_int(data, "forwarded"),
-                neighbors=tuple(
+                _int(data, "node"),
+                _int(data, "seq"),
+                _float(data, "ts"),
+                _float(data, "uptime_s"),
+                _int(data, "queue"),
+                _int(data, "routes"),
+                _int(data, "neighbors_n"),
+                _float(data, "battery_v"),
+                _int(data, "tx_frames"),
+                _float(data, "tx_airtime_s"),
+                _int(data, "retx"),
+                _int(data, "drops"),
+                _float(data, "duty"),
+                _int(data, "originated"),
+                _int(data, "delivered"),
+                _int(data, "forwarded"),
+                tuple(
                     NeighborObservation.from_json_dict(item) for item in data.get("neighbors", [])
                 ),
             )
@@ -421,8 +430,7 @@ class StatusRecord:
     def to_binary(self) -> bytes:
         if len(self.neighbors) > 0xFF:
             raise EncodeError(f"{len(self.neighbors)} neighbors exceed binary limit 255")
-        header = struct.pack(
-            self._BINARY_FORMAT,
+        header = _STATUS_STRUCT.pack(
             self.seq & 0xFFFF,
             _clamp(int(round(self.timestamp * 100)), 0, 0xFFFFFFFF),
             _clamp(int(self.uptime_s), 0, 0xFFFFFFFF),
@@ -443,45 +451,59 @@ class StatusRecord:
         return header + b"".join(n.to_binary() for n in self.neighbors)
 
     @classmethod
-    def from_binary(cls, raw: bytes, node: int) -> Tuple["StatusRecord", int]:
-        """Decode from ``raw``; returns (record, bytes_consumed)."""
-        if len(raw) < cls.BINARY_HEADER_SIZE:
-            raise DecodeError(f"status record header truncated ({len(raw)} bytes)")
-        (
-            seq, ts_cs, uptime, queue, routes, neigh_count, battery_cv,
-            tx_frames, tx_airtime_ms, retx, drops, duty_permille,
-            originated, delivered, forwarded, n_neighbors,
-        ) = struct.unpack(cls._BINARY_FORMAT, raw[:cls.BINARY_HEADER_SIZE])
-        offset = cls.BINARY_HEADER_SIZE
-        need = offset + n_neighbors * NeighborObservation.BINARY_SIZE
-        if len(raw) < need:
+    def from_binary_at(cls, raw: bytes, offset: int, node: int) -> Tuple["StatusRecord", int]:
+        """Decode one record at ``offset``; returns (record, offset after it)."""
+        try:
+            (
+                seq, ts_cs, uptime, queue, routes, neigh_count, battery_cv,
+                tx_frames, tx_airtime_ms, retx, drops, duty_permille,
+                originated, delivered, forwarded, n_neighbors,
+            ) = _STATUS_STRUCT.unpack_from(raw, offset)
+        except struct.error as exc:
+            raise DecodeError(
+                f"status record header truncated ({len(raw) - offset} bytes)"
+            ) from exc
+        start = offset + STATUS_HEADER_SIZE
+        end = start + n_neighbors * NEIGHBOR_SIZE
+        if len(raw) < end:
             raise DecodeError("status record neighbor list truncated")
         neighbors = []
-        for _ in range(n_neighbors):
+        for position in range(start, end, NEIGHBOR_SIZE):
+            address, rssi_tenths, snr_tenths, heard = _NEIGHBOR_STRUCT.unpack_from(raw, position)
             neighbors.append(
-                NeighborObservation.from_binary(raw[offset:offset + NeighborObservation.BINARY_SIZE])
+                NeighborObservation(address, rssi_tenths / 10.0, snr_tenths / 10.0, heard)
             )
-            offset += NeighborObservation.BINARY_SIZE
         record = cls(
-            node=node,
-            seq=seq,
-            timestamp=ts_cs / 100.0,
-            uptime_s=float(uptime),
-            queue_depth=queue,
-            route_count=routes,
-            neighbor_count=neigh_count,
-            battery_v=battery_cv / 100.0,
-            tx_frames=tx_frames,
-            tx_airtime_s=tx_airtime_ms / 1000.0,
-            retransmissions=retx,
-            drops=drops,
-            duty_utilisation=duty_permille / 1000.0,
-            originated=originated,
-            delivered=delivered,
-            forwarded=forwarded,
-            neighbors=tuple(neighbors),
+            node, seq, ts_cs / 100.0, float(uptime), queue, routes, neigh_count,
+            battery_cv / 100.0, tx_frames, tx_airtime_ms / 1000.0, retx, drops,
+            duty_permille / 1000.0, originated, delivered, forwarded, tuple(neighbors),
         )
-        return record, offset
+        return record, end
+
+
+def decode_packed_records(
+    raw: bytes, offset: int, node: int, n_packets: int, n_status: int, label: str
+) -> Tuple[Tuple[PacketRecord, ...], Tuple[StatusRecord, ...]]:
+    """The packed records that fill ``raw`` from ``offset`` to its end.
+
+    Both binary batch formats — the in-band batch (:meth:`RecordBatch.from_binary`)
+    and the telemetry datagram (``BinaryCodec.decode``) — end in
+    ``n_packets`` packet records then ``n_status`` status records, decoded
+    here in place.  ``label`` names the format in error messages.
+    """
+    end = offset + n_packets * PACKET_SIZE
+    if len(raw) < end:
+        raise DecodeError(f"{label} packet records truncated")
+    packet_at = PacketRecord.from_binary_at
+    packets = tuple([packet_at(raw, position, node) for position in range(offset, end, PACKET_SIZE)])
+    status: List[StatusRecord] = []
+    status_at = StatusRecord.from_binary_at
+    for _ in range(n_status):
+        record, end = status_at(raw, end, node)
+        status.append(record)
+    if end != len(raw):
+        raise DecodeError(f"{len(raw) - end} trailing bytes after {label}")
+    return packets, tuple(status)
 
 
 @dataclass(frozen=True)
@@ -596,25 +618,14 @@ class RecordBatch:
             raise DecodeError(f"bad batch magic 0x{magic:04X}")
         if version != SCHEMA_VERSION:
             raise DecodeError(f"unsupported schema version {version}")
-        offset = header_size
-        if len(raw) < offset + n_packets * PacketRecord.BINARY_SIZE:
-            raise DecodeError("binary batch packet records truncated")
-        packets: List[PacketRecord] = []
-        for _ in range(n_packets):
-            packets.append(PacketRecord.from_binary_at(raw, offset, node))
-            offset += PacketRecord.BINARY_SIZE
-        status: List[StatusRecord] = []
-        for _ in range(n_status):
-            record, consumed = StatusRecord.from_binary(raw[offset:], node=node)
-            status.append(record)
-            offset += consumed
-        if offset != len(raw):
-            raise DecodeError(f"{len(raw) - offset} trailing bytes after binary batch")
+        packets, status = decode_packed_records(
+            raw, header_size, node, n_packets, n_status, "binary batch"
+        )
         return cls(
             node=node,
             batch_seq=batch_seq,
             sent_at=sent_cs / 100.0,
-            packet_records=tuple(packets),
-            status_records=tuple(status),
+            packet_records=packets,
+            status_records=status,
             dropped_records=dropped,
         )

@@ -14,17 +14,27 @@ Write path
 Writes are buffered and flushed with ``executemany`` in one transaction,
 which is the difference between a few thousand and a few hundred thousand
 records per second on a file-backed store (measured by
-``benchmarks/bench_f9_server_throughput.py``).  Two knobs bound the
-buffer: ``flush_records`` (flush when this many records are pending) and
-``flush_interval_s`` (flush when the oldest pending record is this old).
-Reads always see buffered writes — every query method flushes first — so
-batching never changes query results, only durability latency.  File
-stores run in WAL mode with ``synchronous=NORMAL`` so a flush is one
-cheap WAL append instead of two fsyncs.  ``flush()`` forces the buffer
-out; ``close()`` flushes and then closes the connection.  Pass
-``batch_writes=False`` to get the historical row-at-a-time behaviour
-(one ``execute`` per record, committed by :meth:`flush`) — kept as the
-benchmark baseline.
+``benchmarks/bench_f9_server_throughput.py``).  A write never flushes:
+the server writes with ``MonitorServer._lock`` held and then calls
+:meth:`SqliteMetricsStore.maybe_flush` after releasing it, so the
+``executemany`` and the commit run outside the server's lock.  A
+replayed ``(node, seq)`` finds the row it replaces among the buffered
+rows, which are indexed by key, and only when none is buffered runs one
+``SELECT``.  Batch notes are buffered with the records, so in batched
+mode only a flush writes to the connection.  A flush takes the pending
+rows out under a small buffer lock, which writers hold only to append or
+look up a row, and writes them under a flush lock that serialises
+flushes; rows buffered meanwhile go out with the next flush.  Two knobs
+say when ``maybe_flush`` flushes: ``flush_records`` (this many records
+are pending) and ``flush_interval_s`` (the oldest pending row is this
+old).  Reads always see buffered writes — every query method flushes
+first, waiting for a running flush to commit — so batching never changes
+query results, only durability latency.  File stores run in WAL mode
+with ``synchronous=NORMAL`` so a flush is one cheap WAL append instead
+of two fsyncs.  ``flush()`` forces the buffer out; ``close()`` flushes
+and then closes the connection.  Pass ``batch_writes=False`` to get the
+historical row-at-a-time behaviour (one ``execute`` per record,
+committed by :meth:`flush`) — kept as the benchmark baseline.
 
 View aggregate
 --------------
@@ -49,12 +59,16 @@ from __future__ import annotations
 import json
 import os
 import sqlite3
+import threading
 import time
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import (
+    Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple,
+)
 
 from repro.errors import StorageError
 from repro.monitor.aggregate import ViewAggregate
 from repro.monitor.records import (
+    DIRECTIONS,
     Direction,
     NeighborObservation,
     PacketRecord,
@@ -120,14 +134,22 @@ _PACKET_INSERT = (
 _STATUS_INSERT = (
     "INSERT OR REPLACE INTO status_records VALUES (?,?,?,?,?,?,?,?,?,?,?,?,?,?,?,?,?)"
 )
+_BATCH_UPSERT = (
+    "INSERT INTO batches (node, last_seen, dropped) VALUES (?,?,?) "
+    "ON CONFLICT(node) DO UPDATE SET last_seen=excluded.last_seen, "
+    "dropped=batches.dropped+excluded.dropped"
+)
 
 
 def _packet_row(record: PacketRecord) -> Tuple:
+    (
+        node, seq, timestamp, direction, src, dst, next_hop, prev_hop,
+        ptype, packet_id, size_bytes, rssi_dbm, snr_db, airtime_s, attempt,
+    ) = record
     return (
-        record.node, record.seq, record.timestamp, record.direction.value,
-        record.src, record.dst, record.next_hop, record.prev_hop,
-        record.ptype, record.packet_id, record.size_bytes,
-        record.rssi_dbm, record.snr_db, record.airtime_s, record.attempt,
+        node, seq, timestamp, "in" if direction is Direction.IN else "out",
+        src, dst, next_hop, prev_hop, ptype, packet_id, size_bytes,
+        rssi_dbm, snr_db, airtime_s, attempt,
     )
 
 
@@ -148,16 +170,20 @@ class SqliteMetricsStore:
 
     API-compatible with :class:`~repro.monitor.storage.MetricsStore`.
     Unlike the in-memory store there is no retention bound; ``evictions``
-    is always 0.
+    is always 0.  Writes only buffer: a caller that writes without going
+    through :class:`~repro.monitor.server.MonitorServer` calls
+    :meth:`maybe_flush` after its writes, or the buffer grows until the
+    next read, :meth:`flush` or :meth:`close`.
 
     Args:
         path: ``":memory:"`` (ephemeral) or a file path (durable).
-        flush_records: flush the write buffer once this many records are
-            pending (the high-throughput knob; 1 effectively disables
-            batching).
-        flush_interval_s: also flush when the oldest buffered record has
-            been pending this long, bounding staleness under light load.
-            ``None`` disables the age trigger.
+        flush_records: :meth:`maybe_flush` flushes the write buffer once
+            this many records are pending (the high-throughput knob; 1
+            effectively disables batching).
+        flush_interval_s: it also flushes when the oldest buffered row
+            has been pending this long, bounding staleness under light
+            load for writers that call it.  ``None`` disables the age
+            trigger.
         batch_writes: ``False`` restores the historical row-at-a-time
             path (one ``execute`` per record); used as the benchmark
             baseline and for callers that need per-record durability.
@@ -195,9 +221,26 @@ class SqliteMetricsStore:
         self._flush_interval = flush_interval_s
         self._batch_writes = batch_writes
         self._clock = clock or time.monotonic
-        self._packet_buffer: List[Tuple] = []
-        self._status_buffer: List[Tuple] = []
-        self._oldest_pending_at: Optional[float] = None
+        #: Rows waiting for the next flush.  Writers append under
+        #: ``_buffer_lock`` (a leaf lock) and a flush swaps them out
+        #: under it, so a row buffered while a flush writes goes out
+        #: with the next one.
+        self._buffer_lock = threading.Lock()
+        self._packet_buffer: List[Tuple] = []  # guarded-by: _buffer_lock
+        self._status_buffer: List[Tuple] = []  # guarded-by: _buffer_lock
+        self._batch_buffer: List[Tuple] = []  # guarded-by: _buffer_lock
+        #: The buffered packet rows by (node, seq), and those a running
+        #: flush is writing: a replayed seq finds the row it replaces
+        #: here, or else in the table, without a flush.
+        self._pending_rows: Dict[Tuple[int, int], Tuple] = {}  # guarded-by: _buffer_lock
+        self._flushing_rows: Dict[Tuple[int, int], Tuple] = {}  # guarded-by: _buffer_lock
+        self._oldest_pending_at: Optional[float] = None  # guarded-by: _buffer_lock
+        #: Serialises flushes: two cannot interleave, and a read that
+        #: flushed under it sees every row buffered before it.  Lock
+        #: order: the aggregate's lock, ``_flush_lock``, ``_buffer_lock``;
+        #: a flush never takes the aggregate's lock, so a read made
+        #: under it may wait for a flush.
+        self._flush_lock = threading.Lock()
         self._closed = False
         self.flush_stats = FlushStats()
         #: What a page view reads, kept at write time and seeded here
@@ -265,7 +308,8 @@ class SqliteMetricsStore:
     @property
     def pending_records(self) -> int:
         """Records buffered but not yet written to SQLite."""
-        return len(self._packet_buffer) + len(self._status_buffer)
+        with self._buffer_lock:
+            return len(self._packet_buffer) + len(self._status_buffer)
 
     def add_packet_record(self, record: PacketRecord) -> None:
         self.add_packet_records((record,))
@@ -276,7 +320,8 @@ class SqliteMetricsStore:
         A record whose ``(node, seq)`` is already stored replaces that
         row, so the replaced record leaves the aggregate.  A record
         above its node's highest seq replaces nothing; only a lower one
-        (a client replaying into a reopened store, say) costs a lookup.
+        (a client replaying into a reopened store, say) costs a lookup,
+        which reads the buffer or the table and does not flush.
         """
         fresh: List[PacketRecord] = []
         for record in records:
@@ -310,17 +355,20 @@ class SqliteMetricsStore:
             for record in records:
                 self._nodes.add(record.node)
             if self._batch_writes:
-                self._packet_buffer.extend(rows)
-        if self._batch_writes:
-            self._note_pending()
-            self._flush_if_due()
+                self._buffer(packets=rows)
 
     def _stored_packet(self, node: int, seq: int) -> Optional[PacketRecord]:
-        """The packet record stored (or buffered) under ``(node, seq)``."""
-        self._read_ready()
-        row = self._conn.execute(
-            "SELECT * FROM packet_records WHERE node = ? AND seq = ?", (node, seq)
-        ).fetchone()
+        """The packet record stored (or buffered) under ``(node, seq)``.
+
+        A key in neither buffer index was never buffered or was written
+        by a flush that has finished, so the table holds it.
+        """
+        with self._buffer_lock:
+            row = self._pending_rows.get((node, seq)) or self._flushing_rows.get((node, seq))
+        if row is None:
+            row = self._conn.execute(
+                "SELECT * FROM packet_records WHERE node = ? AND seq = ?", (node, seq)
+            ).fetchone()
         return self._packet_from_row(row) if row else None
 
     def add_status_record(self, record: StatusRecord) -> None:
@@ -344,75 +392,99 @@ class SqliteMetricsStore:
                 if current is None or record.seq >= current.seq:
                     latest[record.node] = record
             if self._batch_writes:
-                self._status_buffer.extend(rows)
-        if self._batch_writes:
-            self._note_pending()
-            self._flush_if_due()
+                self._buffer(statuses=rows)
 
     def note_batch(self, node: int, received_at: float, dropped_records: int) -> None:
-        self._conn.execute(
-            "INSERT INTO batches (node, last_seen, dropped) VALUES (?,?,?) "
-            "ON CONFLICT(node) DO UPDATE SET last_seen=excluded.last_seen, "
-            "dropped=batches.dropped+excluded.dropped",
-            (node, received_at, dropped_records),
-        )
+        row = (node, received_at, dropped_records)
+        if not self._batch_writes:
+            self._conn.execute(_BATCH_UPSERT, row)
         with self.aggregate.lock:
             self._nodes.add(node)
             _last_seen, dropped = self._batches.get(node, (received_at, 0))
             self._batches[node] = (received_at, dropped + dropped_records)
+            if self._batch_writes:
+                self._buffer(notes=(row,))
 
-    def _note_pending(self) -> None:
-        if self._oldest_pending_at is None:
-            self._oldest_pending_at = self._clock()
-
-    def _flush_if_due(self) -> None:
-        if self.pending_records >= self._flush_records:
-            self.flush()
-        elif (
-            self._flush_interval is not None
-            and self._oldest_pending_at is not None
-            and self._clock() - self._oldest_pending_at >= self._flush_interval
-        ):
-            self.flush()
+    def _buffer(
+        self,
+        packets: Sequence[Tuple] = (),
+        statuses: Sequence[Tuple] = (),
+        notes: Sequence[Tuple] = (),
+    ) -> None:
+        """Queue rows for the next flush and start the age trigger's clock."""
+        with self._buffer_lock:
+            self._packet_buffer.extend(packets)
+            pending = self._pending_rows
+            for row in packets:
+                pending[row[0], row[1]] = row
+            self._status_buffer.extend(statuses)
+            self._batch_buffer.extend(notes)
+            if self._oldest_pending_at is None:
+                self._oldest_pending_at = self._clock()
 
     def maybe_flush(self) -> bool:
         """Flush only when a size/age threshold is due.
 
-        The server calls this once per ingested batch; with
-        ``batch_writes=False`` it degenerates to a plain commit (the
-        historical once-per-batch durability).
-        Returns True when a write to SQLite happened.
+        Writes never flush: the server calls this once per ingested
+        batch, after it releases its lock, so the ``executemany`` and the
+        commit run outside the server's lock.  With ``batch_writes=False``
+        it degenerates to a plain commit (the historical once-per-batch
+        durability).  Returns True when a write to SQLite happened.
         """
         if not self._batch_writes:
-            self._conn.commit()
+            self.flush()
             return True
-        before = self.flush_stats.flushes
-        self._flush_if_due()
-        return self.flush_stats.flushes != before
+        with self._buffer_lock:
+            oldest = self._oldest_pending_at
+        if self.pending_records >= self._flush_records or (
+            self._flush_interval is not None
+            and oldest is not None
+            and self._clock() - oldest >= self._flush_interval
+        ):
+            return self.flush()
+        return False
 
     def flush(self) -> bool:
-        """Write all buffered records via ``executemany`` and commit.
+        """Write all buffered rows via ``executemany`` and commit.
 
-        Returns True when anything was pending.
+        Waits for a running flush to finish first.  Returns True when
+        any record was pending.  If SQLite fails, the transaction is
+        rolled back and the rows go back to the buffer.
         """
-        pending = self.pending_records
-        if not pending:
-            self._conn.commit()  # cover note_batch-only writes
-            return False
-        started = time.perf_counter()
-        try:
-            if self._packet_buffer:
-                self._conn.executemany(_PACKET_INSERT, self._packet_buffer)
-            if self._status_buffer:
-                self._conn.executemany(_STATUS_INSERT, self._status_buffer)
-            self._conn.commit()
-        except sqlite3.Error as exc:
-            raise StorageError(f"sqlite batch insert failed: {exc}") from exc
-        self._packet_buffer.clear()
-        self._status_buffer.clear()
-        self._oldest_pending_at = None
-        self.flush_stats.note(pending, time.perf_counter() - started)
-        return True
+        with self._flush_lock:
+            with self._buffer_lock:
+                packets, self._packet_buffer = self._packet_buffer, []
+                statuses, self._status_buffer = self._status_buffer, []
+                notes, self._batch_buffer = self._batch_buffer, []
+                self._flushing_rows, self._pending_rows = self._pending_rows, {}
+                oldest, self._oldest_pending_at = self._oldest_pending_at, None
+            started = time.perf_counter()
+            try:
+                if packets:
+                    self._conn.executemany(_PACKET_INSERT, packets)  # reprolint: allow[RL101] -- _flush_lock exists to serialise this I/O; writers never take it
+                if statuses:
+                    self._conn.executemany(_STATUS_INSERT, statuses)  # reprolint: allow[RL101] -- _flush_lock exists to serialise this I/O; writers never take it
+                if notes:
+                    self._conn.executemany(_BATCH_UPSERT, notes)  # reprolint: allow[RL101] -- _flush_lock exists to serialise this I/O; writers never take it
+                self._conn.commit()  # reprolint: allow[RL101] -- _flush_lock exists to serialise this I/O; writers never take it
+            except sqlite3.Error as exc:
+                if packets or statuses or notes:
+                    self._conn.rollback()
+                with self._buffer_lock:
+                    self._packet_buffer[:0] = packets
+                    self._status_buffer[:0] = statuses
+                    self._batch_buffer[:0] = notes
+                    self._pending_rows = {**self._flushing_rows, **self._pending_rows}
+                    self._flushing_rows = {}
+                    if oldest is not None:
+                        self._oldest_pending_at = oldest
+                raise StorageError(f"sqlite batch insert failed: {exc}") from exc
+            with self._buffer_lock:
+                self._flushing_rows = {}
+            pending = len(packets) + len(statuses)
+            if pending:
+                self.flush_stats.note(pending, time.perf_counter() - started)
+            return bool(pending)
 
     def journal_mode(self) -> str:
         """The active SQLite journal mode (``wal`` for tuned file stores)."""
@@ -421,18 +493,19 @@ class SqliteMetricsStore:
     # -- reads ----------------------------------------------------------------
 
     def _read_ready(self) -> None:
-        """Make buffered writes visible before any query (read-your-writes)."""
-        if self.pending_records:
-            self.flush()
+        """Make buffered writes visible before any query (read-your-writes).
+
+        Flushing also waits for a running flush, so rows another thread
+        took out of the buffer are committed before the query runs.
+        """
+        self.flush()
 
     def _packet_from_row(self, row: Tuple) -> PacketRecord:
         (node, seq, ts, direction, src, dst, next_hop, prev_hop,
          ptype, packet_id, size_bytes, rssi, snr, airtime, attempt) = row
         return PacketRecord(
-            node=node, seq=seq, timestamp=ts, direction=Direction(direction),
-            src=src, dst=dst, next_hop=next_hop, prev_hop=prev_hop,
-            ptype=ptype, packet_id=packet_id, size_bytes=size_bytes,
-            rssi_dbm=rssi, snr_db=snr, airtime_s=airtime, attempt=attempt,
+            node, seq, ts, DIRECTIONS[direction], src, dst, next_hop, prev_hop,
+            ptype, packet_id, size_bytes, rssi, snr, airtime, attempt,
         )
 
     def _status_from_row(self, row: Tuple) -> StatusRecord:
@@ -444,13 +517,9 @@ class SqliteMetricsStore:
             for item in json.loads(neighbors_json)
         )
         return StatusRecord(
-            node=node, seq=seq, timestamp=ts, uptime_s=uptime_s,
-            queue_depth=queue_depth, route_count=route_count,
-            neighbor_count=neighbor_count, battery_v=battery_v,
-            tx_frames=tx_frames, tx_airtime_s=tx_airtime_s,
-            retransmissions=retransmissions, drops=drops, duty_utilisation=duty,
-            originated=originated, delivered=delivered, forwarded=forwarded,
-            neighbors=neighbors,
+            node, seq, ts, uptime_s, queue_depth, route_count, neighbor_count,
+            battery_v, tx_frames, tx_airtime_s, retransmissions, drops, duty,
+            originated, delivered, forwarded, neighbors,
         )
 
     def nodes(self) -> List[int]:
@@ -530,7 +599,7 @@ class SqliteMetricsStore:
         for record in self.status_records(node, since=since, until=until):
             point: Dict[str, float] = {"ts": record.timestamp}
             for name in fields:
-                if not hasattr(record, name):
+                if name not in StatusRecord._fields:
                     raise StorageError(f"unknown status field {name!r}")
                 point[name] = float(getattr(record, name))
             series.append(point)

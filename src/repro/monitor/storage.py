@@ -221,7 +221,7 @@ class MetricsStore:
         for record in self.status_records(node, since=since, until=until):
             point: Dict[str, float] = {"ts": record.timestamp}
             for name in fields:
-                if not hasattr(record, name):
+                if name not in StatusRecord._fields:
                     raise StorageError(f"unknown status field {name!r}")
                 point[name] = float(getattr(record, name))
             series.append(point)

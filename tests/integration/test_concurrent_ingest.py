@@ -40,6 +40,8 @@ UDP_THREADS = 2
 BATCHES_PER_THREAD = 25
 SUBMIT_THREADS = 8
 SUBMITS_PER_THREAD = 300
+#: Batches each node submits into a file-backed SQLite store.
+SQLITE_SUBMITS_PER_THREAD = 150
 #: Page views taken while another thread ingests.
 VIEWS = 300
 #: Fewer on SQLite, where the scan recompute queries a growing table.
@@ -217,6 +219,50 @@ class TestConcurrentIngest:
         for node, node_results in results.items():
             assert [result.accepted_packets for result in node_results] == (
                 [node] * SUBMITS_PER_THREAD
+            )
+
+    def test_sqlite_keeps_every_record_under_concurrent_ingest(self, tmp_path):
+        # Each node submits from its own thread and each ingest flushes
+        # after its server-lock hold, so flushes overlap other threads'
+        # buffered writes and each other.  Every accepted record, status
+        # and batch note must reach the file.
+        path = str(tmp_path / "shard.sqlite")
+        store = SqliteMetricsStore(path, flush_records=16, flush_interval_s=None)
+        server = MonitorServer(store=store)
+        results = []
+
+        def submitter(node: int) -> None:
+            for seq in range(SQLITE_SUBMITS_PER_THREAD):
+                results.append(server.submit(ring_batch(node, seq)))
+
+        threads = [
+            threading.Thread(target=submitter, args=(node,), daemon=True)
+            for node in range(1, RING_NODES + 1)
+        ]
+        switch_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(switch_interval)
+        assert not any(thread.is_alive() for thread in threads)
+        server.close()
+        assert all(result.ok for result in results)
+        accepted_packets = sum(result.accepted_packets for result in results)
+        accepted_status = sum(result.accepted_status for result in results)
+        assert accepted_packets == 3 * RING_NODES * SQLITE_SUBMITS_PER_THREAD
+        assert store.flush_stats.flushes > RING_NODES
+        with SqliteMetricsStore(path) as reopened:
+            assert reopened.packet_record_count() == accepted_packets
+            assert reopened.status_record_count() == accepted_status
+            assert reopened.nodes() == list(range(1, RING_NODES + 1))
+            last = float(SQLITE_SUBMITS_PER_THREAD - 1)
+            assert all(reopened.last_seen(node) is not None for node in reopened.nodes())
+            assert all(
+                reopened.latest_status(node).timestamp == last for node in reopened.nodes()
             )
 
     def test_concurrent_stop_is_safe(self):

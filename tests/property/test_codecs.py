@@ -196,7 +196,7 @@ class TestRecordCodecs:
     @given(status_records())
     @settings(max_examples=100)
     def test_status_record_binary_round_trip(self, record):
-        decoded, consumed = StatusRecord.from_binary(record.to_binary(), node=record.node)
+        decoded, consumed = StatusRecord.from_binary_at(record.to_binary(), 0, node=record.node)
         assert consumed == len(record.to_binary())
         assert decoded.seq == record.seq
         assert len(decoded.neighbors) == len(record.neighbors)
@@ -212,9 +212,8 @@ class TestRecordCodecs:
     @settings(max_examples=50)
     def test_batch_round_trips_both_encodings(self, packets, statuses, node):
         # Records in a batch must belong to the batch's node.
-        from dataclasses import replace
-        packets = tuple(replace(r, node=node) for r in packets)
-        statuses = tuple(replace(r, node=node) for r in statuses)
+        packets = tuple(r._replace(node=node) for r in packets)
+        statuses = tuple(r._replace(node=node) for r in statuses)
         batch = RecordBatch(
             node=node, batch_seq=1, sent_at=10.0,
             packet_records=packets, status_records=statuses,
@@ -242,10 +241,10 @@ def record_batches(draw):
     from dataclasses import replace
     node = draw(st.integers(1, 0xFFFE))
     packets = tuple(
-        replace(r, node=node) for r in draw(st.lists(packet_records(), max_size=10))
+        r._replace(node=node) for r in draw(st.lists(packet_records(), max_size=10))
     )
     statuses = tuple(
-        replace(r, node=node) for r in draw(st.lists(status_records(), max_size=2))
+        r._replace(node=node) for r in draw(st.lists(status_records(), max_size=2))
     )
     batch = RecordBatch(
         node=node,

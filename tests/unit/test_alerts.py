@@ -124,6 +124,25 @@ class TestEngineState:
         assert [alert.node for alert in cleared] == [1]
         assert engine.active() == []
 
+    def test_sweep_builds_one_snapshot_per_node(self, store, monkeypatch):
+        for node in (1, 2, 3):
+            store.add_status_record(status(node=node, battery=3.0 + node / 10))
+        store.note_batch(4, received_at=0.0, dropped_records=0)
+        built = []
+        from_store = NodeDelta.from_store
+
+        def counting_from_store(store, node):
+            built.append(node)
+            return from_store(store, node)
+
+        monkeypatch.setattr(NodeDelta, "from_store", staticmethod(counting_from_store))
+        engine = AlertEngine(store, rules=default_rules())
+        raised = engine.evaluate(now=1000.0)
+        assert built == store.nodes() == [1, 2, 3, 4]
+        assert [(alert.rule, alert.node) for alert in raised] == [
+            ("silent_node", 4), ("battery_low", 1), ("battery_low", 2), ("battery_low", 3),
+        ]
+
     def test_default_rules_cover_core_conditions(self):
         names = {rule.name for rule in default_rules()}
         assert {"silent_node", "low_pdr", "duty_cycle", "battery_low", "queue_backlog"} <= names

@@ -84,6 +84,16 @@ class TestJsonlRoundTrip:
         assert result is target
         assert target.packet_record_count() == 5
 
+    def test_import_into_sqlite_flushes_as_it_goes(self, store, tmp_path):
+        from repro.monitor.sqlitestore import SqliteMetricsStore
+        path = tmp_path / "dump.jsonl"
+        export_jsonl(store, path)
+        with SqliteMetricsStore(flush_records=2, flush_interval_s=None) as target:
+            import_jsonl(path, store=target)
+            assert target.flush_stats.flushes == 3
+            assert target.pending_records == 0
+            assert target.packet_record_count() == 5
+
     def test_bad_line_rejected(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text('{"kind": "packet"\n')

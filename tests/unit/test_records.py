@@ -7,6 +7,7 @@ import pytest
 
 from repro.errors import DecodeError
 from repro.monitor.records import (
+    PACKET_SIZE,
     Direction,
     NeighborObservation,
     PacketRecord,
@@ -108,13 +109,13 @@ class TestPacketRecordBinary:
         assert decoded.attempt == 2
 
     def test_binary_is_fixed_size(self):
-        assert len(packet_record().to_binary()) == PacketRecord.BINARY_SIZE
+        assert len(packet_record().to_binary()) == PACKET_SIZE
 
     def test_binary_much_smaller_than_json(self):
         record = packet_record()
         import json
         json_size = len(json.dumps(record.to_json_dict()))
-        assert PacketRecord.BINARY_SIZE < json_size / 3
+        assert PACKET_SIZE < json_size / 3
 
     def test_truncated_binary_rejected(self):
         with pytest.raises(DecodeError):
@@ -132,7 +133,7 @@ class TestStatusRecord:
 
     def test_binary_round_trip(self):
         record = status_record()
-        decoded, consumed = StatusRecord.from_binary(record.to_binary(), node=record.node)
+        decoded, consumed = StatusRecord.from_binary_at(record.to_binary(), 0, node=record.node)
         assert consumed == len(record.to_binary())
         assert decoded.queue_depth == 2
         assert decoded.duty_utilisation == pytest.approx(0.123, abs=1e-3)
@@ -140,13 +141,13 @@ class TestStatusRecord:
 
     def test_binary_without_neighbors(self):
         record = status_record(neighbors=())
-        decoded, _ = StatusRecord.from_binary(record.to_binary(), node=record.node)
+        decoded, _ = StatusRecord.from_binary_at(record.to_binary(), 0, node=record.node)
         assert decoded.neighbors == ()
 
     def test_truncated_neighbor_list_rejected(self):
         raw = status_record().to_binary()
         with pytest.raises(DecodeError):
-            StatusRecord.from_binary(raw[:-3], node=3)
+            StatusRecord.from_binary_at(raw[:-3], 0, node=3)
 
 
 class TestRecordBatch:

@@ -172,6 +172,50 @@ class TestSelfMetrics:
         assert document["store"]["records_flushed"] >= 1
         store.close()
 
+    def test_sqlite_flush_runs_outside_the_server_lock(self):
+        from repro.monitor.sqlitestore import SqliteMetricsStore
+        store = SqliteMetricsStore(flush_records=1000, flush_interval_s=None)
+        server = MonitorServer(store=store)
+        lock_held = []
+        flush = store.flush
+
+        def recording_flush():
+            lock_held.append(server._lock._is_owned())
+            return flush()
+
+        store.flush = recording_flush
+        server.submit(batch(packets=[packet_record(seq=seq) for seq in range(1200)]))
+        assert lock_held == [False]
+        assert store.pending_records == 0
+        store.close()
+
+    def test_replayed_seqs_do_not_flush_under_the_server_lock(self, tmp_path):
+        # A reopened store under a new server (fresh dedup windows) gets
+        # seqs 10 and 11, then 5, which replaces a stored row: finding
+        # that row must not flush the buffered 10 and 11.
+        from repro.monitor.sqlitestore import SqliteMetricsStore
+        path = str(tmp_path / "shard.sqlite")
+        with SqliteMetricsStore(path) as store:
+            store.add_packet_records([packet_record(seq=seq) for seq in range(10)])
+        store = SqliteMetricsStore(path, flush_records=1000, flush_interval_s=None)
+        server = MonitorServer(store=store)
+        lock_held = []
+        flush = store.flush
+
+        def recording_flush():
+            lock_held.append(server._lock._is_owned())
+            return flush()
+
+        store.flush = recording_flush
+        server.submit(batch(packets=[packet_record(seq=seq) for seq in (10, 11, 5)]))
+        assert lock_held == []
+        assert store.pending_records == 3
+        # The replay replaced seq 5 in the aggregate, not added to it.
+        assert store.aggregate.links()[0][2] == 12
+        store.close()
+        with SqliteMetricsStore(path) as reopened:
+            assert reopened.packet_record_count() == 12
+
     def test_explicit_server_flush(self):
         from repro.monitor.sqlitestore import SqliteMetricsStore
         store = SqliteMetricsStore(flush_records=10_000, flush_interval_s=None)

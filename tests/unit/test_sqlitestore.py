@@ -8,6 +8,7 @@ metric aggregations run unchanged on top of it.
 import pytest
 
 from repro.monitor import metrics
+from repro.monitor.aggregate import ViewAggregate
 from repro.monitor.records import Direction, NeighborObservation, PacketRecord, StatusRecord
 from repro.monitor.server import MonitorServer
 from repro.monitor.sqlitestore import SqliteMetricsStore
@@ -185,6 +186,59 @@ class TestNodeStateInMemory:
         store.close()
 
 
+class ReplayingConnection:
+    """Stands in for a store's connection; the first ``executemany``
+    first runs ``replay``, as another writer would while a flush runs."""
+
+    def __init__(self, connection, replay):
+        self.connection = connection
+        self.replay = replay
+
+    def __getattr__(self, name):
+        return getattr(self.connection, name)
+
+    def executemany(self, sql, rows):
+        replay, self.replay = self.replay, None
+        if replay is not None:
+            replay()
+        return self.connection.executemany(sql, rows)
+
+
+class TestReplacedRowLookup:
+    """A replayed seq finds the row it replaces without flushing."""
+
+    def links_recomputed(self, store):
+        aggregate = ViewAggregate()
+        aggregate.add_records(list(store.packet_records()))
+        return aggregate.links()
+
+    def test_row_in_the_buffer(self):
+        store = SqliteMetricsStore(flush_records=1000, flush_interval_s=None)
+        store.add_packet_records([packet_record(seq=seq, ts=1.0) for seq in range(3)])
+        store.add_packet_record(packet_record(seq=1, ts=2.0))
+        assert store.flush_stats.flushes == 0
+        assert store.pending_records == 4
+        assert store.aggregate.links()[0][2] == 3
+        assert store.aggregate.links() == self.links_recomputed(store)
+        store.close()
+
+    def test_row_a_running_flush_is_writing(self):
+        store = SqliteMetricsStore(flush_records=1000, flush_interval_s=None)
+        store.add_packet_records([packet_record(seq=seq, ts=1.0) for seq in range(3)])
+        connection = store._conn
+        store._conn = ReplayingConnection(
+            connection, lambda: store.add_packet_record(packet_record(seq=1, ts=5.0))
+        )
+        assert store.flush() is True
+        store._conn = connection
+        # The replay landed in the buffer and replaced the row in flight.
+        assert store.pending_records == 1
+        assert store.aggregate.links()[0][2] == 3
+        assert store.aggregate.links() == self.links_recomputed(store)
+        assert [r.timestamp for r in store.packet_records()] == [1.0, 5.0, 1.0]
+        store.close()
+
+
 class TestDropInCompatibility:
     def test_server_ingests_into_sqlite(self, store):
         from repro.monitor.records import RecordBatch
@@ -231,9 +285,11 @@ class TestBatchedWrites:
     def test_flush_threshold_by_size(self):
         store = SqliteMetricsStore(flush_records=5, flush_interval_s=None)
         store.add_packet_records([packet_record(seq=seq) for seq in range(4)])
+        assert store.maybe_flush() is False
         assert store.pending_records == 4
         assert store.flush_stats.flushes == 0
         store.add_packet_record(packet_record(seq=4))
+        assert store.maybe_flush() is True
         assert store.pending_records == 0
         assert store.flush_stats.flushes == 1
         assert store.flush_stats.records_flushed == 5
@@ -245,9 +301,11 @@ class TestBatchedWrites:
             flush_records=1000, flush_interval_s=2.0, clock=lambda: clock[0],
         )
         store.add_packet_record(packet_record(seq=0))
+        assert store.maybe_flush() is False
         assert store.pending_records == 1
         clock[0] = 3.0
         store.add_packet_record(packet_record(seq=1))
+        assert store.maybe_flush() is True
         assert store.pending_records == 0  # age trigger fired
         store.close()
 
@@ -257,6 +315,8 @@ class TestBatchedWrites:
         assert store.maybe_flush() is False
         assert store.pending_records == 1
         store.add_packet_records([packet_record(seq=seq) for seq in range(1, 100)])
+        assert store.pending_records == 100  # a write never flushes
+        assert store.maybe_flush() is True
         assert store.pending_records == 0
         store.close()
 
@@ -265,6 +325,39 @@ class TestBatchedWrites:
         assert store.flush() is True
         assert store.pending_records == 0
         assert store.flush() is False  # nothing pending
+
+    def test_failed_flush_keeps_its_rows(self):
+        # The commit fails after every row went out: the flush rolls
+        # back and rebuffers, so the retry applies the batch note once.
+        import sqlite3
+
+        from repro.errors import StorageError
+
+        class FailingCommit:
+            def __init__(self, connection):
+                self.connection = connection
+
+            def __getattr__(self, name):
+                return getattr(self.connection, name)
+
+            def commit(self):
+                raise sqlite3.OperationalError("disk I/O error")
+
+        store = SqliteMetricsStore(flush_records=1000, flush_interval_s=None)
+        store.add_packet_records([packet_record(seq=seq) for seq in range(3)])
+        store.note_batch(1, 10.0, 2)
+        connection = store._conn
+        store._conn = FailingCommit(connection)
+        with pytest.raises(StorageError):
+            store.flush()
+        store._conn = connection
+        assert store.pending_records == 3
+        store.add_packet_record(packet_record(seq=1, ts=5.0))
+        assert store.aggregate.links()[0][2] == 3
+        assert store.flush() is True
+        assert [r.timestamp for r in store.packet_records()] == [0.0, 5.0, 0.0]
+        assert connection.execute("SELECT dropped FROM batches").fetchall() == [(2,)]
+        store.close()
 
     def test_row_at_a_time_mode_bypasses_buffer(self):
         store = SqliteMetricsStore(batch_writes=False)

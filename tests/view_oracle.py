@@ -16,7 +16,7 @@ from repro.monitor.alerts import AlertEngine, LowPdrRule, default_rules
 class ScanLowPdrRule(LowPdrRule):
     """``LowPdrRule`` judged from a windowed ``metrics.pdr_matrix`` scan."""
 
-    def conditions(self, store, now):
+    def conditions(self, store, now, snapshots=None):
         firing = []
         pairs = metrics.pdr_matrix(store, since=now - self.window_s, until=now)
         for (src, dst), pair in sorted(pairs.items()):
