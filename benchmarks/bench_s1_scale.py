@@ -4,13 +4,13 @@ The tentpole contract of the reachability refactor, pinned in
 ``BENCH_scale.json`` at the repo root:
 
 1. **Interactive 1000-node meshes.**  A periodic-traffic mesh driven
-   straight through the PHY (``Channel`` + ``GridReachabilityIndex``,
-   aggregate sub-sensitivity tracing) is timed at 25/100/400/1000 nodes
-   with constant node density; events/s per size land in the JSON and
-   the 1000-node run must finish in well under five minutes.
+   straight through the PHY (``Channel`` + ``GridReachabilityIndex``)
+   is timed at 25/100/400/1000 nodes with constant node density;
+   events/s per size land in the JSON and the 1000-node run must finish
+   in well under five minutes.
 2. **The index earns its complexity.**  At 400 nodes the same workload
    is re-run against :class:`BruteForceReachability` — same seed, same
-   trace verbosity — and the grid index must be at least 5x faster.
+   trace stream — and the grid index must be at least 5x faster.
 3. **The oracle agrees.**  At 100 nodes the grid and brute-force trace
    streams are compared event-for-event; they must be identical (the
    exhaustive randomized version of this check is
@@ -34,7 +34,6 @@ from pathlib import Path
 from repro.api import (
     BruteForceReachability,
     Channel,
-    ChannelConfig,
     Direction,
     GridReachabilityIndex,
     LinkModel,
@@ -86,13 +85,7 @@ def drive_mesh(n_nodes, reachability, seed=7, profiler=None):
     sim = Simulator(profiler=profiler)
     topology = make_topology(Placement.UNIFORM, n_nodes, area_side_m(n_nodes), rng)
     link = LinkModel(PATH_LOSS, rng.stream("phy"))
-    channel = Channel(
-        sim,
-        topology,
-        link,
-        reachability=reachability,
-        config=ChannelConfig(sub_sensitivity_trace="aggregate"),
-    )
+    channel = Channel(sim, topology, link, reachability=reachability)
     for node in topology.nodes():
         channel.attach(node, lambda reception: None, Radio())
 

@@ -33,7 +33,7 @@ def true_link_set(
             if tx == rx:
                 continue
             rssi = link_model.received_power_dbm(
-                params.tx_power_dbm, topology.distance(tx, rx), tx, rx, with_fading=False
+                params.tx_power_dbm, topology.distance(tx, rx), tx, rx
             )
             if link_model.is_receivable(rssi, params):
                 links.add((tx, rx))
@@ -96,7 +96,7 @@ def link_rssi_error(
         if tx not in topology.positions or rx not in topology.positions:
             continue
         model_rssi = link_model.received_power_dbm(
-            params.tx_power_dbm, topology.distance(tx, rx), tx, rx, with_fading=False
+            params.tx_power_dbm, topology.distance(tx, rx), tx, rx
         )
         errors[(tx, rx)] = abs(quality.rssi_mean - model_rssi)
     return errors

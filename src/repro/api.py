@@ -19,11 +19,10 @@ The facade is organised by layer:
 * **Simulation** — :class:`Simulator`, :class:`MeshConfig`,
   :class:`LoRaParams`, :func:`time_on_air`.
 * **PHY / propagation seam** — :class:`Channel` (keyword-only
-  ``reachability=`` / ``config=`` construction; nodes attach with their
+  ``reachability=`` construction; nodes attach with their
   :class:`Radio`, whose :class:`RadioState` tells the channel who
-  listens), :class:`ChannelConfig`,
-  the :class:`PropagationModel` and :class:`ReachabilityIndex` protocols
-  with their stock implementations (:class:`LinkModel`,
+  listens), the :class:`PropagationModel` and :class:`ReachabilityIndex`
+  protocols with their stock implementations (:class:`LinkModel`,
   :class:`GridReachabilityIndex`, :class:`BruteForceReachability`,
   :class:`LinkBudgetCache`), :class:`CollisionModel`, and the topology
   types (:class:`Topology`, :class:`Placement`, :func:`make_topology`).
@@ -103,7 +102,7 @@ from repro.obs.ndjson import export_trace, read_trace, replay_into_recorder
 from repro.obs.recorder import FlightRecorder
 from repro.obs.spans import SpanProfiler
 from repro.phy.airtime import time_on_air
-from repro.phy.channel import Channel, ChannelConfig, Reception
+from repro.phy.channel import Channel, Reception
 from repro.phy.collision import CollisionModel, FrameOnAir
 from repro.phy.link import LinkModel, PathLossParams
 from repro.phy.params import LoRaParams
@@ -137,7 +136,6 @@ __all__ = [
     "time_on_air",
     # PHY / propagation seam
     "Channel",
-    "ChannelConfig",
     "Reception",
     "Radio",
     "RadioState",

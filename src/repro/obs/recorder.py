@@ -15,8 +15,8 @@ Identity model (mirrors the wire):
   relay of the same fragment maps back to one :class:`FragmentTrace`;
 * a physical transmission is ``tx_id`` — the channel stamps the packet
   identity onto ``phy.tx``, and the recorder carries it over to the
-  ``phy.rx`` / ``phy.collision`` / ``phy.below_sensitivity`` events that
-  share the tx_id.
+  ``phy.rx`` / ``phy.collision`` / ``phy.rx_missed`` events and the
+  per-frame ``phy.below_sensitivity`` count that share the tx_id.
 
 Terminal verdicts (the drop-reason taxonomy):
 
@@ -104,10 +104,10 @@ class _TxAttempt:
     time: float
     sender: int
     next_hop: Optional[int]
-    #: outcomes keyed by receiving node: "rx" | "collision" | "below_sensitivity" | "rx_missed"
+    #: outcomes keyed by a node above sensitivity: "rx" | "collision" | "rx_missed"
     outcomes: Dict[int, str] = field(default_factory=dict)
-    #: receivers folded into an aggregated ``phy.below_sensitivity`` event
-    #: (node=None, count=N) when the channel traces at fleet scale.
+    #: attached nodes the frame did not reach, from the frame's
+    #: ``phy.below_sensitivity`` event (``count``).
     below_count: int = 0
 
 
@@ -357,11 +357,10 @@ class FlightRecorder:
         attempt = self._tx_attempt.get(tx_id)
         if attempt is None:
             return
+        if kind == "phy.below_sensitivity":
+            attempt.below_count += int(data["count"])
+            return
         if node is None:
-            # Aggregated sub-sensitivity event: no per-node outcome, but the
-            # count still witnesses that the frame found no listener there.
-            if kind == "phy.below_sensitivity":
-                attempt.below_count += int(data.get("count", 0))
             return
         outcome = kind[len("phy."):]
         attempt.outcomes[node] = outcome
@@ -447,10 +446,7 @@ class FlightRecorder:
                 outcomes = set(last.outcomes.values())
                 if "collision" in outcomes:
                     evidence.append((last.time, VERDICT_COLLISION))
-                elif (outcomes or last.below_count) and outcomes <= {
-                    "below_sensitivity",
-                    "rx_missed",
-                }:
+                elif (outcomes or last.below_count) and outcomes <= {"rx_missed"}:
                     evidence.append((last.time, VERDICT_NO_ROUTE))
         if not evidence:
             return VERDICT_IN_FLIGHT
@@ -624,12 +620,14 @@ class FlightRecorder:
 
     def _attempt_fate(self, attempt: _TxAttempt) -> str:
         if attempt.next_hop is not None and attempt.next_hop != BROADCAST:
+            # No outcome: the next hop was below sensitivity or not attached.
             outcome = attempt.outcomes.get(attempt.next_hop)
             return f"at next hop: {outcome or 'lost'}"
-        if not attempt.outcomes:
+        listeners = len(attempt.outcomes) + attempt.below_count
+        if not listeners:
             return "no receivers"
         received = sum(1 for fate in attempt.outcomes.values() if fate == "rx")
-        return f"heard by {received}/{len(attempt.outcomes)}"
+        return f"heard by {received}/{listeners}"
 
     def explain(self, msg: MessageTrace) -> str:
         """Human-readable causal report for one message."""

@@ -11,8 +11,10 @@ On each transmission it
    first decides once which overlapping transmissions threaten the frame
    at all, and then — per receiver — whether the frame's power there
    captures those threats,
-4. emits ground-truth trace events (``phy.tx``, ``phy.rx``, ``phy.collision``,
-   ``phy.below_sensitivity``, ``phy.rx_missed``).
+4. emits ground-truth trace events: ``phy.tx`` per frame, ``phy.rx``,
+   ``phy.collision`` or ``phy.rx_missed`` per receiver above sensitivity,
+   and one ``phy.below_sensitivity`` per frame whose ``count`` is the
+   number of attached non-senders the frame did not reach.
 
 Nodes attach with an ``on_receive`` callback (invoked with a
 :class:`Reception`) and their :class:`~repro.phy.radio.Radio`, which
@@ -63,58 +65,12 @@ from repro.sim.engine import Simulator
 from repro.sim.topology import Topology
 from repro.sim.trace import TraceLog
 
-#: Valid values for :attr:`ChannelConfig.sub_sensitivity_trace`.
-SUB_SENSITIVITY_MODES = ("auto", "per_node", "aggregate")
-
 _RX = RadioState.RX
 #: Shared by every frame that starts while every node can listen.
 _NOBODY: FrozenSet[int] = frozenset()
-
-
-@dataclass(frozen=True)
-class ChannelConfig:
-    """Tuning knobs for the channel's tracing and bookkeeping.
-
-    Attributes:
-        sub_sensitivity_trace: how ``phy.below_sensitivity`` is emitted.
-            ``"per_node"`` keeps the classic one-event-per-non-receiver
-            stream; ``"aggregate"`` emits a single per-frame event carrying
-            ``count`` (``node=None``), which keeps trace volume O(delta)
-            at fleet scale; ``"auto"`` picks per-node for meshes up to
-            :attr:`per_node_trace_max_nodes` nodes and aggregate above.
-            Delivery verdicts (``phy.rx``/``phy.collision``/
-            ``phy.rx_missed``) are identical in every mode.
-        per_node_trace_max_nodes: mesh size threshold used by ``"auto"``.
-        recent_horizon_s: how long finished frames are retained as
-            potential interferers for frames that overlapped them.
-        slot_width_s: width of the coarse time buckets used by the overlap
-            slot map; purely a performance knob (results are identical for
-            any positive value).
-    """
-
-    sub_sensitivity_trace: str = "auto"
-    per_node_trace_max_nodes: int = 64
-    recent_horizon_s: float = 30.0
-    slot_width_s: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.sub_sensitivity_trace not in SUB_SENSITIVITY_MODES:
-            raise ConfigurationError(
-                f"sub_sensitivity_trace must be one of {SUB_SENSITIVITY_MODES}, "
-                f"got {self.sub_sensitivity_trace!r}"
-            )
-        if self.per_node_trace_max_nodes < 0:
-            raise ConfigurationError(
-                f"per_node_trace_max_nodes must be >= 0, got {self.per_node_trace_max_nodes}"
-            )
-        if self.recent_horizon_s <= 0:
-            raise ConfigurationError(
-                f"recent_horizon_s must be > 0, got {self.recent_horizon_s}"
-            )
-        if self.slot_width_s <= 0:
-            raise ConfigurationError(
-                f"slot_width_s must be > 0, got {self.slot_width_s}"
-            )
+#: Width of the coarse time buckets of the overlap slot map.  Only a
+#: performance choice: overlap results are the same for any positive width.
+_SLOT_WIDTH_S = 1.0
 
 
 @dataclass(eq=False)
@@ -138,10 +94,10 @@ class Transmission:
     rssi_at: Dict[int, float] = field(default_factory=dict)
     #: Channel geometry epoch each ``rssi_at`` entry was computed under.
     #: Which (frame, node) pairs get memoised — and when — depends on the
-    #: plugged-in reachability index and trace mode, so an entry that
-    #: survived a topology/attenuation change would freeze pre-change
-    #: geometry in one index flavour but not the other; the channel
-    #: recomputes on epoch mismatch to keep the flavours event-identical.
+    #: plugged-in reachability index, so an entry that survived a
+    #: topology/attenuation change would freeze pre-change geometry in one
+    #: index flavour but not the other; the channel recomputes on epoch
+    #: mismatch to keep the flavours event-identical.
     rssi_epoch: Dict[int, int] = field(default_factory=dict)
     #: Topology nodes that could not hear the preamble at start: not
     #: attached, or attached with a radio outside RX (a MAC puts its own
@@ -186,7 +142,6 @@ class Channel:
         trace: Optional[TraceLog] = None,
         *,
         reachability: Optional[ReachabilityIndex] = None,
-        config: Optional[ChannelConfig] = None,
     ) -> None:
         self._sim = sim
         self._topology = topology
@@ -194,7 +149,6 @@ class Channel:
         self._collisions = collision_model or CollisionModel()
         # Explicit None check: an empty TraceLog is falsy (it has __len__).
         self._trace = trace if trace is not None else TraceLog()
-        self._config = config if config is not None else ChannelConfig()
         self._budget = LinkBudgetCache(topology, link_model)
         self._reachability: ReachabilityIndex = (
             reachability if reachability is not None else GridReachabilityIndex()
@@ -205,14 +159,8 @@ class Channel:
         self._geometry_epoch = 0
         topology.subscribe(self._on_geometry_change)
         link_model.subscribe_changes(self._on_attenuation_change)
-        mode = self._config.sub_sensitivity_trace
-        if mode == "auto":
-            self._per_node_trace = (
-                len(topology.positions) <= self._config.per_node_trace_max_nodes
-            )
-        else:
-            self._per_node_trace = mode == "per_node"
         self._tx_ids = itertools.count(1)
+        #: Frames on air, in start order.
         self._active: List[Transmission] = []
         #: Finished frames kept as interferers, in completion (= end) order.
         self._recent: Deque[Transmission] = deque()
@@ -245,10 +193,6 @@ class Channel:
     def budget(self) -> LinkBudgetCache:
         """The shared static link-budget cache."""
         return self._budget
-
-    @property
-    def config(self) -> ChannelConfig:
-        return self._config
 
     def attach(
         self,
@@ -423,9 +367,9 @@ class Channel:
 
     # -- overlap bookkeeping -------------------------------------------------
 
-    def _slot_range(self, tx: Transmission) -> range:
-        width = self._config.slot_width_s
-        return range(int(tx.start // width), int(tx.end // width) + 1)
+    @staticmethod
+    def _slot_range(tx: Transmission) -> range:
+        return range(int(tx.start // _SLOT_WIDTH_S), int(tx.end // _SLOT_WIDTH_S) + 1)
 
     def _register_slots(self, tx: Transmission) -> None:
         for slot in self._slot_range(tx):
@@ -459,13 +403,16 @@ class Channel:
 
     def _complete(self, tx: Transmission) -> None:
         """Frame end: decide reception at every relevant node and clean up."""
+        # A finished frame can interfere only with frames whose air
+        # interval it overlaps.  Every frame still on air, or sent later,
+        # starts at or after the oldest active start (this frame's at the
+        # latest), so a finished frame that ended before it overlaps no
+        # current or future frame.  The deque is in completion (= end)
+        # order, so those frames sit at its left end.
+        oldest_start = self._active[0].start
         self._active.remove(tx)
         self._recent.append(tx)
-        # Keep recently finished frames long enough to serve as interferers
-        # for anything that overlapped them; prune incrementally (the deque
-        # is in completion order, so expired frames sit at the left end).
-        horizon = self._sim.now - self._config.recent_horizon_s
-        while self._recent and self._recent[0].end < horizon:
+        while self._recent[0].end < oldest_start:
             self._unregister_slots(self._recent.popleft())
 
         # Receiver-independent, so once per frame: the frames on air during
@@ -476,30 +423,20 @@ class Channel:
         cross_sf, same_sf = self._collisions.threats(tx.params, tx.start, tx.end, overlapping)
         threatened = bool(cross_sf or same_sf)
         transmitting = {other.sender for other in overlapping}
-        candidates = self._reachability.candidates(tx.sender, tx.params)
-        per_node = self._per_node_trace
-        if per_node:
-            nodes = self._topology.nodes()
-        else:
-            nodes = sorted(candidates)
-        below_count = 0
-        n_evaluated = 0
-        for node in nodes:
+        # Attached nodes outside the candidate set are below the detection
+        # threshold by construction: they count as below sensitivity
+        # without an RSSI evaluation.
+        below_count = len(self._on_receive) - (1 if tx.sender in self._on_receive else 0)
+        for node in sorted(self._reachability.candidates(tx.sender, tx.params)):
             if node == tx.sender:
                 continue
             handler = self._on_receive.get(node)
             if handler is None:
                 continue
-            n_evaluated += 1
             rssi = self._rssi(tx, node)
             if not self._link.is_receivable(rssi, tx.params):
-                if per_node:
-                    self._trace.emit(
-                        self._sim.now, "phy.below_sensitivity", node=node, tx_id=tx.tx_id, rssi=rssi
-                    )
-                else:
-                    below_count += 1
                 continue
+            below_count -= 1
             if node in tx.deaf_at_start or node in transmitting:
                 self._trace.emit(self._sim.now, "phy.rx_missed", node=node, tx_id=tx.tx_id)
                 continue
@@ -537,13 +474,7 @@ class Channel:
                     end=tx.end,
                 )
             )
-        if not per_node:
-            # Attached nodes outside the candidate set are below the
-            # detection threshold by construction; fold them into the
-            # aggregate count so ground-truth totals match per-node mode.
-            n_eligible = len(self._on_receive) - (1 if tx.sender in self._on_receive else 0)
-            below_count += n_eligible - n_evaluated
-            if below_count:
-                self._trace.emit(
-                    self._sim.now, "phy.below_sensitivity", tx_id=tx.tx_id, count=below_count
-                )
+        if below_count:
+            self._trace.emit(
+                self._sim.now, "phy.below_sensitivity", tx_id=tx.tx_id, count=below_count
+            )

@@ -135,15 +135,14 @@ class LinkModel:
 
     The per-link static shadowing draw is symmetric (links are reciprocal)
     and cached, so RSSI estimates the monitoring system reports are stable
-    over time up to the optional fast-fading term.  Shadowing (and, when a
-    ``fading_key`` is supplied, fast fading) is derived by hashing the link
+    over time up to the optional per-frame fast-fading term
+    (:meth:`fading_db`).  Both are derived by hashing the link (and frame)
     identity against a seed taken from ``rng`` at construction, so values
     are independent of the order links are first evaluated in.
     """
 
     def __init__(self, params: PathLossParams, rng: random.Random) -> None:
         self._params = params
-        self._rng = rng
         # One draw from the caller's stream seeds every derived value; the
         # per-link/per-frame draws themselves never touch shared RNG state.
         self._seed = rng.getrandbits(64)
@@ -246,22 +245,11 @@ class LinkModel:
         distance_m: float,
         a: Optional[int] = None,
         b: Optional[int] = None,
-        with_fading: bool = True,
-        fading_key: Optional[int] = None,
     ) -> float:
-        """Received signal strength in dBm for one transmission.
-
-        With ``fading_key`` (and node addresses) the fast-fading term is the
-        derived, order-independent draw; without it the legacy sequential
-        draw from the model's stream is kept for backwards compatibility.
-        """
-        rssi = tx_power_dbm - self.path_loss_db(distance_m, a, b)
-        if with_fading and self._params.fast_fading_sigma_db > 0:
-            if fading_key is not None and a is not None and b is not None:
-                rssi += self.fading_db(a, b, fading_key)
-            else:
-                rssi += self._rng.gauss(0.0, self._params.fast_fading_sigma_db)
-        return rssi
+        """Received signal strength in dBm under the static link budget
+        (path loss, plus shadowing and injected attenuation when node
+        addresses are given); per-frame fading is :meth:`fading_db`."""
+        return tx_power_dbm - self.path_loss_db(distance_m, a, b)
 
     def snr_db(self, rssi_dbm: float, bandwidth_hz: int) -> float:
         """Signal-to-noise ratio implied by an RSSI at the given bandwidth."""

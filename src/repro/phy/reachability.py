@@ -283,7 +283,7 @@ class GridReachabilityIndex(_BoundIndex):
 
     A candidate set is therefore a provable superset of every node that
     could detect the preamble; everything outside it would only ever have
-    produced a ``phy.below_sensitivity`` event.
+    counted in the frame's ``phy.below_sensitivity`` event.
 
     Args:
         cell_m: grid cell edge in metres; ``None`` auto-sizes to half the

@@ -59,9 +59,8 @@ class GroundTruth:
         elif kind == "phy.collision":
             self.phy_collisions += 1
         elif kind == "phy.below_sensitivity":
-            # Aggregated events (node=None) carry how many receivers they
-            # stand for; per-node events count as one each.
-            self.phy_below_sensitivity += int(data.get("count", 1))
+            # One event per frame, carrying how many receivers it stands for.
+            self.phy_below_sensitivity += data["count"]
         elif kind == "mesh.frag_origin":
             if self._wrong_type(data):
                 return

@@ -99,12 +99,12 @@ def ring_batch(node: int, seq: int) -> RecordBatch:
     )
 
 
-def wait_until(predicate, timeout_s=10.0):
+def wait_until(predicate, timeout_s=10.0, poll_s=0.02):
     deadline = time.monotonic() + timeout_s
     while time.monotonic() < deadline:
         if predicate():
             return True
-        time.sleep(0.02)
+        time.sleep(poll_s)
     return predicate()
 
 
@@ -301,7 +301,12 @@ class TestConcurrentIngest:
         into it; each must equal the document recomputed from the
         metrics.py scans under the same hold of the aggregate's lock,
         where any record written between the two would show as a
-        difference.  Returns the distinct documents seen."""
+        difference.  Returns the distinct documents seen.
+
+        The loop holds the lock for all but a fraction of a millisecond
+        per view, most of it for the scans, so each view first waits for
+        a batch to finish: on a busy host the ingest thread can miss that
+        gap because it is not scheduled, not because a view holds it up."""
         clock = {"now": 0.0}
         server = MonitorServer(store=store, clock=lambda: clock["now"])
         dashboard = Dashboard(store, report_interval_s=60.0)
@@ -328,6 +333,10 @@ class TestConcurrentIngest:
         try:
             assert wait_until(lambda: server.self_metrics.batches_ingested > RING_NODES)
             for _ in range(views):
+                ingested = server.self_metrics.batches_ingested
+                assert wait_until(
+                    lambda: server.self_metrics.batches_ingested > ingested, poll_s=0.001
+                )
                 with store.aggregate.lock:
                     now = clock["now"]
                     view = canonical(dashboard.to_json_dict(now))

@@ -61,16 +61,16 @@ class TestLinkModelProperties:
     )
     def test_reciprocity_of_static_budget(self, a, b, distance):
         model = LinkModel(PathLossParams(shadowing_sigma_db=5.0), random.Random(7))
-        forward = model.received_power_dbm(14.0, distance, a, b, with_fading=False)
-        reverse = model.received_power_dbm(14.0, distance, b, a, with_fading=False)
+        forward = model.received_power_dbm(14.0, distance, a, b)
+        reverse = model.received_power_dbm(14.0, distance, b, a)
         assert forward == pytest.approx(reverse)
 
     @given(st.floats(min_value=0.0, max_value=60.0), st.floats(min_value=10.0, max_value=5000.0))
     def test_attenuation_subtracts_exactly(self, extra, distance):
         model = LinkModel(PathLossParams(shadowing_sigma_db=0.0), random.Random(1))
-        before = model.received_power_dbm(14.0, distance, 1, 2, with_fading=False)
+        before = model.received_power_dbm(14.0, distance, 1, 2)
         model.set_link_attenuation(1, 2, extra)
-        after = model.received_power_dbm(14.0, distance, 1, 2, with_fading=False)
+        after = model.received_power_dbm(14.0, distance, 1, 2)
         assert after == pytest.approx(before - extra)
 
 

@@ -6,8 +6,13 @@ order, same payloads, bit-identical floats) must match what the
 exhaustive :class:`BruteForceReachability` oracle produces.  These tests
 replay randomized small scenarios — mixed spreading factors, overlapping
 frames, mid-run mobility through ``Topology.move`` and runtime link
-attenuation changes — through both indexes and demand full equality, in both
-``per_node`` and ``aggregate`` sub-sensitivity trace modes.
+attenuation changes — through both indexes and demand full equality.
+
+The channel evaluates only a frame's candidate receivers and folds every
+other attached node into one ``phy.below_sensitivity`` count per frame.
+The per-node definition of that count — every attached non-sender whose
+RSSI, straight from the link model, is not receivable — is the oracle
+for it here.
 """
 
 import random
@@ -19,7 +24,6 @@ from hypothesis import strategies as st
 from repro.api import (
     BruteForceReachability,
     Channel,
-    ChannelConfig,
     GridReachabilityIndex,
     LinkModel,
     LoRaParams,
@@ -72,19 +76,29 @@ attenuations = st.lists(
 )
 
 
-def run_flavour(reachability, mode, nodes, positions, seed, txs, move_list, atten_list):
+def link_rssi(link, topology, sender, node, params, tx_id):
+    """RSSI of frame ``tx_id`` at ``node`` straight from the link model:
+    no budget cache, no candidate set."""
+    return (
+        params.tx_power_dbm
+        - link.path_loss_db(topology.distance(sender, node), sender, node)
+        + link.fading_db(sender, node, tx_id)
+    )
+
+
+def run_flavour(
+    reachability, nodes, positions, seed, txs, move_list, atten_list, per_node=None
+):
     """Drive one randomized scenario through ``reachability``; return the
-    full trace stream as comparable tuples."""
+    full trace stream as comparable tuples.
+
+    If ``per_node`` is a dict it receives, for each frame, ``tx_id ->
+    {node: RSSI}`` over every attached non-sender, from :func:`link_rssi`
+    under the geometry the channel judges the frame in."""
     sim = Simulator()
     topology = Topology(positions={node: xy for node, xy in zip(nodes, positions)})
     link = LinkModel(PATH_LOSS, random.Random(seed))
-    channel = Channel(
-        sim,
-        topology,
-        link,
-        reachability=reachability,
-        config=ChannelConfig(sub_sensitivity_trace=mode),
-    )
+    channel = Channel(sim, topology, link, reachability=reachability)
     receptions = []
     for node in nodes:
         channel.attach(
@@ -94,12 +108,22 @@ def run_flavour(reachability, mode, nodes, positions, seed, txs, move_list, atte
         )
 
     def send(sender, payload_bytes, sf):
-        channel.transmit(
-            sender,
-            LoRaParams(spreading_factor=sf),
-            payload=None,
-            payload_bytes=payload_bytes,
-        )
+        params = LoRaParams(spreading_factor=sf)
+        tx = channel.transmit(sender, params, payload=None, payload_bytes=payload_bytes)
+        if per_node is None:
+            return
+
+        def snapshot():
+            per_node[tx.tx_id] = {
+                node: link_rssi(link, topology, sender, node, params, tx.tx_id)
+                for node in nodes
+                if node != sender
+            }
+
+        # The channel judges the frame at its end with priority -1; this
+        # runs right after it, before any move or attenuation change
+        # scheduled for the same instant.
+        sim.call_at(tx.end, snapshot, priority=-1)
 
     for at, sender_index, payload_bytes, sf in txs:
         sender = nodes[sender_index % len(nodes)]
@@ -124,7 +148,40 @@ def run_flavour(reachability, mode, nodes, positions, seed, txs, move_list, atte
     return stream, receptions
 
 
-@pytest.mark.parametrize("mode", ["per_node", "aggregate"])
+def assert_per_node_fates(stream, link, per_node):
+    """Check ``stream`` frame by frame against the per-node definition.
+
+    ``per_node`` maps each frame's ``tx_id`` to ``{node: RSSI}`` over its
+    attached non-senders.  The nodes whose RSSI is not receivable are below
+    sensitivity: the frame's ``phy.below_sensitivity`` count is their
+    number (no event for none), every other node gets exactly one verdict
+    (``phy.rx``, ``phy.collision`` or ``phy.rx_missed``), and each
+    ``phy.rx`` carries the node's RSSI."""
+    sent = {}
+    counts = {}
+    verdicts = {}
+    for _, kind, node, data in stream:
+        payload = dict(data)
+        tx_id = payload["tx_id"]
+        if kind == "phy.tx":
+            sent[tx_id] = LoRaParams(spreading_factor=payload["sf"])
+        elif kind == "phy.below_sensitivity":
+            assert node is None and tx_id not in counts
+            counts[tx_id] = payload["count"]
+        else:
+            verdicts.setdefault(tx_id, []).append(node)
+            if kind == "phy.rx":
+                assert payload["rssi"] == per_node[tx_id][node]
+    assert sorted(per_node) == sorted(sent)
+    for tx_id, rssi_at in per_node.items():
+        below = {
+            node for node, rssi in rssi_at.items() if not link.is_receivable(rssi, sent[tx_id])
+        }
+        assert counts.get(tx_id, 0) == len(below)
+        assert sorted(verdicts.get(tx_id, [])) == sorted(set(rssi_at) - below)
+
+
+@pytest.mark.parametrize("oracle", ["aggregate", "per_node"])
 @settings(max_examples=40, deadline=None)
 @given(
     positions=st.lists(coordinates, min_size=3, max_size=10, unique=True),
@@ -133,13 +190,24 @@ def run_flavour(reachability, mode, nodes, positions, seed, txs, move_list, atte
     move_list=moves,
     atten_list=attenuations,
 )
-def test_grid_trace_equals_brute_force(mode, positions, seed, txs, move_list, atten_list):
+def test_grid_trace_equals_brute_force(oracle, positions, seed, txs, move_list, atten_list):
+    """The grid-indexed channel's trace equals a brute-force evaluation of
+    every attached node, through moves and attenuation changes.
+    ``aggregate``: the trace of the same scenario on
+    :class:`BruteForceReachability`, event for event.  ``per_node``: each
+    node's fate straight from the link model, by
+    :func:`assert_per_node_fates`."""
     nodes = list(range(1, len(positions) + 1))
+    per_node = {}
     grid_stream, grid_rx = run_flavour(
-        GridReachabilityIndex(), mode, nodes, positions, seed, txs, move_list, atten_list
+        GridReachabilityIndex(), nodes, positions, seed, txs, move_list, atten_list, per_node
     )
+    if oracle == "per_node":
+        link = LinkModel(PATH_LOSS, random.Random(seed))
+        assert_per_node_fates(grid_stream, link, per_node)
+        return
     brute_stream, brute_rx = run_flavour(
-        BruteForceReachability(), mode, nodes, positions, seed, txs, move_list, atten_list
+        BruteForceReachability(), nodes, positions, seed, txs, move_list, atten_list
     )
     assert grid_stream == brute_stream
     assert grid_rx == brute_rx
@@ -152,33 +220,28 @@ def test_grid_trace_equals_brute_force(mode, positions, seed, txs, move_list, at
     txs=transmissions,
 )
 def test_aggregate_counts_match_per_node_events(positions, seed, txs):
-    """The aggregate ``phy.below_sensitivity`` count per frame equals the
-    number of per-node events the classic mode emits for that frame, and
-    every delivery verdict is unchanged between the two modes."""
+    """Each frame's ``phy.below_sensitivity`` count equals the number of
+    attached non-senders below sensitivity, recomputed per node from the
+    link model, and every other attached non-sender gets exactly one
+    delivery verdict (``phy.rx``, ``phy.collision`` or ``phy.rx_missed``)."""
     nodes = list(range(1, len(positions) + 1))
-    per_node_stream, _ = run_flavour(
-        GridReachabilityIndex(), "per_node", nodes, positions, seed, txs, [], []
-    )
-    aggregate_stream, _ = run_flavour(
-        GridReachabilityIndex(), "aggregate", nodes, positions, seed, txs, [], []
-    )
-
-    def split(stream):
-        below = {}
-        rest = []
-        for time, kind, node, data in stream:
-            if kind == "phy.below_sensitivity":
-                payload = dict(data)
-                tx_id = payload["tx_id"]
-                below[tx_id] = below.get(tx_id, 0) + int(payload.get("count", 1))
-            else:
-                rest.append((time, kind, node, data))
-        return below, rest
-
-    per_node_below, per_node_rest = split(per_node_stream)
-    aggregate_below, aggregate_rest = split(aggregate_stream)
-    assert per_node_rest == aggregate_rest
-    assert per_node_below == aggregate_below
+    stream, _ = run_flavour(GridReachabilityIndex(), nodes, positions, seed, txs, [], [])
+    # The same seed rebuilds the same derived shadowing and fading, so this
+    # oracle shares no state with the run.
+    topology = Topology(positions={node: xy for node, xy in zip(nodes, positions)})
+    link = LinkModel(PATH_LOSS, random.Random(seed))
+    per_node = {}
+    for _, kind, sender, data in stream:
+        payload = dict(data)
+        if kind == "phy.tx":
+            params = LoRaParams(spreading_factor=payload["sf"])
+            tx_id = payload["tx_id"]
+            per_node[tx_id] = {
+                node: link_rssi(link, topology, sender, node, params, tx_id)
+                for node in nodes
+                if node != sender
+            }
+    assert_per_node_fates(stream, link, per_node)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
@@ -206,10 +269,10 @@ def test_midflight_move_with_overlapping_frames_is_flavour_identical(seed):
     txs = [(0.0, 0, 255, 9), (0.2, 2, 8, 9)]
     move_list = [(0.8, 2, (41.0, 0.0))]
     grid_stream, grid_rx = run_flavour(
-        GridReachabilityIndex(), "aggregate", nodes, positions, seed, txs, move_list, []
+        GridReachabilityIndex(), nodes, positions, seed, txs, move_list, []
     )
     brute_stream, brute_rx = run_flavour(
-        BruteForceReachability(), "aggregate", nodes, positions, seed, txs, move_list, []
+        BruteForceReachability(), nodes, positions, seed, txs, move_list, []
     )
     assert grid_stream == brute_stream
     assert grid_rx == brute_rx

@@ -123,7 +123,7 @@ class TestCompare:
     def test_link_rssi_error(self):
         topology, link_model, params = self.make_world()
         store = MetricsStore()
-        model_rssi = link_model.received_power_dbm(14.0, 100.0, 1, 2, with_fading=False)
+        model_rssi = link_model.received_power_dbm(14.0, 100.0, 1, 2)
         store.add_packet_record(in_record(node=2, seq=0, prev_hop=1, rssi=model_rssi - 2.0))
         errors = link_rssi_error(store, topology, link_model, params)
         assert errors[(1, 2)] == pytest.approx(2.0)

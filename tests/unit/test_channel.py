@@ -6,7 +6,7 @@ import pytest
 
 from repro.api import Radio, RadioState
 from repro.errors import ConfigurationError
-from repro.phy.channel import Channel, ChannelConfig
+from repro.phy.channel import Channel
 from repro.phy.link import LinkModel, PathLossParams
 from repro.phy.params import LoRaParams
 from repro.sim.engine import Simulator
@@ -222,13 +222,11 @@ class TestBookkeepingBounds:
         """A node that transmits but is never eligible to receive (out of
         everyone's range) must not leave its sent frames in the channel's
         bookkeeping forever: finished frames leave the recent deque and
-        the slot map at the horizon."""
+        the slot map once no frame on air can overlap them."""
         sim = Simulator()
         topology = Topology(positions={1: (0.0, 0.0), 2: (50_000.0, 0.0)})
         link_model = LinkModel(PathLossParams(shadowing_sigma_db=0.0), random.Random(1))
-        channel = Channel(
-            sim, topology, link_model, config=ChannelConfig(recent_horizon_s=5.0)
-        )
+        channel = Channel(sim, topology, link_model)
         Receiver(channel, 2)
         params = LoRaParams(spreading_factor=7)
         for i in range(40):
@@ -236,11 +234,68 @@ class TestBookkeepingBounds:
                 float(i * 10), lambda: channel.transmit(1, params, "x", 8)
             )
         sim.run()
-        # Frames are 10 s apart with a 5 s horizon: at each completion all
-        # previous frames have expired, so only the latest one survives.
+        # Frames are 10 s apart and last milliseconds: at each completion
+        # every previous frame ended before the one on air started, so
+        # only the latest one survives.
         assert len(channel._recent) <= 1
         slotted = {id(tx) for bucket in channel._slots.values() for tx in bucket}
         assert slotted == {id(tx) for tx in channel._recent}
+
+
+class TestLongFrames:
+    """A frame keeps every interferer that overlapped it, however long it
+    is on air: low-bandwidth SF12 frames last minutes."""
+
+    @pytest.mark.parametrize(
+        "bandwidth_hz, interferer_at_s, airtime_s",
+        [(31_250, 1.0, 36.08), (7_800, 10.0, 144.54)],
+    )
+    def test_interferer_that_ended_long_before_frame_end_still_counts(
+        self, bandwidth_hz, interferer_at_s, airtime_s
+    ):
+        sim, channel, trace, _ = make_world({1: (0, 0), 2: (100, 0), 3: (110, 0)})
+        Receiver(channel, 2)
+        Receiver(channel, 3)
+        params = LoRaParams(spreading_factor=12, bandwidth_hz=bandwidth_hz)
+        long_frame = channel.transmit(1, params, "long", 255)
+        assert long_frame.end == pytest.approx(airtime_s, abs=0.01)
+        short_frames = []
+        sim.call_at(
+            interferer_at_s,
+            lambda: short_frames.append(channel.transmit(3, params, "short", 8)),
+        )
+        sim.run()
+        # The interferer ended more than 30 s before the long frame did: a
+        # fixed retention sized for frames of a few seconds would drop it.
+        assert short_frames[0].end < long_frame.end - 30.0
+        verdicts = {
+            event.node: event.kind
+            for event in trace.events()
+            if event.node is not None and event.data.get("tx_id") == long_frame.tx_id
+        }
+        # Node 2 hears node 3's frame far above node 1's; node 3 was
+        # talking over the long frame, so it cannot have received it.
+        assert verdicts[2] == "phy.collision"
+        assert verdicts[3] == "phy.rx_missed"
+
+    def test_only_frames_that_can_overlap_are_kept(self):
+        """While a long frame is on air, the frames that ended during it
+        stay; once it ends, frames that ended before the oldest frame
+        still on air started are pruned."""
+        sim, channel, _, _ = make_world({1: (0, 0), 2: (100, 0), 3: (110, 0)})
+        long_params = LoRaParams(spreading_factor=12, bandwidth_hz=31_250)
+        short_params = LoRaParams(spreading_factor=7)
+        channel.transmit(1, long_params, "long", 255)
+        sent = []
+        for at in (1.0, 2.0, 3.0):
+            sim.call_at(at, lambda: sent.append(channel.transmit(3, short_params, "s", 8)))
+        sim.run(until=30.0)
+        assert list(channel._recent) == sent
+        sim.call_at(40.0, lambda: sent.append(channel.transmit(2, short_params, "t", 8)))
+        sim.run()
+        assert list(channel._recent) == [sent[-1]]
+        slotted = {id(tx) for bucket in channel._slots.values() for tx in bucket}
+        assert slotted == {id(sent[-1])}
 
 
 class TestAttachment:

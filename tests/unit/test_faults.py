@@ -32,9 +32,9 @@ class TestLinkAttenuation:
     def test_attenuation_reduces_rssi(self):
         scenario = build_scenario()
         model = scenario.link_model
-        before = model.received_power_dbm(14.0, 100.0, 1, 2, with_fading=False)
+        before = model.received_power_dbm(14.0, 100.0, 1, 2)
         model.set_link_attenuation(1, 2, 15.0)
-        after = model.received_power_dbm(14.0, 100.0, 1, 2, with_fading=False)
+        after = model.received_power_dbm(14.0, 100.0, 1, 2)
         assert after == pytest.approx(before - 15.0)
 
     def test_attenuation_is_symmetric(self):
@@ -58,9 +58,9 @@ class TestLinkAttenuation:
     def test_other_links_unaffected(self):
         scenario = build_scenario()
         model = scenario.link_model
-        before = model.received_power_dbm(14.0, 100.0, 1, 3, with_fading=False)
+        before = model.received_power_dbm(14.0, 100.0, 1, 3)
         model.set_link_attenuation(1, 2, 30.0)
-        after = model.received_power_dbm(14.0, 100.0, 1, 3, with_fading=False)
+        after = model.received_power_dbm(14.0, 100.0, 1, 3)
         assert after == before
 
 

@@ -105,8 +105,8 @@ class TestRange:
     def test_max_range_consistent_with_receivability(self, model):
         params = LoRaParams(spreading_factor=9)
         edge = model.max_range_m(params)
-        inside = model.received_power_dbm(params.tx_power_dbm, edge * 0.95, with_fading=False)
-        outside = model.received_power_dbm(params.tx_power_dbm, edge * 1.05, with_fading=False)
+        inside = model.received_power_dbm(params.tx_power_dbm, edge * 0.95)
+        outside = model.received_power_dbm(params.tx_power_dbm, edge * 1.05)
         assert model.is_receivable(inside, params)
         assert not model.is_receivable(outside, params)
 
@@ -118,8 +118,9 @@ class TestRange:
         model = LinkModel(
             PathLossParams(shadowing_sigma_db=0.0, fast_fading_sigma_db=2.0), random.Random(1)
         )
-        samples = {model.received_power_dbm(14.0, 100.0, 1, 2) for _ in range(10)}
-        assert len(samples) > 1
+        assert len({model.fading_db(1, 2, frame) for frame in range(10)}) > 1
+        # The static budget carries no fading.
+        assert model.received_power_dbm(14.0, 100.0, 1, 2) == 14.0 - model.path_loss_db(100.0, 1, 2)
 
     def test_urban_profile_has_shorter_range(self):
         suburban = LinkModel(PathLossParams(shadowing_sigma_db=0), random.Random(1))

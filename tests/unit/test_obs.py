@@ -212,6 +212,26 @@ class TestFlightRecorderLifecycles:
         (msg,) = recorder.messages()
         assert recorder.verdict(msg) == VERDICT_COLLISION
 
+    @pytest.mark.parametrize(
+        "receivers, below, fate",
+        [((2,), 3, "heard by 1/4"), ((), 24, "heard by 0/24"), ((), 0, "no receivers")],
+    )
+    def test_broadcast_fate_counts_listeners_below_sensitivity(self, receivers, below, fate):
+        trace = TraceLog()
+        recorder = attached_recorder(trace)
+        trace.emit(0.0, "mesh.origin", node=1, dst=0xFFFF, msg_id=5, ptype=2,
+                   size=10, n_fragments=1)
+        trace.emit(0.0, "mesh.frag_origin", node=1, dst=0xFFFF, packet_id=50,
+                   ptype=2, msg_id=5, seg_index=0, seg_total=1)
+        trace.emit(0.5, "phy.tx", node=1, tx_id=1, src=1, packet_id=50,
+                   ptype=2, dst=0xFFFF)
+        for node in receivers:
+            trace.emit(0.6, "phy.rx", node=node, tx_id=1)
+        if below:
+            trace.emit(0.6, "phy.below_sensitivity", tx_id=1, count=below)
+        (msg,) = recorder.messages()
+        assert f"  {fate}" in recorder.explain(msg)
+
     def test_message_without_evidence_is_in_flight(self):
         trace = TraceLog()
         recorder = attached_recorder(trace)

@@ -1,6 +1,6 @@
 """Unit tests for the reachability layer: link-budget cache epochs, the
 grid index's candidate computation and incremental maintenance, the
-brute-force oracle, bind rules, and ChannelConfig validation."""
+brute-force oracle and bind rules."""
 
 import random
 
@@ -8,8 +8,6 @@ import pytest
 
 from repro.api import (
     BruteForceReachability,
-    Channel,
-    ChannelConfig,
     GridReachabilityIndex,
     LinkBudgetCache,
     LinkModel,
@@ -17,7 +15,6 @@ from repro.api import (
     PathLossParams,
     PropagationModel,
     ReachabilityIndex,
-    Simulator,
     Topology,
 )
 from repro.errors import ConfigurationError
@@ -182,29 +179,3 @@ class TestGridReachabilityIndex:
         assert isinstance(
             LinkModel(PathLossParams(), random.Random(1)), PropagationModel
         )
-
-
-class TestChannelConfigValidation:
-    def test_rejects_unknown_trace_mode(self):
-        with pytest.raises(ConfigurationError):
-            ChannelConfig(sub_sensitivity_trace="chatty")
-
-    def test_rejects_bad_numeric_knobs(self):
-        with pytest.raises(ConfigurationError):
-            ChannelConfig(per_node_trace_max_nodes=-1)
-        with pytest.raises(ConfigurationError):
-            ChannelConfig(recent_horizon_s=0.0)
-        with pytest.raises(ConfigurationError):
-            ChannelConfig(slot_width_s=-1.0)
-
-    def test_auto_mode_tracks_mesh_size(self):
-        small = {node: (float(node), 0.0) for node in range(1, 4)}
-        topology, link = make_world(small)
-        channel = Channel(Simulator(), topology, link)
-        assert channel.config.sub_sensitivity_trace == "auto"
-        # Small mesh -> classic per-node events; the threshold knob flips it.
-        tight = ChannelConfig(per_node_trace_max_nodes=2)
-        topology2, link2 = make_world(small)
-        channel2 = Channel(Simulator(), topology2, link2, config=tight)
-        assert channel._per_node_trace is True
-        assert channel2._per_node_trace is False

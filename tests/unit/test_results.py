@@ -109,10 +109,10 @@ class TestPhyCounters:
         trace.emit(110.0, "phy.tx", node=1)
         trace.emit(111.0, "phy.rx", node=2)
         trace.emit(112.0, "phy.collision", node=2)
-        trace.emit(113.0, "phy.below_sensitivity", node=3)
+        trace.emit(113.0, "phy.below_sensitivity", tx_id=1, count=3)
         assert (truth.phy_tx, truth.phy_rx) == (1, 1)
         assert truth.phy_collisions == 1
-        assert truth.phy_below_sensitivity == 1
+        assert truth.phy_below_sensitivity == 3
 
 
 class TestResultLifecycle:
