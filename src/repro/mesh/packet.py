@@ -26,7 +26,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass, field, replace
 from enum import IntEnum
-from typing import List, Tuple
+from typing import List, NamedTuple, Tuple
 
 from repro.errors import DecodeError, EncodeError
 from repro.mesh.addressing import BROADCAST
@@ -218,8 +218,7 @@ class HelloPayload:
         return cls(uptime, queue_depth, route_count, battery)
 
 
-@dataclass(frozen=True)
-class RouteVectorEntry:
+class RouteVectorEntry(NamedTuple):
     """One (destination, metric) pair in a routing broadcast."""
 
     dst: int
@@ -264,13 +263,10 @@ class RoutePayload:
             raise DecodeError(
                 f"ROUTE payload of {len(raw)} bytes does not match {count} entries"
             )
-        entries = []
-        for index in range(count):
-            offset = 1 + index * cls.ENTRY_SIZE
-            dst, metric = struct.unpack(
-                cls._ENTRY_FORMAT, raw[offset:offset + cls.ENTRY_SIZE]
-            )
-            entries.append(RouteVectorEntry(dst=dst, metric=metric))
+        entries = [
+            RouteVectorEntry(dst, metric)
+            for dst, metric in struct.iter_unpack(cls._ENTRY_FORMAT, raw[1:])
+        ]
         return cls(entries=entries)
 
     @classmethod

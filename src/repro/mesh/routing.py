@@ -23,6 +23,8 @@ from repro.mesh.packet import RoutePayload, RouteVectorEntry
 class RouteEntry:
     """One entry in the route table."""
 
+    __slots__ = ("dst", "next_hop", "metric", "updated_at")
+
     dst: int
     next_hop: int
     metric: int
@@ -81,9 +83,7 @@ class RouteTable:
         self._poisoned.pop(neighbor, None)
         existing = self._routes.get(neighbor)
         if existing is None or existing.metric > 1:
-            self._routes[neighbor] = RouteEntry(
-                dst=neighbor, next_hop=neighbor, metric=1, updated_at=now
-            )
+            self._routes[neighbor] = RouteEntry(neighbor, neighbor, 1, now)
             return True
         if existing.metric == 1:
             existing.updated_at = now
@@ -113,7 +113,7 @@ class RouteTable:
             if current is None:
                 if candidate < self._infinity:
                     self._routes[advertised.dst] = RouteEntry(
-                        dst=advertised.dst, next_hop=sender, metric=candidate, updated_at=now
+                        advertised.dst, sender, candidate, now
                     )
                     # Adopting a live route supersedes any pending poison;
                     # if the route is in fact dead, the new next hop's own
@@ -191,17 +191,17 @@ class RouteTable:
         standard compromise for broadcast media, where per-neighbor frames
         would multiply airtime.
         """
-        entries = [RouteVectorEntry(dst=self._own, metric=0)]
+        entries = [RouteVectorEntry(self._own, 0)]
         for entry in self.entries():
             metric = entry.metric
             if to_neighbor is not None and entry.next_hop == to_neighbor:
                 metric = self._infinity
-            entries.append(RouteVectorEntry(dst=entry.dst, metric=metric))
+            entries.append(RouteVectorEntry(entry.dst, metric))
         # Route poisoning: destinations we just lost are advertised at
         # infinity so neighbours drop them rather than re-offering them.
         for dst in sorted(self._poisoned):
             if dst not in self._routes:
-                entries.append(RouteVectorEntry(dst=dst, metric=self._infinity))
+                entries.append(RouteVectorEntry(dst, self._infinity))
         limit = RoutePayload.max_entries_per_frame()
         return RoutePayload(entries=entries[:limit])
 

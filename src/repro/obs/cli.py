@@ -91,10 +91,16 @@ def _scenario_recorder(args: argparse.Namespace) -> Tuple[FlightRecorder, SpanPr
     return result.recorder, result.profiler
 
 
-def _load_recorder(args: argparse.Namespace) -> FlightRecorder:
+def _load_recorder(args: argparse.Namespace) -> Optional[FlightRecorder]:
+    """The recorder of ``--trace`` or of a live run; ``None`` (after
+    printing ``INVALID: ...``) when the capture cannot be replayed."""
     if args.trace is not None:
         recorder = FlightRecorder()
-        replay_into_recorder(args.trace, recorder)
+        try:
+            replay_into_recorder(args.trace, recorder)
+        except CaptureFormatError as exc:
+            print(f"INVALID: {exc}", file=sys.stderr)
+            return None
         return recorder
     recorder, _ = _scenario_recorder(args)
     return recorder
@@ -146,6 +152,8 @@ def _selected_messages(recorder: FlightRecorder, token: str) -> List[MessageTrac
 
 def cmd_why(args: argparse.Namespace) -> int:
     recorder = _load_recorder(args)
+    if recorder is None:
+        return 1
     messages = _selected_messages(recorder, args.msg_id)
     if not messages:
         if args.msg_id in ("all", "undelivered"):
@@ -180,6 +188,8 @@ def cmd_why(args: argparse.Namespace) -> int:
 
 def cmd_drops(args: argparse.Namespace) -> int:
     recorder = _load_recorder(args)
+    if recorder is None:
+        return 1
     tables = {
         "verdicts": {k: v for k, v in recorder.verdict_counts().items() if v},
         args.by: recorder.drop_counts(args.by),

@@ -44,10 +44,7 @@ def event_to_dict(event: TraceEvent) -> Dict[str, Any]:
 
 def event_from_dict(raw: Dict[str, Any]) -> TraceEvent:
     return TraceEvent(
-        time=float(raw["t"]),
-        kind=str(raw["kind"]),
-        node=raw.get("node"),
-        data=dict(raw.get("data", {})),
+        float(raw["t"]), str(raw["kind"]), raw.get("node"), dict(raw.get("data", {}))
     )
 
 
@@ -81,8 +78,16 @@ def read_trace(path: Union[str, Path]) -> Tuple[Dict[str, Any], List[TraceEvent]
     Raises:
         CaptureFormatError: when the file is not a trace capture.
     """
+    header, numbered = _read_numbered(path)
+    return header, [event for _, event in numbered]
+
+
+def _read_numbered(
+    path: Union[str, Path],
+) -> Tuple[Dict[str, Any], List[Tuple[int, TraceEvent]]]:
+    """:func:`read_trace` with each event's line number."""
     header: Optional[Dict[str, Any]] = None
-    events: List[TraceEvent] = []
+    events: List[Tuple[int, TraceEvent]] = []
     for lineno, raw in _json_lines(path):
         if header is None:
             if raw.get("schema") != TRACE_SCHEMA:
@@ -93,7 +98,7 @@ def read_trace(path: Union[str, Path]) -> Tuple[Dict[str, Any], List[TraceEvent]
             header = raw
             continue
         try:
-            events.append(event_from_dict(raw))
+            events.append((lineno, event_from_dict(raw)))
         except (KeyError, TypeError, ValueError) as exc:
             raise CaptureFormatError(f"{path}: bad event on line {lineno}: {exc}") from exc
     if header is None:
@@ -157,6 +162,24 @@ def validate_spans_file(path: Union[str, Path]) -> Dict[str, Any]:
 
 
 def replay_into_recorder(path: Union[str, Path], recorder: FlightRecorder) -> int:
-    """Feed a capture file into a :class:`FlightRecorder`; returns event count."""
-    _, events = read_trace(path)
-    return recorder.consume(events)
+    """Feed a capture file into a :class:`FlightRecorder`; returns event count.
+
+    Raises:
+        CaptureFormatError: when the file is not a trace capture, or an
+            event lacks a field the recorder reads or holds one of the
+            wrong type (for example a ``phy.below_sensitivity`` event
+            without ``count``, as written before that event carried one).
+    """
+    _, events = _read_numbered(path)
+    for lineno, event in events:
+        try:
+            recorder.observe(event)
+        except KeyError as exc:
+            raise CaptureFormatError(
+                f"{path}: line {lineno}: {event.kind} event lacks field {exc.args[0]!r}"
+            ) from exc
+        except (TypeError, ValueError) as exc:
+            raise CaptureFormatError(
+                f"{path}: line {lineno}: {event.kind} event has a bad field: {exc}"
+            ) from exc
+    return len(events)

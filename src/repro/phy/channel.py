@@ -25,17 +25,19 @@ is enforced: a node whose own transmission overlaps an incoming frame
 never receives it — the senders of the frames overlapping it, found once
 per frame, are exactly the nodes that transmitted during it.
 
-Hot-path structure (see ``docs/ARCHITECTURE.md``, "PHY hot path"): RSSI is
-computed lazily per (frame, receiver) on first use, backed by the shared
-:class:`~repro.phy.reachability.LinkBudgetCache`, and the memo is guarded
-by a geometry epoch (bumped on every topology move and injected
-attenuation change) so a cached value never outlives the geometry it was
-computed under; overlap queries go through a slot map keyed by coarse
-time buckets instead of scanning every active/recent frame; recently
-finished frames are pruned incrementally from a deque.  Everything that
-does not depend on the receiver — the overlapping frames, which of them
-are collision threats, who was transmitting — is computed once per frame,
-and RSSI at a receiver only for the threats.  Because the link
+Hot-path structure (see ``docs/ARCHITECTURE.md``, "PHY hot path"): the
+reachability index keeps one link table per (sender, params) — the
+candidate receivers in node order, each with its static RSSI — and drops
+it on every topology move and injected attenuation change, so a frame's
+end walks the table as of that instant and adds only the per-frame fading
+term to each entry; carrier sense reads the same tables.  Overlap queries
+go through a slot map keyed by coarse time buckets instead of scanning
+every active/recent frame; recently finished frames are pruned
+incrementally from a deque.  Everything that does not depend on the
+receiver — the overlapping frames, which of them are collision threats,
+who was transmitting — is computed once per frame, and RSSI at a receiver
+only for the threats, straight from the shared
+:class:`~repro.phy.reachability.LinkBudgetCache`.  Because the link
 model's randomness is counter-based and bounded (:mod:`repro.phy.link`),
 the produced trace stream is identical whichever reachability index is
 plugged in — the brute-force index remains available as the reference
@@ -46,8 +48,7 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Any, Callable, Deque, Dict, FrozenSet, List, Optional, Set
+from typing import Any, Callable, Deque, Dict, FrozenSet, List, NamedTuple, Optional, Set
 
 from repro.errors import ConfigurationError
 from repro.phy.airtime import cached_time_on_air
@@ -73,45 +74,49 @@ _NOBODY: FrozenSet[int] = frozenset()
 _SLOT_WIDTH_S = 1.0
 
 
-@dataclass(eq=False)
 class Transmission:
     """One frame in flight on the medium.
 
-    ``rssi_at`` is populated lazily: a receiver's RSSI is computed on
-    first use (delivery evaluation, interference accounting) rather than
-    for every node up front.  Identity equality (``eq=False``) — two
-    distinct frames are never "the same frame".
+    Identity equality — two distinct frames are never "the same frame".
+    A frame holds no RSSI: receivers are judged against the sender's link
+    table as of the frame's end (see :class:`Channel`).
     """
 
-    tx_id: int
-    sender: int
-    params: LoRaParams
-    payload: Any
-    payload_bytes: int
-    start: float
-    end: float
-    #: RSSI of this frame per node, filled in on demand.
-    rssi_at: Dict[int, float] = field(default_factory=dict)
-    #: Channel geometry epoch each ``rssi_at`` entry was computed under.
-    #: Which (frame, node) pairs get memoised — and when — depends on the
-    #: plugged-in reachability index, so an entry that survived a
-    #: topology/attenuation change would freeze pre-change geometry in one
-    #: index flavour but not the other; the channel recomputes on epoch
-    #: mismatch to keep the flavours event-identical.
-    rssi_epoch: Dict[int, int] = field(default_factory=dict)
-    #: Topology nodes that could not hear the preamble at start: not
-    #: attached, or attached with a radio outside RX (a MAC puts its own
-    #: radio in TX before it sends).  It covers every topology node, not
-    #: just the sender's candidate set: reception is decided against
-    #: frame-*end* geometry, so under mid-flight mobility a node outside
-    #: the start-time candidate set can still become a receiver — its
-    #: listening state must have been recorded for both index flavours
-    #: to agree.
-    deaf_at_start: FrozenSet[int] = _NOBODY
+    __slots__ = (
+        "tx_id", "sender", "params", "payload", "payload_bytes", "start", "end",
+        "deaf_at_start",
+    )
+
+    def __init__(
+        self,
+        tx_id: int,
+        sender: int,
+        params: LoRaParams,
+        payload: Any,
+        payload_bytes: int,
+        start: float,
+        end: float,
+        deaf_at_start: FrozenSet[int],
+    ) -> None:
+        self.tx_id = tx_id
+        self.sender = sender
+        self.params = params
+        self.payload = payload
+        self.payload_bytes = payload_bytes
+        self.start = start
+        self.end = end
+        #: Topology nodes that could not hear the preamble at start: not
+        #: attached, or attached with a radio outside RX (a MAC puts its
+        #: own radio in TX before it sends).  It covers every topology
+        #: node, not just the sender's candidate set: reception is decided
+        #: against frame-*end* geometry, so under mid-flight mobility a
+        #: node outside the start-time candidate set can still become a
+        #: receiver — its listening state must have been recorded for both
+        #: index flavours to agree.
+        self.deaf_at_start = deaf_at_start
 
 
-@dataclass(frozen=True)
-class Reception:
+class Reception(NamedTuple):
     """Delivered frame, as seen by the receiving radio driver."""
 
     sender: int
@@ -154,11 +159,6 @@ class Channel:
             reachability if reachability is not None else GridReachabilityIndex()
         )
         self._reachability.bind(topology, link_model, self._budget, self.CAD_MARGIN_DB)
-        #: Bumped on every position move / injected-attenuation change;
-        #: guards the per-frame RSSI memo (see :class:`Transmission`).
-        self._geometry_epoch = 0
-        topology.subscribe(self._on_geometry_change)
-        link_model.subscribe_changes(self._on_attenuation_change)
         self._tx_ids = itertools.count(1)
         #: Frames on air, in start order.
         self._active: List[Transmission] = []
@@ -249,18 +249,14 @@ class Channel:
         that threshold by construction and are skipped without computing
         RSSI at all.
         """
+        link_table = self._reachability.link_table
         for tx in self._active:
             if tx.sender == address:
                 return True
-            if address not in self._reachability.candidates(tx.sender, tx.params):
+            static_rssi = link_table(tx.sender, tx.params).get(address)
+            if static_rssi is None:
                 continue
-            if tx.rssi_epoch.get(address) == self._geometry_epoch:
-                rssi = tx.rssi_at[address]
-            else:
-                # Peek without caching: whether this path runs at all can
-                # depend on the index flavour, and filling the memo here
-                # would make its fill pattern flavour-dependent.
-                rssi = self._compute_rssi(tx, address)
+            rssi = static_rssi + self._link.fading_db(tx.sender, address, tx.tx_id)
             if rssi >= sensitivity_dbm(tx.params) - self.CAD_MARGIN_DB:
                 return True
         return False
@@ -331,39 +327,20 @@ class Channel:
         self._sim.call_at(end, lambda: self._complete(tx), priority=-1)
         return tx
 
-    # -- lazy RSSI ----------------------------------------------------------
+    # -- RSSI ------------------------------------------------------------------
 
-    def _compute_rssi(self, tx: Transmission, node: int) -> float:
-        """RSSI of ``tx`` at ``node``: cached static budget plus the
-        derived per-frame fading term (keyed by ``tx_id``, so the value is
-        independent of when or whether any other receiver was evaluated)."""
+    def _rssi(self, tx: Transmission, node: int) -> float:
+        """RSSI of ``tx`` at ``node`` under current geometry: cached static
+        budget plus the derived per-frame fading term (keyed by ``tx_id``,
+        so the value is independent of when or whether any other receiver
+        was evaluated).  Bit for bit the sender's link-table entry plus
+        fading, and defined for nodes outside the table too: an
+        interferer's sender rarely has the receiver among its candidates."""
         return (
             tx.params.tx_power_dbm
             - self._budget.loss_db(tx.sender, node)
             + self._link.fading_db(tx.sender, node, tx.tx_id)
         )
-
-    def _rssi(self, tx: Transmission, node: int) -> float:
-        """Memoised RSSI of ``tx`` at ``node`` under *current* geometry.
-
-        Entries computed under an older geometry epoch are recomputed, so
-        the value returned is always a pure function of (frame, node,
-        current geometry) — independent of which index flavour happened
-        to fill the memo earlier, or when.
-        """
-        epoch = self._geometry_epoch
-        if tx.rssi_epoch.get(node) == epoch:
-            return tx.rssi_at[node]
-        rssi = self._compute_rssi(tx, node)
-        tx.rssi_at[node] = rssi
-        tx.rssi_epoch[node] = epoch
-        return rssi
-
-    def _on_geometry_change(self, node: int) -> None:
-        self._geometry_epoch += 1
-
-    def _on_attenuation_change(self, a: int, b: int) -> None:
-        self._geometry_epoch += 1
 
     # -- overlap bookkeeping -------------------------------------------------
 
@@ -426,19 +403,21 @@ class Channel:
         # Attached nodes outside the candidate set are below the detection
         # threshold by construction: they count as below sensitivity
         # without an RSSI evaluation.
-        below_count = len(self._on_receive) - (1 if tx.sender in self._on_receive else 0)
-        for node in sorted(self._reachability.candidates(tx.sender, tx.params)):
-            if node == tx.sender:
-                continue
-            handler = self._on_receive.get(node)
+        on_receive = self._on_receive
+        sender, tx_id = tx.sender, tx.tx_id
+        below_count = len(on_receive) - (1 if sender in on_receive else 0)
+        fading_db = self._link.fading_db
+        # The sender's link table as of now, so frame-end geometry.
+        for node, static_rssi in self._reachability.link_table(sender, tx.params).items():
+            handler = on_receive.get(node)
             if handler is None:
                 continue
-            rssi = self._rssi(tx, node)
+            rssi = static_rssi + fading_db(sender, node, tx_id)
             if not self._link.is_receivable(rssi, tx.params):
                 continue
             below_count -= 1
             if node in tx.deaf_at_start or node in transmitting:
-                self._trace.emit(self._sim.now, "phy.rx_missed", node=node, tx_id=tx.tx_id)
+                self._trace.emit(self._sim.now, "phy.rx_missed", node=node, tx_id=tx_id)
                 continue
             # Every threat counts regardless of its sender's candidate set —
             # its RSSI here is computed on demand.  This node sent none of
@@ -453,28 +432,19 @@ class Channel:
                     self._sim.now,
                     "phy.collision",
                     node=node,
-                    tx_id=tx.tx_id,
+                    tx_id=tx_id,
                     n_interferers=len(overlapping),
                 )
                 continue
             snr = self._link.snr_db(rssi, tx.params.bandwidth_hz)
-            self._trace.emit(
-                self._sim.now, "phy.rx", node=node, tx_id=tx.tx_id, rssi=rssi, snr=snr
-            )
+            self._trace.emit(self._sim.now, "phy.rx", node=node, tx_id=tx_id, rssi=rssi, snr=snr)
             handler(
                 Reception(
-                    sender=tx.sender,
-                    receiver=node,
-                    payload=tx.payload,
-                    payload_bytes=tx.payload_bytes,
-                    rssi_dbm=rssi,
-                    snr_db=snr,
-                    params=tx.params,
-                    start=tx.start,
-                    end=tx.end,
+                    sender, node, tx.payload, tx.payload_bytes, rssi, snr,
+                    tx.params, tx.start, tx.end,
                 )
             )
         if below_count:
             self._trace.emit(
-                self._sim.now, "phy.below_sensitivity", tx_id=tx.tx_id, count=below_count
+                self._sim.now, "phy.below_sensitivity", tx_id=tx_id, count=below_count
             )

@@ -8,7 +8,7 @@ low-data-rate optimisation, carrier frequency and transmit power.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
 
@@ -88,14 +88,6 @@ class LoRaParams:
         # Datasheet rule: mandated when symbol duration exceeds 16 ms.
         symbol_time_s = (2 ** self.spreading_factor) / self.bandwidth_hz
         return symbol_time_s > 0.016
-
-    def with_frequency(self, frequency_hz: int) -> "LoRaParams":
-        """Copy of these parameters on a different carrier frequency."""
-        return replace(self, frequency_hz=frequency_hz)
-
-    def with_sf(self, spreading_factor: int) -> "LoRaParams":
-        """Copy of these parameters with a different spreading factor."""
-        return replace(self, spreading_factor=spreading_factor)
 
     def describe(self) -> str:
         """Human-readable one-liner, e.g. ``SF7/BW125kHz/CR4:5 @868.1MHz 14dBm``."""

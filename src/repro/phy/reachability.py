@@ -20,6 +20,12 @@ that removes it:
   epoch invalidation, shared by both index flavours so the culled and
   exhaustive channels compute bit-identical RSSI values.
 
+Each index also serves a **link table** per ``(sender, params)``: its
+candidate receivers in node order, each with its static RSSI (TX power
+minus the cached static loss).  The table is what the channel walks at a
+frame's end and what carrier sense reads, so a frame end adds only the
+per-frame fading term to each entry.
+
 Culling is *sound*, not approximate: the link model's derived shadowing
 and fading draws are clamped to ±4σ (see :mod:`repro.phy.link`), so a
 pruned receiver provably could not have detected the preamble, let alone
@@ -30,11 +36,12 @@ pinned by ``tests/property/test_phy_equivalence.py``.
 Invalidation: both index flavours and the budget cache subscribe to
 :meth:`repro.sim.topology.Topology.subscribe` (mobility) and
 :meth:`repro.phy.link.LinkModel.subscribe_changes` (fault-injected
-attenuation).  Candidate sets are invalidated coarsely (one epoch bump
-covers every sender — a moved node can enter or leave *any* sender's
-set); the budget cache is invalidated per node, so a 1000-node mesh with
-three mobile nodes does not recompute half a million link budgets per
-step.
+attenuation).  Link tables are invalidated coarsely (every move or
+attenuation change drops every sender's table — a moved node can enter
+or leave *any* sender's set, and its static RSSI changes in every table
+it is in); the budget cache is invalidated per node, so a 1000-node mesh
+with three mobile nodes does not recompute half a million link budgets
+per step.
 """
 
 from __future__ import annotations
@@ -45,6 +52,7 @@ from typing import (
     Dict,
     FrozenSet,
     List,
+    Mapping,
     Optional,
     Protocol,
     Tuple,
@@ -123,11 +131,17 @@ class ReachabilityIndex(Protocol):
 
     def candidates(self, sender: int, params: LoRaParams) -> AbstractSet[int]:
         """Nodes that might detect a frame from ``sender`` (may include
-        the sender itself; the channel skips it)."""
+        the sender itself)."""
+        ...
+
+    def link_table(self, sender: int, params: LoRaParams) -> Mapping[int, float]:
+        """Candidate receivers other than ``sender``, in ascending node
+        order, each mapped to its static RSSI under current geometry:
+        ``params.tx_power_dbm - budget.loss_db(sender, node)``."""
         ...
 
     def invalidate(self, node: Optional[int] = None) -> None:
-        """Drop cached candidate sets (``node`` hints what moved)."""
+        """Drop cached link tables (``node`` hints what moved)."""
         ...
 
     def stats(self) -> Dict[str, int]:
@@ -178,7 +192,8 @@ class LinkBudgetCache:
 
 
 class _BoundIndex:
-    """Shared bind/invalidate plumbing for the two index flavours."""
+    """Shared bind/invalidate plumbing and the link-table cache of the two
+    index flavours; a flavour supplies ``_compute``."""
 
     def __init__(self) -> None:
         self._topology: Optional[Topology] = None
@@ -188,6 +203,7 @@ class _BoundIndex:
         self._epoch = 0
         self._hits = 0
         self._rebuilds = 0
+        self._tables: Dict[Tuple[int, LoRaParams], Dict[int, float]] = {}
 
     def bind(
         self,
@@ -219,8 +235,22 @@ class _BoundIndex:
             )
         return self._topology
 
+    def link_table(self, sender: int, params: LoRaParams) -> Mapping[int, float]:
+        key = (sender, params)
+        table = self._tables.get(key)
+        if table is not None:
+            self._hits += 1
+            return table
+        table = self._tables[key] = self._compute(sender, params)
+        self._rebuilds += 1
+        return table
+
+    def _compute(self, sender: int, params: LoRaParams) -> Dict[int, float]:
+        raise NotImplementedError  # pragma: no cover - every flavour overrides it
+
     def invalidate(self, node: Optional[int] = None) -> None:
         self._epoch += 1
+        self._tables.clear()
         self._on_invalidate(node)
 
     def _on_invalidate(self, node: Optional[int]) -> None:  # hook
@@ -230,9 +260,10 @@ class _BoundIndex:
         self.invalidate(node)
 
     def _on_link_change(self, a: int, b: int) -> None:
-        # Attenuation changed on one link: either endpoint's candidate
-        # sets may gain or lose the other, so epoch-bump everything.
+        # Attenuation changed on one link: either endpoint's tables may
+        # gain or lose the other, or change its static RSSI.
         self._epoch += 1
+        self._tables.clear()
 
     def stats(self) -> Dict[str, int]:
         return {"hits": self._hits, "rebuilds": self._rebuilds, "epoch": self._epoch}
@@ -244,7 +275,7 @@ class BruteForceReachability(_BoundIndex):
     Reproduces the exhaustive per-frame walk of the original channel;
     kept as the ground truth the spatial index is verified against (and
     as a safety hatch for exotic propagation models whose randomness is
-    unbounded).
+    unbounded).  Its link tables list every node but the sender.
     """
 
     def __init__(self) -> None:
@@ -261,6 +292,16 @@ class BruteForceReachability(_BoundIndex):
             self._hits += 1
         return all_nodes
 
+    def _compute(self, sender: int, params: LoRaParams) -> Dict[int, float]:
+        budget = self._budget
+        assert budget is not None
+        tx_power = params.tx_power_dbm
+        return {
+            node: tx_power - budget.loss_db(sender, node)
+            for node in sorted(self._require_bound().positions)
+            if node != sender
+        }
+
     def _on_invalidate(self, node: Optional[int]) -> None:
         # A move keeps the node set; only a bulk invalidation drops it.
         if node is None:
@@ -270,7 +311,8 @@ class BruteForceReachability(_BoundIndex):
 class GridReachabilityIndex(_BoundIndex):
     """Uniform-grid spatial index with exact link-budget culling.
 
-    Two-stage candidate computation, cached per ``(sender, params)``:
+    Two-stage candidate computation, cached as a link table per
+    ``(sender, params)``:
 
     1. **Geometric prefilter** — only grid cells intersecting a circle of
        radius ``R`` around the sender are visited, where ``R`` is the
@@ -298,7 +340,6 @@ class GridReachabilityIndex(_BoundIndex):
         self._cells: Dict[Tuple[int, int], List[int]] = {}
         self._cell_of: Dict[int, Tuple[int, int]] = {}
         self._grid_built = False
-        self._cache: Dict[Tuple[int, LoRaParams], Tuple[int, FrozenSet[int]]] = {}
 
     # -- grid maintenance ---------------------------------------------------
 
@@ -320,7 +361,6 @@ class GridReachabilityIndex(_BoundIndex):
         self._grid_built = True
 
     def _on_invalidate(self, node: Optional[int]) -> None:
-        self._cache.clear()
         if not self._grid_built:
             return
         if node is None:
@@ -357,17 +397,9 @@ class GridReachabilityIndex(_BoundIndex):
         return max(pl_params.d0_m * (10.0 ** exceed), 1.0)
 
     def candidates(self, sender: int, params: LoRaParams) -> AbstractSet[int]:
-        key = (sender, params)
-        cached = self._cache.get(key)
-        if cached is not None and cached[0] == self._epoch:
-            self._hits += 1
-            return cached[1]
-        result = self._compute(sender, params)
-        self._cache[key] = (self._epoch, result)
-        self._rebuilds += 1
-        return result
+        return self.link_table(sender, params).keys()
 
-    def _compute(self, sender: int, params: LoRaParams) -> FrozenSet[int]:
+    def _compute(self, sender: int, params: LoRaParams) -> Dict[int, float]:
         topology = self._require_bound()
         link = self._link
         budget = self._budget
@@ -384,22 +416,23 @@ class GridReachabilityIndex(_BoundIndex):
         threshold = sensitivity_dbm(params) - self._cad_margin_db
         fade_headroom = link.fading_bound_db
         tx_power = params.tx_power_dbm
-        keep: List[int] = []
+        table: Dict[int, float] = {}
         position = topology.positions.get(sender)
         if position is None:
-            return frozenset()
+            return table
         if self._cell_m is None or not math.isfinite(radius):
             members = list(topology.positions)
         else:
             self._ensure_grid()
             members = self._members_near(position, radius)
+        members.sort()
         for node in members:
             if node == sender:
                 continue
-            loss = budget.loss_db(sender, node)
-            if tx_power - loss + fade_headroom >= threshold:
-                keep.append(node)
-        return frozenset(keep)
+            static_rssi = tx_power - budget.loss_db(sender, node)
+            if static_rssi + fade_headroom >= threshold:
+                table[node] = static_rssi
+        return table
 
     def _members_near(self, position: Tuple[float, float], radius: float) -> List[int]:
         cell = self._cell_m

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Deque, Dict, Optional, Tuple
 
 from repro.errors import ConfigurationError, DutyCycleError
 
@@ -150,7 +150,3 @@ class DutyCycleTracker:
         if band_name is not None:
             return self._total_airtime.get(band_name, 0.0)
         return sum(self._total_airtime.values())
-
-    def bands_used(self) -> List[str]:
-        """Names of bands this node has transmitted in."""
-        return sorted(self._total_airtime)

@@ -128,8 +128,12 @@ class ScenarioConfig:
         workload: application traffic spec.
         capture_trace: enable the observability layer — a
             :class:`~repro.obs.recorder.FlightRecorder` reconstructing
-            per-message lifecycles and a :class:`~repro.obs.spans.SpanProfiler`
-            timing engine events.  Off by default (zero overhead).
+            per-message lifecycles, a :class:`~repro.obs.spans.SpanProfiler`
+            timing engine events, and a trace log that keeps the last
+            500,000 events for export.  Off by default: the trace log then
+            keeps no events (``trace.events()`` raises), while its exact
+            counters (``count``, ``total_emitted``) and the ground truth
+            still see every one.
         network_id: mesh network this scenario's telemetry reports
             under.  Single-network runs keep the implicit ``default``;
             fleet experiments run N scenarios with distinct ids feeding

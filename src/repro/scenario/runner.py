@@ -106,7 +106,10 @@ class Scenario:
         self.profiler = SpanProfiler(enabled=config.capture_trace)
         self.sim = Simulator(profiler=self.profiler)
         self.profiler.attach_sim_clock(lambda: self.sim.now)
-        self.trace = TraceLog(capacity=500_000)
+        # Without capture nothing reads the events, and keeping them would
+        # leave tens of thousands of tuples for the garbage collector to walk;
+        # counters and listeners (GroundTruth) see every event either way.
+        self.trace = TraceLog(capacity=500_000 if config.capture_trace else 0)
         self.recorder: Optional[FlightRecorder] = None
         if config.capture_trace:
             self.recorder = FlightRecorder()

@@ -1,8 +1,12 @@
 """Event-driven simulation engine.
 
-The :class:`Simulator` owns a priority queue of :class:`Event` objects.
+The :class:`Simulator` owns a priority queue of scheduled callbacks.
 Callbacks scheduled for the same instant run in (priority, insertion-order)
 order, which makes simulations deterministic for a fixed seed.
+
+The queue is a heap of plain ``(time, priority, seq, event)`` tuples, so
+ordering is a C-level tuple comparison; ``seq`` is unique, so a
+comparison never reaches the :class:`Event` handle.
 
 Typical usage::
 
@@ -17,8 +21,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, List, Optional
+from typing import TYPE_CHECKING, Callable, List, Optional, Tuple
 
 from repro.errors import SimulationError
 
@@ -26,20 +29,19 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (obs imports nothing 
     from repro.obs.spans import SpanProfiler
 
 
-@dataclass(order=True)
 class Event:
-    """A scheduled callback.
+    """Handle for one scheduled callback; :meth:`cancel` stops it firing.
 
-    Events order by ``(time, priority, seq)``.  Lower priority values run
-    first when times tie; ``seq`` preserves insertion order as the final
-    tie-break.
+    The queue orders its entries by ``(time, priority, seq)``: lower
+    priority values run first when times tie, and ``seq`` preserves
+    insertion order as the final tie-break.
     """
 
-    time: float
-    priority: int
-    seq: int
-    callback: Callable[[], None] = field(compare=False)
-    cancelled: bool = field(default=False, compare=False)
+    __slots__ = ("callback", "cancelled")
+
+    def __init__(self, callback: Callable[[], None]) -> None:
+        self.callback = callback
+        self.cancelled = False
 
     def cancel(self) -> None:
         """Prevent this event from firing (lazy removal from the queue)."""
@@ -73,7 +75,7 @@ class Simulator:
     """
 
     def __init__(self, profiler: Optional["SpanProfiler"] = None) -> None:
-        self._queue: List[Event] = []
+        self._queue: List[Tuple[float, int, int, Event]] = []
         self._seq = itertools.count()
         self._now = 0.0
         self._running = False
@@ -101,8 +103,8 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule event at t={time:.6f}, current time is {self._now:.6f}"
             )
-        event = Event(time=time, priority=priority, seq=next(self._seq), callback=callback)
-        heapq.heappush(self._queue, event)
+        event = Event(callback)
+        heapq.heappush(self._queue, (time, priority, next(self._seq), event))
         return event
 
     def call_in(self, delay: float, callback: Callable[[], None], priority: int = 0) -> Event:
@@ -171,21 +173,23 @@ class Simulator:
         self._running = True
         self._stopped = False
         processed = 0
+        queue = self._queue
+        heappop = heapq.heappop
         # Hoisted once per run(): the disabled-profiler path must cost one
         # local-variable check per event, nothing more.
         profiler = self.profiler
         try:
-            while self._queue and not self._stopped:
+            while queue and not self._stopped:
                 if max_events is not None and processed >= max_events:
                     break
-                event = self._queue[0]
+                time, _, _, event = queue[0]
                 if event.cancelled:
-                    heapq.heappop(self._queue)
+                    heappop(queue)
                     continue
-                if until is not None and event.time > until:
+                if until is not None and time > until:
                     break
-                heapq.heappop(self._queue)
-                self._now = event.time
+                heappop(queue)
+                self._now = time
                 if profiler is not None and profiler.enabled:
                     callback = event.callback
                     with profiler.span(getattr(callback, "__qualname__", "event")):
@@ -198,7 +202,3 @@ class Simulator:
         if until is not None and until > self._now:
             self._now = until
         return processed
-
-    def pending_events(self) -> int:
-        """Number of not-yet-cancelled events still queued."""
-        return sum(1 for event in self._queue if not event.cancelled)

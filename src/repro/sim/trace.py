@@ -12,21 +12,21 @@ single oldest event instead of the old ``del events[:overflow]`` list
 compaction, which was O(n) on *every* emit once at capacity (~3 orders of
 magnitude slower at the default 500k-event bound — see
 ``docs/OBSERVABILITY.md`` for the micro-bench).  Running counters stay
-exact regardless of eviction.
+exact regardless of eviction.  A log of capacity 0 keeps no event at all
+on the same path — listeners and counters still see every one — which is
+how a scenario runs without ``capture_trace``.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Any, Callable, Deque, Dict, Iterator, List, Optional, Union
+from typing import Any, Callable, Deque, Dict, Iterator, List, NamedTuple, Optional, Union
 
 from repro.errors import SimulationError
 
 
-@dataclass(frozen=True)
-class TraceEvent:
-    """One ground-truth event.
+class TraceEvent(NamedTuple):
+    """One ground-truth event, built positionally at tuple cost.
 
     Attributes:
         time: simulation time in seconds.
@@ -34,13 +34,14 @@ class TraceEvent:
             ``"phy.collision"``, ``"mesh.deliver"``, ``"node.fail"``.
         node: address of the node the event concerns (or ``None`` for
             network-wide events).
-        data: free-form payload with event-specific fields.
+        data: free-form payload with event-specific fields (each event
+            owns its dict; there is no shared default).
     """
 
     time: float
     kind: str
     node: Optional[int]
-    data: Dict[str, Any] = field(default_factory=dict)
+    data: Dict[str, Any]
 
 
 TraceListener = Callable[[TraceEvent], None]
@@ -82,10 +83,11 @@ class TraceLog:
         Args:
             capacity: optional bound on retained events; when exceeded the
                 oldest event is dropped in O(1) (the running counters keep
-                exact totals regardless).
+                exact totals regardless).  ``0`` retains nothing:
+                :meth:`events` then raises.
         """
-        if capacity is not None and capacity < 1:
-            raise SimulationError(f"trace capacity must be >= 1, got {capacity}")
+        if capacity is not None and capacity < 0:
+            raise SimulationError(f"trace capacity must be >= 0, got {capacity}")
         self._events: Deque[TraceEvent] = deque(maxlen=capacity)
         self._capacity = capacity
         self._counts: Dict[str, int] = {}
@@ -95,7 +97,7 @@ class TraceLog:
 
     def emit(self, time: float, kind: str, node: Optional[int] = None, **data: Any) -> TraceEvent:
         """Record an event and notify listeners."""
-        event = TraceEvent(time=time, kind=kind, node=node, data=data)
+        event = TraceEvent(time, kind, node, data)
         self._events.append(event)
         self._counts[kind] = self._counts.get(kind, 0) + 1
         self._emitted += 1
@@ -190,13 +192,22 @@ class TraceLog:
         return self._capacity
 
     def events(self, kind: Optional[str] = None, node: Optional[int] = None) -> Iterator[TraceEvent]:
-        """Iterate retained events, optionally filtered by kind and/or node."""
-        for event in self._events:
-            if kind is not None and event.kind != kind:
-                continue
-            if node is not None and event.node != node:
-                continue
-            yield event
+        """Iterate retained events, optionally filtered by kind and/or node.
+
+        Raises:
+            SimulationError: when the log has capacity 0 and so keeps no
+                events (a scenario run without ``capture_trace``).
+        """
+        if self._capacity == 0:
+            raise SimulationError(
+                "this TraceLog keeps no events (capacity 0): run the scenario "
+                "with capture_trace=True to keep them, or read count()/total_emitted"
+            )
+        return (
+            event
+            for event in self._events
+            if (kind is None or event.kind == kind) and (node is None or event.node == node)
+        )
 
     def __len__(self) -> int:
         return len(self._events)

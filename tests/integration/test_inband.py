@@ -16,6 +16,8 @@ CONFIG = ScenarioConfig(
     duration_s=1200.0,
     cooldown_s=120.0,
     workload=WorkloadSpec(kind="periodic", interval_s=180.0, payload_bytes=24),
+    # Two tests read TELEMETRY fragments out of the kept trace events.
+    capture_trace=True,
 )
 
 

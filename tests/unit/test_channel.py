@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.api import Radio, RadioState
+from repro.api import BruteForceReachability, GridReachabilityIndex, Radio, RadioState
 from repro.errors import ConfigurationError
 from repro.phy.channel import Channel
 from repro.phy.link import LinkModel, PathLossParams
@@ -14,12 +14,12 @@ from repro.sim.topology import Topology
 from repro.sim.trace import TraceLog
 
 
-def make_world(positions, sf=9):
+def make_world(positions, sf=9, reachability=None):
     sim = Simulator()
     topology = Topology(positions=positions)
     link_model = LinkModel(PathLossParams(shadowing_sigma_db=0.0), random.Random(1))
     trace = TraceLog()
-    channel = Channel(sim, topology, link_model, trace=trace)
+    channel = Channel(sim, topology, link_model, trace=trace, reachability=reachability)
     params = LoRaParams(spreading_factor=sf)
     return sim, channel, trace, params
 
@@ -177,44 +177,69 @@ class TestBusySense:
         assert channel.is_busy(1)
 
 
-class TestGeometryEpoch:
-    """The lazy per-frame RSSI memo must never outlive the geometry it
-    was computed under (REVIEW: stale memos made the index flavours
-    diverge under mid-flight mobility)."""
+FLAVOURS = pytest.mark.parametrize(
+    "index", [GridReachabilityIndex, BruteForceReachability], ids=["grid", "brute"]
+)
 
-    def test_rssi_memo_invalidated_by_midflight_move(self):
-        sim, channel, trace, params = make_world({1: (0, 0), 2: (100, 0)})
+
+class TestLinkTable:
+    """A frame is judged against its sender's link table as of the frame's
+    end: both index flavours drop every table on a move or an injected
+    attenuation change, and reuse it while geometry is unchanged.  The
+    world has no shadowing or fading, so a delivered frame's RSSI is the
+    table's static RSSI."""
+
+    @FLAVOURS
+    def test_midflight_move_shows_at_frame_end(self, index):
+        sim, channel, trace, params = make_world({1: (0, 0), 2: (100, 0)}, reachability=index())
         rx = Receiver(channel, 2)
-        tx = channel.transmit(1, params, "x", 20)
-        # Simulate an earlier overlapping frame's completion having
-        # memoised this frame's RSSI under pre-move geometry.
-        channel._rssi(tx, 2)
+        channel.transmit(1, params, "x", 20)
+        # Carrier sense at node 2 builds node 1's table before the move.
+        assert channel.is_busy(2)
+        before = channel.reachability.link_table(1, params)
+        channel.topology.move(2, (200.0, 0.0))
+        sim.run()
+        expected = params.tx_power_dbm - channel.link_model.path_loss_db(200.0, 1, 2)
+        assert [r.rssi_dbm for r in rx.received] == [expected]
+        assert expected < before[2]
+        # A move out of range at frame end loses the frame, however close
+        # the receiver was when it started.
+        channel.transmit(1, params, "y", 20)
+        assert channel.is_busy(2)
         channel.topology.move(2, (80_000.0, 0.0))
         sim.run()
-        # Reception is decided against frame-end geometry: 80 km out is
-        # hopeless, however strong the memoised pre-move value was.
-        assert rx.received == []
+        assert len(rx.received) == 1
         assert trace.count("phy.below_sensitivity") == 1
 
-    def test_rssi_memo_invalidated_by_attenuation_change(self):
-        sim, channel, trace, params = make_world({1: (0, 0), 2: (100, 0)})
+    @FLAVOURS
+    def test_attenuation_change_shows_at_frame_end(self, index):
+        sim, channel, trace, params = make_world({1: (0, 0), 2: (100, 0)}, reachability=index())
         rx = Receiver(channel, 2)
-        tx = channel.transmit(1, params, "x", 20)
-        channel._rssi(tx, 2)
+        channel.transmit(1, params, "x", 20)
+        before = channel.reachability.link_table(1, params)[2]
+        channel.link_model.set_link_attenuation(1, 2, 3.0)
+        sim.run()
+        assert [r.rssi_dbm for r in rx.received] == [pytest.approx(before - 3.0)]
+        channel.transmit(1, params, "y", 20)
         channel.link_model.set_link_attenuation(1, 2, 200.0)
         sim.run()
-        assert rx.received == []
+        assert len(rx.received) == 1
         assert trace.count("phy.below_sensitivity") == 1
 
-    def test_rssi_memo_reused_when_geometry_unchanged(self):
-        sim, channel, trace, params = make_world({1: (0, 0), 2: (100, 0)})
+    @FLAVOURS
+    def test_unchanged_geometry_reuses_the_table(self, index):
+        sim, channel, trace, params = make_world({1: (0, 0), 2: (100, 0)}, reachability=index())
         rx = Receiver(channel, 2)
-        tx = channel.transmit(1, params, "x", 20)
-        first = channel._rssi(tx, 2)
-        assert channel._rssi(tx, 2) == first
-        sim.run()
-        assert len(rx.received) == 1
-        assert rx.received[0].rssi_dbm == first
+        table = channel.reachability.link_table(1, params)
+        assert list(table) == [2]
+        rebuilds = channel.reachability.stats()["rebuilds"]
+        for payload in ("x", "y"):
+            channel.transmit(1, params, payload, 20)
+            assert channel.is_busy(2)
+            sim.run()
+        assert channel.reachability.link_table(1, params) is table
+        assert channel.reachability.stats()["rebuilds"] == rebuilds
+        assert [r.rssi_dbm for r in rx.received] == [table[2], table[2]]
 
 
 class TestBookkeepingBounds:

@@ -143,9 +143,3 @@ class TestRepeating:
     def test_zero_interval_rejected(self, sim):
         with pytest.raises(SimulationError):
             sim.call_every(0.0, lambda: None)
-
-    def test_pending_events_counts_live_only(self, sim):
-        event = sim.call_at(1.0, lambda: None)
-        sim.call_at(2.0, lambda: None)
-        event.cancel()
-        assert sim.pending_events() == 1

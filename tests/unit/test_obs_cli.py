@@ -139,3 +139,42 @@ class TestValidate:
         trace_path, _ = captures
         assert main(["validate", str(trace_path), "--kind", "spans"]) == 1
         assert "INVALID" in capsys.readouterr().err
+
+
+#: A capture written before a frame's ``phy.below_sensitivity`` event
+#: carried ``count``: one event per node below sensitivity, without it.
+PRE_COUNT_CAPTURE = (
+    '{"schema": "repro.obs.trace/1", "meta": {}, "events": 2}\n'
+    '{"t": 1.0, "kind": "phy.tx", "node": 1, "data": {"tx_id": 7, "payload_bytes": 20}}\n'
+    '{"t": 1.2, "kind": "phy.below_sensitivity", "node": 2, "data": {"tx_id": 7}}\n'
+)
+
+
+class TestUnreadableCaptures:
+    @pytest.mark.parametrize("command", [["why", "all"], ["drops"]])
+    def test_missing_field_is_reported_not_raised(self, tmp_path, capsys, command):
+        path = tmp_path / "old.ndjson"
+        path.write_text(PRE_COUNT_CAPTURE)
+        assert main([*command, "--trace", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        message = captured.err
+        assert message.startswith("INVALID: ")
+        assert "line 3" in message
+        assert "phy.below_sensitivity" in message
+        assert "'count'" in message
+
+    @pytest.mark.parametrize("command", [["why", "all"], ["drops"]])
+    def test_not_a_capture_is_reported_not_raised(self, tmp_path, capsys, command):
+        path = tmp_path / "bad.ndjson"
+        path.write_text('{"schema": "something/9"}\n')
+        assert main([*command, "--trace", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("INVALID: ")
+
+    def test_bad_field_is_reported_not_raised(self, tmp_path, capsys):
+        path = tmp_path / "bad_count.ndjson"
+        path.write_text(PRE_COUNT_CAPTURE.replace('{"tx_id": 7}}', '{"tx_id": 7, "count": "many"}}'))
+        assert main(["why", "all", "--trace", str(path)]) == 1
+        message = capsys.readouterr().err
+        assert message.startswith("INVALID: ")
+        assert "line 3" in message and "phy.below_sensitivity" in message and "bad field" in message

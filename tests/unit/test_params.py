@@ -66,14 +66,6 @@ class TestLdro:
 
 
 class TestHelpers:
-    def test_with_frequency_preserves_other_fields(self):
-        params = LoRaParams(spreading_factor=9).with_frequency(868_300_000)
-        assert params.frequency_hz == 868_300_000
-        assert params.spreading_factor == 9
-
-    def test_with_sf(self):
-        assert LoRaParams().with_sf(12).spreading_factor == 12
-
     def test_describe_mentions_settings(self):
         text = LoRaParams(spreading_factor=9, tx_power_dbm=14).describe()
         assert "SF9" in text and "125kHz" in text and "14dBm" in text

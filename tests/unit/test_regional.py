@@ -71,12 +71,6 @@ class TestTracker:
         tracker.record(F_G1, 18.0, now=0.0)
         assert tracker.utilisation(F_G1, 0.0) == pytest.approx(0.5)
 
-    def test_bands_used(self):
-        tracker = DutyCycleTracker()
-        tracker.record(F_G1, 0.1, now=0.0)
-        tracker.record(F_G3, 0.1, now=0.0)
-        assert tracker.bands_used() == ["g1", "g3"]
-
     def test_bad_window_rejected(self):
         with pytest.raises(ConfigurationError):
             DutyCycleTracker(window_s=0.0)

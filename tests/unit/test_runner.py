@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.errors import SimulationError
 from repro.monitor.uplink import InBandUplink, OutOfBandUplink, ReliableInBandUplink
 from repro.scenario.config import (
     Environment,
@@ -128,3 +129,41 @@ class TestExecution:
             n_nodes=5, placement=Placement.LINE, warmup_s=600.0,
         ))
         assert result.truth.total_msg_sent > 0
+
+
+class TestTraceRetention:
+    """A scenario keeps trace events only with ``capture_trace``; without
+    it the log keeps none, yet its counters and the ground truth see every
+    event the captured twin does."""
+
+    @pytest.fixture(scope="class")
+    def twins(self):
+        config = quick_config(mobility=MobilitySpec(fraction_mobile=0.25))
+        plain = run_scenario(config)
+        captured = run_scenario(config.with_overrides(capture_trace=True))
+        yield plain, captured
+        plain.close()
+        captured.close()
+
+    def test_uncaptured_run_keeps_no_events(self, twins):
+        plain, _ = twins
+        assert plain.trace.capacity == 0 and len(plain.trace) == 0
+        assert plain.trace.total_emitted > 0
+        with pytest.raises(SimulationError, match="capture_trace"):
+            plain.trace.events()
+
+    def test_captured_run_keeps_every_event(self, twins):
+        _, captured = twins
+        assert len(captured.trace) == captured.trace.total_emitted
+
+    def test_counters_and_ground_truth_match_the_captured_run(self, twins):
+        plain, captured = twins
+        assert plain.trace.total_emitted == captured.trace.total_emitted
+        kinds = {event.kind for event in captured.trace.events()}
+        assert {"phy.tx", "phy.rx", "mesh.deliver", "mobility.move"} <= kinds
+        assert {kind: plain.trace.count(kind) for kind in kinds} == {
+            kind: captured.trace.count(kind) for kind in kinds
+        }
+        assert sum(plain.trace.count(kind) for kind in kinds) == plain.trace.total_emitted
+        assert plain.truth == captured.truth
+        assert plain.truth.phy_tx > 0 and plain.truth.total_msg_sent > 0

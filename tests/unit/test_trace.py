@@ -53,9 +53,30 @@ class TestTraceLog:
         trace.emit(0.0, "x")
         assert trace
 
-    def test_capacity_must_be_positive(self):
+    def test_capacity_must_not_be_negative(self):
         with pytest.raises(SimulationError):
-            TraceLog(capacity=0)
+            TraceLog(capacity=-1)
+
+    def test_capacity_zero_keeps_nothing_but_counts_and_notifies(self):
+        trace = TraceLog(capacity=0)
+        seen = []
+        trace.subscribe(seen.append)
+        event = trace.emit(1.0, "phy.tx", node=3, tx_id=7)
+        trace.emit(2.0, "phy.rx", node=4)
+        assert [e.kind for e in seen] == ["phy.tx", "phy.rx"] and seen[0] is event
+        assert (trace.total_emitted, trace.count("phy.tx"), len(trace)) == (2, 1, 0)
+        assert trace.capacity == 0
+        with pytest.raises(SimulationError, match="capture_trace"):
+            trace.events()
+        with pytest.raises(SimulationError, match="capture_trace"):
+            trace.events(kind="phy.tx")
+
+    def test_event_is_a_tuple_with_its_own_data(self):
+        trace = TraceLog()
+        first = trace.emit(1.0, "x", node=1)
+        second = trace.emit(2.0, "x")
+        assert first == (1.0, "x", 1, {}) and second.node is None
+        assert first.data is not second.data
 
     def test_total_emitted_survives_eviction(self):
         trace = TraceLog(capacity=2)
