@@ -12,8 +12,6 @@ from repro.monitor.records import NeighborObservation
 
 from benchmarks.common import emit
 
-import json
-
 
 def sample_in_record(seq=0):
     return PacketRecord(
@@ -72,7 +70,7 @@ def build_report():
         ("status record (4 neighbors)", sample_status()),
     ]
     for name, record in items:
-        json_size = len(json.dumps(record.to_json_dict(), separators=(",", ":")))
+        json_size = len(record.to_json_text())
         binary_size = len(record.to_binary())
         report.add_row(name, json_size, binary_size, f"{json_size / binary_size:.1f}x")
     batch = typical_batch()

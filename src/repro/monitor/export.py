@@ -72,18 +72,22 @@ def export_jsonl(store: MetricsStore, path: Union[str, Path]) -> int:
     """Write every record (packet and status, with neighbor lists) as
     JSON lines.  Lossless up to the JSON field rounding.
 
+    Each line is the record's out-of-band wire text
+    (``to_json_text``), so an export reads like the batches that
+    filled the store.
+
     Returns:
         Number of lines written.
     """
     count = 0
     with open(path, "w") as handle:
         for record in store.packet_records():
-            handle.write(json.dumps(record.to_json_dict(), separators=(",", ":")))
+            handle.write(record.to_json_text())
             handle.write("\n")
             count += 1
         for node in store.nodes():
             for record in store.status_records(node):
-                handle.write(json.dumps(record.to_json_dict(), separators=(",", ":")))
+                handle.write(record.to_json_text())
                 handle.write("\n")
                 count += 1
     return count

@@ -34,12 +34,33 @@ dataclass).  It stays immutable and hashable, which the server's
 an evicted record's own fields, so a record changed after it was counted
 would corrupt every later view.  ``dataclass(slots=True)`` would need
 Python 3.10; the package supports 3.9.  Client capture, JSON decode,
-binary decode and SQLite rows all build records through the positional
-constructor, and the binary layouts are module constants
-(:data:`PACKET_FORMAT`, :data:`STATUS_HEADER_FORMAT`,
+status-record binary decode and SQLite rows build records through the
+positional constructor; :func:`decode_packed_records` builds packet
+records with ``tuple.__new__(PacketRecord, fields)``, which skips the
+constructor's Python-level ``__new__`` and gives a record equal to the
+constructor's in class, fields and hash.  The binary layouts are module
+constants (:data:`PACKET_FORMAT`, :data:`STATUS_HEADER_FORMAT`,
 :data:`NEIGHBOR_FORMAT`) because a named tuple's body holds only fields.
 Readers that touch most fields unpack the tuple once: a named-tuple
 attribute read costs more than a dataclass's.
+
+The JSON text is written straight from the record tuples: each record
+kind (packet IN, packet OUT, status, neighbor) has one ``%`` template,
+and :meth:`RecordBatch.to_json_bytes` joins the records' texts into the
+batch template, with no dict per record and no ``json.dumps``.  The
+text is byte for byte ``json.dumps(document, separators=(",", ":"))``
+of the document the records' ``to_json_dict`` describe (which remains
+as the CSV export's row and the test oracle).  A float of magnitude
+below 1e11 is written in fixed point (``"%.3f"`` and its kin, trailing
+zeros trimmed), which is exactly ``repr(round(value, digits))`` for the
+at most 15 significant digits such a value has, at about half the cost
+of ``round`` then ``repr``; any other value (``None``, ``NaN``, the
+infinities, larger magnitudes, an int in a float field) is spelled as
+``json.dumps`` spells it.  Integer fields are written with ``%d``, so
+they must hold ints, as every construction path gives.  Both binary
+batch formats write their records through :func:`encode_packed_records`
+and read them back through :func:`decode_packed_records`, which unpacks
+all packet records in one ``struct.iter_unpack`` pass.
 
 The JSON decoder accepts a numeric field only as a JSON number no
 larger than 2**53 in magnitude (``rssi``/``snr`` may also be null): a
@@ -54,7 +75,9 @@ import json
 import struct
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Dict, List, NamedTuple, Optional, Tuple
+from typing import (
+    Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Type, cast,
+)
 
 from repro.errors import DecodeError, EncodeError
 from repro.monitor.ingest import (
@@ -99,6 +122,71 @@ STATUS_HEADER_SIZE = _STATUS_STRUCT.size
 
 def _clamp(value: int, low: int, high: int) -> int:
     return max(low, min(high, value))
+
+
+_INF = float("inf")
+
+#: Floats of smaller magnitude are written in fixed point.  Printed with
+#: at most four decimals such a float has at most 15 significant digits,
+#: so its correctly rounded fixed-point text, trimmed of trailing zeros,
+#: is the shortest text of ``round(value, digits)``: what ``repr`` (and
+#: so ``json.dumps``) writes.  The writers test a record's floats at once
+#: by the sum of their squares, against :data:`_FIXED_LIMIT_SQUARED`
+#: (exact: 1e22 is a double, and rounding keeps order).
+_FIXED_LIMIT = 1e11
+_FIXED_LIMIT_SQUARED = _FIXED_LIMIT * _FIXED_LIMIT
+
+
+def _trim(text: str) -> str:
+    """Fixed-point ``text`` without the trailing zeros ``repr`` drops."""
+    text = text.rstrip("0")
+    return text + "0" if text[-1] == "." else text
+
+
+def _json_number(value: Optional[float], digits: int) -> str:
+    """``round(value, digits)`` (or ``None``) as ``json.dumps`` writes it."""
+    if value is None:
+        return "null"
+    value = round(value, digits)
+    if value != value:
+        return "NaN"
+    if value == _INF:
+        return "Infinity"
+    if value == -_INF:
+        return "-Infinity"
+    return repr(value)
+
+
+def _decimal(value: float, digits: int) -> str:
+    """``round(value, digits)`` as ``json.dumps`` writes it, for ``digits <= 4``."""
+    if type(value) is float and -_FIXED_LIMIT < value < _FIXED_LIMIT:
+        text = "%.*f" % (digits, value)
+        return _trim(text) if text[-1] == "0" else text
+    return _json_number(value, digits)
+
+
+#: One JSON template per record kind, in the key order of ``to_json_dict``.
+_PACKET_IN_JSON = (
+    '{"kind":"packet","node":%d,"seq":%d,"ts":%s,"dir":"in","src":%d,"dst":%d,'
+    '"next_hop":%d,"prev_hop":%d,"ptype":%d,"packet_id":%d,"size":%d,'
+    '"rssi":%s,"snr":%s}'
+)
+_PACKET_OUT_JSON = (
+    '{"kind":"packet","node":%d,"seq":%d,"ts":%s,"dir":"out","src":%d,"dst":%d,'
+    '"next_hop":%d,"prev_hop":%d,"ptype":%d,"packet_id":%d,"size":%d,'
+    '"airtime_ms":%s,"attempt":%d}'
+)
+_NEIGHBOR_JSON = '{"addr":%d,"rssi":%s,"snr":%s,"heard":%d}'
+_STATUS_JSON = (
+    '{"kind":"status","node":%d,"seq":%d,"ts":%s,"uptime_s":%s,"queue":%d,'
+    '"routes":%d,"neighbors_n":%d,"battery_v":%s,"tx_frames":%d,'
+    '"tx_airtime_s":%s,"retx":%d,"drops":%d,"duty":%s,"originated":%d,'
+    '"delivered":%d,"forwarded":%d,"neighbors":[%s]}'
+)
+_BATCH_JSON = (
+    '{"v":%d,"node":%d,"batch_seq":%d,"sent_at":%s,"dropped":%d,'
+    '"packets":[%s],"status":[%s]%s}'
+)
 
 
 #: The largest magnitude a JSON number may have.  2**53 is the range in
@@ -174,7 +262,11 @@ class PacketRecord(NamedTuple):
     attempt: int = 1
 
     def to_json_dict(self) -> Dict[str, Any]:
-        """JSON-friendly dict (omits fields that do not apply)."""
+        """JSON-friendly dict (omits fields that do not apply).
+
+        The CSV export's row; :meth:`to_json_text` writes the same object
+        as JSON text.
+        """
         (
             node, seq, timestamp, direction, src, dst, next_hop, prev_hop,
             ptype, packet_id, size_bytes, rssi_dbm, snr_db, airtime_s, attempt,
@@ -201,6 +293,55 @@ class PacketRecord(NamedTuple):
             data["airtime_ms"] = round((airtime_s or 0.0) * 1000, 2)
             data["attempt"] = attempt
         return data
+
+    def to_json_text(self) -> str:
+        """``json.dumps(self.to_json_dict(), separators=(",", ":"))``, from a template.
+
+        Every out-of-band batch writes each of its packet records here, so
+        the common case (finite float fields of the usual magnitudes) is
+        written inline; any other value takes :func:`_json_number`.
+        """
+        (
+            node, seq, timestamp, direction, src, dst, next_hop, prev_hop,
+            ptype, packet_id, size_bytes, rssi_dbm, snr_db, airtime_s, attempt,
+        ) = self
+        if direction is Direction.IN:
+            if (
+                type(timestamp) is float and type(rssi_dbm) is float and type(snr_db) is float
+                and timestamp * timestamp + rssi_dbm * rssi_dbm + snr_db * snr_db
+                < _FIXED_LIMIT_SQUARED
+            ):
+                ts = "%.3f" % timestamp
+                if ts[-1] == "0":
+                    ts = _trim(ts)
+                rssi = "%.1f" % rssi_dbm
+                snr = "%.1f" % snr_db
+            else:
+                ts = _json_number(timestamp, 3)
+                rssi = _json_number(rssi_dbm, 1)
+                snr = _json_number(snr_db, 1)
+            return _PACKET_IN_JSON % (
+                node, seq, ts, src, dst, next_hop, prev_hop, ptype, packet_id, size_bytes,
+                rssi, snr,
+            )
+        airtime_ms = (airtime_s or 0.0) * 1000
+        if (
+            type(timestamp) is float and type(airtime_ms) is float
+            and timestamp * timestamp + airtime_ms * airtime_ms < _FIXED_LIMIT_SQUARED
+        ):
+            ts = "%.3f" % timestamp
+            if ts[-1] == "0":
+                ts = _trim(ts)
+            airtime = "%.2f" % airtime_ms
+            if airtime[-1] == "0":
+                airtime = _trim(airtime)
+        else:
+            ts = _json_number(timestamp, 3)
+            airtime = _json_number(airtime_ms, 2)
+        return _PACKET_OUT_JSON % (
+            node, seq, ts, src, dst, next_hop, prev_hop, ptype, packet_id, size_bytes,
+            airtime, attempt,
+        )
 
     @classmethod
     def from_json_dict(cls, data: Dict[str, Any]) -> "PacketRecord":
@@ -293,34 +434,6 @@ class PacketRecord(NamedTuple):
             attempt,
         )
 
-    @classmethod
-    def from_binary_at(cls, raw: bytes, offset: int, node: int) -> "PacketRecord":
-        """Decode one record at ``offset`` without slicing the buffer."""
-        try:
-            (
-                flags, seq, ts_cs, src, dst, next_hop, prev_hop, ptype,
-                packet_id, size_bytes, rssi_tenths, snr_tenths, airtime_ms, attempt,
-            ) = _PACKET_STRUCT.unpack_from(raw, offset)
-        except struct.error as exc:
-            raise DecodeError(
-                f"bad binary packet record of {len(raw) - offset} bytes"
-            ) from exc
-        if flags & 1:
-            return cls(
-                node, seq, ts_cs / 100.0, Direction.OUT, src, dst, next_hop, prev_hop,
-                ptype, packet_id, size_bytes, None, None, airtime_ms / 1000.0, attempt,
-            )
-        return cls(
-            node, seq, ts_cs / 100.0, Direction.IN, src, dst, next_hop, prev_hop,
-            ptype, packet_id, size_bytes, rssi_tenths / 10.0, snr_tenths / 10.0, None, attempt,
-        )
-
-    @classmethod
-    def from_binary(cls, raw: bytes, node: int) -> "PacketRecord":
-        if len(raw) != PACKET_SIZE:
-            raise DecodeError(f"bad binary packet record of {len(raw)} bytes")
-        return cls.from_binary_at(raw, 0, node)
-
 
 class NeighborObservation(NamedTuple):
     """One neighbor-table entry shipped inside a status record."""
@@ -329,6 +442,11 @@ class NeighborObservation(NamedTuple):
     rssi_dbm: float
     snr_db: float
     frames_heard: int
+
+    def to_json_text(self) -> str:
+        """``json.dumps(self.to_json_dict(), separators=(",", ":"))``, from a template."""
+        address, rssi_dbm, snr_db, frames_heard = self
+        return _NEIGHBOR_JSON % (address, _decimal(rssi_dbm, 1), _decimal(snr_db, 1), frames_heard)
 
     def to_json_dict(self) -> Dict[str, Any]:
         return {
@@ -377,6 +495,21 @@ class StatusRecord(NamedTuple):
     delivered: int
     forwarded: int
     neighbors: Tuple[NeighborObservation, ...] = ()
+
+    def to_json_text(self) -> str:
+        """``json.dumps(self.to_json_dict(), separators=(",", ":"))``, from a template."""
+        (
+            node, seq, timestamp, uptime_s, queue_depth, route_count, neighbor_count,
+            battery_v, tx_frames, tx_airtime_s, retransmissions, drops, duty_utilisation,
+            originated, delivered, forwarded, neighbors,
+        ) = self
+        return _STATUS_JSON % (
+            node, seq, _decimal(timestamp, 3), _decimal(uptime_s, 1), queue_depth,
+            route_count, neighbor_count, _decimal(battery_v, 2), tx_frames,
+            _decimal(tx_airtime_s, 4), retransmissions, drops, _decimal(duty_utilisation, 4),
+            originated, delivered, forwarded,
+            ",".join(map(NeighborObservation.to_json_text, neighbors)),
+        )
 
     def to_json_dict(self) -> Dict[str, Any]:
         return {
@@ -481,6 +614,30 @@ class StatusRecord(NamedTuple):
         return record, end
 
 
+#: ``tuple.__new__``, typed for building a packet record from its fields.
+_new_record = cast(Callable[[Type[PacketRecord], Tuple[Any, ...]], PacketRecord], tuple.__new__)
+
+
+def encode_packed_records(
+    packet_records: Sequence[PacketRecord], status_records: Sequence[StatusRecord], label: str
+) -> bytes:
+    """The packed records both binary batch formats end in.
+
+    The in-band batch (:meth:`RecordBatch.to_binary`) and the telemetry
+    datagram (``BinaryCodec.encode``) follow their headers with the packet
+    records, then the status records, no padding: what
+    :func:`decode_packed_records` reads back.  Raises
+    :class:`~repro.errors.EncodeError` when a count overflows its header
+    field; ``label`` names the format in the message.
+    """
+    if len(packet_records) > 0xFFFF or len(status_records) > 0xFF:
+        raise EncodeError(f"too many records for a {label}")
+    return b"".join([
+        *map(PacketRecord.to_binary, packet_records),
+        *map(StatusRecord.to_binary, status_records),
+    ])
+
+
 def decode_packed_records(
     raw: bytes, offset: int, node: int, n_packets: int, n_status: int, label: str
 ) -> Tuple[Tuple[PacketRecord, ...], Tuple[StatusRecord, ...]]:
@@ -488,14 +645,31 @@ def decode_packed_records(
 
     Both binary batch formats — the in-band batch (:meth:`RecordBatch.from_binary`)
     and the telemetry datagram (``BinaryCodec.decode``) — end in
-    ``n_packets`` packet records then ``n_status`` status records, decoded
-    here in place.  ``label`` names the format in error messages.
+    ``n_packets`` packet records then ``n_status`` status records.  The
+    packet records are read in one ``iter_unpack`` pass and built with
+    ``tuple.__new__``, which gives the positional constructor's record
+    without its Python-level call.  ``label`` names the format in error
+    messages.
     """
     end = offset + n_packets * PACKET_SIZE
     if len(raw) < end:
         raise DecodeError(f"{label} packet records truncated")
-    packet_at = PacketRecord.from_binary_at
-    packets = tuple([packet_at(raw, position, node) for position in range(offset, end, PACKET_SIZE)])
+    new, incoming, outgoing = _new_record, Direction.IN, Direction.OUT
+    packets = tuple([
+        new(PacketRecord, (
+            node, seq, ts_cs / 100.0, outgoing, src, dst, next_hop, prev_hop, ptype,
+            packet_id, size_bytes, None, None, airtime_ms / 1000.0, attempt,
+        ))
+        if flags & 1 else
+        new(PacketRecord, (
+            node, seq, ts_cs / 100.0, incoming, src, dst, next_hop, prev_hop, ptype,
+            packet_id, size_bytes, rssi_tenths / 10.0, snr_tenths / 10.0, None, attempt,
+        ))
+        for (
+            flags, seq, ts_cs, src, dst, next_hop, prev_hop, ptype, packet_id, size_bytes,
+            rssi_tenths, snr_tenths, airtime_ms, attempt,
+        ) in _PACKET_STRUCT.iter_unpack(raw[offset:end])
+    ])
     status: List[StatusRecord] = []
     status_at = StatusRecord.from_binary_at
     for _ in range(n_status):
@@ -533,19 +707,23 @@ class RecordBatch:
         return len(self.packet_records) + len(self.status_records)
 
     def to_json_bytes(self) -> bytes:
-        """The out-of-band wire format (what the paper's client POSTs)."""
-        document = {
-            "v": self.schema_version,
-            "node": self.node,
-            "batch_seq": self.batch_seq,
-            "sent_at": round(self.sent_at, 3),
-            "dropped": self.dropped_records,
-            "packets": [r.to_json_dict() for r in self.packet_records],
-            "status": [r.to_json_dict() for r in self.status_records],
-        }
-        if self.network_id != DEFAULT_NETWORK_ID:
-            document["net"] = self.network_id
-        return json.dumps(document, separators=(",", ":")).encode("utf-8")
+        """The out-of-band wire format (what the paper's client POSTs).
+
+        Written from the batch template and each record's
+        ``to_json_text``; byte for byte ``json.dumps`` with compact
+        separators of the document PROTOCOL.md section 2.1 describes.
+        """
+        network = self.network_id
+        return (_BATCH_JSON % (
+            self.schema_version,
+            self.node,
+            self.batch_seq,
+            _decimal(self.sent_at, 3),
+            self.dropped_records,
+            ",".join(map(PacketRecord.to_json_text, self.packet_records)),
+            ",".join(map(StatusRecord.to_json_text, self.status_records)),
+            "" if network == DEFAULT_NETWORK_ID else ',"net":' + json.dumps(network),
+        )).encode()
 
     @classmethod
     def from_json_bytes(cls, raw: bytes) -> "RecordBatch":
@@ -588,8 +766,7 @@ class RecordBatch:
 
     def to_binary(self) -> bytes:
         """Compact encoding for the in-band uplink."""
-        if len(self.packet_records) > 0xFFFF or len(self.status_records) > 0xFF:
-            raise EncodeError("too many records for a binary batch")
+        records = encode_packed_records(self.packet_records, self.status_records, "binary batch")
         header = struct.pack(
             self._BINARY_HEADER,
             _BATCH_MAGIC,
@@ -601,10 +778,7 @@ class RecordBatch:
             len(self.packet_records),
             len(self.status_records),
         )
-        parts = [header]
-        parts.extend(record.to_binary() for record in self.packet_records)
-        parts.extend(record.to_binary() for record in self.status_records)
-        return b"".join(parts)
+        return header + records
 
     @classmethod
     def from_binary(cls, raw: bytes) -> "RecordBatch":

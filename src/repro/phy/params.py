@@ -8,7 +8,8 @@ low-data-rate optimisation, carrier frequency and transmit power.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from typing import Any, ClassVar, Tuple
 
 from repro.errors import ConfigurationError
 
@@ -52,6 +53,15 @@ class LoRaParams:
     frequency_hz: int = 868_100_000
     tx_power_dbm: float = 14.0
 
+    #: ``hash`` of the field tuple, computed once by ``__post_init__``.
+    #: Every params-keyed cache (sensitivity, airtime, link tables) hashes
+    #: its key on each lookup, and the generated ``__hash__`` would
+    #: rebuild and hash the nine-field tuple each time.  The value is the
+    #: one the generated ``__hash__`` returns, so params-keyed sets and
+    #: dicts behave as before.  Declared here for type checkers only; it
+    #: lives in the instance ``__dict__`` and is no dataclass field.
+    _hash: ClassVar[int]
+
     def __post_init__(self) -> None:
         if self.spreading_factor not in VALID_SPREADING_FACTORS:
             raise ConfigurationError(
@@ -79,6 +89,19 @@ class LoRaParams:
             )
         if self.spreading_factor == 6 and self.explicit_header:
             raise ConfigurationError("SF6 requires implicit header mode on SX127x")
+        object.__setattr__(self, "_hash", hash(self._field_values()))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self) -> Tuple[Any, Tuple[Any, ...]]:
+        # Unpickle through ``__init__``, so the hash is computed in the
+        # process that reads it: before Python 3.12 ``hash(None)`` (the
+        # automatic LDRO setting) differs between processes.
+        return (type(self), self._field_values())
+
+    def _field_values(self) -> Tuple[Any, ...]:
+        return tuple(getattr(self, spec.name) for spec in fields(self))
 
     @property
     def ldro_enabled(self) -> bool:

@@ -185,7 +185,8 @@ class TestRecordCodecs:
     @given(packet_records())
     @settings(max_examples=200)
     def test_packet_record_binary_round_trip_within_quantisation(self, record):
-        decoded = PacketRecord.from_binary(record.to_binary(), node=record.node)
+        batch = RecordBatch(node=record.node, batch_seq=0, sent_at=0.0, packet_records=(record,))
+        (decoded,) = RecordBatch.from_binary(batch.to_binary()).packet_records
         assert decoded.seq == record.seq
         assert decoded.direction == record.direction
         assert decoded.timestamp == pytest.approx(record.timestamp, abs=0.011)

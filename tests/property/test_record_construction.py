@@ -2,13 +2,17 @@
 
 A record is built in four places: the client's capture hooks, the JSON
 decoder, the binary decoders (in-band batch and telemetry datagram) and
-the SQLite store's row reader.  Observations are drawn on the wire grid
-(centisecond timestamps, tenth-dB RSSI and SNR, whole-millisecond
-airtime, 16-bit sequence numbers, ...), where no encoding rounds
-anything away, so every path must give back exactly the record the
-client captured: the same class, fields of the annotated plain types,
-equal values, and the named tuple's guarantees (assignment raises,
-hashable, no ``__dict__``, at most 160 bytes for a packet record).
+the SQLite store's row reader.  The binary decoders build packet
+records with ``tuple.__new__(PacketRecord, fields)``, the others through
+the positional constructor, so every record must also equal the
+constructor's in class, fields and hash.  Observations are drawn on the
+wire grid (centisecond timestamps, tenth-dB RSSI and SNR,
+whole-millisecond airtime, 16-bit sequence numbers, ...), where no
+encoding rounds anything away, so every path must give back exactly the
+record the client captured: the same class, fields of the annotated
+plain types, equal values, and the named tuple's guarantees (assignment
+raises, hashable, no ``__dict__``, at most 160 bytes for a packet
+record).
 """
 
 import sys
@@ -220,3 +224,6 @@ class TestEveryConstructionPath:
             assert sys.getsizeof(packet_record) <= 160, path
             assert packet_record == packet, path
             assert status_record == status, path
+            rebuilt = PacketRecord(*packet_record)
+            assert type(rebuilt) is type(packet_record), path
+            assert hash(packet_record) == hash(rebuilt) == hash(packet), path

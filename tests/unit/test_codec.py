@@ -1,5 +1,6 @@
 """Unit tests for the telemetry batch codecs and the PROTOCOL.md pin."""
 
+import re
 from pathlib import Path
 
 import pytest
@@ -7,7 +8,9 @@ import pytest
 from repro.api import (
     BinaryCodec,
     Codec,
+    Direction,
     JsonCodec,
+    PacketRecord,
     RecordBatch,
     codec_for_content_type,
     resolve_codec,
@@ -179,6 +182,19 @@ class TestProtocolRendering:
     def test_missing_markers_fail_loudly(self):
         with pytest.raises(ValueError):
             replace_generated_section("no markers here")
+
+    def test_protocol_md_json_example_is_the_encoders_text(self):
+        on_disk = (REPO_ROOT / "PROTOCOL.md").read_text()
+        section = on_disk[on_disk.index("### 2.1 "):on_disk.index("### 2.2 ")]
+        (example,) = re.findall(r"```json\n(.*?)\n```", section, flags=re.DOTALL)
+        record = PacketRecord(
+            node=7, seq=42, timestamp=1234.56, direction=Direction.IN, src=3, dst=1,
+            next_hop=7, prev_hop=3, ptype=3, packet_id=777, size_bytes=58,
+            rssi_dbm=-112.5, snr_db=4.2,
+        )
+        assert example == record.to_json_text()
+        batch = RecordBatch(node=7, batch_seq=0, sent_at=0.0, packet_records=(record,))
+        assert example.encode() in batch.to_json_bytes()
 
     def test_protocol_md_in_sync_with_codec_module(self):
         on_disk = (REPO_ROOT / "PROTOCOL.md").read_text()

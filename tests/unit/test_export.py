@@ -1,6 +1,8 @@
 """Unit tests for telemetry export/import."""
 
 import csv
+import hashlib
+import random
 
 import pytest
 
@@ -32,6 +34,78 @@ def store():
         neighbors=(NeighborObservation(2, -101.0, 4.5, 5),),
     ))
     return store
+
+
+def seeded_store(seed=11, n_packets=300, n_nodes=6):
+    """A store of full-precision records, as a client captures them."""
+    rng = random.Random(seed)
+    store = MetricsStore()
+    for seq in range(n_packets):
+        incoming = rng.random() < 0.7
+        store.add_packet_record(PacketRecord(
+            node=rng.randrange(1, n_nodes + 1), seq=seq, timestamp=rng.uniform(0.0, 7200.0),
+            direction=Direction.IN if incoming else Direction.OUT,
+            src=rng.randrange(1, n_nodes + 1), dst=rng.randrange(1, n_nodes + 1),
+            next_hop=rng.randrange(1, n_nodes + 1), prev_hop=rng.randrange(1, n_nodes + 1),
+            ptype=rng.randrange(0, 7), packet_id=rng.randrange(0, 1 << 16),
+            size_bytes=rng.randrange(12, 255),
+            rssi_dbm=rng.uniform(-135.0, -60.0) if incoming else None,
+            snr_db=rng.uniform(-20.0, 12.0) if incoming else None,
+            airtime_s=None if incoming else rng.uniform(0.02, 1.5),
+            attempt=1 if incoming else rng.randrange(1, 4),
+        ))
+    for node in range(1, n_nodes + 1):
+        for seq in range(3):
+            store.add_status_record(StatusRecord(
+                node=node, seq=seq, timestamp=60.0 * (seq + 1) + rng.random(),
+                uptime_s=rng.uniform(0.0, 1e5), queue_depth=rng.randrange(0, 8),
+                route_count=rng.randrange(0, 20), neighbor_count=rng.randrange(0, 6),
+                battery_v=rng.uniform(3.3, 4.2), tx_frames=rng.randrange(0, 5000),
+                tx_airtime_s=rng.uniform(0.0, 300.0), retransmissions=rng.randrange(0, 50),
+                drops=rng.randrange(0, 10), duty_utilisation=rng.uniform(0.0, 1.0),
+                originated=rng.randrange(0, 500), delivered=rng.randrange(0, 500),
+                forwarded=rng.randrange(0, 500),
+                neighbors=tuple(
+                    NeighborObservation(
+                        rng.randrange(1, n_nodes + 1), rng.uniform(-135.0, -60.0),
+                        rng.uniform(-20.0, 12.0), rng.randrange(0, 1000),
+                    )
+                    for _ in range(rng.randrange(0, 5))
+                ),
+            ))
+    return store
+
+
+#: SHA-256 of ``export_jsonl(seeded_store())`` as written by ``json.dumps``
+#: of each record's ``to_json_dict`` with compact separators.
+SEEDED_JSONL_SHA256 = "215b199f94ad156b50ab78f75f5a9e0da5645c0c6061e9a17c245f63989e0797"
+
+
+class TestJsonlBytes:
+    def test_seeded_export_is_byte_identical(self, tmp_path):
+        path = tmp_path / "dump.jsonl"
+        assert export_jsonl(seeded_store(), path) == 318
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == SEEDED_JSONL_SHA256
+
+    def test_each_line_is_the_wire_text(self, tmp_path):
+        store = seeded_store()
+        path = tmp_path / "dump.jsonl"
+        export_jsonl(store, path)
+        expected = [record.to_json_text() for record in store.packet_records()]
+        expected += [
+            record.to_json_text() for node in store.nodes() for record in store.status_records(node)
+        ]
+        assert path.read_text().splitlines() == expected
+
+    def test_seeded_export_reimports(self, tmp_path):
+        path, again = tmp_path / "dump.jsonl", tmp_path / "again.jsonl"
+        export_jsonl(seeded_store(), path)
+        rebuilt = import_jsonl(path)
+        assert rebuilt.packet_record_count() == 300
+        assert rebuilt.status_record_count() == 18
+        # The export is at the wire's precision, so a second pass is exact.
+        export_jsonl(rebuilt, again)
+        assert again.read_bytes() == path.read_bytes()
 
 
 class TestCsvExport:

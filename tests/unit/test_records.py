@@ -92,10 +92,17 @@ class TestPacketRecordJson:
             PacketRecord.from_json_dict({"kind": "packet"})
 
 
+def binary_round_trip(record):
+    """``record`` through a one-record in-band batch."""
+    batch = RecordBatch(node=record.node, batch_seq=0, sent_at=0.0, packet_records=(record,))
+    (decoded,) = RecordBatch.from_binary(batch.to_binary()).packet_records
+    return decoded
+
+
 class TestPacketRecordBinary:
     def test_round_trip(self):
         record = packet_record(Direction.IN)
-        decoded = PacketRecord.from_binary(record.to_binary(), node=record.node)
+        decoded = binary_round_trip(record)
         assert decoded.seq == record.seq
         assert decoded.timestamp == pytest.approx(record.timestamp, abs=0.011)
         assert decoded.rssi_dbm == pytest.approx(record.rssi_dbm, abs=0.051)
@@ -103,7 +110,7 @@ class TestPacketRecordBinary:
 
     def test_out_round_trip(self):
         record = packet_record(Direction.OUT)
-        decoded = PacketRecord.from_binary(record.to_binary(), node=record.node)
+        decoded = binary_round_trip(record)
         assert decoded.direction is Direction.OUT
         assert decoded.airtime_s == pytest.approx(0.056, abs=1e-3)
         assert decoded.attempt == 2
@@ -112,14 +119,13 @@ class TestPacketRecordBinary:
         assert len(packet_record().to_binary()) == PACKET_SIZE
 
     def test_binary_much_smaller_than_json(self):
-        record = packet_record()
-        import json
-        json_size = len(json.dumps(record.to_json_dict()))
-        assert PACKET_SIZE < json_size / 3
+        assert PACKET_SIZE < len(packet_record().to_json_text()) / 3
 
     def test_truncated_binary_rejected(self):
-        with pytest.raises(DecodeError):
-            PacketRecord.from_binary(b"\x00" * 5, node=1)
+        record = packet_record()
+        raw = RecordBatch(node=3, batch_seq=0, sent_at=0.0, packet_records=(record,)).to_binary()
+        with pytest.raises(DecodeError, match="packet records truncated"):
+            RecordBatch.from_binary(raw[:-(PACKET_SIZE - 5)])
 
 
 class TestStatusRecord:
