@@ -11,8 +11,19 @@ it, the records it drops (a retention eviction, a replaced SQLite row)
 are subtracted again, and a view reads it in time proportional to its
 rows.
 
-What the aggregate holds, each exactly what the :mod:`repro.monitor.metrics`
-definition computes from the retained records:
+It is also the one holder of each node's latest state (:class:`NodeState`):
+every node that reported anything, its status record of highest seq,
+the server time of its last batch and the buffer-overflow drops its
+client reported.  Both stores answer ``nodes``, ``latest_status``,
+``last_seen`` and ``reported_drops`` from it, and the dashboard's node
+rows, the fleet tile and both alert paths read it, so a node is judged
+from one record on either backend whatever order its telemetry arrived
+in.  A status record of lower seq than the held one (a late or
+reordered delivery) is stored but does not become the latest.
+
+What the aggregate holds for the packet records, each exactly what the
+:mod:`repro.monitor.metrics` definition computes from the retained
+records:
 
 * per directed link (``prev_hop -> observer`` over IN records that carry
   RSSI and SNR): frames, exact RSSI and SNR sums, and the RSSI values as
@@ -33,12 +44,15 @@ blocks, so adding or evicting one costs the same at any history length.
 Float sums are exact (:class:`ExactSum`), so no value depends on the
 order in which records arrived or were removed.
 
-Locking: :attr:`ViewAggregate.lock` guards the aggregate.  A store takes
-it around each write (so the aggregate and the records change together)
-and a view takes it around its reads (so a view is one consistent
-snapshot); neither does any I/O while holding it.  The server's ingest
-path calls the store with ``MonitorServer._lock`` held, so the order is
-``MonitorServer._lock`` then the aggregate's lock, never the reverse.
+Locking: :attr:`ViewAggregate.lock` guards the aggregate, node state
+included.  A store takes it around each write (so the aggregate and the
+records change together) and a view takes it around its reads (so a
+view is one consistent snapshot); neither does any I/O while holding
+it.  A node-state read is one dictionary lookup without the lock: a
+view already holds it, and a lone read sees one write or the next.  The
+server's ingest path calls the store with ``MonitorServer._lock`` held,
+so the order is ``MonitorServer._lock`` then the aggregate's lock,
+never the reverse.
 """
 
 from __future__ import annotations
@@ -52,7 +66,7 @@ from typing import (
 
 from repro.mesh.addressing import BROADCAST
 from repro.mesh.packet import PacketType
-from repro.monitor.records import Direction, PacketRecord
+from repro.monitor.records import Direction, PacketRecord, StatusRecord
 
 if TYPE_CHECKING:
     from _typeshed import SupportsRichComparison
@@ -271,17 +285,36 @@ class _Type:
         self.airtime = ExactSum()
 
 
+class NodeState:
+    """One node's latest state, as its store's writes left it."""
+
+    __slots__ = ("status", "last_seen", "drops")
+
+    def __init__(self) -> None:
+        #: The node's status record of highest seq; None before any.
+        self.status: Optional[StatusRecord] = None
+        #: Server time of the node's last batch; None before any.
+        self.last_seen: Optional[float] = None
+        #: Buffer-overflow drops the node's client reported, summed.
+        self.drops = 0
+
+
 class ViewAggregate:
     """Everything a page view reads, kept exact as records come and go.
 
-    Stores call :meth:`add_records` for each write and
-    :meth:`remove_records` for each record they drop; views call the
-    read methods.  Every method takes :attr:`lock`, which is reentrant
-    so a store or a view can hold it across several calls.
+    Stores call :meth:`add_records` for each packet-record write,
+    :meth:`remove_records` for each record they drop,
+    :meth:`add_status_records` and :meth:`note_batch`; views call the
+    read methods and read :attr:`nodes`.  Every method takes
+    :attr:`lock`, which is reentrant so a store or a view can hold it
+    across several calls.
     """
 
     def __init__(self) -> None:
         self.lock = threading.RLock()
+        #: Every node that reported anything, in the order first heard
+        #: of, with its latest state.
+        self.nodes: Dict[int, NodeState] = {}  # guarded-by: lock
         self._links: Dict[Tuple[int, int], _Link] = {}  # guarded-by: lock
         self._pairs: Dict[Tuple[int, int], _Pair] = {}  # guarded-by: lock
         self._types: Dict[int, _Type] = {}  # guarded-by: lock
@@ -298,21 +331,47 @@ class ViewAggregate:
     # -- writes ----------------------------------------------------------------
 
     def add_records(self, records: Iterable[PacketRecord]) -> None:
-        """Count ``records`` in."""
+        """Count ``records`` in; their observers become known nodes."""
         self._update(records, 1)
 
     def remove_records(self, records: Iterable[PacketRecord]) -> None:
         """Count ``records`` out; each must have been added before."""
         self._update(records, -1)
 
+    def add_status_records(self, records: Iterable[StatusRecord]) -> None:
+        """Take each record as its node's latest unless that has a higher seq."""
+        with self.lock:
+            nodes = self.nodes
+            for record in records:
+                state = nodes.get(record.node)
+                if state is None:
+                    state = nodes[record.node] = NodeState()
+                latest = state.status
+                if latest is None or record.seq >= latest.seq:
+                    state.status = record
+
+    def note_batch(self, node: int, received_at: float, dropped_records: int) -> None:
+        """A batch from ``node`` arrived at server time ``received_at``."""
+        with self.lock:
+            state = self.nodes.get(node)
+            if state is None:
+                state = self.nodes[node] = NodeState()
+            state.last_seen = received_at
+            state.drops += dropped_records
+
     def _update(self, records: Iterable[PacketRecord], sign: int) -> None:
         with self.lock:
             self._version += 1
             links, pairs, types, events = self._links, self._pairs, self._types, self._events
+            nodes = self.nodes
             for (
                 node, _seq, ts, direction, src, dst, _next_hop, prev_hop,
                 ptype, packet_id, size_bytes, rssi, snr, airtime, attempt,
             ) in records:
+                # A removed record's node was added with it, so this
+                # registers only on the way in.
+                if node not in nodes:
+                    nodes[node] = NodeState()
                 if direction is Direction.OUT:
                     _count_type(types, ptype, size_bytes, airtime, sign)
                     if ptype != _DATA or node != src or attempt != 1 or dst == BROADCAST:

@@ -45,12 +45,12 @@ class Alert:
 
 @dataclass(frozen=True)
 class NodeDelta:
-    """Latest in-memory state of one node, for the O(delta) alert path.
+    """Latest state of one node, as both alert paths judge it.
 
-    Built by the ingest pipeline from the aggregates it already
-    maintains (no store reads); fields the server does not know yet are
-    None, and rules that need a None field answer "cannot judge" rather
-    than clearing.
+    Read by :meth:`from_store` from the node state the store's
+    aggregate holds in memory (no query), for the O(delta) path and the
+    sweep alike; fields the server does not know yet are None, and rules
+    that need a None field answer "cannot judge" rather than clearing.
     """
 
     node: int
@@ -61,7 +61,7 @@ class NodeDelta:
 
     @classmethod
     def from_store(cls, store: MetricsStore, node: int) -> "NodeDelta":
-        """The same snapshot read back from ``store`` (the sweep's view)."""
+        """The node's snapshot: its status record of highest seq and last batch."""
         status = store.latest_status(node)
         return cls(
             node=node,

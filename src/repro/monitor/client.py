@@ -14,7 +14,10 @@ Reliability model:
   its records, which are merged into the next batch under a fresh
   ``batch_seq`` but with their original record ``seq`` values — the server
   deduplicates on (node, seq), giving at-least-once delivery over the
-  out-of-band uplink.
+  out-of-band uplink;
+* a client stopped by a node failure and restarted on recovery loses its
+  buffers, as after a power loss, but keeps counting seqs where it
+  stopped, so the server never takes its new records for replays.
 
 The consumer side of the push pipeline also lives here:
 :class:`SseStreamClient` subscribes to a server's SSE stream routes and
@@ -49,7 +52,7 @@ from repro.monitor.stream.events import StreamEvent, decode_event
 from repro.monitor.stream.sse import DEFAULT_RETRY_MS, SseParser
 from repro.monitor.uplink import Uplink
 from repro.phy.channel import Reception
-from repro.sim.engine import Simulator
+from repro.sim.engine import RepeatingHandle, Simulator
 
 
 @dataclass(frozen=True)
@@ -160,19 +163,44 @@ class MonitorClient:
         self._awaiting_result = False
         self._flush_count = 0
         self._stopped = False
+        #: Bumped by every restart: a batch result from before it is stale.
+        self._boot = 0
         node.on_packet_in.append(self._packet_in)
         node.on_packet_out.append(self._packet_out)
-        jitter = node._rng.uniform(0.0, self.config.start_jitter_s)
-        self._timer = sim.call_every(
+        self._timer = self._arm_timer()
+
+    def _arm_timer(self) -> RepeatingHandle:
+        jitter = self.node._rng.uniform(0.0, self.config.start_jitter_s)
+        return self._sim.call_every(
             self.config.report_interval_s,
             self.flush,
-            start=sim.now + self.config.report_interval_s + jitter,
+            start=self._sim.now + self.config.report_interval_s + jitter,
         )
 
     def stop(self) -> None:
         """Halt the client (node failure or shutdown)."""
         self._stopped = True
         self._timer.cancel()
+
+    def restart(self) -> None:
+        """Run again, as the node's firmware does on reboot.
+
+        The buffers start empty, as after a power loss, and the flush
+        timer is re-armed as at start-up (a brownout fails a node without
+        stopping its client, so the old timer may still run).  Record and
+        batch seqs continue where they stopped, as on a node that keeps
+        its counters across a reboot, so the server's dedup windows
+        accept the new records.  A batch still in flight is ignored.
+        """
+        self._timer.cancel()
+        self._buffer.clear()
+        self._pending_status.clear()
+        self._dropped_since_last_batch = 0
+        self._awaiting_result = False
+        self._flush_count = 0
+        self._stopped = False
+        self._boot += 1
+        self._timer = self._arm_timer()
 
     # -- capture -----------------------------------------------------------------
 
@@ -297,8 +325,11 @@ class MonitorClient:
         )
         self._awaiting_result = True
         self.stats.batches_sent += 1
+        boot = self._boot
 
         def on_result(ok: bool) -> None:
+            if boot != self._boot:
+                return  # sent before a restart; the buffers it names are gone
             self._awaiting_result = False
             if ok:
                 self.stats.batches_acked += 1

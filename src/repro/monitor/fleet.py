@@ -12,23 +12,24 @@ Incremental tiles
 Until the push pipeline landed, every overview request re-scanned every
 network's store (``O(networks × records)`` — 19 ms at 8 networks and
 unusable at 512).  Now each :class:`~repro.monitor.registry.NetworkShard`
-owns a :class:`TileAggregate` the ingest path feeds per batch:
-per-node liveness/battery/duty snapshots.  Delivery comes from the
-shard store's :class:`~repro.monitor.aggregate.ViewAggregate` — the
-same exact per-pair state the dashboard reads, so the tile's PDR is
-``metrics.network_pdr`` of the store and a node's delivery term is its
-``pdr_matrix`` ratio over all retained records, however long a
-destination takes to report.  The tile caches each node's health
-score: a tile re-scores only the nodes whose inputs changed since the
-last tile (a batch, a status, or their delivery counts), plus nodes
-whose liveness is decaying (silent for one to five report intervals),
-and averages the cached scores of the rest.  In steady state
-:func:`materialized_tile` therefore scores one node per batch, however
-large the network, and its remaining per-node work is comparing counts
-and summing cached floats.  :func:`fleet_overview` assembles tiles into
-the overview document and caches it on the server keyed by ingest
-progress, so steady-state reads are O(1) snapshot hits no matter how
-many networks are resident.
+owns a :class:`TileAggregate` over its store.  Everything the tile
+scores comes from the shard store's
+:class:`~repro.monitor.aggregate.ViewAggregate`, the one holder of each
+node's latest state (status record of highest seq, last batch time) and
+of the exact per-pair delivery state the dashboard reads, so the tile's
+PDR is ``metrics.network_pdr`` of the store and a node's delivery term
+is its ``pdr_matrix`` ratio over all retained records, however long a
+destination takes to report.  The tile itself keeps only each node's
+cached health score: a tile re-scores only the nodes whose inputs
+changed since the last tile (a batch, a status, or their delivery
+counts), plus nodes whose liveness is decaying (silent for one to five
+report intervals), and averages the cached scores of the rest.  In
+steady state :func:`materialized_tile` therefore scores one node per
+batch, however large the network, and its remaining per-node work is
+comparing counts and summing cached floats.  :func:`fleet_overview`
+assembles tiles into the overview document and caches it on the server
+keyed by ingest progress, so steady-state reads are O(1) snapshot hits
+no matter how many networks are resident.
 
 Two documented deviations from the dashboard's health panel: delivery
 counts cover all retained records rather than the 1800 s window, and a
@@ -52,7 +53,7 @@ import math
 from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple
 
 from repro.monitor import health as health_mod
-from repro.monitor.aggregate import ViewAggregate
+from repro.monitor.aggregate import NodeState
 from repro.monitor.alerts import NodeDelta
 from repro.monitor.records import PacketRecord, StatusRecord
 from repro.monitor.storage import MetricsStore
@@ -62,26 +63,13 @@ if TYPE_CHECKING:
     from repro.monitor.server import MonitorServer
 
 
-class _NodeTelemetry:
-    """One node's latest-state snapshot, fed at ingest time, and its
-    cached health score."""
+class _NodeScore:
+    """One node's cached health score and the delivery counts it was
+    computed from."""
 
-    __slots__ = (
-        "last_seen",
-        "battery_v",
-        "duty_utilisation",
-        "queue_depth",
-        "delivery",
-        "score",
-        "silence_min",
-        "silence_max",
-    )
+    __slots__ = ("delivery", "score", "silence_min", "silence_max")
 
     def __init__(self) -> None:
-        self.last_seen: Optional[float] = None
-        self.battery_v: Optional[float] = None
-        self.duty_utilisation: Optional[float] = None
-        self.queue_depth: Optional[int] = None
         #: (sent, delivered) unicast DATA packets this node originated,
         #: as the store's aggregate counted them when last scored.
         self.delivery: Tuple[int, int] = (0, 0)
@@ -92,8 +80,8 @@ class _NodeTelemetry:
         self.silence_min = 0.0
         self.silence_max = 0.0
 
-    def rescore(self, now: float, report_interval_s: float) -> float:
-        """Score the node at ``now`` and cache the score.
+    def rescore(self, state: NodeState, now: float, report_interval_s: float) -> float:
+        """Score the node in ``state`` at ``now`` and cache the score.
 
         The liveness term is the only input that moves with the clock,
         so the cached score keeps the range of silences that give the
@@ -103,17 +91,19 @@ class _NodeTelemetry:
         the decay band between, only the silence it was computed at
         gives the same value.
         """
-        liveness = health_mod.liveness_component(self.last_seen, now, report_interval_s)
+        last_seen = state.last_seen
+        status = state.status
+        liveness = health_mod.liveness_component(last_seen, now, report_interval_s)
         sent, delivered = self.delivery
         score = health_mod.node_score(
             liveness,
             delivered / sent if sent else None,
-            health_mod.spectrum_component(self.duty_utilisation),
-            health_mod.battery_component(self.battery_v),
+            health_mod.spectrum_component(None if status is None else status.duty_utilisation),
+            health_mod.battery_component(None if status is None else status.battery_v),
         )
         self.score = score
-        if self.last_seen is not None:
-            silence = now - self.last_seen
+        if last_seen is not None:
+            silence = now - last_seen
             if liveness == 1.0:
                 self.silence_min, self.silence_max = -math.inf, report_interval_s
             elif liveness == 0.0:
@@ -124,126 +114,103 @@ class _NodeTelemetry:
 
 
 class TileAggregate:
-    """Everything a fleet tile needs, maintained incrementally at ingest.
+    """A fleet tile's cached node scores over one shard store.
 
-    The ingest path calls :meth:`observe_batch` / :meth:`observe_packet`
-    / :meth:`observe_status` for each accepted batch and record (under
-    the server lock — all methods are pure in-memory bookkeeping).
-    Delivery is read from ``delivery``, the shard store's aggregate.
-    Each call drops the cached score of the node whose inputs it
-    changed, and a read also re-scores the nodes whose delivery counts
-    moved, instead of touching every record in the store.
+    Each node's state (its latest status, last batch time) and delivery
+    come from the store's :class:`~repro.monitor.aggregate.ViewAggregate`;
+    the tile keeps only each node's cached score.  The ingest path calls
+    :meth:`observe_batch` / :meth:`observe_packet` / :meth:`observe_status`
+    for each accepted batch and record, after the store took them (under
+    the server lock), which drops the cached score of the node whose
+    inputs changed; a read also re-scores the nodes whose delivery
+    counts moved, instead of touching every record in the store.
     """
 
-    def __init__(self, delivery: ViewAggregate) -> None:
-        self._delivery = delivery
-        self._nodes: Dict[int, _NodeTelemetry] = {}
+    def __init__(self, store: MetricsStore) -> None:
+        self._store = store
+        self._aggregate = store.aggregate
+        self._scores: Dict[int, _NodeScore] = {}
         #: The report interval the cached node scores were computed with.
         self._scored_interval: Optional[float] = None
 
     # -- feeding ---------------------------------------------------------------
 
-    def _node(self, node: int) -> _NodeTelemetry:
-        telemetry = self._nodes.get(node)
-        if telemetry is None:
-            telemetry = _NodeTelemetry()
-            self._nodes[node] = telemetry
-        return telemetry
+    def _drop_score(self, node: int) -> None:
+        entry = self._scores.get(node)
+        if entry is not None:
+            entry.score = None
 
     def observe_batch(self, node: int, now: float) -> None:
         """A batch from ``node`` was accepted at server time ``now``."""
-        telemetry = self._node(node)
-        telemetry.last_seen = now
-        telemetry.score = None
+        self._drop_score(node)
 
     def observe_packet(self, record: PacketRecord) -> None:
-        """One accepted packet record: its observer is a known node."""
-        self._node(record.node)
+        """One accepted packet record: nothing to drop (a read compares delivery counts)."""
 
     def observe_status(self, record: StatusRecord) -> None:
-        """One accepted status record: refresh the node's snapshot."""
-        telemetry = self._node(record.node)
-        telemetry.battery_v = record.battery_v
-        telemetry.duty_utilisation = record.duty_utilisation
-        telemetry.queue_depth = record.queue_depth
-        telemetry.score = None
-
-    def seed_from_store(self, store: MetricsStore) -> None:
-        """Take the nodes of an already populated store.
-
-        Called once when a shard adopts an external store (the
-        historical single-network API) so tiles start from the store's
-        state; delivery already lives in the store's aggregate.
-        """
-        for node in store.nodes():
-            self._node(node)
-            status = store.latest_status(node)
-            if status is not None:
-                self.observe_status(status)
-            last = store.last_seen(node)
-            if last is not None:
-                self.observe_batch(node, last)
+        """One accepted status record: the node's latest state may have moved."""
+        self._drop_score(record.node)
 
     # -- reading ---------------------------------------------------------------
 
     def node_delta(self, node: int) -> NodeDelta:
         """The node's current snapshot for O(delta) alert evaluation.
 
-        Pure in-memory read (no store access) so the ingest path can
-        call it under the server lock.  An unknown node yields an empty
-        delta — every field None, so no rule can judge it yet.
+        The sweep's own :meth:`NodeDelta.from_store`: it reads the
+        store's in-memory node state (no query), so the ingest path can
+        call it under the server lock and both alert paths judge one record.  An
+        unknown node yields an empty delta — every field None, so no
+        rule can judge it yet.
         """
-        telemetry = self._nodes.get(node)
-        if telemetry is None:
-            return NodeDelta(node=node)
-        return NodeDelta(
-            node=node,
-            last_seen=telemetry.last_seen,
-            battery_v=telemetry.battery_v,
-            duty_utilisation=telemetry.duty_utilisation,
-            queue_depth=telemetry.queue_depth,
-        )
+        return NodeDelta.from_store(self._store, node)
 
     @property
     def node_count(self) -> int:
-        return len(self._nodes)
+        return len(self._aggregate.nodes)
 
     def pdr(self) -> float:
         """Aggregate delivery ratio across all unicast pairs (NaN if idle)."""
-        return self._delivery.network_pdr()
+        return self._aggregate.network_pdr()
 
     def health(self, now: float, report_interval_s: float = 60.0) -> float:
         """Network health: the mean of the defined node scores (NaN if none).
 
-        Each node is scored by :func:`repro.monitor.health.node_score`
-        from its last accepted batch, its delivery counts in the store's
-        aggregate and its latest status snapshot.  A node's cached score
-        is reused while its inputs are unchanged and its silence still
-        gives the same liveness (see :meth:`_NodeTelemetry.rescore`); a
-        different ``report_interval_s`` drops every cached score.
+        Each node of the store is scored by
+        :func:`repro.monitor.health.node_score` from its state and its
+        delivery counts in the store's aggregate, in the order the store
+        first heard of it.  A node's cached score is reused while its
+        inputs are unchanged and its silence still gives the same
+        liveness (see :meth:`_NodeScore.rescore`); a different
+        ``report_interval_s`` drops every cached score.
         """
+        scores = self._scores
         if report_interval_s != self._scored_interval:
             self._scored_interval = report_interval_s
-            for telemetry in self._nodes.values():
-                telemetry.score = None
-        delivery = self._delivery.source_delivery()
+            for entry in scores.values():
+                entry.score = None
+        aggregate = self._aggregate
         total = 0.0
         count = 0
-        for node, telemetry in self._nodes.items():
-            counts = delivery.get(node, (0, 0))
-            if counts != telemetry.delivery:
-                telemetry.delivery = counts
-                telemetry.score = None
-            score = telemetry.score
-            last_seen = telemetry.last_seen
-            if score is None or (
-                last_seen is not None
-                and not telemetry.silence_min <= now - last_seen <= telemetry.silence_max
-            ):
-                score = telemetry.rescore(now, report_interval_s)
-            if not math.isnan(score):
-                total += score
-                count += 1
+        with aggregate.lock:
+            delivery = aggregate.source_delivery()
+            for node, state in aggregate.nodes.items():
+                entry = scores.get(node)
+                if entry is None:
+                    entry = scores[node] = _NodeScore()
+                counts = delivery.get(node, (0, 0))
+                if counts != entry.delivery:
+                    entry.delivery = counts
+                    entry.score = None
+                score = entry.score
+                last_seen = state.last_seen
+                if score is None or (
+                    last_seen is not None
+                    and not entry.silence_min <= now - last_seen <= entry.silence_max
+                ):
+                    score = entry.rescore(state, now, report_interval_s)
+                if not math.isnan(score):
+                    total += score
+                    count += 1
         return total / count if count else math.nan
 
 

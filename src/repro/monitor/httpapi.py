@@ -41,6 +41,7 @@ import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Callable, Dict, Optional, Tuple, get_type_hints
 
+from repro.errors import ConfigurationError
 from repro.monitor import fleet as fleet_mod
 from repro.monitor import health as health_mod
 from repro.monitor.codec import codec_for_content_type
@@ -90,12 +91,21 @@ class MonitoringHttpServer:
         """Create (but do not start) the HTTP server.
 
         Args:
-            monitor_server: ingestion backend for the ingest routes.
-            dashboard: view layer for the ``default`` network; other
-                networks get dashboards built lazily from their shards.
+            monitor_server: ingestion backend for the ingest routes; its
+                ``report_interval_s`` scores the fleet routes and the
+                lazily built per-network dashboards.
+            dashboard: view layer for the ``default`` network, scoring
+                with the server's ``report_interval_s`` (else a
+                ``ConfigurationError``); other networks get dashboards
+                built lazily from their shards.
             host/port: bind address; port 0 picks a free port.
             clock: "now" provider for dashboard rendering.
         """
+        if dashboard.report_interval_s != monitor_server.report_interval_s:
+            raise ConfigurationError(
+                f"dashboard report_interval_s {dashboard.report_interval_s}"
+                f" differs from the server's {monitor_server.report_interval_s}"
+            )
         self.monitor_server = monitor_server
         self.dashboard = dashboard
         self._lock = threading.Lock()
@@ -213,7 +223,7 @@ class MonitoringHttpServer:
                 return cached
         dashboard = Dashboard(
             store,
-            report_interval_s=self.dashboard.report_interval_s,
+            report_interval_s=self.monitor_server.report_interval_s,
             monitor_server=self.monitor_server,
             network_id=network_id,
         )
@@ -290,7 +300,7 @@ class MonitoringHttpServer:
                 overview = fleet_mod.fleet_overview(
                     api.monitor_server,
                     api._clock(),
-                    report_interval_s=api.dashboard.report_interval_s,
+                    report_interval_s=api.monitor_server.report_interval_s,
                 )
                 self._send_json(overview)
 
@@ -511,7 +521,7 @@ class MonitoringHttpServer:
                 overview = fleet_mod.fleet_overview(
                     api.monitor_server,
                     api._clock(),
-                    report_interval_s=api.dashboard.report_interval_s,
+                    report_interval_s=api.monitor_server.report_interval_s,
                 )
                 page = render_fleet_html(overview)
                 self._send(200, page.encode("utf-8"), "text/html")

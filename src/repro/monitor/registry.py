@@ -56,11 +56,9 @@ class NetworkShard:
     ) -> None:
         self.network_id = network_id
         self.store = store
-        #: Incremental fleet-tile aggregates (seeded when the store
-        #: already holds records — the adopted-store path); delivery
-        #: comes from the store's own aggregate.
-        self.tile = TileAggregate(store.aggregate)
-        self.tile.seed_from_store(store)
+        #: Cached fleet-tile scores over the store's node state and
+        #: delivery, which its own aggregate holds.
+        self.tile = TileAggregate(store)
         #: Per-network traffic rollup fed record-by-record.
         self.rollup = IncrementalRollup(interval_s=SHARD_ROLLUP_INTERVAL_S)
         #: Per-network alert state driven by the O(delta) observe path;

@@ -46,12 +46,12 @@ feed it (buffered or not), a write that replaces a stored ``(node,
 seq)`` row takes the replaced record out again, and opening a file that
 already holds records seeds it with one pass over the table.
 
-The node state a view reads — the nodes, each node's status record of
-highest seq, its last batch time and reported drops — is mirrored in
-memory as well, written under the aggregate's lock and seeded on open.
-A view therefore runs no query and no flush: it reads memory under the
-aggregate's lock, is one snapshot of the store, and holds no lock
-across disk I/O.
+The aggregate also holds each node's latest state — the nodes, each
+node's status record of highest seq, its last batch time and reported
+drops — which the status and batch-note writes feed and opening a file
+seeds.  A view therefore runs no query and no flush: it reads memory
+under the aggregate's lock, is one snapshot of the store, and holds no
+lock across disk I/O.
 """
 
 from __future__ import annotations
@@ -61,9 +61,7 @@ import os
 import sqlite3
 import threading
 import time
-from typing import (
-    Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple,
-)
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import StorageError
 from repro.monitor.aggregate import ViewAggregate
@@ -74,7 +72,7 @@ from repro.monitor.records import (
     PacketRecord,
     StatusRecord,
 )
-from repro.monitor.storage import FlushStats
+from repro.monitor.storage import FlushStats, NodeReads
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS packet_records (
@@ -154,7 +152,8 @@ def _packet_row(record: PacketRecord) -> Tuple:
 
 
 def _status_row(record: StatusRecord) -> Tuple:
-    neighbors_json = json.dumps([n.to_json_dict() for n in record.neighbors])
+    # The neighbours as the wire writes them.
+    neighbors_json = "[%s]" % ",".join(map(NeighborObservation.to_json_text, record.neighbors))
     return (
         record.node, record.seq, record.timestamp, record.uptime_s,
         record.queue_depth, record.route_count, record.neighbor_count,
@@ -165,7 +164,7 @@ def _status_row(record: StatusRecord) -> Tuple:
     )
 
 
-class SqliteMetricsStore:
+class SqliteMetricsStore(NodeReads):
     """Metrics store persisted in SQLite.
 
     API-compatible with :class:`~repro.monitor.storage.MetricsStore`.
@@ -243,8 +242,8 @@ class SqliteMetricsStore:
         self._flush_lock = threading.Lock()
         self._closed = False
         self.flush_stats = FlushStats()
-        #: What a page view reads, kept at write time and seeded here
-        #: from the records a reopened file already holds.
+        #: What a page view reads and each node's latest state, kept at
+        #: write time and seeded here from what a reopened file holds.
         self.aggregate = ViewAggregate()
         #: Highest stored seq per node: a record above it replaces no row.
         self._highest_seq: Dict[int, int] = dict(
@@ -258,27 +257,16 @@ class SqliteMetricsStore:
             if not rows:
                 break
             self.aggregate.add_records([self._packet_from_row(row) for row in rows])
-        #: The node state a view reads, mirrored in memory (guarded by
-        #: the aggregate's lock): every node that reported anything...
-        self._nodes: Set[int] = {
-            row[0] for row in self._conn.execute(
-                "SELECT node FROM packet_records UNION SELECT node FROM status_records "
-                "UNION SELECT node FROM batches"
-            )
-        }
-        #: ...each node's status record of highest seq...
-        self._latest_status: Dict[int, StatusRecord] = {
-            row[0]: self._status_from_row(row) for row in self._conn.execute(
+        self.aggregate.add_status_records([
+            self._status_from_row(row) for row in self._conn.execute(
                 "SELECT s.* FROM status_records AS s JOIN (SELECT node, MAX(seq) AS seq "
                 "FROM status_records GROUP BY node) AS m ON s.node = m.node AND s.seq = m.seq"
             )
-        }
-        #: ...and its batch notes: (last batch received at, reported drops).
-        self._batches: Dict[int, Tuple[float, int]] = {
-            node: (last_seen, dropped) for node, last_seen, dropped in self._conn.execute(
-                "SELECT node, last_seen, dropped FROM batches"
-            )
-        }
+        ])
+        for node, last_seen, dropped in self._conn.execute(
+            "SELECT node, last_seen, dropped FROM batches"
+        ):
+            self.aggregate.note_batch(node, last_seen, dropped)
 
     @property
     def closed(self) -> bool:
@@ -352,8 +340,6 @@ class SqliteMetricsStore:
             self.aggregate.add_records(records)
             if replaced is not None:
                 self.aggregate.remove_records((replaced,))
-            for record in records:
-                self._nodes.add(record.node)
             if self._batch_writes:
                 self._buffer(packets=rows)
 
@@ -385,12 +371,7 @@ class SqliteMetricsStore:
             except sqlite3.Error as exc:
                 raise StorageError(f"sqlite insert failed: {exc}") from exc
         with self.aggregate.lock:
-            latest = self._latest_status
-            for record in records:
-                self._nodes.add(record.node)
-                current = latest.get(record.node)
-                if current is None or record.seq >= current.seq:
-                    latest[record.node] = record
+            self.aggregate.add_status_records(records)
             if self._batch_writes:
                 self._buffer(statuses=rows)
 
@@ -399,9 +380,7 @@ class SqliteMetricsStore:
         if not self._batch_writes:
             self._conn.execute(_BATCH_UPSERT, row)
         with self.aggregate.lock:
-            self._nodes.add(node)
-            _last_seen, dropped = self._batches.get(node, (received_at, 0))
-            self._batches[node] = (received_at, dropped + dropped_records)
+            self.aggregate.note_batch(node, received_at, dropped_records)
             if self._batch_writes:
                 self._buffer(notes=(row,))
 
@@ -522,11 +501,6 @@ class SqliteMetricsStore:
             originated, delivered, forwarded, neighbors,
         )
 
-    def nodes(self) -> List[int]:
-        """All node addresses that ever reported anything, sorted (from memory)."""
-        with self.aggregate.lock:
-            return sorted(self._nodes)
-
     def packet_records(
         self,
         node: Optional[int] = None,
@@ -583,37 +557,6 @@ class SqliteMetricsStore:
         )
         for row in cursor:
             yield self._status_from_row(row)
-
-    def latest_status(self, node: int) -> Optional[StatusRecord]:
-        """The node's status record of highest seq (from memory)."""
-        return self._latest_status.get(node)
-
-    def status_series(
-        self,
-        node: int,
-        fields: List[str],
-        since: Optional[float] = None,
-        until: Optional[float] = None,
-    ) -> List[Dict[str, float]]:
-        series = []
-        for record in self.status_records(node, since=since, until=until):
-            point: Dict[str, float] = {"ts": record.timestamp}
-            for name in fields:
-                if name not in StatusRecord._fields:
-                    raise StorageError(f"unknown status field {name!r}")
-                point[name] = float(getattr(record, name))
-            series.append(point)
-        return series
-
-    def last_seen(self, node: int) -> Optional[float]:
-        """Server receive time of the node's most recent batch (from memory)."""
-        entry = self._batches.get(node)
-        return entry[0] if entry is not None else None
-
-    def reported_drops(self, node: int) -> int:
-        """Client-reported buffer-overflow drops for ``node`` (from memory)."""
-        entry = self._batches.get(node)
-        return entry[1] if entry is not None else 0
 
     def packet_record_count(self, node: Optional[int] = None) -> int:
         self._read_ready()

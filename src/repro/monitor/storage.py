@@ -21,9 +21,11 @@ needs closing) and ``flush_stats`` is None.
 Both stores keep a :class:`~repro.monitor.aggregate.ViewAggregate` of
 what a page view reads.  Every write runs under its lock and feeds it;
 a packet record the retention bound drops is subtracted from it again.
-A page view reads the aggregate and the in-memory node state
-(``nodes``, ``latest_status``, ``last_seen``, ``reported_drops``) under
-the same lock.  Reads iterate a copy of a node's records (one C-level
+The aggregate is also the one holder of each node's latest state: both
+stores answer ``nodes``, ``latest_status`` (the node's status record of
+highest seq), ``last_seen`` and ``reported_drops`` from it through
+:class:`NodeReads`, and a page view reads them under the aggregate's
+lock.  Reads iterate a copy of a node's records (one C-level
 ``tuple()``), so a scan or a history query running beside ingest never
 sees a deque change under it.
 """
@@ -57,7 +59,69 @@ class FlushStats:
         self.total_latency_s += latency_s
 
 
-class MetricsStore:
+class NodeReads:
+    """The per-node reads both stores answer the same way.
+
+    A store sets :attr:`aggregate` and defines ``status_records``; the
+    node state comes from the aggregate, each read one dictionary
+    lookup.
+    """
+
+    aggregate: ViewAggregate
+
+    def status_records(
+        self,
+        node: int,
+        since: Optional[float] = None,
+        until: Optional[float] = None,
+    ) -> Iterator[StatusRecord]:
+        """One node's status records; each store defines it."""
+        raise NotImplementedError
+
+    def nodes(self) -> List[int]:
+        """All node addresses that ever reported anything, sorted."""
+        with self.aggregate.lock:
+            return sorted(self.aggregate.nodes)
+
+    def latest_status(self, node: int) -> Optional[StatusRecord]:
+        """The node's status record of highest seq."""
+        state = self.aggregate.nodes.get(node)
+        return None if state is None else state.status
+
+    def last_seen(self, node: int) -> Optional[float]:
+        """Server receive time of the node's most recent batch."""
+        state = self.aggregate.nodes.get(node)
+        return None if state is None else state.last_seen
+
+    def reported_drops(self, node: int) -> int:
+        """Client-reported buffer-overflow drops for ``node``."""
+        state = self.aggregate.nodes.get(node)
+        return 0 if state is None else state.drops
+
+    def status_series(
+        self,
+        node: int,
+        fields: List[str],
+        since: Optional[float] = None,
+        until: Optional[float] = None,
+    ) -> List[Dict[str, float]]:
+        """Extract a time series of status fields for plotting.
+
+        Raises:
+            StorageError: when a requested field does not exist.
+        """
+        series = []
+        for record in self.status_records(node, since=since, until=until):
+            point: Dict[str, float] = {"ts": record.timestamp}
+            for name in fields:
+                if name not in StatusRecord._fields:
+                    raise StorageError(f"unknown status field {name!r}")
+                point[name] = float(getattr(record, name))
+            series.append(point)
+        return series
+
+
+class MetricsStore(NodeReads):
     """In-memory time-series store for telemetry records."""
 
     #: Writes are never buffered, so there are no flushes to count.
@@ -71,8 +135,6 @@ class MetricsStore:
         self._max_packets = max_packet_records_per_node
         self._max_status = max_status_records_per_node
         self._packet_evictions = 0
-        self._dropped_reported: Dict[int, int] = {}
-        self._last_batch_at: Dict[int, float] = {}
         #: What a page view reads, kept at write time.
         self.aggregate = ViewAggregate()
 
@@ -111,7 +173,9 @@ class MetricsStore:
 
     def add_status_records(self, records: Iterable[StatusRecord]) -> None:
         """Add many status records (batch mirror of the SQLite store)."""
+        records = tuple(records)
         with self.aggregate.lock:
+            self.aggregate.add_status_records(records)
             for record in records:
                 bucket = self._status_by_node.get(record.node)
                 if bucket is None:
@@ -138,20 +202,9 @@ class MetricsStore:
 
     def note_batch(self, node: int, received_at: float, dropped_records: int) -> None:
         """Record batch-level metadata (client-side loss, liveness)."""
-        with self.aggregate.lock:
-            self._last_batch_at[node] = received_at
-            if dropped_records:
-                self._dropped_reported[node] = (
-                    self._dropped_reported.get(node, 0) + dropped_records
-                )
+        self.aggregate.note_batch(node, received_at, dropped_records)
 
     # -- reads ----------------------------------------------------------------
-
-    def nodes(self) -> List[int]:
-        """All node addresses that ever reported anything, sorted."""
-        return sorted(
-            set(self._packet_by_node) | set(self._status_by_node) | set(self._last_batch_at)
-        )
 
     def packet_records(
         self,
@@ -191,49 +244,12 @@ class MetricsStore:
         until: Optional[float] = None,
     ) -> Iterator[StatusRecord]:
         """Iterate one node's status records in arrival order."""
-        # Arrival order == time order per node.
         for record in tuple(self._status_by_node.get(node, ())):
             if since is not None and record.timestamp < since:
                 continue
             if until is not None and record.timestamp > until:
                 continue
             yield record
-
-    def latest_status(self, node: int) -> Optional[StatusRecord]:
-        bucket = self._status_by_node.get(node)
-        if not bucket:
-            return None
-        return bucket[-1]
-
-    def status_series(
-        self,
-        node: int,
-        fields: List[str],
-        since: Optional[float] = None,
-        until: Optional[float] = None,
-    ) -> List[Dict[str, float]]:
-        """Extract a time series of status fields for plotting.
-
-        Raises:
-            StorageError: when a requested field does not exist.
-        """
-        series = []
-        for record in self.status_records(node, since=since, until=until):
-            point: Dict[str, float] = {"ts": record.timestamp}
-            for name in fields:
-                if name not in StatusRecord._fields:
-                    raise StorageError(f"unknown status field {name!r}")
-                point[name] = float(getattr(record, name))
-            series.append(point)
-        return series
-
-    def last_seen(self, node: int) -> Optional[float]:
-        """Server receive time of the node's most recent batch."""
-        return self._last_batch_at.get(node)
-
-    def reported_drops(self, node: int) -> int:
-        """Client-reported buffer-overflow drops for ``node``."""
-        return self._dropped_reported.get(node, 0)
 
     def packet_record_count(self, node: Optional[int] = None) -> int:
         if node is not None:

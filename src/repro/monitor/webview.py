@@ -13,9 +13,10 @@ badge.  Without JavaScript the pages degrade gracefully — a
 ``<noscript>``-wrapped ``<meta http-equiv="refresh">`` keeps them
 polling exactly as before, and the badge stays hidden.
 
-Node positions on the map are computed server-side with a networkx
-spring layout over the *reported* link graph — the server has no ground
-truth coordinates, which is exactly the paper's situation.
+Node positions on the map are computed server-side: the reported nodes
+sit evenly on a circle, in address order, and the *reported* links are
+drawn between them — the server has no ground truth coordinates, which
+is exactly the paper's situation.
 """
 
 from __future__ import annotations
@@ -23,11 +24,6 @@ from __future__ import annotations
 import html
 import math
 from typing import Any, Dict, List, Optional, Tuple
-
-try:  # optional: nicer force-directed layout when available
-    import networkx
-except ImportError:  # pragma: no cover - exercised only without networkx
-    networkx = None
 
 from repro.monitor.dashboard import Dashboard
 from repro.monitor.ingest import DEFAULT_NETWORK_ID
@@ -171,34 +167,15 @@ def _health_class(score: float) -> str:
     return "bad"
 
 
-def _layout(edges: List[Tuple[int, int]], nodes: List[int]) -> Dict[int, Tuple[float, float]]:
-    """Positions in [0, 1]^2 for the reported graph.
-
-    Uses a networkx spring layout when networkx is installed; otherwise
-    falls back to an even circle (always readable, just less shapely).
-    """
-    if not nodes:
-        return {}
-    if networkx is None:  # pragma: no cover - exercised only without networkx
-        count = len(nodes)
-        return {
-            node: (
-                0.5 + 0.45 * math.cos(2 * math.pi * index / count),
-                0.5 + 0.45 * math.sin(2 * math.pi * index / count),
-            )
-            for index, node in enumerate(sorted(nodes))
-        }
-    graph = networkx.Graph()
-    graph.add_nodes_from(nodes)
-    graph.add_edges_from(edges)
-    positions = networkx.spring_layout(graph, seed=7)
-    xs = [p[0] for p in positions.values()]
-    ys = [p[1] for p in positions.values()]
-    span_x = (max(xs) - min(xs)) or 1.0
-    span_y = (max(ys) - min(ys)) or 1.0
+def _layout(nodes: List[int]) -> Dict[int, Tuple[float, float]]:
+    """Positions in [0, 1]^2: the nodes evenly on a circle, in address order."""
+    count = len(nodes)
     return {
-        node: ((x - min(xs)) / span_x, (y - min(ys)) / span_y)
-        for node, (x, y) in positions.items()
+        node: (
+            0.5 + 0.45 * math.cos(2 * math.pi * index / count),
+            0.5 + 0.45 * math.sin(2 * math.pi * index / count),
+        )
+        for index, node in enumerate(sorted(nodes))
     }
 
 
@@ -224,7 +201,7 @@ def render_topology_svg(document: Dict[str, Any], width: int = 640, height: int 
         existing = undirected.get(key)
         if existing is None or link["rssi_mean"] > existing:
             undirected[key] = link["rssi_mean"]
-    positions = _layout(list(undirected), nodes)
+    positions = _layout(nodes)
     margin = 36
     def sx(x: float) -> float:
         return margin + x * (width - 2 * margin)

@@ -9,8 +9,9 @@ scenario — the controlled failures the monitoring experiments observe:
 * :class:`BatteryDepletion` — swap in a nearly-empty battery so the node
   browns out organically a bit later.
 
-The schedule also stops/starts the affected monitoring clients for
-crashes, mirroring the firmware dying with the node.
+The schedule also stops the affected node's monitoring client on a
+crash and restarts it on recovery, mirroring the firmware dying and
+rebooting with the node.
 
 Example::
 
@@ -133,12 +134,9 @@ class FaultSchedule:
                 if not node.failed:
                     return
                 node.recover()
-                old_client = scenario.clients.get(fault.node)
-                if old_client is not None:
-                    from repro.monitor.client import MonitorClient
-                    scenario.clients[fault.node] = MonitorClient(
-                        sim, node, scenario.uplinks[fault.node], old_client.config,
-                    )
+                client = scenario.clients.get(fault.node)
+                if client is not None:
+                    client.restart()
                 self._note(sim.now, f"node {fault.node} recovered")
 
             sim.call_at(fault.recover_at_s, recover)

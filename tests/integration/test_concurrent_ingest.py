@@ -303,16 +303,29 @@ class TestConcurrentIngest:
         where any record written between the two would show as a
         difference.  Returns the distinct documents seen.
 
-        The loop holds the lock for all but a fraction of a millisecond
-        per view, most of it for the scans, so each view first waits for
-        a batch to finish: on a busy host the ingest thread can miss that
-        gap because it is not scheduled, not because a view holds it up."""
+        The oracle's last-batch times come from the ingest thread's own
+        record of the batches it submitted.  A view can land between a
+        batch's writes, and the server counts a batch as ingested after
+        ``note_batch``, so with ``k`` counted under the lock the store
+        has noted the first ``k`` or ``k + 1`` submitted batches: the
+        view must equal the document of one of the two.  The loop holds
+        the lock for all but a fraction of a millisecond per view, most
+        of it for the scans, so each view first waits for a batch to
+        finish: on a busy host the ingest thread can miss that gap
+        because it is not scheduled, not because a view holds it up."""
         clock = {"now": 0.0}
         server = MonitorServer(store=store, clock=lambda: clock["now"])
         dashboard = Dashboard(store, report_interval_s=60.0)
         oracle_alerts = scan_alert_engine(store, 60.0)
         stop = threading.Event()
         errors = []
+        #: (node, server time) of every batch, noted before its submit.
+        submitted = []
+
+        def last_batches(count):
+            """The oracle's ``batches`` after the first ``count`` submitted;
+            ring batches report no client-side drops."""
+            return {node: (at, 0) for node, at in submitted[:count]}
 
         def ingest() -> None:
             seq = 0
@@ -320,6 +333,7 @@ class TestConcurrentIngest:
                 while not stop.is_set():
                     for node in range(1, RING_NODES + 1):
                         clock["now"] = float(seq)
+                        submitted.append((node, clock["now"]))
                         assert server.submit(ring_batch(node, seq)).ok
                     seq += 1
             except Exception as exc:  # pragma: no cover - reporting
@@ -339,8 +353,16 @@ class TestConcurrentIngest:
                 )
                 with store.aggregate.lock:
                     now = clock["now"]
+                    counted = server.self_metrics.batches_ingested
                     view = canonical(dashboard.to_json_dict(now))
-                    expected = canonical(scan_document(dashboard, oracle_alerts, now))
+                    expected = canonical(
+                        scan_document(dashboard, oracle_alerts, now, last_batches(counted))
+                    )
+                    if view != expected:
+                        # The batch in flight may have been noted already.
+                        expected = canonical(
+                            scan_document(dashboard, oracle_alerts, now, last_batches(counted + 1))
+                        )
                 assert view == expected
                 documents.add(view)
                 time.sleep(0)
@@ -364,8 +386,8 @@ class TestConcurrentIngest:
 
     def test_sqlite_views_are_snapshots_while_a_thread_ingests(self):
         # Node state (status, last seen, drops) comes from the store's
-        # in-memory mirror, written under the aggregate's lock like the
-        # packet aggregate; small flushes keep ingest writing SQLite.
+        # aggregate, written under its lock like the packet aggregate;
+        # small flushes keep ingest writing SQLite.
         store = SqliteMetricsStore(flush_records=16, flush_interval_s=None)
         self.views_while_a_thread_ingests(store, SQLITE_VIEWS)
 

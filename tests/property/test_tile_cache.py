@@ -1,14 +1,17 @@
 """Property: the cached fleet tile equals its from-scratch definition.
 
-``TileAggregate`` caches each node's health score and reads delivery
-from the store's aggregate, so a tile re-scores only the nodes whose
-inputs changed and the ones whose liveness is decaying.  The oracle is
-the definition the cache replaced: score every node from its current
-inputs, with its delivery from ``metrics.pdr_matrix`` over the store,
-and average the defined scores in node order; the tile's PDR is
-``metrics.network_pdr``.  After any sequence of records, ``observe_*``
-calls, clock steps and report-interval changes both must agree bit for
-bit (NaN matching NaN).
+``TileAggregate`` caches each node's health score and reads each node's
+state and delivery from the store's aggregate, so a tile re-scores only
+the nodes whose inputs changed and the ones whose liveness is decaying.
+The oracle is the definition the cache replaced: score every node the
+store heard of from what the store reads back (its status record of
+highest seq and its last batch), with its delivery from
+``metrics.pdr_matrix`` over the store, and average the defined scores
+in the order the store first heard of the nodes; the tile's PDR is
+``metrics.network_pdr``.  Each step writes the store first and then
+calls ``observe_*``, as the server does.  After any sequence of
+records (statuses in any seq order), clock steps and report-interval
+changes both must agree bit for bit (NaN matching NaN).
 """
 
 import math
@@ -56,9 +59,11 @@ def packets(draw):
     return ("packet", src, dst, packet_id, ptype, tuple(observations))
 
 
+#: Status seqs repeat and go back, so a late lower-seq status arrives.
 statuses = st.tuples(
     st.just("status"),
     observers,
+    st.integers(min_value=0, max_value=4),
     st.floats(min_value=2.8, max_value=4.4),
     st.floats(min_value=0.0, max_value=1.2),
 )
@@ -91,9 +96,11 @@ steps = st.lists(
 )
 
 
-def definition_health(tile, store, now, report_interval_s):
-    """The from-scratch tile health: every node scored from its current
-    inputs, the mean of the defined scores taken in node order."""
+def definition_health(heard, store, now, report_interval_s):
+    """The from-scratch tile health: every node in ``heard`` (the order
+    the store first heard of them) scored from the store, the mean of
+    the defined scores taken in that order."""
+    assert sorted(heard) == store.nodes()
     sent = {}
     delivered = {}
     for (src, _dst), pair in metrics.pdr_matrix(store).items():
@@ -101,12 +108,13 @@ def definition_health(tile, store, now, report_interval_s):
         delivered[src] = delivered.get(src, 0) + pair.delivered
     total = 0.0
     count = 0
-    for node, telemetry in tile._nodes.items():
+    for node in heard:
+        status = store.latest_status(node)
         score = health.node_score(
-            health.liveness_component(telemetry.last_seen, now, report_interval_s),
+            health.liveness_component(store.last_seen(node), now, report_interval_s),
             delivered[node] / sent[node] if sent.get(node) else None,
-            health.spectrum_component(telemetry.duty_utilisation),
-            health.battery_component(telemetry.battery_v),
+            health.spectrum_component(None if status is None else status.duty_utilisation),
+            health.battery_component(None if status is None else status.battery_v),
         )
         if not math.isnan(score):
             total += score
@@ -122,19 +130,30 @@ def same_bits(a, b):
 
 def observations(step, now, seq):
     """The store writes and ``observe_*`` calls of one step, one callable
-    each; ``seq`` numbers the packet records."""
+    each, and the node each writes; ``seq`` numbers the packet records."""
     kind = step[0]
     if kind == "batch":
-        return [lambda store, tile: tile.observe_batch(step[1], now)]
+        node = step[1]
+
+        def batch(store, tile):
+            store.note_batch(node, now, 0)
+            tile.observe_batch(node, now)
+
+        return [(node, batch)]
     if kind == "status":
-        _, node, battery_v, duty = step
+        _, node, status_seq, battery_v, duty = step
         record = StatusRecord(
-            node=node, seq=0, timestamp=now, uptime_s=10.0, queue_depth=0,
+            node=node, seq=status_seq, timestamp=now, uptime_s=10.0, queue_depth=0,
             route_count=1, neighbor_count=1, battery_v=battery_v, tx_frames=1,
             tx_airtime_s=0.1, retransmissions=0, drops=0, duty_utilisation=duty,
             originated=0, delivered=0, forwarded=0,
         )
-        return [lambda store, tile: tile.observe_status(record)]
+
+        def status(store, tile):
+            store.add_status_record(record)
+            tile.observe_status(record)
+
+        return [(node, status)]
     _, src, dst, packet_id, ptype, observed = step
     records = [
         PacketRecord(
@@ -150,7 +169,8 @@ def observations(step, now, seq):
         tile.observe_packet(record)
 
     return [
-        lambda store, tile, record=record: observe(store, tile, record) for record in records
+        (record.node, lambda store, tile, record=record: observe(store, tile, record))
+        for record in records
     ]
 
 
@@ -161,15 +181,18 @@ def observations(step, now, seq):
 )
 def test_cached_tile_equals_definition(start, steps):
     store = MetricsStore()
-    tile = TileAggregate(store.aggregate)
+    tile = TileAggregate(store)
     now = start
     report_interval_s = 60.0
+    #: The nodes the steps wrote, in the order first written.
+    heard = []
 
     def check(step):
         cached = tile.health(now, report_interval_s)
-        expected = definition_health(tile, store, now, report_interval_s)
+        expected = definition_health(heard, store, now, report_interval_s)
         assert same_bits(cached, expected), (step, cached, expected)
         assert same_bits(tile.pdr(), metrics.network_pdr(store)), step
+        assert tile.node_count == len(heard)
 
     for number, step in enumerate(steps):
         if step[0] == "clock":
@@ -179,6 +202,8 @@ def test_cached_tile_equals_definition(start, steps):
             report_interval_s = step[1]
             check(step)
         else:
-            for observe in observations(step, now, seq=10 * number):
+            for node, observe in observations(step, now, seq=10 * number):
                 observe(store, tile)
+                if node not in heard:
+                    heard.append(node)
                 check(step)

@@ -10,6 +10,9 @@ clock steps across the window — and after every step the document must
 equal the one built from the scans, byte for byte.  The SQLite store
 runs the same steps plus close-and-reopen, after which the seeded
 aggregate must still agree (and replayed batches replace stored rows).
+Status records arrive with repeated and decreasing seqs, and the
+oracle's node rows come from the status scans and the harness's own
+record of the batches it submitted, not from the store's node state.
 """
 
 import os
@@ -95,7 +98,9 @@ batches = st.tuples(
     st.just("batch"),
     nodes,
     st.lists(hellos, min_size=0, max_size=4),
-    st.booleans(),  # with a status record
+    # The seq of its status record, or no status: seqs repeat (dedup)
+    # and go back, so a late lower seq arrives after a higher one.
+    st.one_of(st.none(), st.integers(min_value=0, max_value=6)),
     st.booleans(),  # seqs shuffled inside the batch
 )
 resends = st.tuples(st.just("resend"), st.integers(min_value=0, max_value=50))
@@ -124,8 +129,10 @@ class Harness:
     def __init__(self, store):
         self.now = 0.0
         self.seqs = {node: 0 for node in NODES}
-        self.status_seqs = {node: 0 for node in NODES}
         self.sent = []
+        #: Node -> (server time of its last batch, dropped records summed
+        #: over its batches): what the harness submitted, for the oracle.
+        self.batches = {}
         self.attach(store)
 
     def attach(self, store):
@@ -142,23 +149,30 @@ class Harness:
             self.now += step[1]
         elif kind == "resend":
             if self.sent:
-                assert self.server.submit(self.sent[step[1] % len(self.sent)]).ok
+                self.deliver(self.sent[step[1] % len(self.sent)])
         elif kind == "batch":
-            _, node, steps, with_status, shuffle = step
-            self.submit(node, [hello(node, item) for item in steps], with_status, shuffle, rng)
+            _, node, steps, status_seq, shuffle = step
+            self.submit(node, [hello(node, item) for item in steps], status_seq, shuffle, rng)
         elif kind == "packet":
             _, observed, shuffle = step
             by_node = {}
             for offset, fields in observed:
                 by_node.setdefault(fields["node"], []).append((offset, fields))
             for node, fields in by_node.items():
-                self.submit(node, fields, False, shuffle, rng)
+                self.submit(node, fields, None, shuffle, rng)
         else:
             raise AssertionError(step)
 
-    def submit(self, node, observed, with_status, shuffle, rng):
+    def deliver(self, batch):
+        """Submit ``batch`` now and note it for the oracle."""
+        assert self.server.submit(batch).ok
+        _last, drops = self.batches.get(batch.node, (None, 0))
+        self.batches[batch.node] = (self.now, drops + batch.dropped_records)
+
+    def submit(self, node, observed, status_seq, shuffle, rng):
         """One batch from ``node``: a record per (offset, fields), seqs
-        fresh but maybe out of order, and maybe a status record."""
+        fresh but maybe out of order, a status record of ``status_seq``
+        unless it is None, and a few client-side drops."""
         seqs = list(range(self.seqs[node], self.seqs[node] + len(observed)))
         self.seqs[node] += len(observed)
         if shuffle:
@@ -168,9 +182,8 @@ class Harness:
             for seq, (offset, fields) in zip(seqs, observed)
         )
         status = ()
-        if with_status:
-            seq = self.status_seqs[node]
-            self.status_seqs[node] += 1
+        if status_seq is not None:
+            seq = status_seq
             status = (StatusRecord(
                 node=node, seq=seq, timestamp=self.now, uptime_s=self.now,
                 queue_depth=seq % 12, route_count=3, neighbor_count=2,
@@ -181,13 +194,16 @@ class Harness:
         batch = RecordBatch(
             node=node, batch_seq=len(self.sent), sent_at=self.now,
             packet_records=records, status_records=status,
+            dropped_records=len(self.sent) % 3,
         )
         self.sent.append(batch)
-        assert self.server.submit(batch).ok
+        self.deliver(batch)
 
     def check(self, step):
         view = canonical(self.dashboard.to_json_dict(self.now))
-        expected = canonical(scan_document(self.dashboard, self.oracle_alerts, self.now))
+        expected = canonical(
+            scan_document(self.dashboard, self.oracle_alerts, self.now, self.batches)
+        )
         assert view == expected, step
 
 

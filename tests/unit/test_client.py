@@ -143,6 +143,53 @@ class TestRetry:
         mesh.sim.run(until=mesh.sim.now + 120.0)
         assert client.stats.batches_sent == 0
 
+    def test_restart_empties_buffers_and_continues_seqs(self, mesh):
+        uplink = FakeUplink(ok=None)  # the first batch stays in flight
+        client, _ = make_client(mesh, uplink=uplink)
+        mesh.sim.run(until=mesh.sim.now + 35.0)
+        [in_flight] = uplink.batches
+        mesh.sim.run(until=mesh.sim.now + 10.0)
+        assert client.backlog > 0
+        client.stop()
+        client.restart()
+        assert client.backlog == 0
+        uplink.ok = True
+        mesh.sim.run(until=mesh.sim.now + 35.0)
+        rebooted = uplink.batches[1]
+        assert rebooted.batch_seq > in_flight.batch_seq
+        assert rebooted.packet_records[0].seq > in_flight.packet_records[-1].seq
+        assert rebooted.status_records[0].seq > in_flight.status_records[-1].seq
+
+    def test_restart_of_a_running_client_keeps_one_flush_timer(self, mesh):
+        # A brownout fails the node without stopping its client, and a
+        # later recovery restarts a client whose timer still runs.
+        client, uplink = make_client(mesh)
+        mesh.sim.run(until=mesh.sim.now + 45.0)
+        client.restart()
+        sent = client.stats.batches_sent
+        mesh.sim.run(until=mesh.sim.now + 295.0)
+        # Every flush ships a status, so one batch per 30 s interval.
+        assert client.stats.batches_sent - sent == 9
+
+    def test_result_from_before_a_restart_is_ignored(self, mesh):
+        uplink = FakeUplink(ok=None)  # results are delivered by hand
+        client, _ = make_client(mesh, uplink=uplink)
+        mesh.sim.run(until=mesh.sim.now + 35.0)
+        stale = uplink.deferred.pop()
+        client.stop()
+        client.restart()
+        mesh.sim.run(until=mesh.sim.now + 35.0)
+        assert client.stats.batches_sent == 2
+        backlog = client.backlog
+        stale(True)
+        # The restarted client still awaits its own batch and keeps its records.
+        assert client.backlog == backlog
+        assert client.stats.batches_acked == 0
+        mesh.sim.run(until=mesh.sim.now + 35.0)
+        assert client.stats.batches_sent == 2
+        uplink.deferred.pop()(True)
+        assert client.stats.batches_acked == 1
+
     def test_failed_node_stops_capturing(self, mesh):
         client, uplink = make_client(mesh, node_addr=5)
         mesh.sim.run(until=mesh.sim.now + 40.0)

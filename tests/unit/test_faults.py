@@ -107,15 +107,32 @@ class TestFaultExecution:
         ])
         schedule.apply(scenario)
         sim = scenario.sim
+        sim.run(until=720.0)
+        client = scenario.clients[5]
+        batches_when_down = client.stats.batches_sent
         sim.run(until=880.0)
-        stopped_client = scenario.clients[5]
-        batches_when_down = stopped_client.stats.batches_sent
+        # Nothing is sent while the node is down...
+        assert client.stats.batches_sent == batches_when_down
         sim.run(until=1400.0)
-        # The replacement client ships batches again after recovery.
-        new_client = scenario.clients[5]
-        assert new_client is not stopped_client
-        assert new_client.stats.batches_sent > 0
-        assert stopped_client.stats.batches_sent == batches_when_down
+        # ...and the node's own client ships batches again after recovery.
+        assert scenario.clients[5] is client
+        assert client.stats.batches_sent > batches_when_down
+
+    def test_recovered_node_telemetry_is_not_taken_for_duplicates(self):
+        # The restarted client's seqs continue past what the server's
+        # dedup windows saw before the crash, so nothing it sends after
+        # recovery is refused, and its status becomes the latest again.
+        scenario = build_scenario(
+            seed=77, n_nodes=16, warmup_s=1800.0, duration_s=900.0, cooldown_s=120.0,
+        )
+        FaultSchedule([NodeCrash(node=6, at_s=1500.0, recover_at_s=2100.0)]).apply(scenario)
+        scenario.run()
+        store = scenario.store
+        assert scenario.server.stats.duplicates == 0
+        after = [record for record in store.status_records(6) if record.timestamp > 2100.0]
+        assert len(after) >= 10
+        assert store.latest_status(6) == max(after, key=lambda record: record.seq)
+        assert any(record.timestamp > 2100.0 for record in store.packet_records(node=6))
 
     def test_link_degradation_applies_and_restores(self):
         scenario = build_scenario()

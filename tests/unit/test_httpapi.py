@@ -6,6 +6,7 @@ import urllib.request
 
 import pytest
 
+from repro.errors import ConfigurationError
 from repro.monitor.dashboard import Dashboard
 from repro.monitor.httpapi import MonitoringHttpServer, _sanitize
 from repro.monitor.records import Direction, PacketRecord, RecordBatch, StatusRecord
@@ -189,6 +190,34 @@ def get_status_only(server, path):
             return response.status, json.loads(response.read())
     except urllib.error.HTTPError as error:
         return error.code, json.loads(error.read())
+
+
+class TestOneReportInterval:
+    def test_a_dashboard_with_another_interval_is_refused(self):
+        # The dashboard keeps its 60 s default; the server says 300 s.
+        monitor_server = MonitorServer(report_interval_s=300.0)
+        with pytest.raises(ConfigurationError, match="report_interval_s"):
+            MonitoringHttpServer(monitor_server, Dashboard(monitor_server.store), port=0)
+        monitor_server.close()
+
+    def test_every_route_scores_with_the_servers_interval(self):
+        monitor_server = MonitorServer(clock=lambda: 0.0, report_interval_s=300.0)
+        dashboard = Dashboard(monitor_server.store, report_interval_s=300.0)
+        monitor_server.submit(RecordBatch(node=1, batch_seq=0, sent_at=0.0))
+        monitor_server.submit(RecordBatch(node=1, batch_seq=0, sent_at=0.0, network_id="campus"))
+        expected = monitor_server.materialize_tiles(200.0, report_interval_s=300.0)
+        # Silent for 200 s: liveness 1.0 at 300 s, 0.42 at 60 s.
+        assert [tile["health"] for tile in expected] == [100.0, 100.0]
+        with MonitoringHttpServer(monitor_server, dashboard, port=0, clock=lambda: 200.0) as server:
+            status, overview = get(server, "/api/v1/fleet")
+            assert status == 200
+            assert overview["networks"] == expected
+            for network in ("default", "campus"):
+                _status, nodes = get(server, f"/api/v1/networks/{network}/health")
+                assert nodes["1"]["liveness"] == 1.0
+            _status, summary = get(server, "/api/v1/networks/campus/summary")
+            assert summary["network_health"] == 100.0
+        monitor_server.close()
 
 
 class TestHistoryEndpoint:

@@ -4,11 +4,12 @@ import json
 
 import pytest
 
-from repro.api import Dashboard, sqlite_store_factory
+from repro.api import Dashboard, MetricsStore, sqlite_store_factory
 from repro.monitor import metrics
 from repro.monitor.ingest import SeqWindow
 from repro.monitor.records import Direction, PacketRecord, RecordBatch, StatusRecord
 from repro.monitor.server import MonitorServer
+from repro.monitor.sqlitestore import SqliteMetricsStore
 
 
 def packet_record(node=1, seq=0):
@@ -464,3 +465,46 @@ class TestTileDelivery:
         assert metrics.network_pdr(server.store) == 1.0
         assert tile["pdr"] == 1.0
         server.close()
+
+
+class TestOneNodeState:
+    """A node's latest status is its status record of highest seq, on
+    both backends, for every reader of it."""
+
+    BACKENDS = {
+        "memory": lambda path: MetricsStore(),
+        "sqlite": lambda path: SqliteMetricsStore(path, flush_interval_s=None),
+    }
+
+    @staticmethod
+    def battery_status(seq, battery_v):
+        return status_record(seq=seq)._replace(battery_v=battery_v)
+
+    @pytest.mark.parametrize("backend", sorted(BACKENDS))
+    def test_late_lower_seq_status_is_not_the_latest(self, backend, tmp_path):
+        # Seq 5 at 3.2 V, then a late seq 4 at 3.9 V, then a batch that
+        # carries no status once the paced sweep is due.
+        path = str(tmp_path / "net.sqlite")
+        clock = {"now": 0.0}
+        server = MonitorServer(store=self.BACKENDS[backend](path), clock=lambda: clock["now"])
+        server.submit(batch(batch_seq=0, status=[self.battery_status(5, 3.2)]))
+        clock["now"] = 30.0
+        server.submit(batch(batch_seq=1, status=[self.battery_status(4, 3.9)]))
+        clock["now"] = 70.0
+        server.submit(batch(batch_seq=2))
+        shard = server.shard_for("default")
+        store = shard.store
+        assert server.alert_sweeps == 1
+        assert store.status_record_count(1) == 2
+        assert store.latest_status(1).seq == 5
+        assert shard.tile.node_delta(1).battery_v == 3.2
+        [row] = Dashboard(store).to_json_dict(70.0)["nodes"]
+        assert row["battery_v"] == 3.2
+        # One condition, raised once and still active.
+        assert [alert.rule for alert in shard.alerts.history].count("battery_low") == 1
+        assert [alert.rule for alert in shard.alerts.active()] == ["battery_low"]
+        server.close()
+        if backend == "sqlite":
+            with SqliteMetricsStore(path) as reopened:
+                assert reopened.latest_status(1) == self.battery_status(5, 3.2)
+                assert reopened.last_seen(1) == 70.0

@@ -5,6 +5,8 @@ the MetricsStore behaviour and additionally check persistence and that the
 metric aggregations run unchanged on top of it.
 """
 
+import json
+
 import pytest
 
 from repro.monitor import metrics
@@ -116,6 +118,42 @@ class TestPersistence:
         assert reopened.latest_status(1) is not None
         reopened.close()
 
+    def test_neighbours_are_stored_as_their_wire_text(self, tmp_path):
+        path = str(tmp_path / "telemetry.db")
+        neighbours = (NeighborObservation(2, -101.0, 4.5, 7), NeighborObservation(9, -118.3, -7.5, 1))
+        records = [
+            status_record(seq=0)._replace(neighbors=neighbours),
+            status_record(seq=1, ts=60.0)._replace(neighbors=(), neighbor_count=0),
+        ]
+        with SqliteMetricsStore(path) as store:
+            store.add_status_records(records)
+            store.flush()
+            stored = [row[0] for row in store._conn.execute(
+                "SELECT neighbors_json FROM status_records ORDER BY seq"
+            )]
+        assert stored == [
+            "[" + ",".join(n.to_json_text() for n in neighbours) + "]",
+            "[]",
+        ]
+        assert stored[0] == json.dumps([n.to_json_dict() for n in neighbours], separators=(",", ":"))
+        with SqliteMetricsStore(path) as reopened:
+            assert list(reopened.status_records(1)) == records
+            assert reopened.latest_status(1) == records[1]
+
+    def test_neighbours_written_with_spaced_separators_still_read(self, tmp_path):
+        path = str(tmp_path / "telemetry.db")
+        record = status_record()
+        with SqliteMetricsStore(path) as store:
+            store.add_status_record(record)
+            store.flush()
+            store._conn.execute(
+                "UPDATE status_records SET neighbors_json = ?",
+                (json.dumps([n.to_json_dict() for n in record.neighbors]),),
+            )
+            store._conn.commit()
+        with SqliteMetricsStore(path) as reopened:
+            assert list(reopened.status_records(1)) == [record]
+
 
 class CountingConnection:
     """Stands in for a store's sqlite3 connection and counts every use."""
@@ -172,7 +210,7 @@ class TestNodeStateInMemory:
         store.close()
         reopened = SqliteMetricsStore(path)
         assert self.node_state(reopened) == before
-        # The tables agree with the mirror.
+        # The tables agree with the aggregate's node state.
         assert [row[0] for row in reopened._conn.execute(
             "SELECT node FROM packet_records UNION SELECT node FROM status_records "
             "UNION SELECT node FROM batches ORDER BY 1"

@@ -10,7 +10,7 @@ from repro.monitor.records import (
     StatusRecord,
 )
 from repro.monitor.storage import MetricsStore
-from repro.monitor.webview import render_html, render_topology_svg
+from repro.monitor.webview import _layout, render_html, render_topology_svg
 
 
 def populated_dashboard():
@@ -50,6 +50,20 @@ class TestTopologySvg:
         svg = render_topology_svg(Dashboard(MetricsStore()).to_json_dict(now=0.0))
         assert svg.startswith("<svg")
         assert "<circle" not in svg
+
+    def test_nodes_sit_evenly_on_a_circle_in_address_order(self):
+        positions = _layout([3, 1, 4, 2])
+        assert list(positions) == [1, 2, 3, 4]
+        expected = {1: (0.95, 0.5), 2: (0.5, 0.95), 3: (0.05, 0.5), 4: (0.5, 0.05)}
+        for node, (x, y) in expected.items():
+            assert positions[node] == pytest.approx((x, y), abs=1e-12)
+        assert _layout([]) == {}
+
+    def test_map_positions_are_pinned(self):
+        svg = render_topology_svg(populated_dashboard().to_json_dict(now=20.0))
+        assert '<circle cx="575.6" cy="210.0"' in svg  # node 1
+        assert '<circle cx="64.4" cy="210.0"' in svg  # node 2
+        assert '<line x1="575.6" y1="210.0" x2="64.4" y2="210.0"' in svg
 
     def test_link_color_reflects_rssi(self):
         svg = render_topology_svg(populated_dashboard().to_json_dict(now=20.0))

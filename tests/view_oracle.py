@@ -3,7 +3,12 @@
 ``Dashboard.to_json_dict`` reads the store's ``ViewAggregate``; this
 module builds the same document the way the dashboard did before the
 aggregate existed, by scanning the stored records, so tests can compare
-the two byte for byte.
+the two byte for byte.  A node's latest status is its highest-seq
+record among ``store.status_records(node)``; its last batch time and
+reported drops come from the caller's own record of the batches the
+server ingested (``batches``: node -> (server time of its last batch,
+dropped records summed over its batches)), so no node value is read
+from the state under test.
 """
 
 import json
@@ -38,7 +43,12 @@ def scan_alert_engine(store, report_interval_s):
     return AlertEngine(store, rules)
 
 
-def scan_scores(store, now, report_interval_s):
+def scan_latest_status(store, node):
+    """The node's stored status record of highest seq, or None."""
+    return max(store.status_records(node), key=lambda record: record.seq, default=None)
+
+
+def scan_scores(store, now, report_interval_s, batches):
     """Every node's health score, delivery from a windowed ``pdr_matrix``."""
     sent = {}
     delivered = {}
@@ -47,9 +57,9 @@ def scan_scores(store, now, report_interval_s):
         sent[src] = sent.get(src, 0) + pair.sent
         delivered[src] = delivered.get(src, 0) + pair.delivered
     scores = {}
-    for node in store.nodes():
-        status = store.latest_status(node)
-        liveness = health.liveness_component(store.last_seen(node), now, report_interval_s)
+    for node in sorted(batches):
+        status = scan_latest_status(store, node)
+        liveness = health.liveness_component(batches[node][0], now, report_interval_s)
         delivery = delivered[node] / sent[node] if sent.get(node) else None
         spectrum = health.spectrum_component(None if status is None else status.duty_utilisation)
         battery = health.battery_component(None if status is None else status.battery_v)
@@ -58,16 +68,40 @@ def scan_scores(store, now, report_interval_s):
     return scores
 
 
-def scan_document(dashboard, alerts, now):
+def scan_node_rows(store, now, scores, batches):
+    """The ``nodes`` panel: one row per node that sent a batch."""
+    rows = []
+    for node in sorted(batches):
+        status = scan_latest_status(store, node)
+        last, drops = batches[node]
+        rows.append({
+            "node": node,
+            "last_seen_age_s": now - last,
+            "uptime_s": status.uptime_s if status else None,
+            "battery_v": status.battery_v if status else None,
+            "queue": status.queue_depth if status else None,
+            "routes": status.route_count if status else None,
+            "neighbors": status.neighbor_count if status else None,
+            "duty": status.duty_utilisation if status else None,
+            "tx_frames": status.tx_frames if status else None,
+            "drops": status.drops if status else None,
+            "client_drops": drops,
+            "health": scores[node].score,
+        })
+    return rows
+
+
+def scan_document(dashboard, alerts, now, batches):
     """``dashboard``'s page view at ``now`` from the scans.
 
     ``alerts`` is the :func:`scan_alert_engine` evaluated alongside the
-    dashboard's own engine, at the same times.  The dashboard must have
-    no server or flight recorder attached.
+    dashboard's own engine, at the same times; ``batches`` is the
+    caller's record of the ingested batches (see the module docstring).
+    The dashboard must have no server or flight recorder attached.
     """
     store = dashboard.store
     alerts.evaluate(now)
-    scores = scan_scores(store, now, dashboard.report_interval_s)
+    scores = scan_scores(store, now, dashboard.report_interval_s, batches)
     latencies = metrics.delivery_latency(store)
     delivery = []
     for (src, dst), pair in sorted(metrics.pdr_matrix(store).items()):
@@ -88,7 +122,7 @@ def scan_document(dashboard, alerts, now):
         "now": now,
         "network_health": health.network_health_score(scores),
         "network_pdr": metrics.network_pdr(store),
-        "nodes": dashboard._node_rows(now, scores),
+        "nodes": scan_node_rows(store, now, scores, batches),
         "links": [
             {
                 "tx": link.tx,
