@@ -30,7 +30,6 @@ from pathlib import Path
 from repro.analysis.report import ExperimentReport
 from repro.api import (
     BinaryCodec,
-    Dashboard,
     Direction,
     HttpIngestClient,
     JsonCodec,
@@ -205,9 +204,7 @@ def measure_transports():
         raws = transport_raws(codec)
         store = MetricsStore()
         server = MonitorServer(store=store)
-        http_server = MonitoringHttpServer(
-            server, Dashboard(store, report_interval_s=60.0), port=0
-        )
+        http_server = MonitoringHttpServer(server, port=0)
         http_server.start()
         try:
             client = HttpIngestClient(http_server.url, codec=codec)

@@ -29,7 +29,6 @@ from pathlib import Path
 
 from repro.analysis.report import ExperimentReport
 from repro.api import (
-    Dashboard,
     Direction,
     MetricsStore,
     MonitorServer,
@@ -142,9 +141,7 @@ def measure_e2e():
     """Median ingest -> SSE-client latency over a real socket."""
     store = MetricsStore()
     server = MonitorServer(store=store)
-    http_server = MonitoringHttpServer(
-        server, Dashboard(store, report_interval_s=60.0), port=0
-    )
+    http_server = MonitoringHttpServer(server, port=0)
     http_server.start()
     client = SseStreamClient(
         http_server.url, network_id="e2e", heartbeat_s=0.5, timeout_s=10.0

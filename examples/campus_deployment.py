@@ -65,7 +65,11 @@ def main() -> None:
     print("running 2 h of mixed campus traffic ...")
     sim.run(until=sim.now + 7200.0)
 
-    dashboard = Dashboard(scenario.store, report_interval_s=config.report_interval_s)
+    dashboard = Dashboard(
+        scenario.store,
+        report_interval_s=config.report_interval_s,
+        monitor_server=scenario.server,
+    )
     print()
     print(dashboard.render_text(sim.now))
 

@@ -5,9 +5,14 @@ The point of the paper's tool: when something breaks in a LoRa mesh you
 cannot ssh into, the telemetry is all you have.  This example breaks the
 network twice and shows each fault becoming visible on the server:
 
-1. A central relay dies — the silent-node alert fires, the health score
-   collapses, and the route-count telemetry shows the mesh shrinking.
-2. The node recovers — the alert clears and routes rebuild.
+1. A central relay dies — the server's silent-node alert fires, the
+   health score collapses, and the route-count telemetry shows the mesh
+   shrinking.
+2. The node reboots — its client reports again, the alert clears and
+   routes rebuild.
+
+Every alert here is the server's own: the one its ingest path and paced
+sweep raise, with the server time it was raised at.
 
 Run:
     python examples/fault_diagnosis.py
@@ -16,17 +21,21 @@ Run:
 from repro.analysis.anomaly import detect_anomalies
 from repro.monitor import health
 from repro.api import (
-    AlertEngine,
     Dashboard,
-    MonitorClient,
-    MonitorClientConfig,
     Scenario,
     ScenarioConfig,
     WorkloadSpec,
 )
-from repro.monitor.alerts import SilentNodeRule
 
 VICTIM = 13  # centre of the 5x5 grid: the busiest relay
+
+
+def silent_alerts(server, network_id):
+    """The server's active silent-node alerts of ``network_id``."""
+    return [
+        alert for alert in server.active_alerts(network_id)
+        if alert["rule"] == "silent_node"
+    ]
 
 
 def main() -> None:
@@ -42,15 +51,12 @@ def main() -> None:
     )
     scenario = Scenario(config)
     sim = scenario.sim
-    engine = AlertEngine(
-        scenario.store,
-        rules=[SilentNodeRule(max_silence_s=3 * config.report_interval_s + 10)],
-    )
+    server = scenario.server
+    network = config.network_id
 
     print("phase 0: healthy network, 30 min warmup ...")
     sim.run(until=config.warmup_s)
-    engine.evaluate(sim.now)
-    print(f"  active alerts: {len(engine.active())} (expected 0)")
+    print(f"  silent-node alerts: {len(silent_alerts(server, network))} (expected 0)")
     scores = health.network_health(scenario.store, sim.now, config.report_interval_s)
     print(f"  node {VICTIM} health: {scores[VICTIM].score:.0f}/100")
     routes_before = scenario.store.latest_status(1).route_count
@@ -61,14 +67,17 @@ def main() -> None:
     scenario.nodes[VICTIM].fail()
     scenario.clients[VICTIM].stop()
 
+    # The server's silence threshold is 3 report intervals plus 10 s; its
+    # paced sweep raises the alert within one more interval.
     detected = None
     while detected is None and sim.now < fault_time + 1800:
         sim.run(until=sim.now + 10.0)
-        for alert in engine.evaluate(sim.now):
-            if alert.node == VICTIM:
-                detected = sim.now
+        for alert in silent_alerts(server, network):
+            if alert["node"] == VICTIM:
+                detected = alert["raised_at"]
                 print(f"  ALERT after {detected - fault_time:.0f}s: "
-                      f"[{alert.severity}] {alert.rule} node {alert.node}: {alert.message}")
+                      f"[{alert['severity']}] {alert['rule']} node {alert['node']}: "
+                      f"{alert['message']}")
     if detected is None:
         raise SystemExit("fault was never detected — that's a bug")
 
@@ -88,21 +97,29 @@ def main() -> None:
               f"t={anomalies[0].timestamp:.0f}s (z={anomalies[0].z_score:.1f})")
 
     print(f"\nphase 2: node {VICTIM} comes back ...")
+    recovery_time = sim.now
     scenario.nodes[VICTIM].recover()
-    scenario.clients[VICTIM] = MonitorClient(
-        sim, scenario.nodes[VICTIM], scenario.uplinks[VICTIM],
-        MonitorClientConfig(report_interval_s=config.report_interval_s),
-    )
+    scenario.clients[VICTIM].restart()
     sim.run(until=sim.now + 1200.0)
-    engine.evaluate(sim.now)
-    still_firing = [alert for alert in engine.active() if alert.node == VICTIM]
+    still_firing = [
+        alert for alert in silent_alerts(server, network) if alert["node"] == VICTIM
+    ]
     print(f"  alert cleared: {not still_firing}")
+    latest = scenario.store.latest_status(VICTIM)
+    if latest is None or latest.timestamp < recovery_time:
+        raise SystemExit(
+            f"node {VICTIM}'s latest stored status predates its recovery at "
+            f"t={recovery_time:.0f}s — its post-reboot telemetry was lost"
+        )
     scores = health.network_health(scenario.store, sim.now, config.report_interval_s)
-    print(f"  node {VICTIM} health recovered to {scores[VICTIM].score:.0f}/100")
+    print(f"  node {VICTIM} reports again (latest status t={latest.timestamp:.0f}s); "
+          f"health recovered to {scores[VICTIM].score:.0f}/100")
 
     print("\nfinal dashboard:")
     dashboard = Dashboard(
-        scenario.store, alert_engine=engine, report_interval_s=config.report_interval_s
+        scenario.store,
+        report_interval_s=config.report_interval_s,
+        monitor_server=server,
     )
     print(dashboard.render_text(sim.now))
 

@@ -18,7 +18,6 @@ import time
 import urllib.request
 
 from repro.api import (
-    Dashboard,
     Direction,
     MonitoringHttpServer,
     PacketRecord,
@@ -49,11 +48,8 @@ def main() -> None:
         workload=WorkloadSpec(kind="periodic", interval_s=120.0, payload_bytes=24),
     ))
 
-    dashboard = Dashboard(result.store, report_interval_s=60.0)
     frozen_now = result.sim.now
-    http_server = MonitoringHttpServer(
-        result.server, dashboard, port=0, clock=lambda: frozen_now
-    )
+    http_server = MonitoringHttpServer(result.server, port=0, clock=lambda: frozen_now)
     http_server.start()
     print(f"dashboard serving at {http_server.url}")
 

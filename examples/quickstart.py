@@ -37,7 +37,11 @@ def main() -> None:
     print(f"telemetry     : {result.telemetry_records_stored()} packet records "
           f"on the server ({result.telemetry_delivery_ratio():.0%} of captured)")
 
-    dashboard = Dashboard(result.store, report_interval_s=config.report_interval_s)
+    dashboard = Dashboard(
+        result.store,
+        report_interval_s=config.report_interval_s,
+        monitor_server=result.server,
+    )
     print()
     print(dashboard.render_text(result.sim.now))
 

@@ -94,7 +94,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if result.store is not None:
         dashboard = Dashboard(
             result.store, report_interval_s=config.report_interval_s,
-            flight_recorder=result.recorder,
+            monitor_server=result.server, flight_recorder=result.recorder,
         )
         print(dashboard.render_text(result.sim.now))
     else:
@@ -112,13 +112,9 @@ def cmd_serve(args: argparse.Namespace) -> int:
         print("serve requires monitoring enabled", file=sys.stderr)
         return 2
     result = run_scenario(config)
-    dashboard = Dashboard(
-        result.store, report_interval_s=config.report_interval_s,
-        monitor_server=result.server,
-    )
     frozen_now = result.sim.now
     http_server = MonitoringHttpServer(
-        result.server, dashboard, port=args.port, clock=lambda: frozen_now
+        result.server, port=args.port, clock=lambda: frozen_now
     )
     http_transport = result.server.attach_transport(HttpIngestTransport(http_server))
     http_transport.start()

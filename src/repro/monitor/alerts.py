@@ -6,9 +6,9 @@ disappears, kept in history) — what a network administrator watching the
 paper's dashboard would act on.
 
 An engine watches one store; a multi-tenant server gives each network
-its own store (and the HTTP layer its own engine), so alert state never
-crosses tenants — node 7 going silent on campus A raises nothing for
-node 7 on campus B.
+its own store and engine (``NetworkShard.alerts``, which every view
+reads), so alert state never crosses tenants — node 7 going silent on
+campus A raises nothing for node 7 on campus B.
 """
 
 from __future__ import annotations
@@ -88,19 +88,16 @@ class AlertRule(ABC):
         self,
         store: MetricsStore,
         now: float,
-        snapshots: Optional[Sequence[NodeDelta]] = None,
+        snapshots: Sequence[NodeDelta],
     ) -> List[Tuple[Optional[int], str]]:
         """Return (node, message) for every currently firing condition.
 
         Per-node rules are defined once, by :meth:`node_conditions`; the
         sweep judges every node of ``store`` from its
-        :meth:`NodeDelta.from_store` snapshot.  ``snapshots`` passes
-        those in (:meth:`AlertEngine.evaluate` builds them once for all
-        its rules); without it they are built here.  Cross-node rules
-        override this.
+        :meth:`NodeDelta.from_store` snapshot, which ``snapshots`` holds
+        (:func:`node_snapshots`; :meth:`AlertEngine.evaluate` builds them
+        once for all its rules).  Cross-node rules override this.
         """
-        if snapshots is None:
-            snapshots = node_snapshots(store)
         firing: List[Tuple[Optional[int], str]] = []
         for delta in snapshots:
             messages = self.node_conditions(delta, now)
@@ -162,7 +159,7 @@ class LowPdrRule(AlertRule):
         self,
         store: MetricsStore,
         now: float,
-        snapshots: Optional[Sequence[NodeDelta]] = None,
+        snapshots: Sequence[NodeDelta],
     ) -> List[Tuple[Optional[int], str]]:
         """Pairs of ``metrics.pdr_matrix`` over the window, read from the
         store's aggregate (``snapshots`` are not needed)."""

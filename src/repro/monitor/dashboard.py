@@ -11,7 +11,8 @@ page view is one document, computed once and rendered in several media:
 The panels read the store's :class:`~repro.monitor.aggregate.ViewAggregate`
 under its lock, the lock the store's writes take, so a view scans no
 packet records, costs the same at any history length, and is one
-consistent snapshot while another thread ingests.
+consistent snapshot while another thread ingests.  The alerts are the
+monitor server's, so a view evaluates no rule and keeps no state.
 """
 
 from __future__ import annotations
@@ -21,10 +22,11 @@ from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
 from repro.monitor import health as health_mod
 from repro.monitor import metrics
-from repro.monitor.alerts import AlertEngine, default_rules
+from repro.monitor.ingest import DEFAULT_NETWORK_ID
 from repro.monitor.storage import MetricsStore
 
-if TYPE_CHECKING:  # the observability layer is optional for the dashboard
+if TYPE_CHECKING:  # annotations only; the observability layer is optional
+    from repro.monitor.server import MonitorServer
     from repro.obs.recorder import FlightRecorder
 
 
@@ -55,32 +57,26 @@ class Dashboard:
     def __init__(
         self,
         store: MetricsStore,
-        alert_engine: Optional[AlertEngine] = None,
         report_interval_s: float = 60.0,
-        monitor_server: Optional[Any] = None,
+        monitor_server: Optional["MonitorServer"] = None,
         flight_recorder: Optional["FlightRecorder"] = None,
         network_id: Optional[str] = None,
     ) -> None:
         """Args:
             store: the metrics store to render.
-            alert_engine: alert rules (a default engine when omitted).
             report_interval_s: the clients' flush cadence (liveness maths).
             monitor_server: optional :class:`~repro.monitor.server.MonitorServer`
                 whose self-metrics feed the ``[server]`` panel ("monitor
-                the monitor"); omit to hide the panel.
+                the monitor") and whose alert engine for this network
+                feeds the ``[alerts]`` panel; omit to hide both panels.
             flight_recorder: optional :class:`~repro.obs.recorder.FlightRecorder`
                 feeding the ``[drops]`` panel (message verdicts and drop
                 accounting); omit to hide the panel.
             network_id: label when this dashboard renders one network of
-                a multi-tenant server; None keeps the single-network
-                output byte-identical.
+                a multi-tenant server (its alerts are ``default``'s when
+                None); None keeps the single-network output unlabelled.
         """
         self.store = store
-        self.alerts = (
-            alert_engine
-            if alert_engine is not None
-            else AlertEngine(store, default_rules(report_interval_s))
-        )
         self.report_interval_s = report_interval_s
         self.monitor_server = monitor_server
         self.flight_recorder = flight_recorder
@@ -150,6 +146,15 @@ class Dashboard:
             }
             for src, dst, sent, delivered, pdr, latency_mean, latency_p95 in pairs
         ]
+
+    def alert_rows(self) -> Optional[List[Dict[str, Any]]]:
+        """The network's active alerts from the monitor server's engine
+        (None without a server); never called under the aggregate's lock."""
+        server = self.monitor_server
+        if server is None:
+            return None
+        network = DEFAULT_NETWORK_ID if self.network_id is None else self.network_id
+        return server.active_alerts(network)
 
     # -- renderers ----------------------------------------------------------------
 
@@ -269,13 +274,14 @@ class Dashboard:
                 )
 
         alerts = document["alerts"]
-        sections.append(f"\n[alerts]  {len(alerts)} active")
-        for alert in alerts:
-            node_label = f"node {alert['node']}" if alert["node"] is not None else "network"
-            sections.append(
-                f"  {alert['severity'].upper():8s} {alert['rule']:14s} {node_label}: "
-                f"{alert['message']} (since t={alert['raised_at']:.0f}s)"
-            )
+        if alerts is not None:
+            sections.append(f"\n[alerts]  {len(alerts)} active")
+            for alert in alerts:
+                node_label = f"node {alert['node']}" if alert["node"] is not None else "network"
+                sections.append(
+                    f"  {alert['severity'].upper():8s} {alert['rule']:14s} {node_label}: "
+                    f"{alert['message']} (since t={alert['raised_at']:.0f}s)"
+                )
         return "\n".join(sections)
 
     def render_dot(self) -> str:
@@ -298,8 +304,9 @@ class Dashboard:
         """The document of one page view, every panel computed once.
 
         The panels are read under the aggregate's lock, so they are one
-        snapshot of the store; the server's self-metrics and the flight
-        recorder lock themselves and are read after it is released.
+        snapshot of the store; the alerts and self-metrics (under the
+        monitor server's lock) and the flight recorder lock themselves
+        and are read after it is released.
         The network score is the mean of the node rows' scores.  The
         ``network`` key appears only for labelled (multi-tenant)
         dashboards so the single-network document stays byte-identical.
@@ -310,7 +317,6 @@ class Dashboard:
         if self.network_id is not None:
             document["network"] = self.network_id
         with aggregate.lock:
-            self.alerts.evaluate(now)
             scores = health_mod.network_health(store, now, self.report_interval_s)
             document.update({
                 "now": now,
@@ -328,8 +334,8 @@ class Dashboard:
                     }
                     for ptype, frames, size, airtime in aggregate.composition()
                 ],
-                "alerts": [alert.to_json_dict() for alert in self.alerts.active()],
             })
+        document["alerts"] = self.alert_rows()
         server, recorder = self.monitor_server, self.flight_recorder
         document["server"] = None if server is None else server.self_metrics_document()
         document["drops"] = None if recorder is None else recorder.to_json_dict()

@@ -25,7 +25,8 @@ versioned, network-scoped ``/api/v1/...`` API:
 ==========================================  =================================
 
 plus the HTML pages ``/`` (default network), ``/fleet``,
-``/networks/<id>`` and ``/text``.
+``/networks/<id>`` and ``/text``.  Each request builds its network's
+view from the monitor server; a network that is not resident is a 404.
 
 The server needs a *clock* callable so it works both against a live
 simulation (pass ``lambda: sim.now``) and in real time (default:
@@ -41,7 +42,6 @@ import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Callable, Dict, Optional, Tuple, get_type_hints
 
-from repro.errors import ConfigurationError
 from repro.monitor import fleet as fleet_mod
 from repro.monitor import health as health_mod
 from repro.monitor.codec import codec_for_content_type
@@ -83,7 +83,6 @@ class MonitoringHttpServer:
     def __init__(
         self,
         monitor_server: MonitorServer,
-        dashboard: Dashboard,
         host: str = "127.0.0.1",
         port: int = 0,
         clock: Optional[Callable[[], float]] = None,
@@ -91,26 +90,14 @@ class MonitoringHttpServer:
         """Create (but do not start) the HTTP server.
 
         Args:
-            monitor_server: ingestion backend for the ingest routes; its
-                ``report_interval_s`` scores the fleet routes and the
-                lazily built per-network dashboards.
-            dashboard: view layer for the ``default`` network, scoring
-                with the server's ``report_interval_s`` (else a
-                ``ConfigurationError``); other networks get dashboards
-                built lazily from their shards.
+            monitor_server: the ingestion backend and the source of every
+                view: its stores, alert engines, self-metrics, and the
+                ``report_interval_s`` every route scores with.
             host/port: bind address; port 0 picks a free port.
             clock: "now" provider for dashboard rendering.
         """
-        if dashboard.report_interval_s != monitor_server.report_interval_s:
-            raise ConfigurationError(
-                f"dashboard report_interval_s {dashboard.report_interval_s}"
-                f" differs from the server's {monitor_server.report_interval_s}"
-            )
         self.monitor_server = monitor_server
-        self.dashboard = dashboard
         self._lock = threading.Lock()
-        #: Lazily built per-network dashboards; raced by handler threads.
-        self._dashboards: Dict[str, Dashboard] = {DEFAULT_NETWORK_ID: dashboard}  # guarded-by: _lock
         if clock is None:
             start = time.monotonic()
             clock = lambda: time.monotonic() - start  # noqa: E731 - tiny closure
@@ -200,39 +187,22 @@ class MonitoringHttpServer:
         self.stop()
 
     def dashboard_for(self, network_id: str) -> Optional[Dashboard]:
-        """The (lazily built) dashboard of one network, None if unknown.
+        """One request's view of a network, None if it is not resident.
 
-        The ``default`` network always resolves to the injected
-        dashboard; other networks get a view over their shard's store
-        the first time they are asked for.  Handler threads race here,
-        so the cache is double-checked under the lock: the store lookup
-        (which takes the server lock) stays outside, and the winner of a
-        build race is whoever publishes last — both views wrap the same
-        store, so either is correct.
+        Built over the network's current store, so a network evicted and
+        created again is served from its new one; the ``default``
+        network's documents stay unlabelled.
         """
-        if network_id == DEFAULT_NETWORK_ID:
-            return self.dashboard
-        store = self.monitor_server.store_for(network_id)
+        server = self.monitor_server
+        store = server.store_for(network_id)
         if store is None:
-            with self._lock:
-                self._dashboards.pop(network_id, None)
             return None
-        with self._lock:
-            cached = self._dashboards.get(network_id)
-            if cached is not None and cached.store is store:
-                return cached
-        dashboard = Dashboard(
+        return Dashboard(
             store,
-            report_interval_s=self.monitor_server.report_interval_s,
-            monitor_server=self.monitor_server,
-            network_id=network_id,
+            report_interval_s=server.report_interval_s,
+            monitor_server=server,
+            network_id=None if network_id == DEFAULT_NETWORK_ID else network_id,
         )
-        with self._lock:
-            current = self._dashboards.get(network_id)
-            if current is not None and current.store is store:
-                return current  # lost the build race; use the winner
-            self._dashboards[network_id] = dashboard
-            return dashboard
 
     def _make_handler(self) -> type:
         api = self
@@ -408,13 +378,8 @@ class MonitoringHttpServer:
 
             def _h_network_alerts(self, network: str) -> None:
                 dashboard = self._network_dashboard(network)
-                if dashboard is None:
-                    return
-                now = api._clock()
-                dashboard.alerts.evaluate(now)
-                self._send_json(
-                    [alert.to_json_dict() for alert in dashboard.alerts.active()]
-                )
+                if dashboard is not None:
+                    self._send_json(dashboard.alert_rows())
 
             def _h_network_health(self, network: str) -> None:
                 dashboard = self._network_dashboard(network)
@@ -513,8 +478,10 @@ class MonitoringHttpServer:
 
             def _h_index(self, network: str) -> None:
                 from repro.monitor.webview import render_html
-                page = render_html(api.dashboard, api._clock())
-                self._send(200, page.encode("utf-8"), "text/html")
+                dashboard = self._network_dashboard(network)
+                if dashboard is not None:
+                    page = render_html(dashboard, api._clock())
+                    self._send(200, page.encode("utf-8"), "text/html")
 
             def _h_fleet_page(self, network: str) -> None:
                 from repro.monitor.webview import render_fleet_html
@@ -534,7 +501,9 @@ class MonitoringHttpServer:
                     self._send(200, page.encode("utf-8"), "text/html")
 
             def _h_text(self, network: str) -> None:
-                text = api.dashboard.render_text(api._clock())
-                self._send(200, (_INDEX_HTML % text).encode("utf-8"), "text/html")
+                dashboard = self._network_dashboard(network)
+                if dashboard is not None:
+                    text = dashboard.render_text(api._clock())
+                    self._send(200, (_INDEX_HTML % text).encode("utf-8"), "text/html")
 
         return Handler

@@ -48,7 +48,8 @@ class NetworkShard:
     :class:`~repro.monitor.rollup.IncrementalRollup` whose dirty buckets
     become ``rollup-update`` stream events, and an
     :class:`~repro.monitor.alerts.AlertEngine` evaluated O(delta) via
-    :meth:`~repro.monitor.alerts.AlertEngine.observe`.
+    :meth:`~repro.monitor.alerts.AlertEngine.observe` and by the paced
+    sweep: the network's only alert state, which every view reads.
     """
 
     def __init__(
@@ -61,7 +62,7 @@ class NetworkShard:
         self.tile = TileAggregate(store)
         #: Per-network traffic rollup fed record-by-record.
         self.rollup = IncrementalRollup(interval_s=SHARD_ROLLUP_INTERVAL_S)
-        #: Per-network alert state driven by the O(delta) observe path;
+        #: The network's one alert state (observe path and paced sweep);
         #: thresholds scale with the clients' report interval.
         self.alerts = AlertEngine(store, default_rules(report_interval_s))
         #: Per-node dedup windows, private to this network — the same

@@ -253,7 +253,7 @@ ROUTES: Tuple[Route, ...] = (
         name="network-alerts",
         method="GET",
         pattern="/api/v1/networks/<network>/alerts",
-        summary="Active alerts for one network.",
+        summary="Active alerts for one network, read from the server's alert engine.",
         response="array: rule, node, severity, message, raised_at",
     ),
     Route(

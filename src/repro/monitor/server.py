@@ -593,6 +593,15 @@ class MonitorServer:
             }
         return document
 
+    def active_alerts(self, network_id: str) -> List[Dict[str, Any]]:
+        """``network_id``'s active alerts, oldest first, as JSON objects:
+        the one alert state every view reads.  Creates no shard."""
+        with self._lock:
+            shard = self.registry.get(network_id)
+            if shard is None:
+                return []
+            return [alert.to_json_dict() for alert in shard.alerts.active()]
+
     def network_document(self, network_id: str) -> Optional[Dict[str, Any]]:
         """Per-network ingest counters, or None for an unknown network."""
         with self._lock:

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Deque, Dict, Iterable, Iterator, List, Optional
 
 from repro.errors import StorageError
@@ -243,8 +244,8 @@ class MetricsStore(NodeReads):
         since: Optional[float] = None,
         until: Optional[float] = None,
     ) -> Iterator[StatusRecord]:
-        """Iterate one node's status records in arrival order."""
-        for record in tuple(self._status_by_node.get(node, ())):
+        """Iterate one node's status records in seq order (time order), as SQLite does."""
+        for record in sorted(tuple(self._status_by_node.get(node, ())), key=attrgetter("seq")):
             if since is not None and record.timestamp < since:
                 continue
             if until is not None and record.timestamp > until:

@@ -313,20 +313,21 @@ def render_html(dashboard: Dashboard, now: float, network_id: Optional[str] = No
         )
     sections.append("</table>")
 
-    sections.append('<h2>Alerts</h2><div id="alerts">')
     alerts = document["alerts"]
-    if not alerts:
-        sections.append('<p class="muted" id="no-alerts">no active alerts</p>')
-    for alert in alerts:
-        target = f"node {alert['node']}" if alert["node"] is not None else "network"
-        key = f"{alert['rule']}:{alert['node']}"
-        sections.append(
-            f'<div class="alert {html.escape(alert["severity"])}" data-key="{html.escape(key)}">'
-            f"<b>{html.escape(alert['rule'])}</b> — {target}: "
-            f"{html.escape(alert['message'])} "
-            f'<span class="muted">since t={alert["raised_at"]:.0f}s</span></div>'
-        )
-    sections.append("</div>")
+    if alerts is not None:
+        sections.append('<h2>Alerts</h2><div id="alerts">')
+        if not alerts:
+            sections.append('<p class="muted" id="no-alerts">no active alerts</p>')
+        for alert in alerts:
+            target = f"node {alert['node']}" if alert["node"] is not None else "network"
+            key = f"{alert['rule']}:{alert['node']}"
+            sections.append(
+                f'<div class="alert {html.escape(alert["severity"])}" data-key="{html.escape(key)}">'
+                f"<b>{html.escape(alert['rule'])}</b> — {target}: "
+                f"{html.escape(alert['message'])} "
+                f'<span class="muted">since t={alert["raised_at"]:.0f}s</span></div>'
+            )
+        sections.append("</div>")
 
     server = document.get("server")
     if server is not None:

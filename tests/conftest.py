@@ -23,6 +23,38 @@ def sim():
 
 
 @pytest.fixture
+def alert_evaluations(monkeypatch):
+    """Count alert evaluation from here on: every ``AlertEngine`` built and
+    every ``conditions`` or ``node_conditions`` call of an alert rule.
+
+    Returns the list the counters append to, one label per event.
+    """
+    from repro.monitor.alerts import AlertEngine, AlertRule
+
+    calls = []
+    build = AlertEngine.__init__
+
+    def counting_build(engine, *args, **kwargs):
+        calls.append("AlertEngine")
+        build(engine, *args, **kwargs)
+
+    monkeypatch.setattr(AlertEngine, "__init__", counting_build)
+    for rule in (AlertRule, *AlertRule.__subclasses__()):
+        for name in ("conditions", "node_conditions"):
+            method = vars(rule).get(name)
+            if method is None:
+                continue
+            label = f"{rule.__name__}.{name}"
+
+            def counting(*args, method=method, label=label, **kwargs):
+                calls.append(label)
+                return method(*args, **kwargs)
+
+            monkeypatch.setattr(rule, name, counting)
+    return calls
+
+
+@pytest.fixture
 def rng():
     return RngRegistry(seed=1234)
 

@@ -33,7 +33,7 @@ from repro.api import (
 )
 from repro.monitor.records import Direction, StatusRecord
 from repro.monitor.sqlitestore import SqliteMetricsStore
-from tests.view_oracle import canonical, scan_alert_engine, scan_document
+from tests.view_oracle import canonical, scan_document
 
 HTTP_THREADS = 4
 UDP_THREADS = 2
@@ -112,8 +112,7 @@ class TestConcurrentIngest:
     def test_no_lost_or_duplicated_metrics(self):
         store = MetricsStore()
         server = MonitorServer(store=store)
-        dashboard = Dashboard(store, report_interval_s=60.0)
-        http_server = MonitoringHttpServer(server, dashboard, port=0)
+        http_server = MonitoringHttpServer(server, port=0)
         http_transport = server.attach_transport(HttpIngestTransport(http_server))
         udp_transport = server.attach_transport(UdpIngestTransport(server))
         http_transport.start()
@@ -271,8 +270,7 @@ class TestConcurrentIngest:
         # deadlocks or raises.
         store = MetricsStore()
         server = MonitorServer(store=store)
-        dashboard = Dashboard(store, report_interval_s=60.0)
-        http_server = MonitoringHttpServer(server, dashboard, port=0)
+        http_server = MonitoringHttpServer(server, port=0)
         http_transport = server.attach_transport(HttpIngestTransport(http_server))
         udp_transport = server.attach_transport(UdpIngestTransport(server))
         http_transport.start()
@@ -316,7 +314,6 @@ class TestConcurrentIngest:
         clock = {"now": 0.0}
         server = MonitorServer(store=store, clock=lambda: clock["now"])
         dashboard = Dashboard(store, report_interval_s=60.0)
-        oracle_alerts = scan_alert_engine(store, 60.0)
         stop = threading.Event()
         errors = []
         #: (node, server time) of every batch, noted before its submit.
@@ -355,13 +352,11 @@ class TestConcurrentIngest:
                     now = clock["now"]
                     counted = server.self_metrics.batches_ingested
                     view = canonical(dashboard.to_json_dict(now))
-                    expected = canonical(
-                        scan_document(dashboard, oracle_alerts, now, last_batches(counted))
-                    )
+                    expected = canonical(scan_document(dashboard, now, last_batches(counted)))
                     if view != expected:
                         # The batch in flight may have been noted already.
                         expected = canonical(
-                            scan_document(dashboard, oracle_alerts, now, last_batches(counted + 1))
+                            scan_document(dashboard, now, last_batches(counted + 1))
                         )
                 assert view == expected
                 documents.add(view)
@@ -396,8 +391,7 @@ class TestConcurrentIngest:
         server = MonitorServer(store=store)
         for seq in range(100):
             server.submit(make_batch(1, seq, records=100))
-        dashboard = Dashboard(store, report_interval_s=60.0)
-        http = MonitoringHttpServer(server, dashboard, port=0)
+        http = MonitoringHttpServer(server, port=0)
         http.start()
         stop = threading.Event()
 

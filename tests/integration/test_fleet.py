@@ -15,10 +15,8 @@ import pytest
 from repro.api import (
     Direction,
     HttpIngestClient,
-    MetricsStore,
     MonitorServer,
     MonitoringHttpServer,
-    Dashboard,
     PacketRecord,
     RecordBatch,
     ScenarioConfig,
@@ -53,10 +51,7 @@ def fleet():
             network_id=site(index),
         )
         results.append(run_scenario(config, server=server))
-    # The default network carries no traffic in this fleet; its view is
-    # an empty store (the shard is only created if something lands there).
-    dashboard = Dashboard(MetricsStore(), report_interval_s=60.0)
-    http = MonitoringHttpServer(server, dashboard, port=0, clock=lambda: NOW)
+    http = MonitoringHttpServer(server, port=0, clock=lambda: NOW)
     http.start()
     yield http, server, results
     http.stop()

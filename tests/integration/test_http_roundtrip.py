@@ -10,7 +10,6 @@ import urllib.request
 
 import pytest
 
-from repro.monitor.dashboard import Dashboard
 from repro.monitor.httpapi import MonitoringHttpServer
 from repro.scenario.config import ScenarioConfig, WorkloadSpec
 from repro.scenario.runner import run_scenario
@@ -27,11 +26,8 @@ def served():
         report_interval_s=60.0,
         workload=WorkloadSpec(kind="periodic", interval_s=120.0),
     ))
-    dashboard = Dashboard(result.store, report_interval_s=60.0)
     frozen_now = result.sim.now
-    server = MonitoringHttpServer(
-        result.server, dashboard, port=0, clock=lambda: frozen_now
-    )
+    server = MonitoringHttpServer(result.server, port=0, clock=lambda: frozen_now)
     server.start()
     yield server, result
     server.stop()

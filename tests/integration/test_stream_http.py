@@ -10,9 +10,7 @@ import threading
 import pytest
 
 from repro.api import (
-    Dashboard,
     Direction,
-    MetricsStore,
     MonitorServer,
     MonitoringHttpServer,
     PacketRecord,
@@ -53,8 +51,7 @@ def batch(node=1, batch_seq=0, seq_base=0, ts=10.0, status=None):
 @pytest.fixture
 def served():
     server = MonitorServer(clock=lambda: 100.0)
-    dashboard = Dashboard(MetricsStore(), report_interval_s=60.0)
-    http = MonitoringHttpServer(server, dashboard, port=0, clock=lambda: 100.0)
+    http = MonitoringHttpServer(server, port=0, clock=lambda: 100.0)
     http.start()
     yield http, server
     http.stop()

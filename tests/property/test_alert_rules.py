@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api import MetricsStore, MonitorServer, RecordBatch, StatusRecord
-from repro.monitor.alerts import LowPdrRule, default_rules
+from repro.monitor.alerts import LowPdrRule, default_rules, node_snapshots
 from repro.monitor.sqlitestore import SqliteMetricsStore
 
 status_values = st.tuples(
@@ -69,7 +69,7 @@ def check_same_messages(store, plan, silence):
         for rule in default_rules():
             if isinstance(rule, LowPdrRule):
                 continue
-            firing = rule.conditions(shard.store, now)
+            firing = rule.conditions(shard.store, now, node_snapshots(shard.store))
             for node in shard.store.nodes():
                 delta = shard.tile.node_delta(node)
                 expected = rule.node_conditions(delta, now) or []

@@ -13,6 +13,9 @@ aggregate must still agree (and replayed batches replace stored rows).
 Status records arrive with repeated and decreasing seqs, and the
 oracle's node rows come from the status scans and the harness's own
 record of the batches it submitted, not from the store's node state.
+The alerts a view shows are the server's: after a full sweep, the
+(rule, node) pairs a view lists must be the ones an engine judging
+``LowPdrRule`` from the scans finds firing at the same time.
 """
 
 import os
@@ -201,10 +204,15 @@ class Harness:
 
     def check(self, step):
         view = canonical(self.dashboard.to_json_dict(self.now))
-        expected = canonical(
-            scan_document(self.dashboard, self.oracle_alerts, self.now, self.batches)
-        )
+        expected = canonical(scan_document(self.dashboard, self.now, self.batches))
         assert view == expected, step
+        self.server.sweep_alerts(self.now)
+        served = Dashboard(
+            self.store, report_interval_s=REPORT_INTERVAL_S, monitor_server=self.server
+        ).to_json_dict(self.now)["alerts"]
+        self.oracle_alerts.evaluate(self.now)
+        firing = {(alert.rule, alert.node) for alert in self.oracle_alerts.active()}
+        assert {(alert["rule"], alert["node"]) for alert in served} == firing, step
 
 
 steps = st.lists(

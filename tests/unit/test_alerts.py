@@ -11,6 +11,7 @@ from repro.monitor.alerts import (
     QueueBacklogRule,
     SilentNodeRule,
     default_rules,
+    node_snapshots,
 )
 from repro.monitor.records import Direction, PacketRecord, StatusRecord
 from repro.monitor.storage import MetricsStore
@@ -25,6 +26,11 @@ def status(node=1, seq=0, ts=0.0, battery=3.7, duty=0.01, queue=0):
     )
 
 
+def sweep(rule, store, now):
+    """``rule``'s firing conditions over every node of ``store``."""
+    return rule.conditions(store, now, node_snapshots(store))
+
+
 @pytest.fixture
 def store():
     return MetricsStore()
@@ -34,31 +40,31 @@ class TestSilentNode:
     def test_fires_after_silence(self, store):
         store.note_batch(1, received_at=0.0, dropped_records=0)
         rule = SilentNodeRule(max_silence_s=100.0)
-        assert rule.conditions(store, now=50.0) == []
-        firing = rule.conditions(store, now=150.0)
+        assert sweep(rule, store, 50.0) == []
+        firing = sweep(rule, store, 150.0)
         assert len(firing) == 1 and firing[0][0] == 1
 
     def test_never_seen_node_not_flagged(self, store):
         store.add_status_record(status(node=1))
         rule = SilentNodeRule(max_silence_s=100.0)
-        assert rule.conditions(store, now=1000.0) == []
+        assert sweep(rule, store, 1000.0) == []
 
 
 class TestThresholdRules:
     def test_battery_low(self, store):
         store.add_status_record(status(node=1, battery=3.2))
         store.add_status_record(status(node=2, battery=3.9))
-        firing = BatteryLowRule(threshold_v=3.4).conditions(store, now=0.0)
+        firing = sweep(BatteryLowRule(threshold_v=3.4), store, 0.0)
         assert [node for node, _ in firing] == [1]
 
     def test_duty_cycle(self, store):
         store.add_status_record(status(node=1, duty=0.95))
-        firing = DutyCycleRule(threshold=0.8).conditions(store, now=0.0)
+        firing = sweep(DutyCycleRule(threshold=0.8), store, 0.0)
         assert len(firing) == 1
 
     def test_queue_backlog(self, store):
         store.add_status_record(status(node=1, queue=15))
-        firing = QueueBacklogRule(threshold=10).conditions(store, now=0.0)
+        firing = sweep(QueueBacklogRule(threshold=10), store, 0.0)
         assert len(firing) == 1
 
     def test_low_pdr_needs_minimum_traffic(self, store):
@@ -70,7 +76,7 @@ class TestThresholdRules:
                 size_bytes=40, airtime_s=0.05,
             ))
         rule = LowPdrRule(threshold=0.8, min_sent=5)
-        assert rule.conditions(store, now=0.0) == []
+        assert sweep(rule, store, 0.0) == []
         # 6 sent, 0 delivered: alert.
         for pid in range(2, 6):
             store.add_packet_record(PacketRecord(
@@ -78,7 +84,7 @@ class TestThresholdRules:
                 src=1, dst=9, next_hop=5, prev_hop=1, ptype=3, packet_id=pid,
                 size_bytes=40, airtime_s=0.05,
             ))
-        firing = rule.conditions(store, now=0.0)
+        firing = sweep(rule, store, 0.0)
         assert len(firing) == 1 and firing[0][0] == 1
 
 

@@ -22,7 +22,6 @@ from pathlib import Path
 import pytest
 
 from repro.api import (
-    Dashboard,
     Direction,
     MonitorServer,
     MonitoringHttpServer,
@@ -67,8 +66,7 @@ def served():
     server = MonitorServer(clock=lambda: 10.0)
     for node in (1, 2):
         assert server.submit(batch(node=node)).ok
-    dashboard = Dashboard(server.store, report_interval_s=60.0, monitor_server=server)
-    http = MonitoringHttpServer(server, dashboard, port=0, clock=lambda: 10.0)
+    http = MonitoringHttpServer(server, port=0, clock=lambda: 10.0)
     http.start()
     yield http, server
     http.stop()

@@ -42,7 +42,7 @@ def populate(store):
 def dashboard():
     store = MetricsStore()
     populate(store)
-    return Dashboard(store, report_interval_s=60.0)
+    return Dashboard(store, report_interval_s=60.0, monitor_server=MonitorServer(store=store))
 
 
 class TestPanels:
@@ -91,8 +91,20 @@ class TestRenderers:
         # 230 s of silence is less than one 300 s report interval.
         store = MetricsStore()
         store.note_batch(1, received_at=0.0, dropped_records=0)
-        dashboard = Dashboard(store, report_interval_s=300.0)
+        server = MonitorServer(store=store, report_interval_s=300.0)
+        server.sweep_alerts(230.0)
+        dashboard = Dashboard(store, report_interval_s=300.0, monitor_server=server)
         assert dashboard.to_json_dict(now=230.0)["alerts"] == []
+
+    def test_a_store_only_view_has_no_alerts_panel(self):
+        # The alerts live in the server's engine; a dashboard keeps none.
+        store = MetricsStore()
+        populate(store)
+        dashboard = Dashboard(store, report_interval_s=60.0)
+        assert not hasattr(dashboard, "alerts")
+        assert dashboard.to_json_dict(now=20_000.0)["alerts"] is None
+        assert "[alerts]" not in dashboard.render_text(now=20_000.0)
+        assert 'id="alerts"' not in render_html(dashboard, now=20_000.0)
 
     def test_empty_store_renders_without_error(self):
         dashboard = Dashboard(MetricsStore())
@@ -102,7 +114,8 @@ class TestRenderers:
 
 
 #: ``render_text`` of the ``populate()`` store with a server panel, byte
-#: for byte: at t=20 s, and at t=20000 s when both nodes fall silent.
+#: for byte: at t=20 s, and at t=20000 s when both nodes fall silent and
+#: the server's sweep at that time raised their alerts.
 TEXT_AT_20 = "\n".join([
     "=== LoRa mesh monitor @ t=20s ===",
     "",
@@ -178,9 +191,9 @@ class TestTextSnapshot:
     def test_render_text_is_byte_identical(self, now, expected):
         store = MetricsStore()
         populate(store)
-        dashboard = Dashboard(
-            store, report_interval_s=60.0, monitor_server=MonitorServer(store=store)
-        )
+        server = MonitorServer(store=store)
+        server.sweep_alerts(now)
+        dashboard = Dashboard(store, report_interval_s=60.0, monitor_server=server)
         assert dashboard.render_text(now) == expected
 
 

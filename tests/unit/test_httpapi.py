@@ -6,7 +6,6 @@ import urllib.request
 
 import pytest
 
-from repro.errors import ConfigurationError
 from repro.monitor.dashboard import Dashboard
 from repro.monitor.httpapi import MonitoringHttpServer, _sanitize
 from repro.monitor.records import Direction, PacketRecord, RecordBatch, StatusRecord
@@ -19,8 +18,7 @@ from repro.monitor.storage import MetricsStore
 def http_server():
     store = MetricsStore()
     monitor_server = MonitorServer(store=store, clock=lambda: 100.0)
-    dashboard = Dashboard(store, report_interval_s=60.0)
-    server = MonitoringHttpServer(monitor_server, dashboard, port=0, clock=lambda: 100.0)
+    server = MonitoringHttpServer(monitor_server, port=0, clock=lambda: 100.0)
     server.start()
     yield server
     server.stop()
@@ -138,10 +136,7 @@ class TestEndpoints:
         # inside one 300 s report interval.
         store = MetricsStore()
         monitor_server = MonitorServer(store=store, report_interval_s=300.0)
-        dashboard = Dashboard(store, report_interval_s=300.0)
-        with MonitoringHttpServer(
-            monitor_server, dashboard, port=0, clock=lambda: 250.0
-        ) as server:
+        with MonitoringHttpServer(monitor_server, port=0, clock=lambda: 250.0) as server:
             post(server, f"{V1}/ingest", make_batch_bytes(node=1))
             post(server, f"{V1}/ingest", make_batch_bytes(node=2))
             _, health = get(server, f"{V1}/health")
@@ -193,22 +188,14 @@ def get_status_only(server, path):
 
 
 class TestOneReportInterval:
-    def test_a_dashboard_with_another_interval_is_refused(self):
-        # The dashboard keeps its 60 s default; the server says 300 s.
-        monitor_server = MonitorServer(report_interval_s=300.0)
-        with pytest.raises(ConfigurationError, match="report_interval_s"):
-            MonitoringHttpServer(monitor_server, Dashboard(monitor_server.store), port=0)
-        monitor_server.close()
-
     def test_every_route_scores_with_the_servers_interval(self):
         monitor_server = MonitorServer(clock=lambda: 0.0, report_interval_s=300.0)
-        dashboard = Dashboard(monitor_server.store, report_interval_s=300.0)
         monitor_server.submit(RecordBatch(node=1, batch_seq=0, sent_at=0.0))
         monitor_server.submit(RecordBatch(node=1, batch_seq=0, sent_at=0.0, network_id="campus"))
         expected = monitor_server.materialize_tiles(200.0, report_interval_s=300.0)
         # Silent for 200 s: liveness 1.0 at 300 s, 0.42 at 60 s.
         assert [tile["health"] for tile in expected] == [100.0, 100.0]
-        with MonitoringHttpServer(monitor_server, dashboard, port=0, clock=lambda: 200.0) as server:
+        with MonitoringHttpServer(monitor_server, port=0, clock=lambda: 200.0) as server:
             status, overview = get(server, "/api/v1/fleet")
             assert status == 200
             assert overview["networks"] == expected
@@ -217,6 +204,133 @@ class TestOneReportInterval:
                 assert nodes["1"]["liveness"] == 1.0
             _status, summary = get(server, "/api/v1/networks/campus/summary")
             assert summary["network_health"] == 100.0
+        monitor_server.close()
+
+
+def get_page(server, path):
+    """(status, body text) of a page; a 404 is returned, not raised."""
+    try:
+        with urllib.request.urlopen(f"{server.url}{path}", timeout=5) as response:
+            return response.status, response.read().decode()
+    except urllib.error.HTTPError as error:
+        return error.code, error.read().decode()
+
+
+def battery_batch(battery_v, seq, network_id="default"):
+    """A status-only batch of node 1 reporting ``battery_v``."""
+    record = StatusRecord(
+        node=1, seq=seq, timestamp=50.0 + seq, uptime_s=50.0, queue_depth=0,
+        route_count=1, neighbor_count=0, battery_v=battery_v, tx_frames=1,
+        tx_airtime_s=0.1, retransmissions=0, drops=0, duty_utilisation=0.0,
+        originated=0, delivered=0, forwarded=0,
+    )
+    return RecordBatch(
+        node=1, batch_seq=seq, sent_at=50.0 + seq, status_records=(record,),
+        network_id=network_id,
+    ).to_json_bytes()
+
+
+class TestOneAlertState:
+    """Every view shows the server's alert engine of its network."""
+
+    @staticmethod
+    def views(server):
+        """The default network's alerts as each view shows them."""
+        _, routed = get(server, f"{V1}/alerts")
+        _, summary = get(server, f"{V1}/summary")
+        _, metrics = get(server, "/api/v1/server")
+        _, text = get_page(server, "/text")
+        _, page = get_page(server, "/")
+        _, network_page = get_page(server, "/networks/default")
+        return routed, summary["alerts"], metrics["alerts_active"], text, page, network_page
+
+    def test_views_show_the_alert_the_ingest_path_raised(self):
+        clock = {"now": 100.0}
+        monitor_server = MonitorServer(clock=lambda: clock["now"])
+        with MonitoringHttpServer(monitor_server, port=0, clock=lambda: clock["now"]) as server:
+            status, body = post(server, f"{V1}/ingest", battery_batch(3.2, seq=0))
+            assert status == 200 and body["ok"]
+            clock["now"] = 400.0
+            routed, summary, active, text, page, network_page = self.views(server)
+        expected = {
+            "rule": "battery_low", "node": 1, "severity": "warning",
+            "message": "battery at 3.20 V", "raised_at": 100.0,
+        }
+        assert routed == summary == [expected]
+        assert active == 1
+        assert "[alerts]  1 active" in text
+        assert "  WARNING  battery_low    node 1: battery at 3.20 V (since t=100s)" in text
+        for html_page in (page, network_page):
+            assert html_page.count('class="alert ') == 1
+            assert 'data-key="battery_low:1"' in html_page
+            assert "since t=100s" in html_page
+        monitor_server.close()
+
+    def test_an_alert_the_ingest_path_clears_leaves_every_view(self, request):
+        clock = {"now": 100.0}
+        monitor_server = MonitorServer(clock=lambda: clock["now"])
+        with MonitoringHttpServer(monitor_server, port=0, clock=lambda: clock["now"]) as server:
+            post(server, f"{V1}/ingest", battery_batch(3.2, seq=0))
+            assert [alert["rule"] for alert in get(server, f"{V1}/alerts")[1]] == ["battery_low"]
+            clock["now"] = 130.0
+            post(server, f"{V1}/ingest", battery_batch(3.9, seq=1))
+            calls = request.getfixturevalue("alert_evaluations")
+            routed, summary, active, text, page, network_page = self.views(server)
+        assert calls == []
+        assert routed == summary == [] and active == 0
+        assert "[alerts]  0 active" in text
+        assert "no active alerts" in page and "no active alerts" in network_page
+        monitor_server.close()
+
+    def test_page_views_of_three_networks_evaluate_nothing(self, request):
+        networks = ("default", "campus", "depot")
+        monitor_server = MonitorServer(clock=lambda: 100.0)
+        for index, network in enumerate(networks):
+            # A low battery on every network but the last.
+            battery_v = 3.2 if index < 2 else 3.9
+            assert monitor_server.ingest_json(battery_batch(battery_v, 0, network)).ok
+        calls = request.getfixturevalue("alert_evaluations")
+        views = 4
+        seen = {}
+        with MonitoringHttpServer(monitor_server, port=0, clock=lambda: 100.0) as server:
+            for _ in range(views):
+                for network in networks:
+                    dashboard = Dashboard(
+                        monitor_server.store_for(network),
+                        monitor_server=monitor_server,
+                        network_id=network,
+                    )
+                    direct = dashboard.to_json_dict(100.0)["alerts"]
+                    _, summary = get(server, f"/api/v1/networks/{network}/summary")
+                    _, routed = get(server, f"/api/v1/networks/{network}/alerts")
+                    status, _page = get_page(server, f"/networks/{network}")
+                    assert status == 200
+                    assert direct == summary["alerts"] == routed
+                    seen[network] = [alert["rule"] for alert in routed]
+            get_page(server, "/")
+            get_page(server, "/text")
+        assert calls == []
+        assert seen == {"default": ["battery_low"], "campus": ["battery_low"], "depot": []}
+        monitor_server.close()
+
+    def test_a_network_created_again_is_served_from_its_new_store(self):
+        monitor_server = MonitorServer(clock=lambda: 100.0, max_networks=1)
+        with MonitoringHttpServer(monitor_server, port=0, clock=lambda: 100.0) as server:
+            post(server, f"{V1}/ingest", make_batch_bytes(node=1))
+            assert [row["node"] for row in get(server, f"{V1}/nodes")[1]] == [1]
+            # Another network evicts the default one, which comes back
+            # with node 2 alone.
+            post(server, "/api/v1/networks/campus/ingest", make_batch_bytes(node=5))
+            status, _ = get_status_only(server, f"{V1}/nodes")
+            assert status == 404
+            assert get_page(server, "/")[0] == get_page(server, "/text")[0] == 404
+            post(server, f"{V1}/ingest", make_batch_bytes(node=2))
+            _, nodes = get(server, f"{V1}/nodes")
+            _, summary = get(server, f"{V1}/summary")
+            assert get_page(server, "/")[0] == get_page(server, "/text")[0] == 200
+        assert monitor_server.registry.evictions == 2
+        assert [row["node"] for row in nodes] == [2]
+        assert [row["node"] for row in summary["nodes"]] == [2]
         monitor_server.close()
 
 
@@ -263,7 +377,7 @@ class TestHistoryEndpoint:
     def test_history_buckets_are_bucket_documents(self, http_server):
         post(http_server, f"{V1}/ingest", make_batch_bytes())
         status, body = get(http_server, f"{V1}/history?node=1&interval=60")
-        series = rollup_packet_rate(http_server.dashboard.store, interval_s=60.0, node=1)
+        series = rollup_packet_rate(http_server.monitor_server.store, interval_s=60.0, node=1)
         assert status == 200
         assert body == [bucket_document(bucket, 60.0) for bucket in series.buckets()]
 
@@ -304,10 +418,7 @@ class TestBackpressureOverHttp:
     def test_summary_includes_server_panel(self):
         store = MetricsStore()
         monitor_server = MonitorServer(store=store, clock=lambda: 100.0)
-        dashboard = Dashboard(store, report_interval_s=60.0, monitor_server=monitor_server)
-        with MonitoringHttpServer(
-            monitor_server, dashboard, port=0, clock=lambda: 100.0
-        ) as server:
+        with MonitoringHttpServer(monitor_server, port=0, clock=lambda: 100.0) as server:
             post(server, f"{V1}/ingest", make_batch_bytes())
             status, body = get(server, f"{V1}/summary")
         assert status == 200
@@ -390,8 +501,7 @@ class TestServerLifecycle:
     def make(self):
         store = MetricsStore()
         monitor_server = MonitorServer(store=store, clock=lambda: 100.0)
-        dashboard = Dashboard(store, report_interval_s=60.0)
-        return MonitoringHttpServer(monitor_server, dashboard, port=0)
+        return MonitoringHttpServer(monitor_server, port=0)
 
     def test_stop_before_start_is_safe(self):
         # shutdown() with no serve_forever() running blocks forever on

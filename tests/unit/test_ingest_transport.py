@@ -5,7 +5,6 @@ import time
 import pytest
 
 from repro.api import (
-    Dashboard,
     HttpIngestClient,
     HttpIngestTransport,
     IngestTransport,
@@ -239,8 +238,7 @@ class TestHttpIngestTransport:
     def make(self):
         store = MetricsStore()
         server = MonitorServer(store=store)
-        dashboard = Dashboard(store, report_interval_s=60.0)
-        http_server = MonitoringHttpServer(server, dashboard, port=0)
+        http_server = MonitoringHttpServer(server, port=0)
         return server, server.attach_transport(HttpIngestTransport(http_server))
 
     def test_start_stop_idempotent(self):

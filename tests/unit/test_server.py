@@ -508,3 +508,20 @@ class TestOneNodeState:
             with SqliteMetricsStore(path) as reopened:
                 assert reopened.latest_status(1) == self.battery_status(5, 3.2)
                 assert reopened.last_seen(1) == 70.0
+
+    @pytest.mark.parametrize("backend", sorted(BACKENDS))
+    def test_status_history_is_in_seq_order(self, backend, tmp_path):
+        # Seq 5 at 300 s, then a late seq 4 at 240 s: a node's history,
+        # which series and rollups read as a time series, runs forward.
+        server = MonitorServer(store=self.BACKENDS[backend](str(tmp_path / "net.sqlite")))
+        for batch_seq, (seq, timestamp) in enumerate(((5, 300.0), (4, 240.0))):
+            record = status_record(seq=seq)._replace(timestamp=timestamp)
+            assert server.submit(batch(batch_seq=batch_seq, status=[record])).accepted_status == 1
+        store = server.store
+        assert [(record.timestamp, record.seq) for record in store.status_records(1)] == [
+            (240.0, 4), (300.0, 5),
+        ]
+        assert store.status_series(1, ["seq"]) == [
+            {"ts": 240.0, "seq": 4.0}, {"ts": 300.0, "seq": 5.0},
+        ]
+        server.close()

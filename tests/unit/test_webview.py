@@ -9,6 +9,7 @@ from repro.monitor.records import (
     PacketRecord,
     StatusRecord,
 )
+from repro.monitor.server import MonitorServer
 from repro.monitor.storage import MetricsStore
 from repro.monitor.webview import _layout, render_html, render_topology_svg
 
@@ -35,7 +36,7 @@ def populated_dashboard():
             neighbors=(NeighborObservation(3 - node, -108.0, 5.0, 3),),
         ))
         store.note_batch(node, received_at=10.0, dropped_records=0)
-    return Dashboard(store, report_interval_s=60.0)
+    return Dashboard(store, report_interval_s=60.0, monitor_server=MonitorServer(store=store))
 
 
 class TestTopologySvg:
@@ -92,7 +93,8 @@ class TestHtmlPage:
 
     def test_alert_rendered_and_escaped(self):
         dashboard = populated_dashboard()
-        # Make node 1 silent long enough for the silent-node rule.
+        # Node 1 is silent long enough for the server's silent-node rule.
+        dashboard.monitor_server.sweep_alerts(20_000.0)
         page = render_html(dashboard, now=20_000.0)
         assert "silent_node" in page
         assert 'class="alert' in page
@@ -101,25 +103,22 @@ class TestHtmlPage:
         page = render_html(Dashboard(MetricsStore()), now=0.0)
         assert "0/0" in page  # nodes reporting tile
 
-    def test_page_view_evaluates_alerts_once(self):
+    def test_page_view_evaluates_no_alert_rule(self, request):
         dashboard = populated_dashboard()
-        calls = []
-        evaluate = dashboard.alerts.evaluate
-        dashboard.alerts.evaluate = lambda now: calls.append(now) or evaluate(now)
-        render_html(dashboard, now=20.0)
-        assert calls == [20.0]
+        dashboard.monitor_server.sweep_alerts(20_000.0)
+        calls = request.getfixturevalue("alert_evaluations")
+        page = render_html(dashboard, now=20_000.0)
+        assert calls == []
+        assert page.count('class="alert critical"') == 2
 
 
 class TestHttpIntegration:
     def test_index_serves_rich_page_and_text_remains(self):
         import urllib.request
         from repro.monitor.httpapi import MonitoringHttpServer
-        from repro.monitor.server import MonitorServer
 
-        dashboard = populated_dashboard()
         server = MonitoringHttpServer(
-            MonitorServer(store=dashboard.store), dashboard,
-            port=0, clock=lambda: 20.0,
+            populated_dashboard().monitor_server, port=0, clock=lambda: 20.0
         )
         server.start()
         try:

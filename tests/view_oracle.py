@@ -21,7 +21,7 @@ from repro.monitor.alerts import AlertEngine, LowPdrRule, default_rules
 class ScanLowPdrRule(LowPdrRule):
     """``LowPdrRule`` judged from a windowed ``metrics.pdr_matrix`` scan."""
 
-    def conditions(self, store, now, snapshots=None):
+    def conditions(self, store, now, snapshots):
         firing = []
         pairs = metrics.pdr_matrix(store, since=now - self.window_s, until=now)
         for (src, dst), pair in sorted(pairs.items()):
@@ -91,16 +91,15 @@ def scan_node_rows(store, now, scores, batches):
     return rows
 
 
-def scan_document(dashboard, alerts, now, batches):
+def scan_document(dashboard, now, batches):
     """``dashboard``'s page view at ``now`` from the scans.
 
-    ``alerts`` is the :func:`scan_alert_engine` evaluated alongside the
-    dashboard's own engine, at the same times; ``batches`` is the
-    caller's record of the ingested batches (see the module docstring).
-    The dashboard must have no server or flight recorder attached.
+    ``batches`` is the caller's record of the ingested batches (see the
+    module docstring).  The dashboard must have no server or flight
+    recorder attached, so it has no alerts panel either: the alerts are
+    the server's, checked against :func:`scan_alert_engine` on their own.
     """
     store = dashboard.store
-    alerts.evaluate(now)
     scores = scan_scores(store, now, dashboard.report_interval_s, batches)
     latencies = metrics.delivery_latency(store)
     delivery = []
@@ -145,7 +144,7 @@ def scan_document(dashboard, alerts, now, batches):
             }
             for row in metrics.type_breakdown(store)
         ],
-        "alerts": [alert.to_json_dict() for alert in alerts.active()],
+        "alerts": None,
         "server": None,
         "drops": None,
     })
