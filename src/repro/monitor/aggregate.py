@@ -8,8 +8,8 @@ ratio over the trailing window.  Computed from the stored records
 log, so a view used to cost time in proportion to history.  Each store
 instead keeps one :class:`ViewAggregate`: its packet-record writes feed
 it, the records it drops (a retention eviction, a replaced SQLite row)
-are subtracted again, and a view reads it in time proportional to its
-rows.
+are subtracted again, and a view reads it at the cost of what changed
+since the last read.
 
 It is also the one holder of each node's latest state (:class:`NodeState`):
 every node that reported anything, its status record of highest seq,
@@ -35,11 +35,29 @@ records:
   their exact sum;
 * per packet type: OUT frames, bytes and the exact airtime sum;
 * a timestamp-sorted index of DATA delivery events (sends and
-  deliveries) that windowed queries bisect, so a window costs the
-  events inside it and its edges are exact.
+  deliveries);
+* the last delivery window read (:meth:`ViewAggregate.window_delivery`,
+  :meth:`ViewAggregate.window_sources`): per packet, its send and
+  delivery events inside the window, and per pair and per source, the
+  sent and delivered packets.
 
 The latency samples and the event index are :class:`SortedList`
 blocks, so adding or evicting one costs the same at any history length.
+
+What a read costs:
+
+* links and delivery pairs: each keeps its row as the dict the page
+  view serves, rebuilt only after a write changed that link or pair,
+  and they are kept in key order as they appear and go.  A view costs
+  a list of its rows plus one rebuild per link or pair written since
+  the last view; it never sorts.
+* the delivery window: writes and evictions inside the last window
+  update it as they happen, and a read whose window slid forward (the
+  health panel's and the low-PDR sweep's trailing half hour) applies
+  only the events that left it and the events that entered it, so it
+  costs the events since the last read, not the events in the window.
+  A window that moved back or jumped past the last one is rebuilt from
+  the events inside it.
 
 Float sums are exact (:class:`ExactSum`), so no value depends on the
 order in which records arrived or were removed.
@@ -61,7 +79,7 @@ import bisect
 import math
 import threading
 from typing import (
-    TYPE_CHECKING, Dict, Generic, Iterable, Iterator, List, Optional, Set, Tuple, TypeVar, Union,
+    TYPE_CHECKING, Any, Dict, Generic, Iterable, Iterator, List, Optional, Tuple, TypeVar, Union,
 )
 
 from repro.mesh.addressing import BROADCAST
@@ -87,10 +105,11 @@ LATENCY_PERCENTILE = 95.0
 
 #: One delivery event: (timestamp, kind, src, dst, packet id).
 Event = Tuple[float, int, int, int, int]
-#: One link row: (tx, rx, frames, rssi mean, rssi min, rssi max, snr mean).
-LinkRow = Tuple[int, int, int, float, float, float, float]
-#: One delivery row: (src, dst, sent, delivered, pdr, latency mean, latency p95).
-DeliveryRow = Tuple[int, int, int, int, float, Optional[float], Optional[float]]
+#: One page-view row, the dict the document serves.  A link row has
+#: ``tx, rx, frames, rssi_mean, rssi_min, rssi_max, snr_mean``; a
+#: delivery row ``src, dst, sent, delivered, pdr, latency_mean_s,
+#: latency_p95_s``.
+Row = Dict[str, Any]
 #: One composition row: (packet type, OUT frames, OUT bytes, airtime).
 CompositionRow = Tuple[int, int, int, float]
 #: (src, dst) -> (sent, delivered) packets over a window.
@@ -98,6 +117,7 @@ WindowCounts = Dict[Tuple[int, int], Tuple[int, int]]
 
 
 T = TypeVar("T", bound="SupportsRichComparison")
+K = TypeVar("K")
 
 
 class SortedList(Generic[T]):
@@ -232,12 +252,80 @@ class ExactSum:
         return self._numerator / (1 << self._shift)
 
 
-class _Link:
-    """One directed link's IN frames with RSSI and SNR."""
+class _Entry:
+    """A link or a pair, with its page-view row.
 
-    __slots__ = ("frames", "rssi_sum", "snr_sum", "rssi_values", "rssi_min", "rssi_max", "row")
+    ``row`` is the dict the page view serves, built on the first read
+    after a write changed the entry and None until then.  A change
+    replaces it, never mutates it: documents already served hold the
+    old dict and stay as they were.
+    """
+
+    __slots__ = ("row",)
 
     def __init__(self) -> None:
+        self.row: Optional[Row] = None
+
+    def document_row(self) -> Row:
+        """The entry's page-view row from its current state."""
+        raise NotImplementedError
+
+    def fresh_row(self) -> Row:
+        """Rebuild :attr:`row` from the current state; returns it."""
+        row = self.row = self.document_row()
+        return row
+
+
+E = TypeVar("E", bound=_Entry)
+
+
+class _Table(Generic[E]):
+    """Links or pairs by (int, int) key, kept in key order for the page view.
+
+    An entry takes its place in the order when it appears and leaves it
+    when it goes (a bisection and a list insert or delete), so a read
+    never sorts.  New links and pairs keep appearing between the views
+    of a growing network, and re-sorting every row whenever one did was
+    the largest part of a view's cost after long history.
+    """
+
+    __slots__ = ("entries", "_keys", "_order")
+
+    def __init__(self) -> None:
+        self.entries: Dict[Tuple[int, int], E] = {}
+        self._keys: List[Tuple[int, int]] = []
+        self._order: List[E] = []
+
+    def add(self, key: Tuple[int, int], entry: E) -> E:
+        """Take in ``entry`` under the new ``key``; returns it."""
+        self.entries[key] = entry
+        index = bisect.bisect_left(self._keys, key)
+        self._keys.insert(index, key)
+        self._order.insert(index, entry)
+        return entry
+
+    def remove(self, key: Tuple[int, int]) -> None:
+        """Drop the entry under ``key``."""
+        del self.entries[key]
+        index = bisect.bisect_left(self._keys, key)
+        del self._keys[index]
+        del self._order[index]
+
+    def rows(self) -> List[Row]:
+        """Every entry's row in key order, rebuilding those marked stale
+        (a row is never empty, so only None is false)."""
+        return [entry.row or entry.fresh_row() for entry in self._order]
+
+
+class _Link(_Entry):
+    """One directed link's IN frames with RSSI and SNR."""
+
+    __slots__ = ("tx", "rx", "frames", "rssi_sum", "snr_sum", "rssi_values", "rssi_min", "rssi_max")
+
+    def __init__(self, tx: int, rx: int) -> None:
+        super().__init__()
+        self.tx = tx
+        self.rx = rx
         self.frames = 0
         self.rssi_sum = ExactSum()
         self.snr_sum = ExactSum()
@@ -245,16 +333,29 @@ class _Link:
         self.rssi_values: Dict[float, int] = {}
         self.rssi_min = math.inf
         self.rssi_max = -math.inf
-        #: The link's row as last read; None after any change.
-        self.row: Optional[LinkRow] = None
+
+    def document_row(self) -> Row:
+        frames = self.frames
+        return {
+            "tx": self.tx,
+            "rx": self.rx,
+            "frames": frames,
+            "rssi_mean": self.rssi_sum.value / frames,
+            "rssi_min": self.rssi_min,
+            "rssi_max": self.rssi_max,
+            "snr_mean": self.snr_sum.value / frames,
+        }
 
 
-class _Pair:
+class _Pair(_Entry):
     """One unicast (src, dst) pair's DATA deliveries."""
 
-    __slots__ = ("sent", "delivered", "latencies", "latency_sum", "row")
+    __slots__ = ("src", "dst", "sent", "delivered", "latencies", "latency_sum")
 
-    def __init__(self) -> None:
+    def __init__(self, src: int, dst: int) -> None:
+        super().__init__()
+        self.src = src
+        self.dst = dst
         #: Packet id -> timestamps of its first-attempt OUT records at the origin.
         self.sent: Dict[int, List[float]] = {}
         #: Packet id -> timestamps of its IN records at the destination.
@@ -262,8 +363,21 @@ class _Pair:
         #: One sample per packet id in both maps.
         self.latencies: SortedList[float] = SortedList()
         self.latency_sum = ExactSum()
-        #: The pair's row as last read; None after any change.
-        self.row: Optional[DeliveryRow] = None
+
+    def document_row(self) -> Row:
+        sent = len(self.sent)
+        delivered = len(self.latencies)
+        return {
+            "src": self.src,
+            "dst": self.dst,
+            "sent": sent,
+            "delivered": delivered,
+            "pdr": delivered / sent if sent else math.nan,
+            "latency_mean_s": self.latency_sum.value / delivered if delivered else None,
+            "latency_p95_s": (
+                nearest_rank(self.latencies, LATENCY_PERCENTILE) if delivered else None
+            ),
+        }
 
     def sample(self, packet_id: int) -> Optional[float]:
         """Earliest delivery minus earliest send, None unless both exist."""
@@ -283,6 +397,46 @@ class _Type:
         self.frames = 0
         self.bytes = 0
         self.airtime = ExactSum()
+
+
+class _Window:
+    """The last delivery window read, kept exact as events come and go.
+
+    ``packets`` holds, per (src, dst, packet id), how many of its send
+    and delivery events lie in ``[since, until]``; ``pairs`` holds, per
+    (src, dst) with a packet sent in the window, (packets sent, packets
+    of those also delivered), and ``sources`` the same summed per src.
+    """
+
+    __slots__ = ("since", "until", "packets", "pairs", "sources")
+
+    def __init__(self, since: float, until: float) -> None:
+        self.since = since
+        self.until = until
+        self.packets: Dict[Tuple[int, int, int], List[int]] = {}
+        self.pairs: WindowCounts = {}
+        self.sources: Dict[int, Tuple[int, int]] = {}
+
+    def count(self, kind: int, src: int, dst: int, packet_id: int, sign: int) -> None:
+        """Count one send or delivery event in (``sign`` 1) or out (-1)."""
+        packets = self.packets
+        key = (src, dst, packet_id)
+        counts = packets.get(key)
+        if counts is None:
+            counts = packets[key] = [0, 0]
+        sent_before = counts[_SENT] > 0
+        delivered_before = sent_before and counts[_DELIVERED] > 0
+        counts[kind] += sign
+        sent, delivered = counts
+        if not sent and not delivered:
+            del packets[key]
+        sent_after = sent > 0
+        delivered_after = sent_after and delivered > 0
+        if sent_after != sent_before or delivered_after != delivered_before:
+            sent_delta = sent_after - sent_before
+            delivered_delta = delivered_after - delivered_before
+            _shift(self.pairs, (src, dst), sent_delta, delivered_delta)
+            _shift(self.sources, src, sent_delta, delivered_delta)
 
 
 class NodeState:
@@ -315,18 +469,16 @@ class ViewAggregate:
         #: Every node that reported anything, in the order first heard
         #: of, with its latest state.
         self.nodes: Dict[int, NodeState] = {}  # guarded-by: lock
-        self._links: Dict[Tuple[int, int], _Link] = {}  # guarded-by: lock
-        self._pairs: Dict[Tuple[int, int], _Pair] = {}  # guarded-by: lock
+        self._links: _Table[_Link] = _Table()  # guarded-by: lock
+        self._pairs: _Table[_Pair] = _Table()  # guarded-by: lock
         self._types: Dict[int, _Type] = {}  # guarded-by: lock
         #: Source -> (packets sent, packets delivered), over its pairs.
         self._sources: Dict[int, Tuple[int, int]] = {}  # guarded-by: lock
         self._sent = 0  # guarded-by: lock
         self._delivered = 0  # guarded-by: lock
         self._events: SortedList[Event] = SortedList()  # guarded-by: lock
-        #: Bumped by every write; keys the window memo.
-        self._version = 0  # guarded-by: lock
-        #: The last window answer: ((since, until, version), counts).
-        self._window: Optional[Tuple[tuple, WindowCounts]] = None  # guarded-by: lock
+        #: The last delivery window read; None before the first.
+        self._window: Optional[_Window] = None  # guarded-by: lock
 
     # -- writes ----------------------------------------------------------------
 
@@ -361,9 +513,8 @@ class ViewAggregate:
 
     def _update(self, records: Iterable[PacketRecord], sign: int) -> None:
         with self.lock:
-            self._version += 1
             links, pairs, types, events = self._links, self._pairs, self._types, self._events
-            nodes = self.nodes
+            nodes, window = self.nodes, self._window
             for (
                 node, _seq, ts, direction, src, dst, _next_hop, prev_hop,
                 ptype, packet_id, size_bytes, rssi, snr, airtime, attempt,
@@ -386,15 +537,12 @@ class ViewAggregate:
                 sent_delta, delivered_delta = _count_event(
                     pairs, events, (ts, kind, src, dst, packet_id), sign
                 )
+                if window is not None and window.since <= ts <= window.until:
+                    window.count(kind, src, dst, packet_id, sign)
                 if sent_delta or delivered_delta:
                     self._sent += sent_delta
                     self._delivered += delivered_delta
-                    sent, delivered = self._sources.get(src, (0, 0))
-                    counts = (sent + sent_delta, delivered + delivered_delta)
-                    if counts == (0, 0):
-                        del self._sources[src]
-                    else:
-                        self._sources[src] = counts
+                    _shift(self._sources, src, sent_delta, delivered_delta)
 
     # -- reads -----------------------------------------------------------------
 
@@ -408,45 +556,19 @@ class ViewAggregate:
         with self.lock:
             return dict(self._sources)
 
-    def links(self) -> List[LinkRow]:
+    def links(self) -> List[Row]:
         """One row per directed link, sorted by (tx, rx).
 
-        Rows of links no write touched since the last read are reused:
-        between two views ingest changes few of them, and recomputing
-        every row (two exact-sum roundings per link, a rank lookup per
-        pair in :meth:`delivery`) made a ``fleet_ingest`` pass 8 % slower.
+        Each call returns a new list of the links' rows; a row is
+        rebuilt only after a write changed its link (see :class:`_Entry`).
         """
-        rows: List[LinkRow] = []
         with self.lock:
-            for (tx, rx), link in sorted(self._links.items()):
-                row = link.row
-                if row is None:
-                    row = link.row = (
-                        tx, rx, link.frames,
-                        link.rssi_sum.value / link.frames,
-                        link.rssi_min, link.rssi_max,
-                        link.snr_sum.value / link.frames,
-                    )
-                rows.append(row)
-        return rows
+            return self._links.rows()
 
-    def delivery(self) -> List[DeliveryRow]:
-        """One row per unicast DATA pair, sorted by (src, dst); cached as in :meth:`links`."""
-        rows: List[DeliveryRow] = []
+    def delivery(self) -> List[Row]:
+        """One row per unicast DATA pair, sorted by (src, dst); built as in :meth:`links`."""
         with self.lock:
-            for (src, dst), pair in sorted(self._pairs.items()):
-                row = pair.row
-                if row is None:
-                    sent = len(pair.sent)
-                    delivered = len(pair.latencies)
-                    row = pair.row = (
-                        src, dst, sent, delivered,
-                        delivered / sent if sent else math.nan,
-                        pair.latency_sum.value / delivered if delivered else None,
-                        nearest_rank(pair.latencies, LATENCY_PERCENTILE) if delivered else None,
-                    )
-                rows.append(row)
-        return rows
+            return self._pairs.rows()
 
     def composition(self) -> List[CompositionRow]:
         """One row per transmitted packet type, sorted by type."""
@@ -463,29 +585,52 @@ class ViewAggregate:
         the window, and as delivered when it was also received by its
         destination inside the window — the ``sent``/``delivered`` of
         ``metrics.pdr_matrix`` with ``since``/``until``, for every pair
-        that sent in the window.  Costs the events inside the window;
-        the answer is memoised until the next write, so the health
-        scores and the low-PDR rule of one view share it.  Treat it as
-        read-only.
+        that sent in the window.  Returns a copy.
         """
         with self.lock:
-            memo_key = (since, until, self._version)
-            if self._window is not None and self._window[0] == memo_key:
-                return self._window[1]
-            sent: Set[Tuple[int, int, int]] = set()
-            delivered: Set[Tuple[int, int, int]] = set()
-            window = self._events.between((since, _BEFORE, 0, 0, 0), (until, _AFTER, 0, 0, 0))
-            for _ts, kind, src, dst, packet_id in window:
-                (sent if kind == _SENT else delivered).add((src, dst, packet_id))
-            counts: WindowCounts = {}
-            for src, dst, packet_id in sent:
-                pair_sent, pair_delivered = counts.get((src, dst), (0, 0))
-                counts[(src, dst)] = (
-                    pair_sent + 1,
-                    pair_delivered + ((src, dst, packet_id) in delivered),
-                )
-            self._window = (memo_key, counts)
-            return counts
+            return dict(self._slide(since, until).pairs)
+
+    def window_sources(self, since: float, until: float) -> Dict[int, Tuple[int, int]]:
+        """Source -> (sent, delivered) summed over its pairs in
+        :meth:`window_delivery` of the same window.  Returns a copy."""
+        with self.lock:
+            return dict(self._slide(since, until).sources)
+
+    def _slide(self, since: float, until: float) -> _Window:
+        """The kept window, moved to ``[since, until]``.
+
+        Writes inside the kept window update it as they happen.  A
+        window whose edges both moved forward and that still overlaps
+        the kept one applies the events that left ``[old since, since)``
+        and those that entered ``(old until, until]``; any other (moved
+        back, or past the kept one) is rebuilt from the events inside
+        it.  The health scores and the low-PDR sweep read the same
+        trailing window, so each pays for the events since the last
+        read, not for every event in the window.
+        """
+        with self.lock:
+            window = self._window
+            events = self._events
+            if (
+                window is None
+                or since < window.since
+                or until < window.until
+                or since > window.until
+            ):
+                window = self._window = _Window(since, until)
+                leaving: Iterable[Event] = ()
+                entering = events.between((since, _BEFORE, 0, 0, 0), (until, _AFTER, 0, 0, 0))
+            else:
+                old_since, old_until = window.since, window.until
+                window.since, window.until = since, until
+                leaving = events.between((old_since, _BEFORE, 0, 0, 0), (since, _BEFORE, 0, 0, 0))
+                entering = events.between((old_until, _AFTER, 0, 0, 0), (until, _AFTER, 0, 0, 0))
+            count = window.count
+            for _ts, kind, src, dst, packet_id in leaving:
+                count(kind, src, dst, packet_id, -1)
+            for _ts, kind, src, dst, packet_id in entering:
+                count(kind, src, dst, packet_id, 1)
+            return window
 
 
 def _count_type(
@@ -504,15 +649,15 @@ def _count_type(
 
 
 def _count_link(
-    links: Dict[Tuple[int, int], _Link], key: Tuple[int, int], rssi: float, snr: float, sign: int
+    links: _Table[_Link], key: Tuple[int, int], rssi: float, snr: float, sign: int
 ) -> None:
     """Count one IN record's RSSI and SNR in or out of link ``key``."""
-    link = links.get(key)
+    link = links.entries.get(key)
     if link is None:
-        link = links[key] = _Link()
+        link = links.add(key, _Link(*key))
     link.frames += sign
     if not link.frames:
-        del links[key]
+        links.remove(key)
         return
     link.row = None
     link.rssi_sum.add(rssi, sign)
@@ -536,7 +681,7 @@ def _count_link(
 
 
 def _count_event(
-    pairs: Dict[Tuple[int, int], _Pair],
+    pairs: _Table[_Pair],
     events: SortedList[Event],
     event: Event,
     sign: int,
@@ -547,9 +692,9 @@ def _count_event(
     """
     ts, kind, src, dst, packet_id = event
     key = (src, dst)
-    pair = pairs.get(key)
+    pair = pairs.entries.get(key)
     if pair is None:
-        pair = pairs[key] = _Pair()
+        pair = pairs.add(key, _Pair(src, dst))
     pair.row = None
     side = pair.sent if kind == _SENT else pair.delivered
     sent_before = len(pair.sent)
@@ -572,5 +717,15 @@ def _count_event(
             pair.latencies.add(after)
             pair.latency_sum.add(after)
     if not pair.sent and not pair.delivered:
-        del pairs[key]
+        pairs.remove(key)
     return len(pair.sent) - sent_before, (after is not None) - (before is not None)
+
+
+def _shift(counts: Dict[K, Tuple[int, int]], key: K, sent_delta: int, delivered_delta: int) -> None:
+    """Move ``key``'s (sent, delivered); a key with nothing sent leaves ``counts``."""
+    sent, delivered = counts.get(key, (0, 0))
+    sent += sent_delta
+    if sent:
+        counts[key] = (sent, delivered + delivered_delta)
+    else:
+        del counts[key]

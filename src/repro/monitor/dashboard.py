@@ -116,36 +116,14 @@ class Dashboard:
         return rows
 
     def link_rows(self) -> List[Dict[str, Any]]:
-        """One row per directed radio link."""
-        links = self.store.aggregate.links()
-        return [
-            {
-                "tx": tx,
-                "rx": rx,
-                "frames": frames,
-                "rssi_mean": rssi_mean,
-                "rssi_min": rssi_min,
-                "rssi_max": rssi_max,
-                "snr_mean": snr_mean,
-            }
-            for tx, rx, frames, rssi_mean, rssi_min, rssi_max, snr_mean in links
-        ]
+        """One row per directed radio link, sorted by (tx, rx): the
+        aggregate's rows (see :meth:`to_json_dict` on sharing them)."""
+        return self.store.aggregate.links()
 
     def pdr_rows(self) -> List[Dict[str, Any]]:
-        """One row per unicast (src, dst) pair with traffic."""
-        pairs = self.store.aggregate.delivery()
-        return [
-            {
-                "src": src,
-                "dst": dst,
-                "sent": sent,
-                "delivered": delivered,
-                "pdr": pdr,
-                "latency_mean_s": latency_mean,
-                "latency_p95_s": latency_p95,
-            }
-            for src, dst, sent, delivered, pdr, latency_mean, latency_p95 in pairs
-        ]
+        """One row per unicast (src, dst) pair with traffic, sorted: the
+        aggregate's rows (see :meth:`to_json_dict` on sharing them)."""
+        return self.store.aggregate.delivery()
 
     def alert_rows(self) -> Optional[List[Dict[str, Any]]]:
         """The network's active alerts from the monitor server's engine
@@ -310,6 +288,13 @@ class Dashboard:
         The network score is the mean of the node rows' scores.  The
         ``network`` key appears only for labelled (multi-tenant)
         dashboards so the single-network document stays byte-identical.
+
+        The document is read-only.  Its ``links`` and ``delivery`` rows
+        are the aggregate's own row dicts, shared with later documents
+        until ingest changes their link or pair; the aggregate then
+        replaces a row and never mutates it, and each call builds new
+        lists, so a document stays a snapshot after later ingest as long
+        as no reader writes into it.
         """
         store = self.store
         aggregate = store.aggregate

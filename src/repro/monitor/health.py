@@ -114,16 +114,12 @@ def _scores(
     every pair it is the source of (``metrics.pdr_matrix`` over the
     window, read from the store's aggregate).
     """
-    sent: Dict[int, int] = {}
-    delivered: Dict[int, int] = {}
-    window = store.aggregate.window_delivery(now - pdr_window_s, now)
-    for (src, _dst), (pair_sent, pair_delivered) in window.items():
-        sent[src] = sent.get(src, 0) + pair_sent
-        delivered[src] = delivered.get(src, 0) + pair_delivered
+    window = store.aggregate.window_sources(now - pdr_window_s, now)
     scores: Dict[int, HealthScore] = {}
     for node in nodes:
         liveness = liveness_component(store.last_seen(node), now, report_interval_s)
-        delivery = delivered[node] / sent[node] if sent.get(node) else None
+        sent, delivered = window.get(node, (0, 0))
+        delivery = delivered / sent if sent else None
         status = store.latest_status(node)
         spectrum = spectrum_component(None if status is None else status.duty_utilisation)
         battery = battery_component(None if status is None else status.battery_v)

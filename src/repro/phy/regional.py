@@ -10,13 +10,21 @@ The tracker uses a sliding-window accounting over ``window_s`` (ETSI
 evaluates over 1 hour): a transmission is admitted if the airtime consumed
 inside the trailing window, plus the new frame, stays within
 ``duty_cycle * window_s``.
+
+The airtime in the window is the left fold ``((0.0 + a1) + a2) + ...`` of
+its frames in the order they were recorded, the value ``sum()`` gives on
+Python 3.11 and older (3.12 made float ``sum()`` compensated, so the
+fold is spelled out to give the same bits on every Python).  Each band
+caches it: recording a frame adds to the cached value, and a window
+slide that drops frames discards it until the next read folds the
+window again, so a check costs O(1) until a frame ages out.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, Optional, Tuple
+from typing import Deque, Dict, Iterable, Tuple
 
 from repro.errors import ConfigurationError, DutyCycleError
 
@@ -81,8 +89,9 @@ class DutyCycleTracker:
         self._enforce = enforce
         # Per band: deque of (start_time, airtime) records inside the window.
         self._history: Dict[str, Deque[Tuple[float, float]]] = {}
+        # Per band: the fold of its window's airtimes; absent when stale.
+        self._used: Dict[str, float] = {}
         self._violations = 0
-        self._total_airtime: Dict[str, float] = {}
 
     @property
     def window_s(self) -> float:
@@ -98,15 +107,22 @@ class DutyCycleTracker:
         if not history:
             return
         cutoff = now - self._window_s
-        while history and history[0][0] < cutoff:
-            history.popleft()
+        if history[0][0] < cutoff:
+            self._used.pop(band, None)
+            while history and history[0][0] < cutoff:
+                history.popleft()
 
     def used_airtime(self, frequency_hz: int, now: float) -> float:
         """Airtime (s) consumed in the trailing window for the band of
         ``frequency_hz``."""
-        band = band_for(frequency_hz)
-        self._prune(band.name, now)
-        return sum(airtime for _, airtime in self._history.get(band.name, ()))
+        name = band_for(frequency_hz).name
+        self._prune(name, now)
+        used = self._used.get(name)
+        if used is None:
+            used = self._used[name] = _fold(
+                airtime for _, airtime in self._history.get(name, ())
+            )
+        return used
 
     def budget_remaining(self, frequency_hz: int, now: float) -> float:
         """Airtime (s) still available in the current window."""
@@ -137,7 +153,8 @@ class DutyCycleTracker:
                     f"{self.budget_remaining(frequency_hz, now):.4f}s remaining"
                 )
         self._history.setdefault(band.name, deque()).append((now, airtime_s))
-        self._total_airtime[band.name] = self._total_airtime.get(band.name, 0.0) + airtime_s
+        # can_transmit above read the window, so the fold is cached.
+        self._used[band.name] += airtime_s
 
     def utilisation(self, frequency_hz: int, now: float) -> float:
         """Fraction of the allowed budget currently consumed (0..1+)."""
@@ -145,8 +162,10 @@ class DutyCycleTracker:
         allowed = band.duty_cycle * self._window_s
         return self.used_airtime(frequency_hz, now) / allowed if allowed > 0 else 0.0
 
-    def total_airtime_s(self, band_name: Optional[str] = None) -> float:
-        """Lifetime airtime, optionally restricted to one band."""
-        if band_name is not None:
-            return self._total_airtime.get(band_name, 0.0)
-        return sum(self._total_airtime.values())
+
+def _fold(airtimes: Iterable[float]) -> float:
+    """``((0.0 + a1) + a2) + ...``: float ``sum()`` as Python 3.11 computes it."""
+    total = 0.0
+    for airtime in airtimes:
+        total += airtime
+    return total

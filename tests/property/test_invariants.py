@@ -1,6 +1,8 @@
 """Property-based tests on core invariants: airtime, duty cycle, dedup,
 sequence windows, routing and reassembly."""
 
+import functools
+import operator
 import random
 
 from hypothesis import assume, given, settings
@@ -78,7 +80,8 @@ class TestDutyCycleProperties:
         for offset, airtime in events:
             tracker.record(EU868_CHANNELS[0], airtime, now=offset)
             total += airtime
-        assert abs(tracker.total_airtime_s() - total) < 1e-9
+        # Every offset lies inside the one-hour window of the last.
+        assert abs(tracker.used_airtime(EU868_CHANNELS[0], events[-1][0]) - total) < 1e-9
 
     @given(
         st.lists(st.floats(0.001, 1.0, allow_nan=False), min_size=1, max_size=100)
@@ -94,6 +97,32 @@ class TestDutyCycleProperties:
                 used += airtime
             now += 0.01  # all inside one window
         assert used <= budget + 1e-9
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["record", "record", "read"]),
+                st.sampled_from([0.0, 0.5, 1.0, 40.0, 99.5, 100.0, 150.0]),  # time steps
+                st.floats(0.001, 2.0, allow_nan=False),  # airtimes
+            ),
+            max_size=60,
+        )
+    )
+    def test_cached_window_airtime_is_the_left_fold(self, steps):
+        """The cached airtime equals the left fold of the window's frames
+        in record order, bit for bit, as frames enter and age out."""
+        tracker = DutyCycleTracker(window_s=100.0, enforce=False)
+        frequency = EU868_CHANNELS[0]
+        recorded = []
+        now = 0.0
+        for kind, step, airtime in steps:
+            now += step
+            if kind == "record":
+                tracker.record(frequency, airtime, now)
+                recorded.append((now, airtime))
+            window = [used for start, used in recorded if start >= now - 100.0]
+            expected = functools.reduce(operator.add, window, 0.0)
+            assert tracker.used_airtime(frequency, now) == expected
 
 
 class TestDedupProperties:

@@ -91,15 +91,17 @@ class TestEviction:
         store.add_packet_records(
             [in_record(2, 0, -60.0), in_record(2, 1, -110.0), in_record(2, 2, -90.0)]
         )
-        ((tx, rx, frames, mean, low, high, _snr),) = store.aggregate.links()
-        assert (tx, rx, frames, low, high) == (1, 2, 2, -110.0, -90.0)
-        assert mean == metrics.link_quality(store)[(1, 2)].rssi_mean
+        (row,) = store.aggregate.links()
+        assert (row["tx"], row["rx"], row["frames"], row["rssi_min"], row["rssi_max"]) == (
+            1, 2, 2, -110.0, -90.0
+        )
+        assert row["rssi_mean"] == metrics.link_quality(store)[(1, 2)].rssi_mean
 
     def test_a_link_whose_frames_are_all_evicted_disappears(self):
         store = MetricsStore(max_packet_records_per_node=1)
         store.add_packet_record(in_record(2, 0, -60.0, prev_hop=1))
         store.add_packet_record(in_record(2, 1, -70.0, prev_hop=3))
-        assert [row[:2] for row in store.aggregate.links()] == [(3, 2)]
+        assert [(row["tx"], row["rx"]) for row in store.aggregate.links()] == [(3, 2)]
 
 
 class TestWindow:
@@ -121,8 +123,8 @@ class TestSqliteReplacement:
         with SqliteMetricsStore(path) as store:
             store.add_packet_records([in_record(2, 0, -60.0), in_record(2, 1, -70.0)])
         with SqliteMetricsStore(path) as store:
-            assert [row[2] for row in store.aggregate.links()] == [2]
+            assert [row["frames"] for row in store.aggregate.links()] == [2]
             store.add_packet_record(in_record(2, 0, -100.0))
-            ((_tx, _rx, frames, mean, low, high, _snr),) = store.aggregate.links()
-            assert (frames, low, high) == (2, -100.0, -70.0)
-            assert mean == metrics.link_quality(store)[(1, 2)].rssi_mean == -85.0
+            (row,) = store.aggregate.links()
+            assert (row["frames"], row["rssi_min"], row["rssi_max"]) == (2, -100.0, -70.0)
+            assert row["rssi_mean"] == metrics.link_quality(store)[(1, 2)].rssi_mean == -85.0

@@ -1,7 +1,10 @@
 """Unit tests for the dashboard renderers."""
 
+import json
+
 import pytest
 
+from repro.monitor.aggregate import SortedList
 from repro.monitor.dashboard import Dashboard, _format_table
 from repro.monitor.records import (
     Direction,
@@ -259,72 +262,99 @@ class TestScansPerView:
         assert max(large.values()) == 0
 
 
-def interval_store(intervals):
-    """``intervals`` report intervals of identical traffic in a 4-node
-    ring: each node sends three DATA packets to the next one, which
-    receives them, and reports status at the end of the interval."""
+def add_interval(store, interval, seqs):
+    """One report interval of identical traffic in a 4-node ring: each
+    node sends three DATA packets to the next one, which receives them,
+    and reports status at the end of the interval."""
+    start = interval * 60.0
+    for node in range(1, 5):
+        dst = node % 4 + 1
+        for index in range(3):
+            packet_id = (interval * 3 + index) & 0xFFFF
+            for observer, direction in ((node, Direction.OUT), (dst, Direction.IN)):
+                seq = seqs.get(observer, 0)
+                seqs[observer] = seq + 1
+                store.add_packet_record(PacketRecord(
+                    node=observer, seq=seq, timestamp=start + index + 0.5 * (observer == dst),
+                    direction=direction, src=node, dst=dst, next_hop=dst, prev_hop=node,
+                    ptype=3, packet_id=packet_id, size_bytes=40,
+                    airtime_s=0.05 if direction is Direction.OUT else None,
+                    rssi_dbm=-100.0 - index if direction is Direction.IN else None,
+                    snr_db=5.0 if direction is Direction.IN else None,
+                ))
+        store.add_status_record(StatusRecord(
+            node=node, seq=interval, timestamp=start + 59.0, uptime_s=start + 59.0,
+            queue_depth=1, route_count=3, neighbor_count=2, battery_v=3.8,
+            tx_frames=3 * interval, tx_airtime_s=0.15 * interval, retransmissions=0,
+            drops=0, duty_utilisation=0.02, originated=3 * interval, delivered=0,
+            forwarded=0,
+        ))
+        store.note_batch(node, received_at=start + 59.0, dropped_records=0)
+
+
+#: Delivery events one interval brings: 4 nodes x 3 packets x (send, delivery).
+EVENTS_PER_INTERVAL = 24
+
+
+def events_per_view(intervals, monkeypatch):
+    """Delivery events the window read of the last page view touches,
+    with a view at the end of each of ``intervals`` intervals, and the
+    store scans that view made."""
     store = CountingStore()
+    dashboard = Dashboard(store, report_interval_s=60.0)
     seqs = {}
-    for interval in range(intervals):
-        start = interval * 60.0
-        for node in range(1, 5):
-            dst = node % 4 + 1
-            for index in range(3):
-                packet_id = (interval * 3 + index) & 0xFFFF
-                for observer, direction in ((node, Direction.OUT), (dst, Direction.IN)):
-                    seq = seqs.get(observer, 0)
-                    seqs[observer] = seq + 1
-                    store.add_packet_record(PacketRecord(
-                        node=observer, seq=seq, timestamp=start + index + 0.5 * (observer == dst),
-                        direction=direction, src=node, dst=dst, next_hop=dst, prev_hop=node,
-                        ptype=3, packet_id=packet_id, size_bytes=40,
-                        airtime_s=0.05 if direction is Direction.OUT else None,
-                        rssi_dbm=-100.0 - index if direction is Direction.IN else None,
-                        snr_db=5.0 if direction is Direction.IN else None,
-                    ))
-            store.add_status_record(StatusRecord(
-                node=node, seq=interval, timestamp=start + 59.0, uptime_s=start + 59.0,
-                queue_depth=1, route_count=3, neighbor_count=2, battery_v=3.8,
-                tx_frames=3 * interval, tx_airtime_s=0.15 * interval, retransmissions=0,
-                drops=0, duty_utilisation=0.02, originated=3 * interval, delivered=0,
-                forwarded=0,
-            ))
-            store.note_batch(node, received_at=start + 59.0, dropped_records=0)
-    return store
+    for interval in range(intervals - 1):
+        add_interval(store, interval, seqs)
+        dashboard.to_json_dict(interval * 60.0 + 59.0)
+    add_interval(store, intervals - 1, seqs)
+    touched = []
+    between = SortedList.between
 
+    def counting_between(self, low, high):
+        for event in between(self, low, high):
+            touched.append(event)
+            yield event
 
-def entries_per_view(intervals):
-    """Aggregate entries one page view reads after ``intervals`` intervals:
-    the rows of every panel plus the delivery events its windows cover."""
-    store = interval_store(intervals)
-    aggregate = store.aggregate
-    read = []
-
-    def counting(method):
-        def wrapper(*args):
-            result = method(*args)
-            read.append(len(result))
-            return result
-        return wrapper
-
-    for name in ("links", "delivery", "composition", "source_delivery"):
-        setattr(aggregate, name, counting(getattr(aggregate, name)))
-    window = aggregate.window_delivery
-
-    def counting_window(since, until):
-        read.append(sum(1 for event in aggregate._events if since <= event[0] <= until))
-        return window(since, until)
-
-    aggregate.window_delivery = counting_window
-    Dashboard(store, report_interval_s=60.0).to_json_dict(intervals * 60.0)
-    return sum(read), store.scans
+    store.scans = 0
+    with monkeypatch.context() as patch:
+        patch.setattr(SortedList, "between", counting_between)
+        dashboard.to_json_dict(intervals * 60.0 - 1.0)
+    return len(touched), store.scans
 
 
 class TestViewCostFlatInHistory:
-    def test_entries_read_do_not_grow_with_history(self):
-        (entries_40, scans_40), (entries_80, scans_80) = entries_per_view(40), entries_per_view(80)
-        assert scans_40 == scans_80 == 0
-        assert entries_40 == entries_80 > 0
+    def test_entries_read_do_not_grow_with_history(self, monkeypatch):
+        """A view's window read touches the interval that entered the
+        30-minute window and, once it is full, the one that left it, at
+        any history length; a scan of the window touched every event in
+        it (48 / 720 / 720 at 2 / 40 / 80 intervals)."""
+        (touched_2, scans_2), (touched_40, scans_40), (touched_80, scans_80) = (
+            events_per_view(intervals, monkeypatch) for intervals in (2, 40, 80)
+        )
+        assert scans_2 == scans_40 == scans_80 == 0
+        assert touched_2 == EVENTS_PER_INTERVAL
+        assert touched_40 == touched_80 == 2 * EVENTS_PER_INTERVAL
+
+
+class TestDocumentSnapshot:
+    def test_a_document_is_unchanged_by_later_ingest(self):
+        store = MetricsStore()
+        seqs = {}
+        add_interval(store, 0, seqs)
+        dashboard = Dashboard(store, report_interval_s=60.0)
+        document = dashboard.to_json_dict(60.0)
+        before = json.dumps(document, sort_keys=True)
+        add_interval(store, 1, seqs)
+        store.add_packet_record(PacketRecord(
+            node=3, seq=seqs[3], timestamp=61.0, direction=Direction.IN, src=1, dst=3,
+            next_hop=3, prev_hop=1, ptype=3, packet_id=99, size_bytes=40,
+            rssi_dbm=-90.0, snr_db=7.0,
+        ))
+        later = dashboard.to_json_dict(120.0)
+        assert json.dumps(document, sort_keys=True) == before
+        assert later["links"] != document["links"]
+        assert later["delivery"] != document["delivery"]
+        assert len(later["links"]) == len(document["links"]) + 1
 
 
 class TestTableFormatter:

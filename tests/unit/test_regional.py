@@ -52,7 +52,7 @@ class TestTracker:
         tracker.record(F_G1, 1.0, now=0.0)
         tracker.record(F_G1, 0.5, now=1.0)  # over budget but allowed
         assert tracker.violations == 1
-        assert tracker.total_airtime_s() == pytest.approx(1.5)
+        assert tracker.used_airtime(F_G1, 1.0) == pytest.approx(1.5)
 
     def test_window_slides(self):
         tracker = DutyCycleTracker(window_s=100.0)

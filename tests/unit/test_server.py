@@ -212,7 +212,7 @@ class TestSelfMetrics:
         assert lock_held == []
         assert store.pending_records == 3
         # The replay replaced seq 5 in the aggregate, not added to it.
-        assert store.aggregate.links()[0][2] == 12
+        assert store.aggregate.links()[0]["frames"] == 12
         store.close()
         with SqliteMetricsStore(path) as reopened:
             assert reopened.packet_record_count() == 12

@@ -256,7 +256,7 @@ class TestReplacedRowLookup:
         store.add_packet_record(packet_record(seq=1, ts=2.0))
         assert store.flush_stats.flushes == 0
         assert store.pending_records == 4
-        assert store.aggregate.links()[0][2] == 3
+        assert store.aggregate.links()[0]["frames"] == 3
         assert store.aggregate.links() == self.links_recomputed(store)
         store.close()
 
@@ -271,7 +271,7 @@ class TestReplacedRowLookup:
         store._conn = connection
         # The replay landed in the buffer and replaced the row in flight.
         assert store.pending_records == 1
-        assert store.aggregate.links()[0][2] == 3
+        assert store.aggregate.links()[0]["frames"] == 3
         assert store.aggregate.links() == self.links_recomputed(store)
         assert [r.timestamp for r in store.packet_records()] == [1.0, 5.0, 1.0]
         store.close()
@@ -391,7 +391,7 @@ class TestBatchedWrites:
         store._conn = connection
         assert store.pending_records == 3
         store.add_packet_record(packet_record(seq=1, ts=5.0))
-        assert store.aggregate.links()[0][2] == 3
+        assert store.aggregate.links()[0]["frames"] == 3
         assert store.flush() is True
         assert [r.timestamp for r in store.packet_records()] == [0.0, 5.0, 0.0]
         assert connection.execute("SELECT dropped FROM batches").fetchall() == [(2,)]

@@ -34,6 +34,22 @@ class ScanLowPdrRule(LowPdrRule):
         return firing
 
 
+def scan_window_delivery(aggregate, since, until):
+    """``aggregate.window_delivery(since, until)`` from a scan of its event
+    index: the pairs of the packets first sent in the window, with how
+    many of those were also delivered in it."""
+    sent = set()
+    delivered = set()
+    for ts, kind, src, dst, packet_id in aggregate._events:
+        if since <= ts <= until:
+            (sent if kind == 0 else delivered).add((src, dst, packet_id))
+    counts = {}
+    for src, dst, packet_id in sent:
+        pair_sent, pair_delivered = counts.get((src, dst), (0, 0))
+        counts[(src, dst)] = (pair_sent + 1, pair_delivered + ((src, dst, packet_id) in delivered))
+    return counts
+
+
 def scan_alert_engine(store, report_interval_s):
     """An engine with the default rules, ``LowPdrRule`` judged by scans."""
     rules = [
