@@ -239,8 +239,8 @@ def default_rules(report_interval_s: float = 60.0) -> List[AlertRule]:
     ]
 
 
-#: Default bound on the alert history ring.
-DEFAULT_HISTORY_LIMIT = 256
+#: Bound on the alert history ring.
+HISTORY_LIMIT = 256
 
 
 class AlertEngine:
@@ -253,29 +253,26 @@ class AlertEngine:
       with just the nodes a batch touched; only rules that implement
       :meth:`AlertRule.node_conditions` participate.
 
-    History is a bounded ring (``deque(maxlen=...)``) so a long-running
-    server's memory does not grow with alert churn; the cumulative
-    :attr:`alerts_emitted` counter keeps the total observable after
-    eviction.
+    Each returns the alerts it raised (:meth:`observe` and
+    :meth:`evaluate_changes` also those it cleared): that is how a
+    caller learns of an alert.  History is a ring of the last
+    :data:`HISTORY_LIMIT` alerts, so a long-running server's memory does
+    not grow with alert churn; the cumulative :attr:`alerts_emitted`
+    counter keeps the total observable after eviction.
     """
 
     def __init__(
         self,
         store: MetricsStore,
         rules: Optional[List[AlertRule]] = None,
-        history_limit: int = DEFAULT_HISTORY_LIMIT,
     ) -> None:
         self.store = store
         self.rules = rules if rules is not None else default_rules()
         self._active: Dict[Tuple[str, Optional[int]], Alert] = {}
-        self.history: Deque[Alert] = deque(maxlen=history_limit)
+        self.history: Deque[Alert] = deque(maxlen=HISTORY_LIMIT)
         #: Alerts raised over the engine's lifetime (history may have
         #: evicted some; this counter never resets).
         self.alerts_emitted = 0
-        #: Notification sinks: called with each newly raised alert.
-        self.on_raise: List = []
-        #: Notification sinks: called with each alert that just cleared.
-        self.on_clear: List = []
 
     @property
     def history_len(self) -> int:
@@ -293,15 +290,7 @@ class AlertEngine:
         self._active[(rule.name, node)] = alert
         self.history.append(alert)
         self.alerts_emitted += 1
-        for sink in self.on_raise:
-            sink(alert)
         return alert
-
-    def _clear(self, key: Tuple[str, Optional[int]]) -> Alert:
-        cleared = self._active.pop(key)
-        for sink in self.on_clear:
-            sink(cleared)
-        return cleared
 
     def evaluate(self, now: float) -> List[Alert]:
         """Re-evaluate all rules; returns newly *raised* alerts.
@@ -321,7 +310,7 @@ class AlertEngine:
                 raised.append(self._raise(rule, node, message, now))
         for key in list(self._active):
             if key not in firing_keys:
-                self._clear(key)
+                del self._active[key]
         return raised
 
     def evaluate_changes(self, now: float) -> Tuple[List[Alert], List[Alert]]:
@@ -365,7 +354,7 @@ class AlertEngine:
                     if key not in self._active:
                         raised.append(self._raise(rule, delta.node, messages[0], now))
                 elif key in self._active:
-                    cleared.append(self._clear(key))
+                    cleared.append(self._active.pop(key))
         return raised, cleared
 
     def active(self) -> List[Alert]:

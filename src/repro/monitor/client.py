@@ -3,7 +3,12 @@
 Hooks the node's two observation points (every demodulated frame, every
 physical transmission), turns them into :class:`PacketRecord` objects,
 buffers them, and flushes a :class:`RecordBatch` to the server every
-``report_interval_s`` — exactly the client the paper describes.
+``report_interval_s`` — exactly the client the paper describes.  A
+status snapshot rides every ``status_every_n_flushes``-th flush; the
+client never captures the monitoring traffic itself (TELEMETRY frames
+and their APP_ACKs), so the in-band uplink does not report its own
+shipments; and a node's first flush is jittered by up to
+:data:`START_JITTER_S` so a network's nodes do not all flush at once.
 
 Reliability model:
 
@@ -54,6 +59,14 @@ from repro.monitor.uplink import Uplink
 from repro.phy.channel import Reception
 from repro.sim.engine import RepeatingHandle, Simulator
 
+#: A node's first flush comes up to this long after its first report
+#: interval, so the nodes of a network do not all flush at once.
+START_JITTER_S = 5.0
+
+#: Frames never captured: the monitoring shipments themselves
+#: (TELEMETRY) and their end-to-end acks (APP_ACK).
+_META_TRAFFIC = (PacketType.TELEMETRY, PacketType.APP_ACK)
+
 
 @dataclass(frozen=True)
 class MonitorClientConfig:
@@ -65,10 +78,8 @@ class MonitorClientConfig:
             oldest records (counted and reported).
         max_records_per_batch: cap per shipment; a backlog drains over
             several intervals rather than producing one giant batch.
-        include_status: attach a node-status snapshot to every batch.
-        capture_telemetry_frames: also record TELEMETRY frames themselves.
-            Off by default so the in-band uplink does not observe its own
-            shipments into the next batch (meta-traffic).
+        status_every_n_flushes: attach a node-status snapshot to every
+            Nth flush (1 = every flush).
         capture_in: record incoming frames.
         capture_out: record outgoing frames.
         packet_sample_rate: fraction of packets captured (1.0 =
@@ -83,7 +94,6 @@ class MonitorClientConfig:
             because delivery needs the origin's OUT record *and* the
             destination's IN record of the same packet to survive.
             Status records are never sampled.
-        start_jitter_s: spread the first flush of different nodes in time.
         network_id: mesh network this node reports under; batches are
             stamped with it so a multi-tenant server routes them to the
             right shard.  The default keeps single-network deployments
@@ -93,14 +103,10 @@ class MonitorClientConfig:
     report_interval_s: float = 60.0
     max_buffer_records: int = 2000
     max_records_per_batch: int = 400
-    include_status: bool = True
-    #: Attach a status snapshot to every Nth flush (1 = every flush).
     status_every_n_flushes: int = 1
-    capture_telemetry_frames: bool = False
     capture_in: bool = True
     capture_out: bool = True
     packet_sample_rate: float = 1.0
-    start_jitter_s: float = 5.0
     network_id: str = DEFAULT_NETWORK_ID
 
     def __post_init__(self) -> None:
@@ -122,8 +128,6 @@ class MonitorClientConfig:
             raise ConfigurationError(
                 f"status_every_n_flushes must be >= 1, got {self.status_every_n_flushes}"
             )
-        if self.start_jitter_s < 0:
-            raise ConfigurationError(f"start_jitter_s must be >= 0, got {self.start_jitter_s}")
 
 
 @dataclass
@@ -170,7 +174,7 @@ class MonitorClient:
         self._timer = self._arm_timer()
 
     def _arm_timer(self) -> RepeatingHandle:
-        jitter = self.node._rng.uniform(0.0, self.config.start_jitter_s)
+        jitter = self.node._rng.uniform(0.0, START_JITTER_S)
         return self._sim.call_every(
             self.config.report_interval_s,
             self.flush,
@@ -207,9 +211,7 @@ class MonitorClient:
     def _wants(self, packet: Packet) -> bool:
         if self._stopped or self.node.failed:
             return False
-        if not self.config.capture_telemetry_frames and packet.ptype in (
-            PacketType.TELEMETRY, PacketType.APP_ACK,
-        ):
+        if packet.ptype in _META_TRAFFIC:
             # Monitoring meta-traffic: recording our own shipments (and
             # their end-to-end acks) into the next batch feeds back.
             return False
@@ -305,9 +307,7 @@ class MonitorClient:
             # interval after it resolves) drive the retry.
             return
         self._flush_count += 1
-        if self.config.include_status and (
-            (self._flush_count - 1) % self.config.status_every_n_flushes == 0
-        ):
+        if (self._flush_count - 1) % self.config.status_every_n_flushes == 0:
             self._pending_status.append(self._snapshot_status())
         if not self._buffer and not self._pending_status:
             return

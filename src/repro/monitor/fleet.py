@@ -62,6 +62,9 @@ if TYPE_CHECKING:
     from repro.monitor.registry import NetworkShard
     from repro.monitor.server import MonitorServer
 
+#: Tiles in the fleet overview's triage list (``top_unhealthy``).
+TOP_N_UNHEALTHY = 5
+
 
 class _NodeScore:
     """One node's cached health score and the delivery counts it was
@@ -254,7 +257,6 @@ def fleet_overview(
     server: "MonitorServer",
     now: float,
     report_interval_s: float = 60.0,
-    top_n_unhealthy: int = 5,
 ) -> Dict[str, Any]:
     """The ``GET /api/v1/fleet`` document — a snapshot read, not a scan.
 
@@ -262,12 +264,12 @@ def fleet_overview(
         now: server time the overview was computed at.
         networks: one tile per resident network, sorted by id.
         totals: fleet-wide sums (networks, nodes, batches, records).
-        top_unhealthy: up to ``top_n_unhealthy`` tiles with the lowest
+        top_unhealthy: up to :data:`TOP_N_UNHEALTHY` tiles with the lowest
             defined health score, worst first — the triage list.
 
     The assembled document is cached on the server keyed by ingest
     progress (batches ingested, evictions, resident networks) plus the
-    rendering parameters *and* a coarse time bucket
+    report interval *and* a coarse time bucket
     (``now // report_interval_s``): steady-state reads between deltas
     return the cached snapshot in O(1), but a cached document never
     outlives one report interval — a fleet that goes entirely silent
@@ -277,7 +279,6 @@ def fleet_overview(
     """
     key = server.fleet_version() + (
         report_interval_s,
-        top_n_unhealthy,
         math.floor(now / report_interval_s),
     )
     cached = server.fleet_cache_get(key)
@@ -297,7 +298,7 @@ def fleet_overview(
         "now": now,
         "networks": tiles,
         "totals": totals,
-        "top_unhealthy": scored[:top_n_unhealthy],
+        "top_unhealthy": scored[:TOP_N_UNHEALTHY],
     }
     server.fleet_cache_put(key, document)
     return document

@@ -75,12 +75,6 @@ class ServerSelfMetrics:
     dedup_hits: int = 0
     foreign_records_rejected: int = 0
     decode_failures: int = 0
-    # The metrics object is owned by one MonitorServer, which serialises
-    # every mutation under its ingest lock.
-    store_flushes: int = 0  # guarded-by: MonitorServer._lock
-    flush_latency_last_s: float = 0.0  # guarded-by: MonitorServer._lock
-    flush_latency_max_s: float = 0.0  # guarded-by: MonitorServer._lock
-    flush_latency_total_s: float = 0.0  # guarded-by: MonitorServer._lock
 
     @property
     def records_ingested(self) -> int:
@@ -96,10 +90,6 @@ class ServerSelfMetrics:
             "dedup_hits": self.dedup_hits,
             "foreign_records_rejected": self.foreign_records_rejected,
             "decode_failures": self.decode_failures,
-            "store_flushes": self.store_flushes,
-            "flush_latency_last_ms": self.flush_latency_last_s * 1000.0,
-            "flush_latency_max_ms": self.flush_latency_max_s * 1000.0,
-            "flush_latency_total_ms": self.flush_latency_total_s * 1000.0,
         }
 
 

@@ -15,7 +15,10 @@ Scaling knobs
 * ``max_networks`` bounds resident shards; when a new network would
   exceed the bound the least-recently-active shard is evicted (flushed,
   closed, forgotten).  A network that reports again later simply gets
-  a fresh shard — telemetry is a rolling window anyway.
+  a fresh shard — telemetry is a rolling window anyway.  The flush
+  counters of an evicted store are kept
+  (:meth:`NetworkRegistry.flush_totals`), so the server's flush ledger
+  never goes backwards.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from repro.monitor.alerts import AlertEngine, default_rules
 from repro.monitor.fleet import TileAggregate
 from repro.monitor.ingest import DEFAULT_NETWORK_ID, SeqWindow
 from repro.monitor.rollup import IncrementalRollup
-from repro.monitor.storage import MetricsStore
+from repro.monitor.storage import FlushStats, MetricsStore
 
 StoreFactory = Callable[[str], MetricsStore]
 
@@ -126,6 +129,9 @@ class NetworkRegistry:
         #: move_to_end on reads), hence the lock.
         self._shards: "OrderedDict[str, NetworkShard]" = OrderedDict()  # guarded-by: _lock
         self.evictions = 0  # guarded-by: _lock
+        #: The flush counters of every store closed on eviction (None
+        #: until a store that keeps them is evicted).
+        self._evicted_flushes: Optional[FlushStats] = None  # guarded-by: _lock
 
     # -- lookup ---------------------------------------------------------------
 
@@ -189,12 +195,37 @@ class NetworkRegistry:
     # -- eviction -------------------------------------------------------------
 
     def _evict_one(self) -> None:
-        """Evict the least-recently-active shard."""
+        """Evict the least-recently-active shard, keeping its flush counters."""
         with self._lock:
             network_id, shard = next(iter(self._shards.items()))
             self._close_shard(shard)
             del self._shards[network_id]
             self.evictions += 1
+            stats = shard.store.flush_stats
+            if stats is not None:
+                if self._evicted_flushes is None:
+                    self._evicted_flushes = FlushStats()
+                self._evicted_flushes.add(stats)
+
+    def flush_totals(self) -> Optional[FlushStats]:
+        """The flush counters of every store this registry has held: the
+        evicted ones, then the resident ones in LRU order.
+
+        None when no such store keeps them (in-memory stores).  Taken
+        under the registry's lock, so an evicted store is counted
+        exactly once and the counts never decrease.
+        """
+        with self._lock:
+            totals: Optional[FlushStats] = None
+            for stats in [self._evicted_flushes] + [
+                shard.store.flush_stats for shard in self._shards.values()
+            ]:
+                if stats is None:
+                    continue
+                if totals is None:
+                    totals = FlushStats()
+                totals.add(stats)
+            return totals
 
     @staticmethod
     def _close_shard(shard: NetworkShard) -> None:

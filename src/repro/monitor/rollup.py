@@ -105,11 +105,6 @@ class IncrementalRollup(RollupSeries):
         super().add(timestamp, value)
         self._dirty.add(int((timestamp - self.origin) // self.interval_s))
 
-    @property
-    def pending_updates(self) -> int:
-        """Buckets changed since the last drain."""
-        return len(self._dirty)
-
     def drain_updates(self) -> List[Bucket]:
         """The buckets touched since the last drain, in time order."""
         if not self._dirty:

@@ -25,11 +25,14 @@ network's shard and the ``store`` attribute keeps pointing at it.
 Observability ("monitor the monitor")
 -------------------------------------
 
-:class:`ServerSelfMetrics` counts everything the ingestion pipeline
-does — batches/records ingested, dedup hits, decode failures, store
-flush count and latencies.  It is exposed as ``GET /api/v1/server`` by
-:mod:`repro.monitor.httpapi` and rendered in the dashboard's
-``[server]`` panel.
+:class:`ServerSelfMetrics` counts what the ingestion pipeline does —
+batches/records ingested, dedup hits, decode failures.
+:meth:`MonitorServer.self_metrics_document` adds the store flush count
+and latencies, read from the one flush ledger the stores keep (see
+:meth:`~repro.monitor.registry.NetworkRegistry.flush_totals`), which
+still counts the stores of evicted shards.  The document is exposed as
+``GET /api/v1/server`` by :mod:`repro.monitor.httpapi` and rendered in
+the dashboard's ``[server]`` panel.
 """
 
 from __future__ import annotations
@@ -100,9 +103,9 @@ class MonitorServer:
         if store is not None:
             self.registry.adopt(DEFAULT_NETWORK_ID, store)
         self._clock = clock or (lambda: 0.0)
-        # Reentrant: the shard alert engines call their on_raise /
-        # on_clear sinks with the lock held, and a sink may read the
-        # server back (stats, documents, tiles).
+        # Reentrant, though no server method takes it while holding it:
+        # ingest and the alert sweeps call the injected clock with it
+        # held, and a clock that reads the server back must not deadlock.
         self._lock = threading.RLock()
         self.self_metrics = ServerSelfMetrics()  # guarded-by: _lock
         self.report_interval_s = report_interval_s
@@ -118,7 +121,7 @@ class MonitorServer:
         #: leaf that never calls back into the server.
         self.stream = StreamHub(clock=self._clock)
         #: Cached assembled fleet-overview document, keyed by ingest
-        #: progress + rendering parameters (see fleet.fleet_overview).
+        #: progress + report interval (see fleet.fleet_overview).
         self._fleet_cache: Optional[Any] = None  # guarded-by: _lock
 
     # -- tenancy --------------------------------------------------------------
@@ -461,53 +464,12 @@ class MonitorServer:
         # The store flush can hit sqlite; keep it outside the critical
         # section (RL101) — stores serialise their own writes.
         store.maybe_flush()
-        if store.flush_stats is not None:
-            self._sync_flush_stats()
         return result
-
-    def _flush_totals(self) -> Optional[FlushStats]:
-        """The resident stores' flush counters combined.
-
-        None when no store keeps them (in-memory stores).  Counts and
-        total latency sum, the worst latency is the maximum, and the
-        last latency is the last shard's.
-        """
-        totals: Optional[FlushStats] = None
-        for shard in self.registry:
-            stats = shard.store.flush_stats
-            if stats is None:
-                continue
-            if totals is None:
-                totals = FlushStats()
-            totals.flushes += stats.flushes
-            totals.records_flushed += stats.records_flushed
-            totals.last_latency_s = stats.last_latency_s
-            totals.max_latency_s = max(totals.max_latency_s, stats.max_latency_s)
-            totals.total_latency_s += stats.total_latency_s
-        return totals
-
-    def _sync_flush_stats(self) -> None:
-        """Mirror the stores' flush counters into the self-metrics.
-
-        The stores are the source of truth: their size/age thresholds
-        can fire inside ``add_*_records`` calls, not only when the
-        server asks, so the self-metrics aggregate rather than
-        re-measure.
-        """
-        totals = self._flush_totals()
-        if totals is None:
-            return
-        with self._lock:
-            self.self_metrics.store_flushes = totals.flushes
-            self.self_metrics.flush_latency_last_s = totals.last_latency_s
-            self.self_metrics.flush_latency_max_s = totals.max_latency_s
-            self.self_metrics.flush_latency_total_s = totals.total_latency_s
 
     def flush(self) -> None:
         """Force any buffered store writes out (shutdown, test barriers)."""
         for shard in self.registry:
             shard.store.flush()
-        self._sync_flush_stats()
 
     def close(self) -> None:
         """Orderly shutdown: stop transports, flush, close every shard.
@@ -551,9 +513,24 @@ class MonitorServer:
             )
 
     def self_metrics_document(self) -> Dict[str, Any]:
-        """The ``GET /api/v1/server`` body: self-metrics + wire stats."""
+        """The ``GET /api/v1/server`` body: self-metrics + wire stats.
+
+        The flush keys (``store_flushes``, ``flush_latency_*_ms`` and the
+        ``store`` object, present when a store keeps flush counters) all
+        come from one read of the registry's flush ledger.
+        """
+        flushes = self.registry.flush_totals()
+        ledger = flushes if flushes is not None else FlushStats()
         with self._lock:
             document = self.self_metrics.to_json_dict()
+            document.update(
+                {
+                    "store_flushes": ledger.flushes,
+                    "flush_latency_last_ms": ledger.last_latency_s * 1000.0,
+                    "flush_latency_max_ms": ledger.max_latency_s * 1000.0,
+                    "flush_latency_total_ms": ledger.total_latency_s * 1000.0,
+                }
+            )
             transports = list(self._transports)
             alerts_emitted = 0
             alerts_history_len = 0
@@ -583,13 +560,12 @@ class MonitorServer:
         # stream document outside the server lock keeps the sanctioned
         # server -> hub order one-directional.
         document["stream"] = self.stream.stats_document()
-        totals = self._flush_totals()
-        if totals is not None:
+        if flushes is not None:
             document["store"] = {
-                "flushes": totals.flushes,
-                "records_flushed": totals.records_flushed,
-                "flush_latency_last_ms": totals.last_latency_s * 1000.0,
-                "flush_latency_max_ms": totals.max_latency_s * 1000.0,
+                "flushes": flushes.flushes,
+                "records_flushed": flushes.records_flushed,
+                "flush_latency_last_ms": flushes.last_latency_s * 1000.0,
+                "flush_latency_max_ms": flushes.max_latency_s * 1000.0,
             }
         return document
 

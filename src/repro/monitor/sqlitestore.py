@@ -11,30 +11,27 @@ Uses only the standard library ``sqlite3`` module.  Pass ``":memory:"``
 Write path
 ----------
 
-Writes are buffered and flushed with ``executemany`` in one transaction,
-which is the difference between a few thousand and a few hundred thousand
-records per second on a file-backed store (measured by
-``benchmarks/bench_f9_server_throughput.py``).  A write never flushes:
-the server writes with ``MonitorServer._lock`` held and then calls
+Writes are buffered and flushed with ``executemany`` in one
+transaction.  A write never flushes: the server writes with
+``MonitorServer._lock`` held and then calls
 :meth:`SqliteMetricsStore.maybe_flush` after releasing it, so the
 ``executemany`` and the commit run outside the server's lock.  A
 replayed ``(node, seq)`` finds the row it replaces among the buffered
 rows, which are indexed by key, and only when none is buffered runs one
-``SELECT``.  Batch notes are buffered with the records, so in batched
-mode only a flush writes to the connection.  A flush takes the pending
-rows out under a small buffer lock, which writers hold only to append or
-look up a row, and writes them under a flush lock that serialises
-flushes; rows buffered meanwhile go out with the next flush.  Two knobs
-say when ``maybe_flush`` flushes: ``flush_records`` (this many records
-are pending) and ``flush_interval_s`` (the oldest pending row is this
-old).  Reads always see buffered writes — every query method flushes
-first, waiting for a running flush to commit — so batching never changes
-query results, only durability latency.  File stores run in WAL mode
-with ``synchronous=NORMAL`` so a flush is one cheap WAL append instead
-of two fsyncs.  ``flush()`` forces the buffer out; ``close()`` flushes
-and then closes the connection.  Pass ``batch_writes=False`` to get the
-historical row-at-a-time behaviour (one ``execute`` per record,
-committed by :meth:`flush`) — kept as the benchmark baseline.
+``SELECT``.  Batch notes are buffered with the records, so only a flush
+writes to the connection.  A flush takes the pending rows out under a
+small buffer lock, which writers hold only to append or look up a row,
+and writes them under a flush lock that serialises flushes; rows
+buffered meanwhile go out with the next flush.  Two knobs say when
+``maybe_flush`` flushes: ``flush_records`` (this many records are
+pending; 1 commits after every batch that carries records) and
+``flush_interval_s`` (the oldest pending row is this old).  Reads always
+see buffered writes — every query method flushes first, waiting for a
+running flush to commit — so batching never changes query results, only
+durability latency.  File stores always run in WAL mode with
+``synchronous=NORMAL``, so a flush is one cheap WAL append instead of
+two fsyncs.  ``flush()`` forces the buffer out; ``close()`` flushes and
+then closes the connection.
 
 View aggregate
 --------------
@@ -42,9 +39,9 @@ View aggregate
 Like the in-memory store, the SQLite store keeps a
 :class:`~repro.monitor.aggregate.ViewAggregate` of what a page view
 reads, so a view never queries the packet table.  Packet-record writes
-feed it (buffered or not), a write that replaces a stored ``(node,
-seq)`` row takes the replaced record out again, and opening a file that
-already holds records seeds it with one pass over the table.
+feed it, a write that replaces a stored ``(node, seq)`` row takes the
+replaced record out again, and opening a file that already holds
+records seeds it with one pass over the table.
 
 The aggregate also holds each node's latest state — the nodes, each
 node's status record of highest seq, its last batch time and reported
@@ -183,11 +180,6 @@ class SqliteMetricsStore(NodeReads):
             has been pending this long, bounding staleness under light
             load for writers that call it.  ``None`` disables the age
             trigger.
-        batch_writes: ``False`` restores the historical row-at-a-time
-            path (one ``execute`` per record); used as the benchmark
-            baseline and for callers that need per-record durability.
-        wal: use WAL journal mode + ``synchronous=NORMAL`` on file-backed
-            stores.  Ignored for ``":memory:"``.
         clock: time source for the age trigger (monotonic seconds);
             injectable for tests and simulations.
     """
@@ -197,8 +189,6 @@ class SqliteMetricsStore(NodeReads):
         path: str = ":memory:",
         flush_records: int = 1000,
         flush_interval_s: Optional[float] = 1.0,
-        batch_writes: bool = True,
-        wal: bool = True,
         clock: Optional[Callable[[], float]] = None,
     ) -> None:
         if flush_records < 1:
@@ -208,8 +198,7 @@ class SqliteMetricsStore(NodeReads):
                 f"flush_interval_s must be > 0 or None, got {flush_interval_s}"
             )
         self._conn = sqlite3.connect(path, check_same_thread=False)
-        self._file_backed = path != ":memory:"
-        if self._file_backed and wal:
+        if path != ":memory:":
             self._conn.execute("PRAGMA journal_mode=WAL")
             self._conn.execute("PRAGMA synchronous=NORMAL")
         self._conn.execute("PRAGMA temp_store=MEMORY")
@@ -218,7 +207,6 @@ class SqliteMetricsStore(NodeReads):
         self._conn.commit()
         self._flush_records = flush_records
         self._flush_interval = flush_interval_s
-        self._batch_writes = batch_writes
         self._clock = clock or time.monotonic
         #: Rows waiting for the next flush.  Writers append under
         #: ``_buffer_lock`` (a leaf lock) and a flush swaps them out
@@ -330,18 +318,11 @@ class SqliteMetricsStore(NodeReads):
         if not records:
             return
         rows = [_packet_row(record) for record in records]
-        if not self._batch_writes:
-            try:
-                for row in rows:
-                    self._conn.execute(_PACKET_INSERT, row)
-            except sqlite3.Error as exc:
-                raise StorageError(f"sqlite insert failed: {exc}") from exc
         with self.aggregate.lock:
             self.aggregate.add_records(records)
             if replaced is not None:
                 self.aggregate.remove_records((replaced,))
-            if self._batch_writes:
-                self._buffer(packets=rows)
+            self._buffer(packets=rows)
 
     def _stored_packet(self, node: int, seq: int) -> Optional[PacketRecord]:
         """The packet record stored (or buffered) under ``(node, seq)``.
@@ -364,25 +345,14 @@ class SqliteMetricsStore(NodeReads):
         """Buffer many status records at once (the server's batch path)."""
         records = tuple(records)
         rows = [_status_row(record) for record in records]
-        if not self._batch_writes:
-            try:
-                for row in rows:
-                    self._conn.execute(_STATUS_INSERT, row)
-            except sqlite3.Error as exc:
-                raise StorageError(f"sqlite insert failed: {exc}") from exc
         with self.aggregate.lock:
             self.aggregate.add_status_records(records)
-            if self._batch_writes:
-                self._buffer(statuses=rows)
+            self._buffer(statuses=rows)
 
     def note_batch(self, node: int, received_at: float, dropped_records: int) -> None:
-        row = (node, received_at, dropped_records)
-        if not self._batch_writes:
-            self._conn.execute(_BATCH_UPSERT, row)
         with self.aggregate.lock:
             self.aggregate.note_batch(node, received_at, dropped_records)
-            if self._batch_writes:
-                self._buffer(notes=(row,))
+            self._buffer(notes=((node, received_at, dropped_records),))
 
     def _buffer(
         self,
@@ -406,13 +376,9 @@ class SqliteMetricsStore(NodeReads):
 
         Writes never flush: the server calls this once per ingested
         batch, after it releases its lock, so the ``executemany`` and the
-        commit run outside the server's lock.  With ``batch_writes=False``
-        it degenerates to a plain commit (the historical once-per-batch
-        durability).  Returns True when a write to SQLite happened.
+        commit run outside the server's lock.  Returns True when a write
+        to SQLite happened.
         """
-        if not self._batch_writes:
-            self.flush()
-            return True
         with self._buffer_lock:
             oldest = self._oldest_pending_at
         if self.pending_records >= self._flush_records or (
@@ -466,7 +432,7 @@ class SqliteMetricsStore(NodeReads):
             return bool(pending)
 
     def journal_mode(self) -> str:
-        """The active SQLite journal mode (``wal`` for tuned file stores)."""
+        """The active SQLite journal mode (``wal`` for file stores)."""
         return self._conn.execute("PRAGMA journal_mode").fetchone()[0]
 
     # -- reads ----------------------------------------------------------------

@@ -59,6 +59,15 @@ class FlushStats:
         self.max_latency_s = max(self.max_latency_s, latency_s)
         self.total_latency_s += latency_s
 
+    def add(self, other: "FlushStats") -> None:
+        """Fold ``other`` in: counts and total latency sum, the worst
+        latency is the maximum, and the last latency is ``other``'s."""
+        self.flushes += other.flushes
+        self.records_flushed += other.records_flushed
+        self.last_latency_s = other.last_latency_s
+        self.max_latency_s = max(self.max_latency_s, other.max_latency_s)
+        self.total_latency_s += other.total_latency_s
+
 
 class NodeReads:
     """The per-node reads both stores answer the same way.

@@ -8,20 +8,22 @@ events into SSE responses.
 Backpressure
 ------------
 
-Every subscriber owns a bounded queue.  A subscriber that cannot keep
-up does not slow ingest down and does not grow memory: the hub drops
-that subscriber's **oldest** queued event to admit the new one and
-counts the drop (per subscriber and hub-wide, surfaced in the server
-self-metrics).  A client that observes a gap in event ids knows it
-lagged and can re-snapshot via the regular GET routes.
+Every subscriber owns a bounded queue (:data:`QUEUE_SIZE` events unless
+it asks for another size).  A subscriber that cannot keep up does not
+slow ingest down and does not grow memory: the hub drops that
+subscriber's **oldest** queued event to admit the new one and counts the
+drop (per subscriber and hub-wide, surfaced in the server self-metrics).
+A client that observes a gap in event ids knows it lagged and can
+re-snapshot via the regular GET routes.
 
 Resume
 ------
 
-The hub keeps a bounded replay ring per topic.  A reconnecting client
-presents the last event id it saw (SSE ``Last-Event-ID``) and the hub
-replays every newer event still in the ring; events older than the
-ring are gone — again, re-snapshot and carry on.
+The hub keeps a replay ring of the last :data:`RING_SIZE` events per
+topic.  A reconnecting client presents the last event id it saw (SSE
+``Last-Event-ID``) and the hub replays every newer event still in the
+ring; events older than the ring are gone — again, re-snapshot and
+carry on.
 
 Lock order (the PR-7 contract)
 ------------------------------
@@ -45,11 +47,12 @@ from typing import Any, Callable, Deque, Dict, Iterable, List, Mapping, Optional
 from repro.errors import ConfigurationError
 from repro.monitor.stream.events import StreamEvent
 
-#: Default bound on one subscriber's queue (events, not bytes).
-DEFAULT_QUEUE_SIZE = 256
+#: Bound on one subscriber's queue (events, not bytes) unless
+#: :meth:`StreamHub.subscribe` is given another.
+QUEUE_SIZE = 256
 
-#: Default bound on one topic's replay ring.
-DEFAULT_RING_SIZE = 256
+#: Bound on one topic's replay ring.
+RING_SIZE = 256
 
 
 class StreamSubscription:
@@ -180,20 +183,7 @@ class StreamSubscription:
 class StreamHub:
     """Publish/subscribe fan-out with bounded queues and a replay ring."""
 
-    def __init__(
-        self,
-        ring_size: int = DEFAULT_RING_SIZE,
-        default_queue_size: int = DEFAULT_QUEUE_SIZE,
-        clock: Optional[Callable[[], float]] = None,
-    ) -> None:
-        if ring_size < 1:
-            raise ConfigurationError(f"ring_size must be >= 1, got {ring_size}")
-        if default_queue_size < 1:
-            raise ConfigurationError(
-                f"default_queue_size must be >= 1, got {default_queue_size}"
-            )
-        self.ring_size = ring_size
-        self.default_queue_size = default_queue_size
+    def __init__(self, clock: Optional[Callable[[], float]] = None) -> None:
         self._clock = clock or (lambda: 0.0)
         self._lock = threading.Lock()
         self._subscribers: List[StreamSubscription] = []  # guarded-by: _lock
@@ -233,7 +223,7 @@ class StreamHub:
             )
             ring = self._rings.get(topic)
             if ring is None:
-                ring = deque(maxlen=self.ring_size)
+                ring = deque(maxlen=RING_SIZE)
                 self._rings[topic] = ring
             ring.append(event)
             self.events_published += 1
@@ -261,7 +251,7 @@ class StreamHub:
         """
         subscription = StreamSubscription(
             topics=tuple(topics),
-            queue_size=queue_size if queue_size is not None else self.default_queue_size,
+            queue_size=queue_size if queue_size is not None else QUEUE_SIZE,
         )
         with self._lock:
             if self._closed:
@@ -331,7 +321,7 @@ class StreamHub:
                 "events_dropped": self.events_dropped,
                 "events_replayed": self.events_replayed,
                 "resumes": self.resumes,
-                "ring_size": self.ring_size,
+                "ring_size": RING_SIZE,
             }
         stats = [subscription.stats() for subscription in subscribers]
         document["queue_lag_max"] = max((s["queued"] for s in stats), default=0)

@@ -47,6 +47,12 @@ RESTART_THRESHOLD = 0x8000
 #: stay counted as lost even if the datagram eventually limps in.
 MAX_TRACKED_MISSING = 1024
 
+#: Bound on the (network, node) streams one accountant tracks.
+MAX_STREAMS = 4096
+
+#: Streams listed by name in the accountant's document, worst first.
+WORST_STREAMS = 20
+
 
 class SequenceGapTracker:
     """Batch-sequence accounting for one (network, node) datagram stream.
@@ -124,16 +130,15 @@ class SequenceGapTracker:
 class TelemetryGapAccountant:
     """Gap trackers for every (network, node) stream a transport sees.
 
-    Bounded like the network registry: beyond ``max_streams`` the
+    Bounded like the network registry: beyond :data:`MAX_STREAMS` the
     least-recently-active stream's tracker is forgotten, so a storm of
     forged network ids cannot grow memory without bound.
     """
 
-    def __init__(self, max_streams: int = 4096) -> None:
-        self._max_streams = max_streams
-        # Reentrant: note() -> tracker() nests.  One accountant may be
-        # shared by several transports, so the LRU dict and every
-        # tracker's counters are mutated from many threads.
+    def __init__(self) -> None:
+        # Reentrant: note() -> tracker() nests.  The transport's
+        # receiver thread mutates the LRU dict and the trackers'
+        # counters while stats readers render them.
         self._lock = threading.RLock()
         self._trackers: "OrderedDict[Tuple[str, int], SequenceGapTracker]" = OrderedDict()  # guarded-by: _lock
         self.evicted_streams = 0  # guarded-by: _lock
@@ -150,7 +155,7 @@ class TelemetryGapAccountant:
             if tracker is not None:
                 self._trackers.move_to_end(key)
                 return tracker
-            while len(self._trackers) >= self._max_streams:
+            while len(self._trackers) >= MAX_STREAMS:
                 self._trackers.popitem(last=False)
                 self.evicted_streams += 1
             tracker = SequenceGapTracker()
@@ -172,14 +177,15 @@ class TelemetryGapAccountant:
         with self._lock:
             return sum(getattr(tracker, counter) for tracker in self._trackers.values())
 
-    def to_json_dict(self, per_stream_limit: int = 20) -> Dict[str, Any]:
-        """Aggregate totals plus the worst (highest-loss) streams."""
+    def to_json_dict(self) -> Dict[str, Any]:
+        """Aggregate totals plus the :data:`WORST_STREAMS` worst
+        (highest-loss) streams."""
         with self._lock:
             worst = sorted(
                 self._trackers.items(),
                 key=lambda item: (item[1].lost, item[1].duplicates),
                 reverse=True,
-            )[:per_stream_limit]
+            )[:WORST_STREAMS]
             return {
                 "streams": len(self._trackers),
                 "evicted_streams": self.evicted_streams,

@@ -29,6 +29,10 @@ from repro.monitor.transport.base import IngestTransport, TelemetryGapAccountant
 #: Largest payload a single UDP datagram can carry (IPv4 maximum).
 MAX_DATAGRAM_BYTES = 65507
 
+#: Requested ``SO_RCVBUF``: a deep kernel buffer is the first line of
+#: defence against bursts.
+RECV_BUFFER_BYTES = 1 << 20
+
 
 class UdpIngestTransport(IngestTransport):
     """A datagram socket feeding decoded batches into a monitor server."""
@@ -41,8 +45,6 @@ class UdpIngestTransport(IngestTransport):
         host: str = "127.0.0.1",
         port: int = 0,
         codec: Union[str, Codec] = "binary",
-        recv_buffer_bytes: int = 1 << 20,
-        accountant: Optional[TelemetryGapAccountant] = None,
     ) -> None:
         """Create (but do not start) the transport.
 
@@ -51,16 +53,14 @@ class UdpIngestTransport(IngestTransport):
                 same validation and dedup as every other path.
             host/port: bind address; port 0 picks a free port.
             codec: wire encoding of the datagrams (default ``binary``).
-            recv_buffer_bytes: requested ``SO_RCVBUF`` — a deep kernel
-                buffer is the first line of defence against bursts.
-            accountant: sequence-gap accountant to share between
-                transports (a private one is created when omitted).
         """
         self._server = server
         self._requested_address = (host, port)
         self._codec = resolve_codec(codec)
-        self._recv_buffer_bytes = recv_buffer_bytes
-        self.accountant = accountant if accountant is not None else TelemetryGapAccountant()
+        #: This transport's own sequence-gap accountant.  It locks
+        #: itself: the receiver thread notes arrivals while stats
+        #: readers render it.
+        self.accountant = TelemetryGapAccountant()
         self._lock = threading.Lock()
         self._socket: Optional[socket.socket] = None  # guarded-by: _lock
         self._thread: Optional[threading.Thread] = None  # guarded-by: _lock
@@ -88,7 +88,7 @@ class UdpIngestTransport(IngestTransport):
         """Bind the socket and start the receive thread (idempotent)."""
         sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
         try:
-            sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, self._recv_buffer_bytes)
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, RECV_BUFFER_BYTES)
         except OSError:
             pass  # the kernel caps SO_RCVBUF; the default still works
         with self._lock:

@@ -4,9 +4,12 @@ Two modes, matching DESIGN.md's T3 ablation:
 
 * :class:`OutOfBandUplink` — the paper's path: the node has a secondary
   interface (WiFi on the ESP32) and POSTs JSON batches to the server over
-  the Internet.  Modelled as a lossy, delayed request/response channel;
-  a lost request produces no acknowledgement and the client retries, so
-  delivery is at-least-once end to end.
+  the Internet.  Modelled as a lossy, delayed request/response channel
+  (:data:`OOB_LATENCY_MEAN_S` one way, jittered by up to
+  :data:`OOB_LATENCY_JITTER_S`); a lost request produces no
+  acknowledgement, the client sees a failure after
+  :data:`OOB_TIMEOUT_S` and retries, so delivery is at-least-once end to
+  end.
 * :class:`InBandUplink` — telemetry rides the mesh itself as TELEMETRY
   messages addressed to a gateway node, costing LoRa airtime.  The
   :class:`GatewayBridge` attached to the gateway hands completed messages
@@ -28,7 +31,7 @@ from typing import TYPE_CHECKING, Callable, Optional, Union
 from repro.errors import ConfigurationError
 from repro.mesh.node import DeliveredMessage, MeshNode
 from repro.mesh.packet import PacketType
-from repro.monitor.codec import Codec, resolve_codec
+from repro.monitor.codec import Codec, JsonCodec, resolve_codec
 from repro.monitor.ingest import DEFAULT_NETWORK_ID, IngestResult, validate_network_id
 from repro.monitor.records import RecordBatch
 from repro.sim.engine import Simulator
@@ -37,6 +40,13 @@ if TYPE_CHECKING:  # import only for annotations; avoids a mesh<->monitor import
     from repro.mesh.endtoend import ReliableMessenger
 
 ResultCallback = Callable[[bool], None]
+
+#: One-way latency of the simulated out-of-band POST and its response.
+OOB_LATENCY_MEAN_S = 0.08
+#: Each latency draw is uniform within this much of the mean.
+OOB_LATENCY_JITTER_S = 0.04
+#: A lost request or response surfaces to the client after this long.
+OOB_TIMEOUT_S = 10.0
 
 
 @dataclass
@@ -66,11 +76,11 @@ class Uplink(ABC):
 
 
 class OutOfBandUplink(Uplink):
-    """Simulated WiFi/HTTP POST to the monitoring server.
+    """Simulated WiFi/HTTP POST of JSON batches to the monitoring server.
 
     The server object is called directly (``ingest_json``); loss and
     latency are simulated in front of it.  A lost request surfaces to the
-    client as a failed result after ``timeout_s``.
+    client as a failed result after :data:`OOB_TIMEOUT_S`.
     """
 
     def __init__(
@@ -79,33 +89,27 @@ class OutOfBandUplink(Uplink):
         server: "SupportsIngestJson",
         rng: random.Random,
         loss_probability: float = 0.0,
-        latency_mean_s: float = 0.08,
-        latency_jitter_s: float = 0.04,
-        timeout_s: float = 10.0,
-        codec: Union[str, Codec] = "json",
     ) -> None:
         super().__init__()
         if not (0.0 <= loss_probability <= 1.0):
             raise ConfigurationError(f"loss_probability must be 0..1, got {loss_probability}")
-        if latency_mean_s < 0 or latency_jitter_s < 0 or timeout_s <= 0:
-            raise ConfigurationError("latencies must be >= 0 and timeout > 0")
         self._sim = sim
         self._server = server
         self._rng = rng
         self._loss = loss_probability
-        self._latency_mean = latency_mean_s
-        self._jitter = latency_jitter_s
-        self._timeout = timeout_s
-        #: Wire encoding of the POSTed batches.  ``json`` keeps the
-        #: paper's path; ``binary`` models a firmware that speaks the
-        #: compact telemetry format over HTTP (the T1/T3 size ablation).
-        self._codec = resolve_codec(codec)
+        # Encoding through the codec keeps each encode one
+        # ``JsonCodec.encode`` call, where encode cost is measured.
+        self._codec = JsonCodec()
 
     def wire_size(self, batch: RecordBatch) -> int:
         return len(self._codec.encode(batch))
 
     def _latency(self) -> float:
-        return max(self._latency_mean + self._rng.uniform(-self._jitter, self._jitter), 1e-4)
+        return max(
+            OOB_LATENCY_MEAN_S
+            + self._rng.uniform(-OOB_LATENCY_JITTER_S, OOB_LATENCY_JITTER_S),
+            1e-4,
+        )
 
     def send(self, batch: RecordBatch, on_result: ResultCallback) -> None:
         raw = self._codec.encode(batch)
@@ -114,28 +118,18 @@ class OutOfBandUplink(Uplink):
         if self._rng.random() < self._loss:
             # Request lost in transit: the server never sees it.
             self.stats.batches_lost += 1
-            self._sim.call_in(self._timeout, lambda: on_result(False))
+            self._sim.call_in(OOB_TIMEOUT_S, lambda: on_result(False))
             return
 
         def deliver() -> None:
-            if self._codec.name == "json":
-                result = self._server.ingest_json(raw)
-            else:
-                # Non-JSON codecs need the negotiating server surface.
-                ingest_encoded = getattr(self._server, "ingest_encoded", None)
-                if ingest_encoded is None:
-                    raise ConfigurationError(
-                        f"server {self._server!r} cannot ingest codec "
-                        f"{self._codec.name!r} (no ingest_encoded)"
-                    )
-                result = ingest_encoded(raw, self._codec)
+            result = self._server.ingest_json(raw)
             self.stats.batches_delivered += 1
             ok = bool(getattr(result, "ok", True))
             if self._rng.random() < self._loss:
                 # Response lost: the batch WAS ingested, but the client
                 # times out and will retry — the server's per-record
                 # dedup absorbs the duplicate.
-                self._sim.call_in(self._timeout, lambda: on_result(False))
+                self._sim.call_in(OOB_TIMEOUT_S, lambda: on_result(False))
                 return
             self._sim.call_in(self._latency(), lambda: on_result(ok))
 

@@ -205,7 +205,6 @@ class FlightRecorder:
         #: node → list of (fail_time, recover_time_or_None)
         self._downtime: Dict[int, List[Tuple[float, Optional[float]]]] = {}
         self._subscription: Optional[TraceSubscription] = None
-        self._events_seen = 0
 
     # -- wiring ---------------------------------------------------------------
 
@@ -231,7 +230,6 @@ class FlightRecorder:
 
     def observe(self, event: TraceEvent) -> None:
         """Trace listener: dispatch one ground-truth event."""
-        self._events_seen += 1
         kind = event.kind
         if kind.startswith("phy."):
             self._observe_phy(event)
@@ -470,10 +468,6 @@ class FlightRecorder:
 
     # -- queries --------------------------------------------------------------
 
-    @property
-    def events_seen(self) -> int:
-        return self._events_seen
-
     def messages(self) -> List[MessageTrace]:
         """All known messages in origination order."""
         return sorted(self._messages.values(), key=lambda m: (m.sent_at, m.origin, m.msg_id))
@@ -512,10 +506,6 @@ class FlightRecorder:
         if by == "link":
             return dict(self._drops_by_link)
         raise ValueError(f"unknown drop grouping {by!r} (want reason|node|link)")
-
-    def link_stats(self) -> Dict[Tuple[int, int], LinkStats]:
-        """Per directed link: unicast frames sent, received, collided."""
-        return dict(self._links)
 
     def forwarding_load(self) -> Dict[int, int]:
         """mesh.forward count per relay node."""

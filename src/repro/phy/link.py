@@ -235,10 +235,6 @@ class LinkModel:
         for listener in self._change_listeners:
             listener(a, b)
 
-    def link_attenuation(self, a: int, b: int) -> float:
-        """Currently injected extra attenuation on the (a, b) link."""
-        return self._extra_attenuation.get(self._link_key(a, b), 0.0)
-
     def received_power_dbm(
         self,
         tx_power_dbm: float,

@@ -106,10 +106,6 @@ class Radio:
         """Account the tail interval up to ``now`` without changing state."""
         self.set_state(self._state, now)
 
-    def time_in_state(self, state: RadioState) -> float:
-        """Cumulative seconds spent in ``state`` (excluding the open interval)."""
-        return self._time_in_state[state]
-
     def consumed_coulombs(self) -> float:
         """Total charge consumed across all closed intervals."""
         return sum(
@@ -120,10 +116,6 @@ class Radio:
     def consumed_mah(self) -> float:
         """Total charge consumed, in milliamp-hours."""
         return mah(self.consumed_coulombs())
-
-    def consumed_joules(self) -> float:
-        """Total energy consumed, in joules."""
-        return self.consumed_coulombs() * self._energy_model.supply_voltage_v
 
     def summary(self) -> Dict[str, float]:
         """Per-state seconds plus total mAh, for reports."""

@@ -201,6 +201,7 @@ class Scenario:
                 max_records_per_batch=40,
                 packet_sample_rate=min(0.1, config.packet_sample_rate),
                 status_every_n_flushes=2,
+                network_id=config.network_id,
             )
             reliable = config.monitor_mode is MonitorMode.IN_BAND_RELIABLE
             gateway_node = self.nodes[config.gateway]

@@ -41,8 +41,9 @@ class TestEverythingOn:
             scenario.store, rules=[SilentNodeRule(max_silence_s=190.0)]
         )
         alerts_seen = []
-        engine.on_raise.append(alerts_seen.append)
-        poll = scenario.sim.call_every(30.0, lambda: engine.evaluate(scenario.sim.now))
+        poll = scenario.sim.call_every(
+            30.0, lambda: alerts_seen.extend(engine.evaluate(scenario.sim.now))
+        )
         result = scenario.run()
         poll.cancel()
         return result, schedule, engine, alerts_seen

@@ -116,3 +116,20 @@ class TestReliableInBand:
         for node in reliable_result.store.nodes():
             seqs = [r.seq for r in reliable_result.store.packet_records(node=node)]
             assert len(seqs) == len(set(seqs))
+
+
+@pytest.mark.parametrize(
+    "mode", [MonitorMode.IN_BAND, MonitorMode.IN_BAND_RELIABLE], ids=lambda mode: mode.value
+)
+def test_gateway_reports_into_the_scenario_network(mode):
+    # The gateway ships its own records out-of-band as JSON, which names
+    # its network; they must land in the scenario's network, beside the
+    # in-band nodes' records the bridge attributes there.
+    config = ScenarioConfig(
+        seed=3, n_nodes=9, monitor_mode=mode, network_id="campus-a",
+        warmup_s=300.0, duration_s=600.0, cooldown_s=60.0,
+        workload=WorkloadSpec(kind="periodic", interval_s=120.0),
+    )
+    with run_scenario(config) as result:
+        assert result.server.networks() == ["campus-a"]
+        assert config.gateway in result.store.nodes()

@@ -4,6 +4,7 @@ import pytest
 
 from repro.api import NodeDelta
 from repro.monitor.alerts import (
+    HISTORY_LIMIT,
     AlertEngine,
     BatteryLowRule,
     DutyCycleRule,
@@ -173,12 +174,13 @@ class TestObserveDelta:
         raised, cleared = engine.observe(0.0, [self.delta(battery_v=3.0)])
         assert len(raised) == 1 and cleared == []
         assert raised[0].node == 1 and raised[0].rule == "battery_low"
+        first = raised[0]
         # Persisting condition: not re-raised.
         raised, cleared = engine.observe(5.0, [self.delta(battery_v=3.1)])
         assert raised == [] and cleared == []
-        # Recovered: cleared.
+        # Recovered: the alert raised at 0.0 is cleared.
         raised, cleared = engine.observe(10.0, [self.delta(battery_v=4.0)])
-        assert raised == [] and len(cleared) == 1
+        assert raised == [] and cleared == [first]
         assert engine.active() == []
 
     def test_none_fields_leave_state_untouched(self, store):
@@ -230,23 +232,16 @@ class TestObserveDelta:
 
 class TestBoundedHistory:
     def test_history_is_bounded_ring(self, store):
-        engine = AlertEngine(store, rules=[BatteryLowRule()], history_limit=4)
-        for index in range(10):
+        engine = AlertEngine(store, rules=[BatteryLowRule()])
+        raises = HISTORY_LIMIT + 4
+        for index in range(raises):
             engine.observe(float(index), [NodeDelta(node=1, battery_v=3.0)])
             engine.observe(float(index) + 0.5, [NodeDelta(node=1, battery_v=4.0)])
-        assert engine.history_len == 4
-        assert engine.alerts_emitted == 10  # cumulative counter survives eviction
-        assert [alert.raised_at for alert in engine.history] == [6.0, 7.0, 8.0, 9.0]
-
-    def test_notification_sinks_fire(self, store):
-        engine = AlertEngine(store, rules=[BatteryLowRule()])
-        raised_seen, cleared_seen = [], []
-        engine.on_raise.append(raised_seen.append)
-        engine.on_clear.append(cleared_seen.append)
-        engine.observe(0.0, [NodeDelta(node=1, battery_v=3.0)])
-        engine.observe(1.0, [NodeDelta(node=1, battery_v=4.0)])
-        assert len(raised_seen) == 1 and len(cleared_seen) == 1
-        assert raised_seen[0] == cleared_seen[0]
+        assert engine.history_len == HISTORY_LIMIT
+        assert engine.alerts_emitted == raises  # cumulative counter survives eviction
+        assert [alert.raised_at for alert in engine.history] == [
+            float(index) for index in range(4, raises)
+        ]
 
     def test_alert_json_shape(self, store):
         engine = AlertEngine(store, rules=[BatteryLowRule()])

@@ -35,9 +35,8 @@ def mesh(small_mesh):
 
 
 def make_client(world, node_addr=1, uplink=None, **config_overrides):
-    config = MonitorClientConfig(
-        report_interval_s=30.0, start_jitter_s=0.0, **config_overrides
-    )
+    # The first flush comes 30 s plus up to START_JITTER_S (5 s) in.
+    config = MonitorClientConfig(report_interval_s=30.0, **config_overrides)
     uplink = uplink if uplink is not None else FakeUplink()
     client = MonitorClient(world.sim, world.nodes[node_addr], uplink, config)
     return client, uplink
@@ -104,10 +103,11 @@ class TestFlush:
         status = uplink.batches[0].status_records[0]
         assert len(status.neighbors) == status.neighbor_count > 0
 
-    def test_no_status_when_disabled(self, mesh):
-        client, uplink = make_client(mesh, include_status=False)
-        mesh.sim.run(until=mesh.sim.now + 40.0)
-        assert uplink.batches and uplink.batches[0].status_records == ()
+    def test_status_cadence_follows_every_n_flushes(self, mesh):
+        client, uplink = make_client(mesh, status_every_n_flushes=2)
+        mesh.sim.run(until=mesh.sim.now + 155.0)
+        statuses = [len(batch.status_records) for batch in uplink.batches]
+        assert statuses[:4] == [1, 0, 1, 0]
 
     def test_batch_size_cap_drains_backlog(self, mesh):
         client, uplink = make_client(mesh, max_records_per_batch=3)

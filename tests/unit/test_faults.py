@@ -40,15 +40,17 @@ class TestLinkAttenuation:
     def test_attenuation_is_symmetric(self):
         scenario = build_scenario()
         model = scenario.link_model
+        before = model.received_power_dbm(14.0, 100.0, 2, 1)
         model.set_link_attenuation(1, 2, 10.0)
-        assert model.link_attenuation(2, 1) == 10.0
+        assert model.received_power_dbm(14.0, 100.0, 2, 1) == pytest.approx(before - 10.0)
 
     def test_zero_restores(self):
         scenario = build_scenario()
         model = scenario.link_model
+        before = model.received_power_dbm(14.0, 100.0, 1, 2)
         model.set_link_attenuation(1, 2, 10.0)
         model.set_link_attenuation(1, 2, 0.0)
-        assert model.link_attenuation(1, 2) == 0.0
+        assert model.received_power_dbm(14.0, 100.0, 1, 2) == before
 
     def test_negative_rejected(self):
         scenario = build_scenario()
@@ -141,10 +143,12 @@ class TestFaultExecution:
         ])
         schedule.apply(scenario)
         sim = scenario.sim
+        model = scenario.link_model
+        before = model.received_power_dbm(14.0, 100.0, 1, 2)
         sim.run(until=800.0)
-        assert scenario.link_model.link_attenuation(1, 2) == 25.0
+        assert model.received_power_dbm(14.0, 100.0, 1, 2) == pytest.approx(before - 25.0)
         sim.run(until=1000.0)
-        assert scenario.link_model.link_attenuation(1, 2) == 0.0
+        assert model.received_power_dbm(14.0, 100.0, 1, 2) == before
 
     def test_battery_depletion_kills_node_organically(self):
         scenario = build_scenario()

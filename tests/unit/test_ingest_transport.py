@@ -18,7 +18,12 @@ from repro.api import (
 )
 from repro.errors import ConfigurationError
 from repro.monitor.codec import BinaryCodec
-from repro.monitor.transport.base import MAX_TRACKED_MISSING, RESTART_THRESHOLD
+from repro.monitor.transport.base import (
+    MAX_STREAMS,
+    MAX_TRACKED_MISSING,
+    RESTART_THRESHOLD,
+    WORST_STREAMS,
+)
 from tests.unit.test_server import batch, packet_record
 
 
@@ -106,15 +111,15 @@ class TestTelemetryGapAccountant:
         assert accountant.tracker("b", 1).lost == 4
 
     def test_lru_eviction_is_bounded(self):
-        accountant = TelemetryGapAccountant(max_streams=2)
-        accountant.note("a", 1, 0)
-        accountant.note("b", 1, 0)
-        accountant.note("a", 1, 1)  # refresh "a" so "b" is the LRU
+        accountant = TelemetryGapAccountant()
+        for node in range(MAX_STREAMS):
+            accountant.note("a", node, 0)
+        accountant.note("a", 0, 1)  # refresh node 0 so node 1 is the LRU
         accountant.note("c", 1, 0)
-        assert len(accountant) == 2
+        assert len(accountant) == MAX_STREAMS
         assert accountant.evicted_streams == 1
-        # "b" was forgotten; its tracker starts over.
-        assert accountant.note("b", 1, 7) == "first"
+        # Node 1 was forgotten; its tracker starts over.
+        assert accountant.note("a", 1, 7) == "first"
 
     def test_json_dict_aggregates_and_names_worst_streams(self):
         accountant = TelemetryGapAccountant()
@@ -127,6 +132,17 @@ class TestTelemetryGapAccountant:
         assert doc["received"] == 4
         assert doc["lost"] == 1
         assert list(doc["worst_streams"]) == ["net/3"]
+
+    def test_json_dict_names_at_most_the_worst_streams(self):
+        accountant = TelemetryGapAccountant()
+        for node in range(WORST_STREAMS + 5):
+            accountant.note("net", node, 0)
+            accountant.note("net", node, 2 + node)  # node + 1 lost
+        doc = accountant.to_json_dict()
+        assert doc["streams"] == WORST_STREAMS + 5
+        assert list(doc["worst_streams"]) == [
+            f"net/{node}" for node in range(WORST_STREAMS + 4, 4, -1)
+        ]
 
 
 def udp_pair(server, **kwargs):

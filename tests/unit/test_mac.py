@@ -70,7 +70,7 @@ class TestBasicTransmission:
         macs[1].send(data_packet(next_hop=BROADCAST))
         sim.run(until=10.0)
         assert macs[1].radio.state == RadioState.RX
-        assert macs[1].radio.time_in_state(RadioState.TX) > 0
+        assert macs[1].radio.summary()["time_tx_s"] > 0
 
     def test_queue_overflow_drops(self):
         config = MeshConfig(queue_limit=2)
@@ -129,11 +129,11 @@ class TestStopMidFrame:
         sim.run(until=sim.now + 10.0)  # well past the frame's airtime
         assert mac.radio.state == RadioState.SLEEP
         mac.radio.finalize(sim.now)
-        rx_s = mac.radio.time_in_state(RadioState.RX)
+        rx_s = mac.radio.summary()["time_rx_s"]
         sim.run(until=sim.now + 300.0)
         mac.radio.finalize(sim.now)
         assert mac.radio.state == RadioState.SLEEP
-        assert mac.radio.time_in_state(RadioState.RX) == rx_s
+        assert mac.radio.summary()["time_rx_s"] == rx_s
 
 
 class TestCsma:

@@ -284,9 +284,9 @@ class TestFlightRecorderTables:
         trace = TraceLog()
         recorder = attached_recorder(trace)
         emit_delivered(trace)
-        stats = recorder.link_stats()
-        assert stats[(1, 2)].tx == 1 and stats[(1, 2)].rx == 1
-        assert stats[(1, 2)].loss_rate == 0.0
+        stats = recorder.to_json_dict()["links"]["1->2"]
+        assert stats["tx"] == 1 and stats["rx"] == 1
+        assert stats["loss_rate"] == 0.0
 
     def test_forwarding_load_counts_relays(self):
         trace = TraceLog()
@@ -335,7 +335,7 @@ class TestFlightRecorderTables:
         recorder.detach()
         emit_delivered(trace)
         assert recorder.messages() == []
-        assert recorder.events_seen == 0
+        assert recorder.to_json_dict()["links"] == {}
 
 
 # -- NDJSON capture ------------------------------------------------------------

@@ -15,8 +15,8 @@ class TestStateTracking:
         radio.set_state(RadioState.TX, 10.0)
         radio.set_state(RadioState.RX, 12.5)
         radio.finalize(20.0)
-        assert radio.time_in_state(RadioState.RX) == pytest.approx(10.0 + 7.5)
-        assert radio.time_in_state(RadioState.TX) == pytest.approx(2.5)
+        assert radio.summary()["time_rx_s"] == pytest.approx(10.0 + 7.5)
+        assert radio.summary()["time_tx_s"] == pytest.approx(2.5)
 
     def test_time_cannot_go_backwards(self):
         radio = Radio()
@@ -29,7 +29,7 @@ class TestStateTracking:
         radio.set_state(RadioState.SLEEP, 1.0)
         radio.finalize(5.0)
         assert radio.state == RadioState.SLEEP
-        assert radio.time_in_state(RadioState.SLEEP) == pytest.approx(4.0)
+        assert radio.summary()["time_sleep_s"] == pytest.approx(4.0)
 
 
 class TestEnergy:

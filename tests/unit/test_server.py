@@ -29,6 +29,12 @@ def status_record(node=1, seq=0):
     )
 
 
+#: The self-metrics document's top-level flush keys.
+FLUSH_KEYS = (
+    "store_flushes", "flush_latency_last_ms", "flush_latency_max_ms", "flush_latency_total_ms",
+)
+
+
 def batch(node=1, batch_seq=0, packets=(), status=(), dropped=0):
     return RecordBatch(
         node=node, batch_seq=batch_seq, sent_at=1.0,
@@ -161,17 +167,56 @@ class TestSelfMetrics:
         document = server.self_metrics_document()
         assert document["batches_ingested"] == 1
         assert document["records_ingested"] == 1
+        # In-memory stores keep no flush counters.
+        assert [document[key] for key in FLUSH_KEYS] == [0, 0.0, 0.0, 0.0]
+        assert "store" not in document
 
     def test_flush_latency_recorded_for_sqlite_store(self):
         from repro.monitor.sqlitestore import SqliteMetricsStore
         store = SqliteMetricsStore(flush_records=1)
         server = MonitorServer(store=store)
         server.submit(batch(packets=[packet_record(seq=0)]))
-        assert server.self_metrics.store_flushes >= 1
-        assert server.self_metrics.flush_latency_max_s > 0.0
         document = server.self_metrics_document()
+        assert document["store_flushes"] >= 1
+        assert document["flush_latency_max_ms"] > 0.0
         assert document["store"]["records_flushed"] >= 1
         store.close()
+
+    @pytest.mark.parametrize("buffered", [False, True], ids=["flushed", "buffered"])
+    def test_flush_ledger_never_decreases_across_evictions(self, tmp_path, buffered):
+        # One resident network, so each new network evicts the last and
+        # closes its store.  The ledger keeps what a closed store
+        # flushed; a buffered store's closing flush is counted too.
+        options = (
+            {"flush_records": 1000, "flush_interval_s": None}
+            if buffered else {"flush_records": 1}
+        )
+        server = MonitorServer(
+            store_factory=sqlite_store_factory(str(tmp_path), **options), max_networks=1
+        )
+        networks = ["site-a", "site-a", "site-b", "site-c", "site-a"]
+        readings = []
+        for seq, network in enumerate(networks):
+            server.submit(RecordBatch(
+                node=1, batch_seq=seq, sent_at=float(seq),
+                packet_records=(packet_record(seq=seq),), network_id=network,
+            ))
+            readings.append(server.self_metrics_document())
+        server.flush()
+        readings.append(server.self_metrics_document())
+        assert server.registry.evictions == 3
+        for document in readings:
+            store = document["store"]
+            assert [document[key] for key in FLUSH_KEYS[:3]] == [
+                store["flushes"], store["flush_latency_last_ms"], store["flush_latency_max_ms"],
+            ]
+        for earlier, later in zip(readings, readings[1:]):
+            assert later["store_flushes"] >= earlier["store_flushes"]
+            assert later["store"]["flushes"] >= earlier["store"]["flushes"]
+            assert later["store"]["records_flushed"] >= earlier["store"]["records_flushed"]
+        assert readings[-1]["store"]["records_flushed"] == len(networks)
+        assert readings[-1]["store_flushes"] == (4 if buffered else len(networks))
+        server.close()
 
     def test_sqlite_flush_runs_outside_the_server_lock(self):
         from repro.monitor.sqlitestore import SqliteMetricsStore
@@ -225,7 +270,7 @@ class TestSelfMetrics:
         assert store.pending_records == 1
         server.flush()
         assert store.pending_records == 0
-        assert server.self_metrics.store_flushes == 1
+        assert server.self_metrics_document()["store_flushes"] == 1
         store.close()
 
     def test_reading_metrics_creates_no_default_network(self, tmp_path):

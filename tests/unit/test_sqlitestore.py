@@ -217,12 +217,6 @@ class TestNodeStateInMemory:
         )] == [1, 2, 3, 4]
         reopened.close()
 
-    def test_row_at_a_time_mode_keeps_the_mirror_too(self):
-        store = SqliteMetricsStore(batch_writes=False)
-        self.fill(store)
-        assert self.node_state(store)[0][1:] == (status_record(seq=5, ts=5.0), 12.0, 3)
-        store.close()
-
 
 class ReplayingConnection:
     """Stands in for a store's connection; the first ``executemany``
@@ -397,13 +391,6 @@ class TestBatchedWrites:
         assert connection.execute("SELECT dropped FROM batches").fetchall() == [(2,)]
         store.close()
 
-    def test_row_at_a_time_mode_bypasses_buffer(self):
-        store = SqliteMetricsStore(batch_writes=False)
-        store.add_packet_records([packet_record(seq=0), packet_record(seq=1)])
-        assert store.pending_records == 0
-        assert store.packet_record_count() == 2
-        store.close()
-
     def test_duplicate_in_one_buffer_last_wins(self, store):
         store.add_packet_records([
             packet_record(seq=0, ts=1.0), packet_record(seq=0, ts=2.0),
@@ -423,11 +410,6 @@ class TestPragmasAndDurability:
     def test_wal_mode_on_file_backed_store(self, tmp_path):
         store = SqliteMetricsStore(str(tmp_path / "telemetry.db"))
         assert store.journal_mode() == "wal"
-        store.close()
-
-    def test_wal_opt_out(self, tmp_path):
-        store = SqliteMetricsStore(str(tmp_path / "telemetry.db"), wal=False)
-        assert store.journal_mode() != "wal"
         store.close()
 
     def test_memory_store_has_no_wal(self):

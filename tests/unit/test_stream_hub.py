@@ -7,6 +7,7 @@ import pytest
 from repro.api import StreamHub
 from repro.errors import ConfigurationError
 from repro.monitor.stream.events import FLEET_TOPIC, network_topic
+from repro.monitor.stream.hub import RING_SIZE
 
 
 def drain(subscription):
@@ -122,14 +123,14 @@ class TestReplayResume:
         assert hub.events_replayed == 3
 
     def test_resume_past_ring_eviction_shows_id_gap(self):
-        hub = StreamHub(ring_size=2)
-        for index in range(5):
+        hub = StreamHub()
+        for index in range(RING_SIZE + 1):
             hub.publish("t", "ingest-delta", {"n": index})
-        subscription = hub.subscribe(["t"], last_event_ids={"t": 1})
+        subscription = hub.subscribe(["t"], last_event_ids={"t": 0})
         events = drain(subscription)
-        # Events 2..3 were evicted from the ring: the client sees the
-        # gap in the ids and knows to re-snapshot.
-        assert [event.event_id for event in events] == [4, 5]
+        # Event 1 was evicted from the ring: the client sees the gap in
+        # the ids and knows to re-snapshot.
+        assert [event.event_id for event in events] == list(range(2, RING_SIZE + 2))
 
     def test_resume_from_zero_replays_everything_in_ring(self):
         hub = StreamHub()
@@ -215,9 +216,3 @@ class TestStats:
         assert stats["dropped"] == 2
         assert stats["topics"] == ["t"]
         del subscription
-
-    def test_config_validation(self):
-        with pytest.raises(ConfigurationError):
-            StreamHub(ring_size=0)
-        with pytest.raises(ConfigurationError):
-            StreamHub(default_queue_size=0)
