@@ -76,28 +76,3 @@ def cached_time_on_air(params: LoRaParams, payload_bytes: int) -> float:
     frame.  Values are bit-identical to :func:`time_on_air`.
     """
     return time_on_air(params, payload_bytes)
-
-
-def max_payload_for_airtime(params: LoRaParams, budget_s: float) -> int:
-    """Largest payload (bytes) whose frame fits within ``budget_s`` seconds.
-
-    Returns -1 when even an empty payload exceeds the budget.  Used by the
-    in-band telemetry uplink to size batches against duty-cycle budgets.
-    """
-    if time_on_air(params, 0) > budget_s:
-        return -1
-    lo, hi = 0, MAX_PAYLOAD_BYTES
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if time_on_air(params, mid) <= budget_s:
-            lo = mid
-        else:
-            hi = mid - 1
-    return lo
-
-
-def bitrate(params: LoRaParams) -> float:
-    """Nominal LoRa bit rate in bits/s: SF * (BW / 2^SF) * CR."""
-    sf = params.spreading_factor
-    cr = 4.0 / (4 + params.coding_rate)
-    return sf * (params.bandwidth_hz / (2 ** sf)) * cr

@@ -96,15 +96,6 @@ class Battery:
     def is_depleted(self, now: float) -> bool:
         return self.state_of_charge(now) <= 0.0
 
-    def time_to_empty_s(self, now: float) -> float:
-        """Naive projection from the average draw so far (inf when unknown)."""
-        consumed = self.consumed_mah(now)
-        if now <= 0 or consumed <= 0:
-            return float("inf")
-        rate_mah_per_s = consumed / now
-        remaining_mah = self.state_of_charge(now) * self.capacity_mah
-        return remaining_mah / rate_mah_per_s
-
 
 def attach_battery(node, battery: Battery, fail_when_empty: bool = True) -> Callable[[float], float]:
     """Wire a battery into a mesh node's status reporting.

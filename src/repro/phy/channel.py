@@ -27,10 +27,11 @@ per frame, are exactly the nodes that transmitted during it.
 
 Hot-path structure (see ``docs/ARCHITECTURE.md``, "PHY hot path"): the
 reachability index keeps one link table per (sender, params) — the
-candidate receivers in node order, each with its static RSSI — and drops
-it on every topology move and injected attenuation change, so a frame's
-end walks the table as of that instant and adds only the per-frame fading
-term to each entry; carrier sense reads the same tables.  Overlap queries
+candidate receivers in node order, each with its static RSSI — and brings
+it up to date with every topology move and injected attenuation change
+before it serves it, so a frame's end walks the table as of that instant
+and adds only the per-frame fading term to each entry; carrier sense
+reads the same tables.  Overlap queries
 go through a slot map keyed by coarse time buckets instead of scanning
 every active/recent frame; recently finished frames are pruned
 incrementally from a deque.  Everything that does not depend on the

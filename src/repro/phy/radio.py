@@ -30,13 +30,12 @@ class RadioState(str, Enum):
 
 @dataclass(frozen=True)
 class EnergyModel:
-    """Per-state current draw in milliamps at ``supply_voltage_v``.
+    """Per-state current draw in milliamps.
 
     Defaults: SX1276 sleep 0.0002 mA, standby 1.6 mA, RX 11.5 mA,
     TX at +14 dBm ≈ 29 mA (PA_BOOST ~44 mA at +17 dBm), CAD ≈ RX.
     """
 
-    supply_voltage_v: float = 3.3
     current_ma: Dict[RadioState, float] = field(
         default_factory=lambda: {
             RadioState.SLEEP: 0.0002,
@@ -50,10 +49,6 @@ class EnergyModel:
     def charge_coulombs(self, state: RadioState, duration_s: float) -> float:
         """Charge consumed spending ``duration_s`` in ``state`` (coulombs)."""
         return self.current_ma[state] * 1e-3 * duration_s
-
-    def energy_joules(self, state: RadioState, duration_s: float) -> float:
-        """Energy consumed spending ``duration_s`` in ``state`` (joules)."""
-        return self.charge_coulombs(state, duration_s) * self.supply_voltage_v
 
 
 #: Every state in definition order.  Iterating the enum class runs Python

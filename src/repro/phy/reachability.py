@@ -8,10 +8,9 @@ that removes it:
 
 * :class:`PropagationModel` — the typed protocol the channel requires of
   a link model (``repro.phy.link.LinkModel`` is the stock implementation);
-* :class:`ReachabilityIndex` — the protocol for per-sender candidate
-  receiver computation;
-* :class:`BruteForceReachability` — the reference oracle: candidates are
-  simply *all* nodes, reproducing the classic exhaustive walk;
+* :class:`ReachabilityIndex` — the protocol for per-sender link tables;
+* :class:`BruteForceReachability` — the reference oracle: every node is
+  in every table, reproducing the classic exhaustive walk;
 * :class:`GridReachabilityIndex` — buckets node positions into a uniform
   grid and prunes receivers whose *exact* link budget (geometry + static
   shadowing + injected attenuation) cannot reach the CAD-detection
@@ -20,7 +19,7 @@ that removes it:
   epoch invalidation, shared by both index flavours so the culled and
   exhaustive channels compute bit-identical RSSI values.
 
-Each index also serves a **link table** per ``(sender, params)``: its
+Each index serves a **link table** per ``(sender, params)``: its
 candidate receivers in node order, each with its static RSSI (TX power
 minus the cached static loss).  The table is what the channel walks at a
 frame's end and what carrier sense reads, so a frame end adds only the
@@ -36,25 +35,28 @@ pinned by ``tests/property/test_phy_equivalence.py``.
 Invalidation: both index flavours and the budget cache subscribe to
 :meth:`repro.sim.topology.Topology.subscribe` (mobility) and
 :meth:`repro.phy.link.LinkModel.subscribe_changes` (fault-injected
-attenuation).  Link tables are invalidated coarsely (every move or
-attenuation change drops every sender's table — a moved node can enter
-or leave *any* sender's set, and its static RSSI changes in every table
-it is in); the budget cache is invalidated per node, so a 1000-node mesh
-with three mobile nodes does not recompute half a million link budgets
-per step.
+attenuation).  A change drops no link table.  The index records the
+changed nodes — the moved node, or both ends of a re-attenuated link —
+and each table remembers the change epoch it is current at, so a lookup
+knows which nodes changed since its table was built.  A changed sender
+rebuilds its table; otherwise the grid re-evaluates only the changed
+nodes' entries (a moved node can enter or leave *any* sender's table,
+and its static RSSI changes in every table it is in) and the
+brute-force oracle rebuilds.  The budget cache is invalidated per node,
+so a 1000-node mesh with three mobile nodes does not recompute half a
+million link budgets per step.
 """
 
 from __future__ import annotations
 
 import math
 from typing import (
-    AbstractSet,
     Dict,
-    FrozenSet,
     List,
     Mapping,
     Optional,
     Protocol,
+    Sequence,
     Tuple,
     runtime_checkable,
 )
@@ -111,12 +113,12 @@ class PropagationModel(Protocol):
 
 @runtime_checkable
 class ReachabilityIndex(Protocol):
-    """Per-sender candidate-receiver computation behind the channel.
+    """Per-sender link tables behind the channel.
 
-    ``candidates(sender, params)`` returns every node that could
-    plausibly detect a frame sent by ``sender`` with ``params`` — a
-    superset of actual receivers is allowed (the channel re-checks each
-    candidate exactly); missing a possible receiver is not.
+    ``link_table(sender, params)`` lists every node that could plausibly
+    detect a frame sent by ``sender`` with ``params`` — a superset of
+    actual receivers is allowed (the channel re-checks each entry
+    exactly); missing a possible receiver is not.
     """
 
     def bind(
@@ -129,23 +131,20 @@ class ReachabilityIndex(Protocol):
         """Attach the index to one channel's world (called once)."""
         ...
 
-    def candidates(self, sender: int, params: LoRaParams) -> AbstractSet[int]:
-        """Nodes that might detect a frame from ``sender`` (may include
-        the sender itself)."""
-        ...
-
     def link_table(self, sender: int, params: LoRaParams) -> Mapping[int, float]:
         """Candidate receivers other than ``sender``, in ascending node
         order, each mapped to its static RSSI under current geometry:
-        ``params.tx_power_dbm - budget.loss_db(sender, node)``."""
+        ``params.tx_power_dbm - budget.loss_db(sender, node)``.  A
+        returned mapping is never changed afterwards."""
         ...
 
     def invalidate(self, node: Optional[int] = None) -> None:
-        """Drop cached link tables (``node`` hints what moved)."""
+        """Record that ``node`` changed; with no node, drop every table."""
         ...
 
     def stats(self) -> Dict[str, int]:
-        """Counters for benchmarks and tests (hits, rebuilds, epoch)."""
+        """Counters for benchmarks and tests (hits, patches, rebuilds,
+        epoch)."""
         ...
 
 
@@ -192,8 +191,9 @@ class LinkBudgetCache:
 
 
 class _BoundIndex:
-    """Shared bind/invalidate plumbing and the link-table cache of the two
-    index flavours; a flavour supplies ``_compute``."""
+    """Shared bind plumbing, change record and link-table cache of the two
+    index flavours; a flavour supplies ``_compute`` and may supply
+    ``_patch``."""
 
     def __init__(self) -> None:
         self._topology: Optional[Topology] = None
@@ -202,8 +202,13 @@ class _BoundIndex:
         self._cad_margin_db = 0.0
         self._epoch = 0
         self._hits = 0
+        self._patches = 0
         self._rebuilds = 0
-        self._tables: Dict[Tuple[int, LoRaParams], Dict[int, float]] = {}
+        #: (sender, params) -> (epoch the table is current at, table)
+        self._tables: Dict[Tuple[int, LoRaParams], Tuple[int, Dict[int, float]]] = {}
+        #: node -> epoch of its latest change, oldest change first.  A
+        #: change re-inserts its node, so there is one entry per node.
+        self._changed: Dict[int, int] = {}
 
     def bind(
         self,
@@ -223,10 +228,6 @@ class _BoundIndex:
         self._cad_margin_db = cad_margin_db
         topology.subscribe(self._on_topology_change)
         link_model.subscribe_changes(self._on_link_change)
-        self._after_bind()
-
-    def _after_bind(self) -> None:  # hook for subclasses
-        pass
 
     def _require_bound(self) -> Topology:
         if self._topology is None:
@@ -237,21 +238,60 @@ class _BoundIndex:
 
     def link_table(self, sender: int, params: LoRaParams) -> Mapping[int, float]:
         key = (sender, params)
-        table = self._tables.get(key)
-        if table is not None:
-            self._hits += 1
-            return table
-        table = self._tables[key] = self._compute(sender, params)
-        self._rebuilds += 1
+        cached = self._tables.get(key)
+        table: Optional[Dict[int, float]] = None
+        if cached is not None:
+            built_at, table = cached
+            if built_at == self._epoch:
+                self._hits += 1
+                return table
+            changed = self._changed_since(built_at)
+            # A changed sender changes every entry of its table.
+            table = None if sender in changed else self._patch(sender, params, table, changed)
+        if table is None:
+            table = self._compute(sender, params)
+            self._rebuilds += 1
+        else:
+            self._patches += 1
+        self._tables[key] = (self._epoch, table)
         return table
+
+    def _changed_since(self, epoch: int) -> List[int]:
+        """The nodes changed after ``epoch``, latest change first."""
+        changed: List[int] = []
+        for node, changed_at in reversed(self._changed.items()):
+            if changed_at <= epoch:
+                break
+            changed.append(node)
+        return changed
 
     def _compute(self, sender: int, params: LoRaParams) -> Dict[int, float]:
         raise NotImplementedError  # pragma: no cover - every flavour overrides it
 
+    def _patch(
+        self,
+        sender: int,
+        params: LoRaParams,
+        table: Dict[int, float],
+        changed: Sequence[int],
+    ) -> Optional[Dict[int, float]]:
+        """``table`` (never mutated) brought up to date for the ``changed``
+        nodes, none of which is ``sender``; None rebuilds it instead."""
+        return None
+
     def invalidate(self, node: Optional[int] = None) -> None:
         self._epoch += 1
-        self._tables.clear()
+        if node is None:
+            self._tables.clear()
+            self._changed.clear()
+        else:
+            self._record(node)
         self._on_invalidate(node)
+
+    def _record(self, node: int) -> None:
+        # Re-insert, so the record stays in change order.
+        self._changed.pop(node, None)
+        self._changed[node] = self._epoch
 
     def _on_invalidate(self, node: Optional[int]) -> None:  # hook
         pass
@@ -260,52 +300,40 @@ class _BoundIndex:
         self.invalidate(node)
 
     def _on_link_change(self, a: int, b: int) -> None:
-        # Attenuation changed on one link: either endpoint's tables may
+        # Attenuation changed on one link: either endpoint's table may
         # gain or lose the other, or change its static RSSI.
         self._epoch += 1
-        self._tables.clear()
+        self._record(a)
+        self._record(b)
 
     def stats(self) -> Dict[str, int]:
-        return {"hits": self._hits, "rebuilds": self._rebuilds, "epoch": self._epoch}
+        return {
+            "hits": self._hits,
+            "patches": self._patches,
+            "rebuilds": self._rebuilds,
+            "epoch": self._epoch,
+        }
 
 
 class BruteForceReachability(_BoundIndex):
-    """The reference oracle: every node is always a candidate.
+    """The reference oracle: every node but the sender is in every table.
 
     Reproduces the exhaustive per-frame walk of the original channel;
     kept as the ground truth the spatial index is verified against (and
     as a safety hatch for exotic propagation models whose randomness is
-    unbounded).  Its link tables list every node but the sender.
+    unbounded).  It patches nothing: a table is rebuilt after any change.
     """
 
-    def __init__(self) -> None:
-        super().__init__()
-        self._all: Optional[FrozenSet[int]] = None
-
-    def candidates(self, sender: int, params: LoRaParams) -> AbstractSet[int]:
-        all_nodes = self._all
-        if all_nodes is None:
-            self._rebuilds += 1
-            all_nodes = frozenset(self._require_bound().positions)
-            self._all = all_nodes
-        else:
-            self._hits += 1
-        return all_nodes
-
     def _compute(self, sender: int, params: LoRaParams) -> Dict[int, float]:
+        nodes = sorted(self._require_bound().positions)
         budget = self._budget
         assert budget is not None
         tx_power = params.tx_power_dbm
         return {
             node: tx_power - budget.loss_db(sender, node)
-            for node in sorted(self._require_bound().positions)
+            for node in nodes
             if node != sender
         }
-
-    def _on_invalidate(self, node: Optional[int]) -> None:
-        # A move keeps the node set; only a bulk invalidation drops it.
-        if node is None:
-            self._all = None
 
 
 class GridReachabilityIndex(_BoundIndex):
@@ -327,19 +355,24 @@ class GridReachabilityIndex(_BoundIndex):
     could detect the preamble; everything outside it would only ever have
     counted in the frame's ``phy.below_sensitivity`` event.
 
-    Args:
-        cell_m: grid cell edge in metres; ``None`` auto-sizes to half the
-            prefilter radius of the first modulation params seen.
+    A table whose sender has not changed since it was built is patched,
+    not rebuilt: each changed node goes through the same two stages and
+    its entry is updated, inserted (in node order) or dropped, so the
+    patched table equals the one a rebuild would make.  The grid's cell
+    edge is half the prefilter radius of the first modulation params
+    seen.
     """
 
-    def __init__(self, cell_m: Optional[float] = None) -> None:
+    def __init__(self) -> None:
         super().__init__()
-        if cell_m is not None and cell_m <= 0:
-            raise ConfigurationError(f"cell_m must be > 0, got {cell_m}")
-        self._cell_m = cell_m
+        self._cell_m: Optional[float] = None
         self._cells: Dict[Tuple[int, int], List[int]] = {}
         self._cell_of: Dict[int, Tuple[int, int]] = {}
         self._grid_built = False
+        #: (sender, params) -> cell -> whether stage 1 keeps the cell's
+        #: nodes.  A table is patched only while its sender stays put, so
+        #: the verdicts hold until ``_compute`` rebuilds the table.
+        self._near: Dict[Tuple[int, LoRaParams], Dict[Tuple[int, int], bool]] = {}
 
     # -- grid maintenance ---------------------------------------------------
 
@@ -377,56 +410,111 @@ class GridReachabilityIndex(_BoundIndex):
 
     # -- candidate computation ----------------------------------------------
 
-    def _prefilter_radius_m(self, params: LoRaParams) -> float:
+    def _grid_radius(self, params: LoRaParams) -> Optional[float]:
         """Distance beyond which even best-case draws cannot reach the
-        CAD-detection threshold."""
+        CAD-detection threshold, or None for a link model without a
+        log-distance mean (no geometric prefilter: every node goes to the
+        budget check).  The first radius sizes the grid."""
         link = self._link
         assert link is not None
+        pl_params = getattr(link, "params", None)
+        if pl_params is None:
+            return None
         threshold = sensitivity_dbm(params) - self._cad_margin_db
         headroom = link.shadowing_bound_db + link.fading_bound_db
         max_mean_loss = params.tx_power_dbm - threshold + headroom
         # Invert the log-distance mean loss.  path_loss_db clamps d to
         # >= 1 m, so a radius below 1 m still covers co-located nodes.
-        pl_params = getattr(link, "params", None)
-        if pl_params is None:  # non-standard model: no geometric prefilter
-            return float("inf")
         if max_mean_loss <= pl_params.pl0_db:
             exceed = 0.0
         else:
             exceed = (max_mean_loss - pl_params.pl0_db) / (10.0 * pl_params.exponent)
-        return max(pl_params.d0_m * (10.0 ** exceed), 1.0)
-
-    def candidates(self, sender: int, params: LoRaParams) -> AbstractSet[int]:
-        return self.link_table(sender, params).keys()
+        radius = max(pl_params.d0_m * (10.0 ** exceed), 1.0)
+        if self._cell_m is None:
+            # Auto cell size: half the prefilter radius keeps the visited
+            # 3x3-ish neighbourhood tight without fragmenting dense
+            # deployments into thousands of cells.
+            self._cell_m = max(radius / 2.0, 1.0)
+        self._ensure_grid()
+        return radius
 
     def _compute(self, sender: int, params: LoRaParams) -> Dict[int, float]:
+        self._near.pop((sender, params), None)
         topology = self._require_bound()
+        radius = self._grid_radius(params)
+        position = topology.positions.get(sender)
+        if position is None:
+            return {}
+        if radius is None:
+            members = list(topology.positions)
+        else:
+            members = self._members_near(position, radius)
+        members.sort()
+        return self._budget_check(sender, params, members)
+
+    def _patch(
+        self,
+        sender: int,
+        params: LoRaParams,
+        table: Dict[int, float],
+        changed: Sequence[int],
+    ) -> Optional[Dict[int, float]]:
+        positions = self._require_bound().positions
+        position = positions.get(sender)
+        if position is None:
+            return table  # empty, as _compute leaves it
+        radius = self._grid_radius(params)
+        if radius is None:
+            near = [node for node in changed if node in positions]
+        else:
+            x, y = position
+            min_cx, max_cx, min_cy, max_cy = self._cell_bounds(x, y, radius)
+            cell_of = self._cell_of
+            verdicts = self._near.setdefault((sender, params), {})
+            near = []
+            for node in changed:
+                # Stage 1 as _members_near applies it: the node's cell lies
+                # under the circle's bounding box (most far cells fail
+                # this cheap test) and meets the circle (kept per cell).
+                index = cell_of.get(node)
+                if index is None or not (
+                    min_cx <= index[0] <= max_cx and min_cy <= index[1] <= max_cy
+                ):
+                    continue
+                keep = verdicts.get(index)
+                if keep is None:
+                    keep = verdicts[index] = self._cell_intersects(index, x, y, radius)
+                if keep:
+                    near.append(node)
+        fresh = self._budget_check(sender, params, near)
+        patched = dict(table)
+        inserted = False
+        for node in changed:
+            static_rssi = fresh.get(node)
+            if static_rssi is None:
+                patched.pop(node, None)
+            else:
+                inserted = inserted or node not in patched
+                patched[node] = static_rssi
+        if inserted:
+            # A table lists its nodes in ascending order, as _compute does.
+            patched = {node: patched[node] for node in sorted(patched)}
+        return patched
+
+    def _budget_check(
+        self, sender: int, params: LoRaParams, nodes: Sequence[int]
+    ) -> Dict[int, float]:
+        """Stage 2: each of ``nodes`` but the sender whose static RSSI,
+        with the fading bound as headroom, reaches the CAD-detection
+        threshold, mapped to that static RSSI in the order given."""
         link = self._link
         budget = self._budget
         assert link is not None and budget is not None
-        radius = self._prefilter_radius_m(params)
-        if self._cell_m is None:
-            if not math.isfinite(radius):
-                self._cell_m = None
-            else:
-                # Auto cell size: half the prefilter radius keeps the
-                # visited 3x3-ish neighbourhood tight without fragmenting
-                # dense deployments into thousands of cells.
-                self._cell_m = max(radius / 2.0, 1.0)
         threshold = sensitivity_dbm(params) - self._cad_margin_db
         fade_headroom = link.fading_bound_db
         tx_power = params.tx_power_dbm
         table: Dict[int, float] = {}
-        position = topology.positions.get(sender)
-        if position is None:
-            return table
-        if self._cell_m is None or not math.isfinite(radius):
-            members = list(topology.positions)
-        else:
-            self._ensure_grid()
-            members = self._members_near(position, radius)
-        members.sort()
-        for node in members:
+        for node in nodes:
             if node == sender:
                 continue
             static_rssi = tx_power - budget.loss_db(sender, node)
@@ -434,21 +522,34 @@ class GridReachabilityIndex(_BoundIndex):
                 table[node] = static_rssi
         return table
 
-    def _members_near(self, position: Tuple[float, float], radius: float) -> List[int]:
+    def _cell_bounds(self, x: float, y: float, radius: float) -> Tuple[int, int, int, int]:
+        """Cell index ranges (x low, x high, y low, y high) under the
+        bounding box of the prefilter circle around ``(x, y)``."""
         cell = self._cell_m
         assert cell is not None
+        return (
+            math.floor((x - radius) / cell),
+            math.floor((x + radius) / cell),
+            math.floor((y - radius) / cell),
+            math.floor((y + radius) / cell),
+        )
+
+    def _members_near(self, position: Tuple[float, float], radius: float) -> List[int]:
+        """Stage 1: the nodes of the cells under the bounding box of the
+        prefilter circle around ``position`` that meet the circle."""
         x, y = position
-        min_cx = math.floor((x - radius) / cell)
-        max_cx = math.floor((x + radius) / cell)
-        min_cy = math.floor((y - radius) / cell)
-        max_cy = math.floor((y + radius) / cell)
+        min_cx, max_cx, min_cy, max_cy = self._cell_bounds(x, y, radius)
         bbox_cells = (max_cx - min_cx + 1) * (max_cy - min_cy + 1)
         members: List[int] = []
         if bbox_cells > len(self._cells):
             # Sparse occupancy (clustered/line deployments): walking the
             # populated cells beats scanning an enormous bounding box.
             for index, nodes in self._cells.items():
-                if self._cell_intersects(index, x, y, radius):
+                if (
+                    min_cx <= index[0] <= max_cx
+                    and min_cy <= index[1] <= max_cy
+                    and self._cell_intersects(index, x, y, radius)
+                ):
                     members.extend(nodes)
             return members
         for cx in range(min_cx, max_cx + 1):

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from types import MappingProxyType
-from typing import Callable, Dict, Iterable, List, Mapping, Tuple
+from typing import Callable, Dict, List, Mapping, Tuple
 
 from repro.errors import ConfigurationError
 from repro.sim.rng import RngRegistry
@@ -116,17 +116,6 @@ class Topology:
             self.positions,
             key=lambda addr: math.hypot(self.positions[addr][0] - px, self.positions[addr][1] - py),
         )
-
-
-def distance_matrix(topology: Topology) -> Dict[Tuple[int, int], float]:
-    """Pairwise distances for all ordered node pairs (a != b)."""
-    nodes = topology.nodes()
-    return {
-        (a, b): topology.distance(a, b)
-        for a in nodes
-        for b in nodes
-        if a != b
-    }
 
 
 def make_topology(

@@ -10,9 +10,6 @@ from __future__ import annotations
 
 import math
 
-#: Speed of light in vacuum, m/s (used by free-space path-loss reference).
-SPEED_OF_LIGHT = 299_792_458.0
-
 
 def dbm_to_mw(dbm: float) -> float:
     """Convert a power level in dBm to milliwatts."""
@@ -44,31 +41,6 @@ def db_sum(levels_dbm: "list[float]") -> float:
     return mw_to_dbm(sum(dbm_to_mw(level) for level in levels_dbm))
 
 
-def ms(seconds: float) -> float:
-    """Convert seconds to milliseconds (for display/reporting)."""
-    return seconds * 1e3
-
-
-def from_ms(milliseconds: float) -> float:
-    """Convert milliseconds to seconds."""
-    return milliseconds / 1e3
-
-
-def khz(hz: float) -> float:
-    """Convert Hz to kHz (for display/reporting)."""
-    return hz / 1e3
-
-
-def mhz(hz: float) -> float:
-    """Convert Hz to MHz (for display/reporting)."""
-    return hz / 1e6
-
-
 def mah(coulombs: float) -> float:
     """Convert electric charge in coulombs to milliamp-hours."""
     return coulombs / 3.6
-
-
-def percent(fraction: float) -> float:
-    """Convert a 0..1 fraction to a percentage."""
-    return fraction * 100.0

@@ -61,7 +61,7 @@ moves = st.lists(
         st.integers(0, 99),
         coordinates,
     ),
-    max_size=4,
+    max_size=8,
 )
 
 #: (time, node index a, node index b, extra attenuation dB)

@@ -8,8 +8,6 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.phy.airtime import (
-    bitrate,
-    max_payload_for_airtime,
     payload_symbols,
     preamble_time,
     symbol_time,
@@ -89,20 +87,3 @@ class TestTimeOnAir:
     def test_preamble_time_includes_sync(self):
         params = LoRaParams(spreading_factor=7, preamble_symbols=8)
         assert preamble_time(params) == pytest.approx(12.25 * 1.024e-3)
-
-
-class TestHelpers:
-    def test_max_payload_for_airtime_is_tight(self):
-        params = LoRaParams(spreading_factor=9)
-        budget = 0.3
-        best = max_payload_for_airtime(params, budget)
-        assert time_on_air(params, best) <= budget
-        if best < 255:
-            assert time_on_air(params, best + 1) > budget
-
-    def test_max_payload_impossible_budget(self):
-        assert max_payload_for_airtime(LoRaParams(spreading_factor=12), 0.01) == -1
-
-    def test_bitrate_sf7(self):
-        # SF7/125k/CR4:5 -> 5468.75 bits/s
-        assert bitrate(LoRaParams(spreading_factor=7)) == pytest.approx(5468.75)

@@ -54,13 +54,6 @@ class TestBattery:
         assert battery.is_depleted(100 * 3600.0)
         assert battery.voltage(100 * 3600.0) == pytest.approx(3.00)
 
-    def test_time_to_empty_projection(self):
-        radio = Radio()
-        battery = Battery(radio, capacity_mah=230.0, platform_current_ma=0.0)
-        # 11.5 mA steady -> 20 h to empty; at t=1h, 19 h remain.
-        projection = battery.time_to_empty_s(3600.0)
-        assert projection == pytest.approx(19 * 3600.0, rel=0.01)
-
     def test_invalid_parameters(self):
         with pytest.raises(ConfigurationError):
             Battery(Radio(), capacity_mah=0.0)

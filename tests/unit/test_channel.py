@@ -184,10 +184,11 @@ FLAVOURS = pytest.mark.parametrize(
 
 class TestLinkTable:
     """A frame is judged against its sender's link table as of the frame's
-    end: both index flavours drop every table on a move or an injected
-    attenuation change, and reuse it while geometry is unchanged.  The
-    world has no shadowing or fading, so a delivered frame's RSSI is the
-    table's static RSSI."""
+    end: after a move or an injected attenuation change the grid index
+    patches the changed nodes' entries and the brute-force oracle rebuilds
+    the table, and both reuse it while nothing changed.  The world has no
+    shadowing or fading, so a delivered frame's RSSI is the table's static
+    RSSI."""
 
     @FLAVOURS
     def test_midflight_move_shows_at_frame_end(self, index):

@@ -53,12 +53,6 @@ class TestEnergy:
         radio.finalize(3600.0)
         assert radio.consumed_mah() == pytest.approx(11.5, rel=1e-6)
 
-    def test_energy_joules_uses_supply_voltage(self):
-        model = EnergyModel(supply_voltage_v=3.3)
-        assert model.energy_joules(RadioState.TX, 1.0) == pytest.approx(
-            29.0e-3 * 3.3, rel=1e-9
-        )
-
     def test_custom_energy_model(self):
         model = EnergyModel(current_ma={state: 1.0 for state in RadioState})
         radio = Radio(energy_model=model)

@@ -6,7 +6,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.sim.rng import RngRegistry
-from repro.sim.topology import Placement, Topology, distance_matrix, make_topology
+from repro.sim.topology import Placement, Topology, make_topology
 
 
 @pytest.fixture
@@ -66,11 +66,6 @@ class TestTopologyGeometry:
             for b in topo.nodes():
                 if a != b:
                     assert topo.distance(a, b) == pytest.approx(topo.distance(b, a))
-
-    def test_distance_matrix_covers_all_ordered_pairs(self, registry):
-        topo = make_topology(Placement.GRID, 4, 100.0, registry)
-        matrix = distance_matrix(topo)
-        assert len(matrix) == 4 * 3
 
     def test_centroid_of_known_square(self):
         topo = Topology(positions={1: (0.0, 0.0), 2: (10.0, 0.0), 3: (0.0, 10.0), 4: (10.0, 10.0)})

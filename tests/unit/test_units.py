@@ -1,7 +1,5 @@
 """Unit tests for unit conversions."""
 
-import math
-
 import pytest
 
 from repro import units
@@ -34,16 +32,6 @@ class TestPowerConversions:
 
 
 class TestTimeAndMisc:
-    def test_ms_round_trip(self):
-        assert units.from_ms(units.ms(1.234)) == pytest.approx(1.234)
-
-    def test_khz_mhz(self):
-        assert units.khz(125_000) == 125.0
-        assert units.mhz(868_100_000) == pytest.approx(868.1)
-
     def test_mah(self):
         # 3600 coulombs at 1 A for an hour = 1000 mAh.
         assert units.mah(3600.0) == pytest.approx(1000.0)
-
-    def test_percent(self):
-        assert units.percent(0.015) == pytest.approx(1.5)
