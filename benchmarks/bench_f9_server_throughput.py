@@ -15,6 +15,7 @@ import time
 from repro.analysis.report import ExperimentReport
 from repro.monitor import metrics
 from repro.api import (
+    BinaryCodec,
     Direction,
     MonitorServer,
     PacketRecord,
@@ -88,7 +89,7 @@ def measure_rates():
             raws = [batch.to_json_bytes() for batch in batches]
             ingest = server.ingest_json
         else:
-            raws = [batch.to_binary() for batch in batches]
+            raws = [BinaryCodec().encode(batch) for batch in batches]
             ingest = server.ingest_binary
         start = time.perf_counter()
         for raw in raws:

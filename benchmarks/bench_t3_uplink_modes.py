@@ -91,10 +91,11 @@ def test_t3_uplink_modes(benchmark):
     )
 
     # Benchmark: one binary batch decode (gateway-side hot path).
-    from repro.api import RecordBatch
+    from repro.api import BinaryCodec
     from benchmarks.bench_t1_record_sizes import typical_batch
-    raw = typical_batch().to_binary()
-    benchmark(lambda: RecordBatch.from_binary(raw))
+    codec = BinaryCodec()
+    raw = codec.encode(typical_batch())
+    benchmark(lambda: codec.decode(raw))
 
 
 if __name__ == "__main__":

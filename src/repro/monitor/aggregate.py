@@ -13,13 +13,14 @@ since the last read.
 
 It is also the one holder of each node's latest state (:class:`NodeState`):
 every node that reported anything, its status record of highest seq,
-the server time of its last batch and the buffer-overflow drops its
-client reported.  Both stores answer ``nodes``, ``latest_status``,
-``last_seen`` and ``reported_drops`` from it, and the dashboard's node
-rows, the fleet tile and both alert paths read it, so a node is judged
-from one record on either backend whatever order its telemetry arrived
-in.  A status record of lower seq than the held one (a late or
-reordered delivery) is stored but does not become the latest.
+the server time of its last batch and the highest cumulative count of
+buffer-overflow drops its client reported.  Both stores answer
+``nodes``, ``latest_status``, ``last_seen`` and ``reported_drops`` from
+it, and the dashboard's node rows, the fleet tile and both alert paths
+read it, so a node is judged from one record on either backend whatever
+order its telemetry arrived in.  A status record of lower seq than the
+held one (a late or reordered delivery) is stored but does not become
+the latest.
 
 What the aggregate holds for the packet records, each exactly what the
 :mod:`repro.monitor.metrics` definition computes from the retained
@@ -449,7 +450,9 @@ class NodeState:
         self.status: Optional[StatusRecord] = None
         #: Server time of the node's last batch; None before any.
         self.last_seen: Optional[float] = None
-        #: Buffer-overflow drops the node's client reported, summed.
+        #: The highest cumulative buffer-overflow drop count the node's
+        #: client reported: a resent or reordered batch cannot raise it
+        #: past what the client counted.
         self.drops = 0
 
 
@@ -503,13 +506,15 @@ class ViewAggregate:
                     state.status = record
 
     def note_batch(self, node: int, received_at: float, dropped_records: int) -> None:
-        """A batch from ``node`` arrived at server time ``received_at``."""
+        """A batch from ``node``, whose client had dropped ``dropped_records``
+        records in all, arrived at server time ``received_at``."""
         with self.lock:
             state = self.nodes.get(node)
             if state is None:
                 state = self.nodes[node] = NodeState()
             state.last_seen = received_at
-            state.drops += dropped_records
+            if dropped_records > state.drops:
+                state.drops = dropped_records
 
     def _update(self, records: Iterable[PacketRecord], sign: int) -> None:
         with self.lock:

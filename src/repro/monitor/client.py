@@ -13,16 +13,19 @@ shipments; and a node's first flush is jittered by up to
 Reliability model:
 
 * the buffer is bounded; overflow drops the **oldest** records and counts
-  them, and the count ships with the next batch so the server can
-  quantify observation loss;
+  them, and every batch carries the client's cumulative count
+  (``stats.records_dropped``) so the server can quantify observation
+  loss; the server keeps each node's highest, so a resent batch does
+  not count its drops twice;
 * a batch that fails (uplink loss, no ack before the next interval) keeps
   its records, which are merged into the next batch under a fresh
   ``batch_seq`` but with their original record ``seq`` values — the server
   deduplicates on (node, seq), giving at-least-once delivery over the
   out-of-band uplink;
 * a client stopped by a node failure and restarted on recovery loses its
-  buffers, as after a power loss, but keeps counting seqs where it
-  stopped, so the server never takes its new records for replays.
+  buffers, as after a power loss, but keeps counting seqs and drops
+  where it stopped, so the server never takes its new records for
+  replays.
 
 The consumer side of the push pipeline also lives here:
 :class:`SseStreamClient` subscribes to a server's SSE stream routes and
@@ -163,7 +166,6 @@ class MonitorClient:
         self._packet_seq = itertools.count(0)
         self._status_seq = itertools.count(0)
         self._batch_seq = itertools.count(0)
-        self._dropped_since_last_batch = 0
         self._awaiting_result = False
         self._flush_count = 0
         self._stopped = False
@@ -192,14 +194,14 @@ class MonitorClient:
         The buffers start empty, as after a power loss, and the flush
         timer is re-armed as at start-up (a brownout fails a node without
         stopping its client, so the old timer may still run).  Record and
-        batch seqs continue where they stopped, as on a node that keeps
-        its counters across a reboot, so the server's dedup windows
-        accept the new records.  A batch still in flight is ignored.
+        batch seqs and the drop count continue where they stopped, as on
+        a node that keeps its counters across a reboot, so the server's
+        dedup windows accept the new records and its highest drop count
+        stays the client's.  A batch still in flight is ignored.
         """
         self._timer.cancel()
         self._buffer.clear()
         self._pending_status.clear()
-        self._dropped_since_last_batch = 0
         self._awaiting_result = False
         self._flush_count = 0
         self._stopped = False
@@ -256,7 +258,6 @@ class MonitorClient:
         while len(self._buffer) > self.config.max_buffer_records:
             self._buffer.popleft()
             self.stats.records_dropped += 1
-            self._dropped_since_last_batch += 1
 
     def _snapshot_status(self) -> StatusRecord:
         status = self.node.status()
@@ -320,7 +321,7 @@ class MonitorClient:
             sent_at=self._sim.now,
             packet_records=packet_records,
             status_records=status_records,
-            dropped_records=self._dropped_since_last_batch,
+            dropped_records=self.stats.records_dropped,
             network_id=self.config.network_id,
         )
         self._awaiting_result = True
@@ -334,7 +335,6 @@ class MonitorClient:
             if ok:
                 self.stats.batches_acked += 1
                 self.stats.records_shipped += batch.record_count
-                self._dropped_since_last_batch = 0
                 # Remove by seq, not by count: buffer overflow during the
                 # flight may already have evicted some of the shipped records.
                 if packet_records:

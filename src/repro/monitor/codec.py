@@ -10,16 +10,19 @@ is encoded* (a codec) and *how it arrives* (a transport, see
   The encoder writes the text straight from the record tuples, one
   template per record kind, so ``json.loads`` and the per-field checks
   of the decoder are now most of its cost (BENCH_fleet.json).
-* :class:`BinaryCodec` — the compact telemetry datagram format: one
-  fixed big-endian header (magic / version / network id / node /
-  batch_seq, network order like the mesh frame) followed by the packed
-  records the in-band uplink also carries, written and read by
+* :class:`BinaryCodec` — the one binary batch layout, used by the
+  in-band uplink and by telemetry datagrams: one fixed big-endian header
+  (magic / version / network id length / node / batch_seq / sent_at /
+  dropped / record counts, network order like the mesh frame) followed
+  by the packed records, written and read by
   ``records.encode_packed_records`` / ``records.decode_packed_records``.
-  Encode plus decode costs at least 3x less than JSON's.  Unlike the
-  in-band format (which cannot afford to spend LoRa airtime on a
-  network id and relies on the gateway bridge to attribute batches),
-  the datagram format carries its ``network_id`` inline, so a single
-  UDP socket can ingest a whole fleet.
+  Encode plus decode costs at least 3x less than JSON's.  A datagram
+  carries its ``network_id`` inline, so a single UDP socket can ingest a
+  whole fleet; an in-band batch, which cannot afford to spend LoRa
+  airtime on it, carries none (``net_len`` 0) and the gateway bridge
+  attributes it to its own network.  Seqs, ``batch_seq`` and
+  ``dropped`` are 32-bit and never wrapped or clamped: a value that
+  does not fit raises :class:`~repro.errors.EncodeError`.
 
 Codecs are negotiated on ``POST /api/v1/networks/<id>/ingest`` via the
 ``Content-Type`` request header (:func:`codec_for_content_type`) and
@@ -57,24 +60,22 @@ from repro.monitor.records import (
 #: ``Content-Type`` of the JSON batch encoding (the paper's POST body).
 JSON_CONTENT_TYPE = "application/json"
 
-#: ``Content-Type`` of the binary telemetry datagram encoding.
+#: ``Content-Type`` of the binary batch encoding.
 BINARY_CONTENT_TYPE = "application/vnd.repro.telemetry+binary"
 
-#: Magic of the telemetry datagram header: ``"LT"`` (LoRa Telemetry).
-#: Distinct from the in-band batch magic ``0x4C4D`` (``"LM"``) so a
-#: datagram accidentally fed to the in-band decoder (or vice versa) is
-#: rejected instead of misparsed.
+#: Magic of the binary batch header: ``"LT"`` (LoRa Telemetry).
 TELEMETRY_MAGIC = 0x4C54
 
-#: Fixed telemetry datagram header (big-endian, like the mesh frame):
-#: magic, version, net_len, node, batch_seq, sent_at (centiseconds),
-#: dropped, n_packets, n_status.  ``net_len`` bytes of ASCII network id
-#: follow the header (0 = the implicit ``default`` network), then the
-#: packed records.
-DATAGRAM_HEADER_FORMAT = "!HBBHHIHHB"
-DATAGRAM_HEADER_SIZE = struct.calcsize(DATAGRAM_HEADER_FORMAT)
+#: Fixed binary batch header (big-endian, like the mesh frame): magic,
+#: version, net_len, node, batch_seq, sent_at (centiseconds), dropped,
+#: n_packets, n_status.  ``net_len`` bytes of ASCII network id follow
+#: the header (0 = the implicit ``default`` network), then the packed
+#: records.
+BATCH_HEADER_FORMAT = "!HBBHIIIHB"
+_HEADER_STRUCT = struct.Struct(BATCH_HEADER_FORMAT)
+BATCH_HEADER_SIZE = _HEADER_STRUCT.size
 
-#: Longest network id the datagram format can carry (matches the
+#: Longest network id the binary format can carry (matches the
 #: ``ingest`` module's network-id token).
 MAX_NETWORK_ID_BYTES = 64
 
@@ -110,10 +111,10 @@ class JsonCodec(Codec):
 
 
 class BinaryCodec(Codec):
-    """The compact telemetry datagram encoding (fixed header + packed records).
+    """The compact binary batch encoding (fixed header + packed records).
 
     Loss-tolerant and stateless in the TinyTelemetry spirit: every
-    datagram is self-contained — header, network id, records — so the
+    batch is self-contained — header, network id, records — so the
     server needs no per-connection state and a lost datagram loses only
     its own records (the per-(network, node) sequence-gap accounting in
     :mod:`repro.monitor.transport` quantifies exactly how many).
@@ -123,51 +124,51 @@ class BinaryCodec(Codec):
     content_type = BINARY_CONTENT_TYPE
 
     def encode(self, batch: RecordBatch) -> bytes:
-        records = encode_packed_records(
-            batch.packet_records, batch.status_records, "telemetry datagram"
-        )
         network = b"" if batch.network_id == DEFAULT_NETWORK_ID else batch.network_id.encode("ascii")
         if len(network) > MAX_NETWORK_ID_BYTES:
-            raise EncodeError(f"network id {batch.network_id!r} too long for the datagram format")
-        header = struct.pack(
-            DATAGRAM_HEADER_FORMAT,
-            TELEMETRY_MAGIC,
-            batch.schema_version,
-            len(network),
-            batch.node,
-            batch.batch_seq & 0xFFFF,
-            max(0, min(0xFFFFFFFF, int(round(batch.sent_at * 100)))),
-            max(0, min(0xFFFF, batch.dropped_records)),
-            len(batch.packet_records),
-            len(batch.status_records),
-        )
+            raise EncodeError(f"network id {batch.network_id!r} too long for the binary format")
+        try:
+            records = encode_packed_records(batch.packet_records, batch.status_records)
+            header = _HEADER_STRUCT.pack(
+                TELEMETRY_MAGIC,
+                batch.schema_version,
+                len(network),
+                batch.node,
+                batch.batch_seq,
+                max(0, min(0xFFFFFFFF, int(round(batch.sent_at * 100)))),
+                batch.dropped_records,
+                len(batch.packet_records),
+                len(batch.status_records),
+            )
+        except struct.error as exc:
+            # A seq, batch_seq or dropped count past 32 bits lands here:
+            # wrapping it would make the server take new records for replays.
+            raise EncodeError(f"batch field out of range for the binary format: {exc}") from exc
         return header + network + records
 
     def decode(self, raw: bytes) -> RecordBatch:
-        if len(raw) < DATAGRAM_HEADER_SIZE:
-            raise DecodeError(f"telemetry datagram of {len(raw)} bytes is truncated")
+        if len(raw) < BATCH_HEADER_SIZE:
+            raise DecodeError(f"binary batch of {len(raw)} bytes is truncated")
         magic, version, net_len, node, batch_seq, sent_cs, dropped, n_packets, n_status = (
-            struct.unpack(DATAGRAM_HEADER_FORMAT, raw[:DATAGRAM_HEADER_SIZE])
+            _HEADER_STRUCT.unpack_from(raw)
         )
         if magic != TELEMETRY_MAGIC:
             raise DecodeError(f"bad telemetry magic 0x{magic:04X}")
         if version != SCHEMA_VERSION:
             raise DecodeError(f"unsupported schema version {version}")
-        offset = DATAGRAM_HEADER_SIZE
+        offset = BATCH_HEADER_SIZE
         if len(raw) < offset + net_len:
-            raise DecodeError("telemetry datagram network id truncated")
+            raise DecodeError("binary batch network id truncated")
         if net_len == 0:
             network_id = DEFAULT_NETWORK_ID
         else:
             try:
                 network_id = raw[offset:offset + net_len].decode("ascii")
             except UnicodeDecodeError as exc:
-                raise DecodeError("telemetry datagram network id is not ASCII") from exc
+                raise DecodeError("binary batch network id is not ASCII") from exc
             if not is_valid_network_id(network_id):
                 raise DecodeError(f"bad network id {network_id!r}")
-        packets, status = decode_packed_records(
-            raw, offset + net_len, node, n_packets, n_status, "telemetry datagram"
-        )
+        packets, status = decode_packed_records(raw, offset + net_len, node, n_packets, n_status)
         return RecordBatch(
             node=node,
             batch_seq=batch_seq,
@@ -273,8 +274,8 @@ def telemetry_layouts() -> Tuple[StructLayout, ...]:
     """Every packed telemetry layout, straight from the codec structs."""
     return (
         StructLayout(
-            title="Telemetry datagram header (binary codec, UDP / negotiated HTTP)",
-            struct_format=DATAGRAM_HEADER_FORMAT,
+            title="Binary batch header (in-band TELEMETRY messages, UDP, negotiated HTTP)",
+            struct_format=BATCH_HEADER_FORMAT,
             fields=(
                 FieldSpec("magic", f"`0x{TELEMETRY_MAGIC:04X}` (\"LT\")"),
                 FieldSpec("version", f"schema version, currently {SCHEMA_VERSION}"),
@@ -282,35 +283,18 @@ def telemetry_layouts() -> Tuple[StructLayout, ...]:
                 FieldSpec("node", "reporting node address"),
                 FieldSpec("batch_seq", "client batch sequence (gap accounting key)"),
                 FieldSpec("sent_at", "client send time, centiseconds"),
-                FieldSpec("dropped", "client-side buffer-overflow count"),
+                FieldSpec("dropped", "client's cumulative buffer-overflow count"),
                 FieldSpec("n_packets", "packet-record count"),
                 FieldSpec("n_status", "status-record count"),
             ),
             trailer=(
                 "followed by N bytes of ASCII network id, then `n_packets` "
                 "packet records and `n_status` status records, no padding. "
-                "Each datagram is self-contained (stateless, loss-tolerant); "
+                "Each batch is self-contained (stateless, loss-tolerant); "
                 "the UDP transport counts per-(network, node) `batch_seq` "
-                "gaps, duplicates and reorders."
-            ),
-        ),
-        StructLayout(
-            title="In-band batch header (mesh TELEMETRY frames)",
-            struct_format=RecordBatch._BINARY_HEADER,
-            fields=(
-                FieldSpec("magic", '`0x4C4D` ("LM")'),
-                FieldSpec("version", f"schema version, currently {SCHEMA_VERSION}"),
-                FieldSpec("node", "reporting node address"),
-                FieldSpec("batch_seq", "client batch sequence"),
-                FieldSpec("sent_at", "client send time, centiseconds"),
-                FieldSpec("dropped", "client-side buffer-overflow count"),
-                FieldSpec("n_packets", "packet-record count"),
-                FieldSpec("n_status", "status-record count"),
-            ),
-            trailer=(
-                "followed by the packed records, no padding.  Spends no "
-                "bytes on a network id — the gateway bridge attributes "
-                "batches to its own network server-side."
+                "gaps, duplicates and reorders.  In-band batches spend no "
+                "airtime on a network id (`net_len` 0): the gateway bridge "
+                "attributes them to its own network server-side."
             ),
         ),
         StructLayout(
@@ -397,7 +381,7 @@ def render_protocol_telemetry_markdown() -> str:
         "| codec | `Content-Type` | format |",
         "|---|---|---|",
         f"| `json` | `{JSON_CONTENT_TYPE}` | the out-of-band JSON document (see above) |",
-        f"| `binary` | `{BINARY_CONTENT_TYPE}` | telemetry datagram: fixed header + packed records |",
+        f"| `binary` | `{BINARY_CONTENT_TYPE}` | binary batch: fixed header + packed records |",
         "",
         "An absent or unrecognised `Content-Type` falls back to `json`,",
         "which keeps pre-codec HTTP clients byte-identical.",

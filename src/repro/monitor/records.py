@@ -16,12 +16,15 @@ that information:
 Records travel in a :class:`RecordBatch` with two encodings:
 
 * **JSON** for the out-of-band (WiFi/HTTP) uplink — the paper's path;
-* a compact **binary** encoding for the in-band uplink, where every byte
-  costs LoRa airtime.  Experiment T1 reports both sizes.
+* a compact **binary** encoding (``repro.monitor.codec.BinaryCodec``)
+  for the in-band uplink, where every byte costs LoRa airtime, and for
+  telemetry datagrams.  Experiment T1 reports both sizes.
 
 Each record carries a client-assigned ``seq``; together with the node
 address it identifies the record globally, so at-least-once batch retries
-deduplicate cleanly at the server.
+deduplicate cleanly at the server.  Both encodings carry the full seq
+(32 bits in the binary layout, whose encoder refuses a larger one rather
+than wrap it: a wrapped seq would be taken for a replay).
 
 Records are :class:`typing.NamedTuple` classes.  Every observed frame
 becomes a record twice, once at the client and once when the server
@@ -57,9 +60,9 @@ at most 15 significant digits such a value has, at about half the cost
 of ``round`` then ``repr``; any other value (``None``, ``NaN``, the
 infinities, larger magnitudes, an int in a float field) is spelled as
 ``json.dumps`` spells it.  Integer fields are written with ``%d``, so
-they must hold ints, as every construction path gives.  Both binary
-batch formats write their records through :func:`encode_packed_records`
-and read them back through :func:`decode_packed_records`, which unpacks
+they must hold ints, as every construction path gives.  The binary
+codec writes a batch's records through :func:`encode_packed_records`
+and reads them back through :func:`decode_packed_records`, which unpacks
 all packet records in one ``struct.iter_unpack`` pass.
 
 The JSON decoder accepts a numeric field only as a JSON number no
@@ -86,9 +89,7 @@ from repro.monitor.ingest import (
     validate_network_id,
 )
 
-SCHEMA_VERSION = 1
-
-_BATCH_MAGIC = 0x4C4D  # "LM"
+SCHEMA_VERSION = 2
 
 
 class Direction(str, Enum):
@@ -105,7 +106,7 @@ DIRECTIONS: Dict[str, Direction] = {"in": Direction.IN, "out": Direction.OUT}
 #: Packet record layout: flags (bit 0: OUT), seq, timestamp (cs), src,
 #: dst, next_hop, prev_hop, ptype, packet_id, size, rssi and snr (x 10),
 #: airtime (ms), attempt.
-PACKET_FORMAT = "!BHIHHHHBHHhhHB"
+PACKET_FORMAT = "!BIIHHHHBHHhhHB"
 _PACKET_STRUCT = struct.Struct(PACKET_FORMAT)
 PACKET_SIZE = _PACKET_STRUCT.size
 
@@ -115,7 +116,7 @@ _NEIGHBOR_STRUCT = struct.Struct(NEIGHBOR_FORMAT)
 NEIGHBOR_SIZE = _NEIGHBOR_STRUCT.size
 
 #: Status record header layout; ``n_neighbors`` neighbor entries follow.
-STATUS_HEADER_FORMAT = "!HIIBBBHIIHHHIIIB"
+STATUS_HEADER_FORMAT = "!IIIBBBHIIHHHIIIB"
 _STATUS_STRUCT = struct.Struct(STATUS_HEADER_FORMAT)
 STATUS_HEADER_SIZE = _STATUS_STRUCT.size
 
@@ -378,12 +379,13 @@ class PacketRecord(NamedTuple):
             raise DecodeError(f"bad packet record: {exc}") from exc
 
     def to_binary(self) -> bytes:
-        """Compact fixed-size encoding for the in-band uplink.
+        """Compact fixed-size encoding, as the binary codec packs it.
 
         The clamps are spelled as branches (taken only for out-of-range
         values) rather than ``_clamp`` calls: every binary-encoded batch
         goes through this method, so the per-record cost is what the
-        codec benchmark table measures.
+        codec benchmark table measures.  ``seq`` is never clamped: one
+        outside uint32 makes ``struct`` raise.
         """
         (
             _node, seq, timestamp, direction, src, dst, next_hop, prev_hop,
@@ -419,7 +421,7 @@ class PacketRecord(NamedTuple):
             attempt = 0xFF
         return _PACKET_STRUCT.pack(
             0 if direction is Direction.IN else 1,
-            seq & 0xFFFF,
+            seq,
             ts_cs,
             src,
             dst,
@@ -564,7 +566,7 @@ class StatusRecord(NamedTuple):
         if len(self.neighbors) > 0xFF:
             raise EncodeError(f"{len(self.neighbors)} neighbors exceed binary limit 255")
         header = _STATUS_STRUCT.pack(
-            self.seq & 0xFFFF,
+            self.seq,
             _clamp(int(round(self.timestamp * 100)), 0, 0xFFFFFFFF),
             _clamp(int(self.uptime_s), 0, 0xFFFFFFFF),
             _clamp(self.queue_depth, 0, 0xFF),
@@ -619,19 +621,18 @@ _new_record = cast(Callable[[Type[PacketRecord], Tuple[Any, ...]], PacketRecord]
 
 
 def encode_packed_records(
-    packet_records: Sequence[PacketRecord], status_records: Sequence[StatusRecord], label: str
+    packet_records: Sequence[PacketRecord], status_records: Sequence[StatusRecord]
 ) -> bytes:
-    """The packed records both binary batch formats end in.
+    """The packed records a binary batch ends in.
 
-    The in-band batch (:meth:`RecordBatch.to_binary`) and the telemetry
-    datagram (``BinaryCodec.encode``) follow their headers with the packet
-    records, then the status records, no padding: what
+    The binary codec (``BinaryCodec.encode``) follows its header with the
+    packet records, then the status records, no padding: what
     :func:`decode_packed_records` reads back.  Raises
     :class:`~repro.errors.EncodeError` when a count overflows its header
-    field; ``label`` names the format in the message.
+    field, and ``struct.error`` when a field does not fit its layout.
     """
     if len(packet_records) > 0xFFFF or len(status_records) > 0xFF:
-        raise EncodeError(f"too many records for a {label}")
+        raise EncodeError("too many records for one binary batch")
     return b"".join([
         *map(PacketRecord.to_binary, packet_records),
         *map(StatusRecord.to_binary, status_records),
@@ -639,21 +640,19 @@ def encode_packed_records(
 
 
 def decode_packed_records(
-    raw: bytes, offset: int, node: int, n_packets: int, n_status: int, label: str
+    raw: bytes, offset: int, node: int, n_packets: int, n_status: int
 ) -> Tuple[Tuple[PacketRecord, ...], Tuple[StatusRecord, ...]]:
     """The packed records that fill ``raw`` from ``offset`` to its end.
 
-    Both binary batch formats — the in-band batch (:meth:`RecordBatch.from_binary`)
-    and the telemetry datagram (``BinaryCodec.decode``) — end in
-    ``n_packets`` packet records then ``n_status`` status records.  The
-    packet records are read in one ``iter_unpack`` pass and built with
-    ``tuple.__new__``, which gives the positional constructor's record
-    without its Python-level call.  ``label`` names the format in error
-    messages.
+    A binary batch (``BinaryCodec.decode``) ends in ``n_packets`` packet
+    records then ``n_status`` status records.  The packet records are
+    read in one ``iter_unpack`` pass and built with ``tuple.__new__``,
+    which gives the positional constructor's record without its
+    Python-level call.
     """
     end = offset + n_packets * PACKET_SIZE
     if len(raw) < end:
-        raise DecodeError(f"{label} packet records truncated")
+        raise DecodeError("binary batch packet records truncated")
     new, incoming, outgoing = _new_record, Direction.IN, Direction.OUT
     packets = tuple([
         new(PacketRecord, (
@@ -676,7 +675,7 @@ def decode_packed_records(
         record, end = status_at(raw, end, node)
         status.append(record)
     if end != len(raw):
-        raise DecodeError(f"{len(raw) - end} trailing bytes after {label}")
+        raise DecodeError(f"{len(raw) - end} trailing bytes after binary batch")
     return packets, tuple(status)
 
 
@@ -690,8 +689,10 @@ class RecordBatch:
     packet_records: Tuple[PacketRecord, ...] = ()
     status_records: Tuple[StatusRecord, ...] = ()
     schema_version: int = SCHEMA_VERSION
-    #: Packet records the client dropped because its buffer overflowed
-    #: before this batch (lets the server quantify observation loss).
+    #: Packet records the client has dropped because its buffer
+    #: overflowed, counted since it started (lets the server quantify
+    #: observation loss).  Cumulative, so the server keeps each node's
+    #: highest and a resent batch cannot count its drops twice.
     dropped_records: int = 0
     #: Mesh network this batch belongs to.  Single-network deployments
     #: leave the default; the server routes each batch to its network's
@@ -760,46 +761,4 @@ class RecordBatch:
             status_records=status,
             dropped_records=dropped,
             network_id=network_id,
-        )
-
-    _BINARY_HEADER = "!HBHHIHHB"
-
-    def to_binary(self) -> bytes:
-        """Compact encoding for the in-band uplink."""
-        records = encode_packed_records(self.packet_records, self.status_records, "binary batch")
-        header = struct.pack(
-            self._BINARY_HEADER,
-            _BATCH_MAGIC,
-            self.schema_version,
-            self.node,
-            self.batch_seq & 0xFFFF,
-            _clamp(int(round(self.sent_at * 100)), 0, 0xFFFFFFFF),
-            _clamp(self.dropped_records, 0, 0xFFFF),
-            len(self.packet_records),
-            len(self.status_records),
-        )
-        return header + records
-
-    @classmethod
-    def from_binary(cls, raw: bytes) -> "RecordBatch":
-        header_size = struct.calcsize(cls._BINARY_HEADER)
-        if len(raw) < header_size:
-            raise DecodeError(f"binary batch of {len(raw)} bytes is truncated")
-        magic, version, node, batch_seq, sent_cs, dropped, n_packets, n_status = struct.unpack(
-            cls._BINARY_HEADER, raw[:header_size]
-        )
-        if magic != _BATCH_MAGIC:
-            raise DecodeError(f"bad batch magic 0x{magic:04X}")
-        if version != SCHEMA_VERSION:
-            raise DecodeError(f"unsupported schema version {version}")
-        packets, status = decode_packed_records(
-            raw, header_size, node, n_packets, n_status, "binary batch"
-        )
-        return cls(
-            node=node,
-            batch_seq=batch_seq,
-            sent_at=sent_cs / 100.0,
-            packet_records=packets,
-            status_records=status,
-            dropped_records=dropped,
         )

@@ -42,6 +42,7 @@ import threading
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Union
 
 from repro.errors import ConfigurationError, DecodeError
+from repro.monitor.codec import CODECS, Codec, resolve_codec
 from repro.monitor.fleet import materialized_tile
 from repro.monitor.ingest import (
     DEFAULT_NETWORK_ID,
@@ -59,7 +60,6 @@ from repro.monitor.stream.hub import StreamHub
 
 if TYPE_CHECKING:
     from repro.monitor.alerts import Alert
-    from repro.monitor.codec import Codec
     from repro.monitor.transport.base import IngestTransport
 
 
@@ -208,23 +208,21 @@ class MonitorServer:
         return self._ingest_wire(raw, RecordBatch.from_json_bytes, network_id)
 
     def ingest_binary(self, raw: bytes, network_id: Optional[str] = None) -> IngestResult:
-        """Ingest an in-band binary batch (via the gateway bridge).
+        """Ingest an in-band batch in the binary codec (via the gateway bridge).
 
-        The compact binary format does not spend airtime on a network
-        id; the bridge that decodes it knows which network its gateway
-        belongs to and passes ``network_id`` here.
+        An in-band batch does not spend airtime on a network id; the
+        bridge that receives it knows which network its gateway belongs
+        to and passes ``network_id`` here.
         """
-        return self._ingest_wire(raw, RecordBatch.from_binary, network_id)
+        return self._ingest_wire(raw, CODECS["binary"].decode, network_id)
 
     def ingest_encoded(
         self,
         raw: bytes,
-        codec: Union["Codec", str],
+        codec: Union[Codec, str],
         network_id: Optional[str] = None,
     ) -> IngestResult:
         """Ingest wire bytes in any registered codec (see :meth:`_ingest_wire`)."""
-        from repro.monitor.codec import resolve_codec
-
         return self._ingest_wire(raw, resolve_codec(codec).decode, network_id)
 
     def _ingest_wire(
@@ -397,6 +395,8 @@ class MonitorServer:
             if accepted_status:
                 store.add_status_records(accepted_status)
             now = self._clock()
+            # ``dropped_records`` is the client's cumulative count, so
+            # a resent batch leaves the store's highest unchanged.
             store.note_batch(batch.node, now, batch.dropped_records)
             accepted = len(accepted_packets) + len(accepted_status)
             self.self_metrics.batches_ingested += 1

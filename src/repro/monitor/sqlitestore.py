@@ -132,7 +132,7 @@ _STATUS_INSERT = (
 _BATCH_UPSERT = (
     "INSERT INTO batches (node, last_seen, dropped) VALUES (?,?,?) "
     "ON CONFLICT(node) DO UPDATE SET last_seen=excluded.last_seen, "
-    "dropped=batches.dropped+excluded.dropped"
+    "dropped=MAX(batches.dropped, excluded.dropped)"
 )
 
 

@@ -104,7 +104,7 @@ class NodeReads:
         return None if state is None else state.last_seen
 
     def reported_drops(self, node: int) -> int:
-        """Client-reported buffer-overflow drops for ``node``."""
+        """The highest cumulative buffer-overflow count ``node``'s client reported."""
         state = self.aggregate.nodes.get(node)
         return 0 if state is None else state.drops
 
@@ -211,7 +211,8 @@ class MetricsStore(NodeReads):
         self.close()
 
     def note_batch(self, node: int, received_at: float, dropped_records: int) -> None:
-        """Record batch-level metadata (client-side loss, liveness)."""
+        """Record batch-level metadata (liveness, and the client's
+        cumulative drop count, of which the store keeps the highest)."""
         self.aggregate.note_batch(node, received_at, dropped_records)
 
     # -- reads ----------------------------------------------------------------

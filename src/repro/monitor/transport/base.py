@@ -40,7 +40,7 @@ class IngestTransport(ABC):
 
 
 #: A batch_seq this far *behind* the stream's highest is a client
-#: restart (or a 16-bit wrap), not a very late arrival.
+#: restart that lost its counters, not a very late arrival.
 RESTART_THRESHOLD = 0x8000
 
 #: Bound on remembered missing seqs per stream; older gaps beyond it
@@ -66,7 +66,7 @@ class SequenceGapTracker:
       ``reordered``).
     * ``duplicates`` — seqs seen twice.
     * ``restarts`` — stream rewinds beyond :data:`RESTART_THRESHOLD`
-      (client reboot or 16-bit sequence wrap); state resets rather than
+      (a client reboot that lost its counters); state resets rather than
       charging the whole rewind as loss.
     """
 
@@ -96,7 +96,9 @@ class SequenceGapTracker:
             width = seq - self._highest - 1
             self.gap_events += 1
             self.lost += width
-            self._missing.update(range(self._highest + 1, seq))
+            # Only the newest holes can stay tracked, so only they are
+            # added: a 32-bit batch_seq can jump by billions.
+            self._missing.update(range(max(self._highest + 1, seq - MAX_TRACKED_MISSING), seq))
             if len(self._missing) > MAX_TRACKED_MISSING:
                 # Forget the oldest holes; they stay counted as lost.
                 for stale in sorted(self._missing)[: len(self._missing) - MAX_TRACKED_MISSING]:

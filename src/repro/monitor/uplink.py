@@ -25,13 +25,13 @@ import socket
 import urllib.error
 import urllib.request
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Callable, Optional, Union
 
 from repro.errors import ConfigurationError
 from repro.mesh.node import DeliveredMessage, MeshNode
 from repro.mesh.packet import PacketType
-from repro.monitor.codec import Codec, JsonCodec, resolve_codec
+from repro.monitor.codec import CODECS, Codec, JsonCodec, resolve_codec
 from repro.monitor.ingest import DEFAULT_NETWORK_ID, IngestResult, validate_network_id
 from repro.monitor.records import RecordBatch
 from repro.sim.engine import Simulator
@@ -70,10 +70,6 @@ class Uplink(ABC):
         """Ship ``batch``; invoke ``on_result(ok)`` when the outcome is known
         from the *client's* point of view."""
 
-    @abstractmethod
-    def wire_size(self, batch: RecordBatch) -> int:
-        """Bytes this batch occupies on this uplink's wire format."""
-
 
 class OutOfBandUplink(Uplink):
     """Simulated WiFi/HTTP POST of JSON batches to the monitoring server.
@@ -102,6 +98,7 @@ class OutOfBandUplink(Uplink):
         self._codec = JsonCodec()
 
     def wire_size(self, batch: RecordBatch) -> int:
+        """Bytes ``batch`` occupies on this uplink's wire (its JSON text)."""
         return len(self._codec.encode(batch))
 
     def _latency(self) -> float:
@@ -136,6 +133,15 @@ class OutOfBandUplink(Uplink):
         self._sim.call_in(self._latency(), deliver)
 
 
+def _in_band_bytes(batch: RecordBatch) -> bytes:
+    """``batch`` in the binary codec, with no network id (``net_len`` 0).
+
+    An in-band batch spends no airtime on its network id: the
+    :class:`GatewayBridge` attributes it to the gateway's own network.
+    """
+    return CODECS["binary"].encode(replace(batch, network_id=DEFAULT_NETWORK_ID))
+
+
 class InBandUplink(Uplink):
     """Telemetry over the mesh to a gateway node.
 
@@ -152,11 +158,8 @@ class InBandUplink(Uplink):
         self._node = node
         self.gateway_address = gateway_address
 
-    def wire_size(self, batch: RecordBatch) -> int:
-        return len(batch.to_binary())
-
     def send(self, batch: RecordBatch, on_result: ResultCallback) -> None:
-        raw = batch.to_binary()
+        raw = _in_band_bytes(batch)
         self.stats.batches_submitted += 1
         self.stats.bytes_sent += len(raw)
         msg_id = self._node.send_message(self.gateway_address, raw, ptype=PacketType.TELEMETRY)
@@ -186,11 +189,8 @@ class ReliableInBandUplink(Uplink):
         self._messenger = messenger
         self.gateway_address = gateway_address
 
-    def wire_size(self, batch: RecordBatch) -> int:
-        return len(batch.to_binary())
-
     def send(self, batch: RecordBatch, on_result: ResultCallback) -> None:
-        raw = batch.to_binary()
+        raw = _in_band_bytes(batch)
         self.stats.batches_submitted += 1
         self.stats.bytes_sent += len(raw)
 
@@ -228,8 +228,8 @@ class GatewayBridge:
             raise ConfigurationError(str(exc)) from None
         self.gateway = gateway
         self._server = server
-        #: The compact binary batch spends no airtime on a network id;
-        #: the bridge knows which network its gateway belongs to and
+        #: An in-band batch spends no airtime on a network id; the
+        #: bridge knows which network its gateway belongs to and
         #: attributes batches server-side.
         self.network_id = network_id
         self.batches_bridged = 0
@@ -239,10 +239,7 @@ class GatewayBridge:
     def _delivered(self, message: DeliveredMessage) -> None:
         if message.ptype != PacketType.TELEMETRY:
             return
-        if self.network_id != DEFAULT_NETWORK_ID:
-            result = self._server.ingest_binary(message.payload, network_id=self.network_id)
-        else:
-            result = self._server.ingest_binary(message.payload)
+        result = self._server.ingest_binary(message.payload, network_id=self.network_id)
         if getattr(result, "ok", True):
             self.batches_bridged += 1
         else:

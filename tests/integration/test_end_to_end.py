@@ -6,15 +6,16 @@ and the dashboard's numbers agree with simulator ground truth.
 """
 
 import math
+from dataclasses import replace
 
 import pytest
 
 from repro.analysis.compare import pdr_estimation_error, topology_accuracy
-from repro.api import JsonCodec
+from repro.api import JsonCodec, MonitorServer, SqliteMetricsStore
 from repro.monitor import metrics
 from repro.monitor.dashboard import Dashboard
 from repro.scenario.config import MonitorMode, ScenarioConfig, WorkloadSpec
-from repro.scenario.runner import run_scenario
+from repro.scenario.runner import Scenario, run_scenario
 
 BASE = ScenarioConfig(
     seed=11,
@@ -98,6 +99,41 @@ class TestUplinkCost:
             )
         assert submitted > 0
         assert len(encoded) == submitted
+
+
+class TestReportedDrops:
+    @pytest.mark.parametrize("backend", ["memory", "sqlite"])
+    def test_resent_batches_count_their_drops_once(self, backend, tmp_path):
+        # Client buffers of 8 records overflow, and at 30 % uplink loss
+        # many batches lose their response and are resent: each resend
+        # used to add its drops to the node's total again.
+        config = ScenarioConfig(
+            seed=3, n_nodes=9, warmup_s=600.0, duration_s=1200.0, cooldown_s=120.0,
+            uplink_loss=0.3, workload=WorkloadSpec(kind="periodic", interval_s=20.0),
+        )
+        path = str(tmp_path / "drops.sqlite")
+        server = MonitorServer(store=SqliteMetricsStore(path)) if backend == "sqlite" else None
+        scenario = Scenario(config, server=server)
+        for client in scenario.clients.values():
+            client.config = replace(client.config, max_buffer_records=8)
+        result = scenario.run()
+        # Capture nothing more, so each client's count is final, and give
+        # every client a few report intervals to get a batch through.
+        for client in result.clients.values():
+            client.config = replace(client.config, capture_in=False, capture_out=False)
+        result.sim.run(until=result.sim.now + 20 * config.report_interval_s)
+        dropped = {node: client.stats.records_dropped for node, client in result.clients.items()}
+        assert sum(dropped.values()) > 10_000
+        retried = sum(client.stats.batches_failed for client in result.clients.values())
+        assert retried > 50
+        store = result.store
+        if backend == "sqlite":
+            server.close()
+            store = SqliteMetricsStore(path)
+        try:
+            assert {node: store.reported_drops(node) for node in dropped} == dropped
+        finally:
+            store.close()
 
 
 class TestDashboardFidelity:

@@ -14,6 +14,7 @@ from repro.mesh.packet import (
     RouteVectorEntry,
 )
 from repro.mesh.transport import FRAGMENT_HEADER_SIZE, Fragment, segment_message
+from repro.monitor.codec import BinaryCodec
 from repro.monitor.records import (
     Direction,
     NeighborObservation,
@@ -27,6 +28,12 @@ import pytest
 addresses = st.integers(min_value=0, max_value=0xFFFF)
 packet_ids = st.integers(min_value=0, max_value=0xFFFF)
 bytes_payloads = st.binary(min_size=0, max_size=MAX_PAYLOAD)
+#: Record seqs, ``batch_seq`` and ``dropped``: the full 32-bit range the
+#: binary layout carries, its edges (and the old 16-bit wrap) drawn often.
+uint32s = st.one_of(
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.sampled_from([0, 0xFFFF, 0x10000, 70_000, 2**31, 2**32 - 1]),
+)
 
 
 @st.composite
@@ -122,7 +129,7 @@ def packet_records(draw):
     direction = draw(st.sampled_from(list(Direction)))
     return PacketRecord(
         node=draw(st.integers(1, 0xFFFE)),
-        seq=draw(st.integers(0, 0xFFFF)),
+        seq=draw(uint32s),
         timestamp=draw(timestamps),
         direction=direction,
         src=draw(addresses),
@@ -153,7 +160,7 @@ def status_records(draw):
     ))
     return StatusRecord(
         node=draw(st.integers(1, 0xFFFE)),
-        seq=draw(st.integers(0, 0xFFFF)),
+        seq=draw(uint32s),
         timestamp=draw(timestamps),
         uptime_s=draw(st.floats(0, 4e9, allow_nan=False)),
         queue_depth=draw(st.integers(0, 255)),
@@ -186,7 +193,7 @@ class TestRecordCodecs:
     @settings(max_examples=200)
     def test_packet_record_binary_round_trip_within_quantisation(self, record):
         batch = RecordBatch(node=record.node, batch_seq=0, sent_at=0.0, packet_records=(record,))
-        (decoded,) = RecordBatch.from_binary(batch.to_binary()).packet_records
+        (decoded,) = BinaryCodec().decode(BinaryCodec().encode(batch)).packet_records
         assert decoded.seq == record.seq
         assert decoded.direction == record.direction
         assert decoded.timestamp == pytest.approx(record.timestamp, abs=0.011)
@@ -220,10 +227,12 @@ class TestRecordCodecs:
             packet_records=packets, status_records=statuses,
         )
         from_json = RecordBatch.from_json_bytes(batch.to_json_bytes())
-        from_binary = RecordBatch.from_binary(batch.to_binary())
+        from_binary = BinaryCodec().decode(BinaryCodec().encode(batch))
         assert from_json.record_count == batch.record_count
         assert from_binary.record_count == batch.record_count
         assert [r.seq for r in from_binary.packet_records] == [r.seq for r in packets]
+        assert [r.seq for r in from_json.packet_records] == [r.seq for r in packets]
+        assert [r.seq for r in from_binary.status_records] == [r.seq for r in statuses]
 
 
 # Valid ids: 1-64 chars of [A-Za-z0-9_.-], starting alphanumeric.
@@ -249,20 +258,19 @@ def record_batches(draw):
     )
     batch = RecordBatch(
         node=node,
-        batch_seq=draw(st.integers(0, 0xFFFF)),
+        batch_seq=draw(uint32s),
         sent_at=draw(timestamps),
         packet_records=packets,
         status_records=statuses,
-        dropped_records=draw(st.integers(0, 0xFFFF)),
+        dropped_records=draw(uint32s),
     )
     return replace(batch, network_id=draw(network_ids))
 
 
 class TestDatagramCodec:
-    """The datagram (UDP/negotiated-HTTP) framing of the binary codec."""
+    """The binary codec's batch framing (in-band, UDP and negotiated HTTP)."""
 
     def codec(self):
-        from repro.monitor.codec import BinaryCodec
         return BinaryCodec()
 
     @given(record_batches())

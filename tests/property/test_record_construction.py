@@ -1,13 +1,13 @@
 """Property: every way of building a telemetry record gives the same record.
 
 A record is built in four places: the client's capture hooks, the JSON
-decoder, the binary decoders (in-band batch and telemetry datagram) and
-the SQLite store's row reader.  The binary decoders build packet
-records with ``tuple.__new__(PacketRecord, fields)``, the others through
+decoder, the binary decoder (in-band batches and datagrams share its
+layout) and the SQLite store's row reader.  The binary decoder builds
+packet records with ``tuple.__new__(PacketRecord, fields)``, the others through
 the positional constructor, so every record must also equal the
 constructor's in class, fields and hash.  Observations are drawn on the
 wire grid (centisecond timestamps, tenth-dB RSSI and SNR,
-whole-millisecond airtime, 16-bit sequence numbers, ...), where no
+whole-millisecond airtime, 32-bit sequence numbers, ...), where no
 encoding rounds anything away, so every path must give back exactly the
 record the client captured: the same class, fields of the annotated
 plain types, equal values, and the named tuple's guarantees (assignment
@@ -173,8 +173,7 @@ def every_path(packet, status):
     paths = [("capture", packet, status)]
     for name, decode, raw in (
         ("json", JsonCodec().decode, JsonCodec().encode(batch)),
-        ("datagram", BinaryCodec().decode, BinaryCodec().encode(batch)),
-        ("in-band", RecordBatch.from_binary, batch.to_binary()),
+        ("binary", BinaryCodec().decode, BinaryCodec().encode(batch)),
     ):
         decoded = decode(raw)
         paths.append((name, *decoded.packet_records, *decoded.status_records))

@@ -133,9 +133,12 @@ class Harness:
         self.now = 0.0
         self.seqs = {node: 0 for node in NODES}
         self.sent = []
-        #: Node -> (server time of its last batch, dropped records summed
-        #: over its batches): what the harness submitted, for the oracle.
+        #: Node -> (server time of its last batch, highest cumulative
+        #: drop count among its batches): what the harness submitted,
+        #: for the oracle.
         self.batches = {}
+        #: Node -> the cumulative drop count its next batch reports.
+        self.dropped = {node: 0 for node in NODES}
         self.attach(store)
 
     def attach(self, store):
@@ -170,14 +173,16 @@ class Harness:
         """Submit ``batch`` now and note it for the oracle."""
         assert self.server.submit(batch).ok
         _last, drops = self.batches.get(batch.node, (None, 0))
-        self.batches[batch.node] = (self.now, drops + batch.dropped_records)
+        self.batches[batch.node] = (self.now, max(drops, batch.dropped_records))
 
     def submit(self, node, observed, status_seq, shuffle, rng):
         """One batch from ``node``: a record per (offset, fields), seqs
         fresh but maybe out of order, a status record of ``status_seq``
-        unless it is None, and a few client-side drops."""
+        unless it is None, and the client's drops so far (a few more each
+        batch)."""
         seqs = list(range(self.seqs[node], self.seqs[node] + len(observed)))
         self.seqs[node] += len(observed)
+        self.dropped[node] += len(self.sent) % 3
         if shuffle:
             rng.shuffle(seqs)
         records = tuple(
@@ -197,7 +202,7 @@ class Harness:
         batch = RecordBatch(
             node=node, batch_seq=len(self.sent), sent_at=self.now,
             packet_records=records, status_records=status,
-            dropped_records=len(self.sent) % 3,
+            dropped_records=self.dropped[node],
         )
         self.sent.append(batch)
         self.deliver(batch)

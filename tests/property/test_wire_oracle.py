@@ -9,11 +9,12 @@
   subnormals, values that round at the last kept digit, magnitudes where
   ``repr`` switches to exponent notation, ``NaN``, the infinities and
   ``None``).
-* The binary decoders read packet records in one ``struct.iter_unpack``
-  pass.  Their reference is the per-record decoder below, which reads
-  each record with ``unpack_from`` at its offset: on drawn batches the
-  two give the same records, and on truncated input or trailing bytes the
-  same :class:`DecodeError`.
+* The binary decoder reads packet records in one ``struct.iter_unpack``
+  pass.  Its reference is the per-record decoder below, which spells the
+  layout out itself (32-bit seqs, ``batch_seq`` and ``dropped``) and
+  reads each record with ``unpack_from`` at its offset: on drawn batches
+  the two give the same batch, and on truncated input or trailing bytes
+  the same :class:`DecodeError`.
 """
 
 import json
@@ -27,10 +28,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import DecodeError
-from repro.monitor.codec import DATAGRAM_HEADER_SIZE, BinaryCodec
+from repro.monitor.codec import BinaryCodec
 from repro.monitor.records import (
-    PACKET_FORMAT,
-    PACKET_SIZE,
     Direction,
     NeighborObservation,
     PacketRecord,
@@ -192,8 +191,13 @@ class TestJsonTextOracle:
 
 # -- the binary decoder and its per-record reference --------------------------
 
-_PACKET_STRUCT = struct.Struct(PACKET_FORMAT)
-IN_BAND_HEADER_SIZE = struct.calcsize(RecordBatch._BINARY_HEADER)
+#: The binary layout, spelled out here rather than read from the module
+#: under test, so the oracle also pins it: header magic, version,
+#: net_len, node, batch_seq, sent_at, dropped, n_packets, n_status; and
+#: each packet record's flags, seq, timestamp, src, dst, next_hop,
+#: prev_hop, ptype, packet_id, size, rssi, snr, airtime, attempt.
+REFERENCE_HEADER = struct.Struct("!HBBHIIIHB")
+REFERENCE_PACKET = struct.Struct("!BIIHHHHBHHhhHB")
 
 
 def reference_packet_at(raw, offset, node):
@@ -202,7 +206,7 @@ def reference_packet_at(raw, offset, node):
         (
             flags, seq, ts_cs, src, dst, next_hop, prev_hop, ptype,
             packet_id, size_bytes, rssi_tenths, snr_tenths, airtime_ms, attempt,
-        ) = _PACKET_STRUCT.unpack_from(raw, offset)
+        ) = REFERENCE_PACKET.unpack_from(raw, offset)
     except struct.error as exc:
         raise DecodeError(f"bad binary packet record of {len(raw) - offset} bytes") from exc
     if flags & 1:
@@ -216,21 +220,37 @@ def reference_packet_at(raw, offset, node):
     )
 
 
-def reference_decode(raw, offset, node, n_packets, n_status, label):
+def reference_decode(raw, offset, node, n_packets, n_status):
     """The packed records at ``offset``, one ``unpack_from`` per packet record."""
-    end = offset + n_packets * PACKET_SIZE
+    end = offset + n_packets * REFERENCE_PACKET.size
     if len(raw) < end:
-        raise DecodeError(f"{label} packet records truncated")
+        raise DecodeError("binary batch packet records truncated")
     packets = tuple(
-        reference_packet_at(raw, position, node) for position in range(offset, end, PACKET_SIZE)
+        reference_packet_at(raw, position, node)
+        for position in range(offset, end, REFERENCE_PACKET.size)
     )
     status: List[StatusRecord] = []
     for _ in range(n_status):
         record, end = StatusRecord.from_binary_at(raw, end, node)
         status.append(record)
     if end != len(raw):
-        raise DecodeError(f"{len(raw) - end} trailing bytes after {label}")
+        raise DecodeError(f"{len(raw) - end} trailing bytes after binary batch")
     return packets, tuple(status)
+
+
+def reference_batch(raw):
+    """A whole binary batch (header, network id, records), by the reference."""
+    magic, version, net_len, node, batch_seq, sent_cs, dropped, n_packets, n_status = (
+        REFERENCE_HEADER.unpack_from(raw)
+    )
+    assert (magic, version) == (0x4C54, 2)
+    offset = REFERENCE_HEADER.size + net_len
+    network = raw[REFERENCE_HEADER.size:offset].decode("ascii") or "default"
+    packets, status = reference_decode(raw, offset, node, n_packets, n_status)
+    return RecordBatch(
+        node, batch_seq, sent_cs / 100.0, packets, status,
+        dropped_records=dropped, network_id=network,
+    )
 
 
 def outcome(decode, *args):
@@ -252,28 +272,16 @@ def assert_same_records(mine, theirs):
 class TestPackedRecordDecoder:
     @given(record_batches())
     @settings(max_examples=200)
-    def test_in_band_batch_matches_reference(self, batch):
-        raw = replace(batch, network_id="default").to_binary()
-        decoded = RecordBatch.from_binary(raw)
-        packets, status = reference_decode(
-            raw, IN_BAND_HEADER_SIZE, batch.node,
-            len(batch.packet_records), len(batch.status_records), "binary batch",
-        )
-        assert_same_records(decoded.packet_records, packets)
-        assert decoded.status_records == status
-
-    @given(record_batches())
-    @settings(max_examples=200)
     def test_datagram_matches_reference(self, batch):
         raw = BinaryCodec().encode(batch)
-        network = b"" if batch.network_id == "default" else batch.network_id.encode("ascii")
-        offset = DATAGRAM_HEADER_SIZE + len(network)
         decoded = BinaryCodec().decode(raw)
-        packets, _ = reference_decode(
-            raw, offset, batch.node,
-            len(batch.packet_records), len(batch.status_records), "telemetry datagram",
+        reference = reference_batch(raw)
+        assert decoded == reference
+        assert_same_records(decoded.packet_records, reference.packet_records)
+        assert [r.seq for r in decoded.packet_records] == [r.seq for r in batch.packet_records]
+        assert (decoded.batch_seq, decoded.dropped_records) == (
+            batch.batch_seq, batch.dropped_records
         )
-        assert_same_records(decoded.packet_records, packets)
 
     @given(
         record_batches(),
@@ -286,14 +294,14 @@ class TestPackedRecordDecoder:
     def test_truncation_and_trailing_bytes_fail_alike(
         self, batch, cut, trailer, extra_packets, extra_status
     ):
-        raw = replace(batch, network_id="default").to_binary()
+        raw = BinaryCodec().encode(replace(batch, network_id="default"))
         body = (raw[:cut] if cut < len(raw) else raw) + trailer
         counts = (
             len(batch.packet_records) + extra_packets - 1,
             len(batch.status_records) + extra_status - 1,
         )
         n_packets, n_status = max(0, counts[0]), max(0, counts[1])
-        args = (body, IN_BAND_HEADER_SIZE, batch.node, n_packets, n_status, "binary batch")
+        args = (body, REFERENCE_HEADER.size, batch.node, n_packets, n_status)
         mine, theirs = outcome(decode_packed_records, *args), outcome(reference_decode, *args)
         assert mine[0] == theirs[0], (mine, theirs)
         if mine[0] == "error":
@@ -304,8 +312,8 @@ class TestPackedRecordDecoder:
 
     def test_truncated_and_trailing_messages(self):
         record = PacketRecord(3, 1, 2.0, Direction.IN, 1, 2, 3, 4, 5, 6, 7, -100.0, 5.0)
-        raw = RecordBatch(3, 1, 2.0, (record,)).to_binary()
+        raw = BinaryCodec().encode(RecordBatch(3, 1, 2.0, (record,)))
         with pytest.raises(DecodeError, match="binary batch packet records truncated"):
-            RecordBatch.from_binary(raw[:-1])
+            BinaryCodec().decode(raw[:-1])
         with pytest.raises(DecodeError, match="2 trailing bytes after binary batch"):
-            RecordBatch.from_binary(raw + b"\x00\x00")
+            BinaryCodec().decode(raw + b"\x00\x00")

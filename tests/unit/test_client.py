@@ -4,7 +4,6 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.monitor.client import MonitorClient, MonitorClientConfig
-from repro.monitor.records import RecordBatch
 from repro.monitor.uplink import Uplink
 
 
@@ -16,9 +15,6 @@ class FakeUplink(Uplink):
         self.batches = []
         self.ok = ok
         self.deferred = []
-
-    def wire_size(self, batch: RecordBatch) -> int:
-        return len(batch.to_json_bytes())
 
     def send(self, batch, on_result):
         self.batches.append(batch)
@@ -159,6 +155,20 @@ class TestRetry:
         assert rebooted.batch_seq > in_flight.batch_seq
         assert rebooted.packet_records[0].seq > in_flight.packet_records[-1].seq
         assert rebooted.status_records[0].seq > in_flight.status_records[-1].seq
+
+    def test_drop_count_is_cumulative_across_failures_and_restarts(self, mesh):
+        # Each batch carries every drop so far, so a resent batch repeats
+        # a count the server already holds instead of adding to it.
+        uplink = FakeUplink(ok=False)
+        client, _ = make_client(mesh, uplink=uplink, max_buffer_records=2)
+        mesh.sim.run(until=mesh.sim.now + 100.0)
+        before_restart = len(uplink.batches)
+        client.restart()
+        uplink.ok = True
+        mesh.sim.run(until=mesh.sim.now + 100.0)
+        counts = [batch.dropped_records for batch in uplink.batches]
+        assert counts == sorted(counts)
+        assert 0 < counts[before_restart - 1] < counts[-1] <= client.stats.records_dropped
 
     def test_restart_of_a_running_client_keeps_one_flush_timer(self, mesh):
         # A brownout fails the node without stopping its client, and a

@@ -18,7 +18,7 @@ from repro.api import (
 from repro.errors import DecodeError, EncodeError
 from repro.monitor.codec import (
     BINARY_CONTENT_TYPE,
-    DATAGRAM_HEADER_SIZE,
+    BATCH_HEADER_SIZE,
     JSON_CONTENT_TYPE,
     extract_generated_section,
     render_protocol_telemetry_markdown,
@@ -111,7 +111,7 @@ class TestBinaryCodec:
 
     def test_truncated_header_rejected(self):
         raw = self.codec().encode(batch())
-        for cut in range(DATAGRAM_HEADER_SIZE):
+        for cut in range(BATCH_HEADER_SIZE):
             with pytest.raises(DecodeError):
                 self.codec().decode(raw[:cut])
 
@@ -121,17 +121,29 @@ class TestBinaryCodec:
         with pytest.raises(DecodeError, match="magic"):
             self.codec().decode(bytes(raw))
 
-    def test_in_band_batch_is_not_a_datagram(self):
-        # Same records, different framing: the magics must not collide.
-        b = batch(packets=[packet_record()])
-        with pytest.raises(DecodeError, match="magic"):
-            self.codec().decode(b.to_binary())
-
     def test_wrong_version_rejected(self):
         raw = bytearray(self.codec().encode(batch()))
-        raw[2] = 99  # version byte
-        with pytest.raises(DecodeError, match="version"):
-            self.codec().decode(bytes(raw))
+        # Version 1 had 16-bit seqs: its records must not be misread.
+        for version in (1, 99):
+            raw[2] = version  # version byte
+            with pytest.raises(DecodeError, match="version"):
+                self.codec().decode(bytes(raw))
+
+    @pytest.mark.parametrize("field", ["seq", "status_seq", "batch_seq", "dropped"])
+    def test_values_past_32_bits_are_refused_not_wrapped(self, field):
+        def with_value(value):
+            return {
+                "seq": batch(packets=[packet_record()._replace(seq=value)]),
+                "status_seq": batch(status=[status_record()._replace(seq=value)]),
+                "batch_seq": batch(batch_seq=value),
+                "dropped": batch(dropped=value),
+            }[field]
+
+        largest = with_value(2**32 - 1)
+        assert self.codec().decode(self.codec().encode(largest)) == largest
+        # A wrapped seq would make the server take new records for replays.
+        with pytest.raises(EncodeError, match="out of range"):
+            self.codec().encode(with_value(2**32))
 
     def test_trailing_bytes_rejected(self):
         raw = self.codec().encode(batch())
@@ -146,7 +158,7 @@ class TestBinaryCodec:
     def test_bad_network_id_rejected(self):
         import dataclasses
         raw = bytearray(self.codec().encode(dataclasses.replace(batch(), network_id="ab")))
-        raw[DATAGRAM_HEADER_SIZE] = 0xFF  # non-ASCII first id byte
+        raw[BATCH_HEADER_SIZE] = 0xFF  # non-ASCII first id byte
         with pytest.raises(DecodeError):
             self.codec().decode(bytes(raw))
 

@@ -89,6 +89,17 @@ class TestSequenceGapTracker:
         assert tracker.note(1) == "duplicate"
         assert tracker.lost == width
 
+    def test_a_32_bit_jump_tracks_only_the_newest_holes(self):
+        # A garbled or forged datagram can carry any 32-bit batch_seq;
+        # the jump is counted, and only the newest holes are remembered.
+        tracker = SequenceGapTracker()
+        tracker.note(0)
+        assert tracker.note(2**32 - 1) == "gap"
+        assert tracker.lost == 2**32 - 2
+        assert len(tracker._missing) == MAX_TRACKED_MISSING
+        assert tracker.note(2**32 - 2) == "late"
+        assert tracker.note(2**32 - 2 - MAX_TRACKED_MISSING) == "duplicate"
+
     def test_json_dict_shape(self):
         tracker = SequenceGapTracker()
         tracker.note(0)

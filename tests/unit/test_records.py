@@ -6,6 +6,7 @@ import math
 import pytest
 
 from repro.errors import DecodeError
+from repro.monitor.codec import BinaryCodec
 from repro.monitor.records import (
     PACKET_SIZE,
     Direction,
@@ -93,9 +94,9 @@ class TestPacketRecordJson:
 
 
 def binary_round_trip(record):
-    """``record`` through a one-record in-band batch."""
+    """``record`` through a one-record binary batch."""
     batch = RecordBatch(node=record.node, batch_seq=0, sent_at=0.0, packet_records=(record,))
-    (decoded,) = RecordBatch.from_binary(batch.to_binary()).packet_records
+    (decoded,) = BinaryCodec().decode(BinaryCodec().encode(batch)).packet_records
     return decoded
 
 
@@ -123,9 +124,11 @@ class TestPacketRecordBinary:
 
     def test_truncated_binary_rejected(self):
         record = packet_record()
-        raw = RecordBatch(node=3, batch_seq=0, sent_at=0.0, packet_records=(record,)).to_binary()
+        raw = BinaryCodec().encode(
+            RecordBatch(node=3, batch_seq=0, sent_at=0.0, packet_records=(record,))
+        )
         with pytest.raises(DecodeError, match="packet records truncated"):
-            RecordBatch.from_binary(raw[:-(PACKET_SIZE - 5)])
+            BinaryCodec().decode(raw[:-(PACKET_SIZE - 5)])
 
 
 class TestStatusRecord:
@@ -178,15 +181,16 @@ class TestRecordBatch:
 
     def test_binary_round_trip(self):
         batch = self.make_batch()
-        decoded = RecordBatch.from_binary(batch.to_binary())
+        decoded = BinaryCodec().decode(BinaryCodec().encode(batch))
         assert decoded.node == 3
+        assert decoded.dropped_records == 5
         assert len(decoded.packet_records) == 2
         assert decoded.packet_records[1].seq == 43
         assert decoded.status_records[0].route_count == 8
 
     def test_binary_smaller_than_json(self):
         batch = self.make_batch()
-        assert len(batch.to_binary()) < len(batch.to_json_bytes()) / 3
+        assert len(BinaryCodec().encode(batch)) < len(batch.to_json_bytes()) / 3
 
     def test_invalid_json_rejected(self):
         with pytest.raises(DecodeError):
@@ -195,29 +199,19 @@ class TestRecordBatch:
             RecordBatch.from_json_bytes(b"[1,2,3]")
 
     def test_wrong_schema_version_rejected(self):
-        import json
         document = json.loads(self.make_batch().to_json_bytes())
-        document["v"] = 99
-        with pytest.raises(DecodeError):
-            RecordBatch.from_json_bytes(json.dumps(document).encode())
-
-    def test_bad_magic_rejected(self):
-        raw = bytearray(self.make_batch().to_binary())
-        raw[0] ^= 0xFF
-        with pytest.raises(DecodeError):
-            RecordBatch.from_binary(bytes(raw))
-
-    def test_trailing_bytes_rejected(self):
-        raw = self.make_batch().to_binary()
-        with pytest.raises(DecodeError):
-            RecordBatch.from_binary(raw + b"\x00")
+        # Version 1 carried a per-batch drop count, not a cumulative one.
+        for version in (1, 99):
+            document["v"] = version
+            with pytest.raises(DecodeError, match="schema version"):
+                RecordBatch.from_json_bytes(json.dumps(document).encode())
 
     def test_record_count(self):
         assert self.make_batch().record_count == 3
 
     def test_empty_batch(self):
         batch = RecordBatch(node=1, batch_seq=0, sent_at=0.0)
-        assert RecordBatch.from_binary(batch.to_binary()).record_count == 0
+        assert BinaryCodec().decode(BinaryCodec().encode(batch)).record_count == 0
         assert RecordBatch.from_json_bytes(batch.to_json_bytes()).record_count == 0
 
 

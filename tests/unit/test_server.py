@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.api import Dashboard, MetricsStore, sqlite_store_factory
+from repro.api import BinaryCodec, Dashboard, MetricsStore, sqlite_store_factory
 from repro.monitor import metrics
 from repro.monitor.ingest import SeqWindow
 from repro.monitor.records import Direction, PacketRecord, RecordBatch, StatusRecord
@@ -102,9 +102,30 @@ class TestIngestion:
 
     def test_binary_round_trip(self):
         server = MonitorServer()
-        raw = batch(packets=[packet_record()], status=[status_record()]).to_binary()
+        raw = BinaryCodec().encode(batch(packets=[packet_record()], status=[status_record()]))
         result = server.ingest_binary(raw)
         assert result.ok and result.accepted_packets == 1 and result.accepted_status == 1
+
+    @pytest.mark.parametrize("entry", ["ingest_encoded", "ingest_binary"])
+    def test_a_node_past_65536_binary_records_keeps_being_accepted(self, entry):
+        # 16-bit seqs wrapped here, and every later batch was refused as
+        # duplicates of the node's first 65,536 records.
+        server = MonitorServer()
+        ingest = {
+            "ingest_encoded": lambda raw: server.ingest_encoded(raw, "binary"),
+            "ingest_binary": server.ingest_binary,
+        }[entry]
+        codec = BinaryCodec()
+        for batch_seq in range(700):
+            records = [
+                packet_record(seq=seq)._replace(packet_id=seq & 0xFFFF)
+                for seq in range(batch_seq * 100, batch_seq * 100 + 100)
+            ]
+            result = ingest(codec.encode(batch(batch_seq=batch_seq, packets=records)))
+            assert (result.ok, result.accepted_packets, result.duplicates) == (True, 100, 0)
+        assert server.self_metrics.packet_records_ingested == 70_000
+        assert server.self_metrics.dedup_hits == 0
+        assert server.store.packet_record_count(node=1) == 70_000
 
     def test_garbage_json_rejected(self):
         server = MonitorServer()
@@ -122,6 +143,13 @@ class TestIngestion:
         server.submit(batch(dropped=7))
         assert server.store.last_seen(1) == 123.0
         assert server.store.reported_drops(1) == 7
+        # ``dropped`` is cumulative: a resent batch, or a late one with a
+        # lower count, leaves the node's highest as it was.
+        server.submit(batch(dropped=7))
+        server.submit(batch(dropped=4))
+        assert server.store.reported_drops(1) == 7
+        server.submit(batch(dropped=9))
+        assert server.store.reported_drops(1) == 9
 
     def test_stats_accumulate(self):
         server = MonitorServer()

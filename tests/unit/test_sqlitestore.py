@@ -77,10 +77,16 @@ class TestBasics:
         assert store.status_record_count(node=5) == 1
 
     def test_batch_metadata(self, store):
-        store.note_batch(1, received_at=10.0, dropped_records=3)
-        store.note_batch(1, received_at=20.0, dropped_records=4)
+        # ``dropped_records`` is the client's cumulative count: the store
+        # keeps the highest, also when a lower one arrives later.
+        store.note_batch(1, received_at=10.0, dropped_records=4)
+        store.note_batch(1, received_at=20.0, dropped_records=3)
         assert store.last_seen(1) == 20.0
-        assert store.reported_drops(1) == 7
+        assert store.reported_drops(1) == 4
+        store.flush()
+        assert store._conn.execute("SELECT dropped FROM batches WHERE node = 1").fetchall() == [
+            (4,)
+        ]
         assert store.last_seen(99) is None
 
     def test_status_series(self, store):
@@ -174,8 +180,9 @@ class TestNodeStateInMemory:
         store.add_packet_records([packet_record(seq=0, ts=1.0), packet_record(node=2, seq=0)])
         store.add_status_records([status_record(seq=5, ts=5.0), status_record(seq=3, ts=3.0)])
         store.add_status_record(status_record(node=3, seq=0, ts=2.0))
-        store.note_batch(1, 10.0, 2)
-        store.note_batch(1, 12.0, 1)
+        # Cumulative drop counts; the later batch reports a lower one.
+        store.note_batch(1, 10.0, 3)
+        store.note_batch(1, 12.0, 2)
         store.note_batch(4, 11.0, 0)
 
     def node_state(self, store):

@@ -114,8 +114,13 @@ class TestBatchMetadata:
         assert store.last_seen(1) == 100.0
 
     def test_reported_drops_accumulate(self, store):
+        # Each batch carries the client's cumulative count, so a resent
+        # (5) or reordered (3) batch does not add to the highest.
         store.note_batch(1, received_at=1.0, dropped_records=5)
-        store.note_batch(1, received_at=2.0, dropped_records=3)
+        store.note_batch(1, received_at=2.0, dropped_records=5)
+        store.note_batch(1, received_at=3.0, dropped_records=3)
+        assert store.reported_drops(1) == 5
+        store.note_batch(1, received_at=4.0, dropped_records=8)
         assert store.reported_drops(1) == 8
         assert store.reported_drops(2) == 0
 

@@ -1,8 +1,11 @@
 """Unit tests for the uplink transports."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.monitor.codec import BinaryCodec
 from repro.monitor.records import RecordBatch
 from repro.monitor.server import MonitorServer
 from repro.monitor.uplink import (
@@ -122,9 +125,12 @@ class TestInBand:
             InBandUplink(small_mesh.nodes[1], gateway_address=1)
 
     def test_wire_size_is_binary(self, small_mesh):
+        # The binary codec's bytes, with no network id: the gateway
+        # bridge attributes an in-band batch to its own network.
         uplink = InBandUplink(small_mesh.nodes[9], gateway_address=1)
         batch = make_batch(node=9)
-        assert uplink.wire_size(batch) == len(batch.to_binary())
+        uplink.send(replace(batch, network_id="campus-a"), lambda ok: None)
+        assert uplink.stats.bytes_sent == len(BinaryCodec().encode(batch))
 
     def test_bridge_ignores_data_messages(self, small_mesh):
         world = small_mesh

@@ -7,8 +7,8 @@ the two byte for byte.  A node's latest status is its highest-seq
 record among ``store.status_records(node)``; its last batch time and
 reported drops come from the caller's own record of the batches the
 server ingested (``batches``: node -> (server time of its last batch,
-dropped records summed over its batches)), so no node value is read
-from the state under test.
+highest cumulative drop count among its batches)), so no node value is
+read from the state under test.
 """
 
 import json
